@@ -13,28 +13,11 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 FIXTURES_ENV = "ASAI_KIT_FIXTURES"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    fixtures: str | None = None
-    seed: int = 0
-    primes: tuple[int, int] | None = None
-    coeffs: str | None = None
-    N: int = 50
-    only: str | None = None
-    report: str | None = None
-    fixture_name: str | None = None
-    selmer: str | None = None
-    flip_psi: bool = False
-    verify_lambda2: bool = False
 
 
 def canonical_json(obj) -> str:
@@ -59,21 +42,21 @@ def write_report(path, obj):
         raise
 
 
-def fixtures_dir(config: RunConfig):
-    if config.fixtures:
-        return config.fixtures
+def fixtures_dir(args):
+    if args.fixtures:
+        return args.fixtures
     return os.environ.get(FIXTURES_ENV)
 
 
-def cmd_verify_identities(config: RunConfig) -> int:
+def cmd_verify_identities(args) -> int:
     from .batteries import BATTERIES, run_batteries
     from .fixtures import load_shipped
 
-    if config.only and config.only not in BATTERIES:
-        sys.stderr.write(f"unknown battery {config.only!r}; "
+    if args.only and args.only not in BATTERIES:
+        sys.stderr.write(f"unknown battery {args.only!r}; "
                          f"choose from {sorted(BATTERIES)}\n")
         return 2
-    base = fixtures_dir(config)
+    base = fixtures_dir(args)
     if base is not None:
         # load and validate every fixture file in the directory up front
         try:
@@ -82,48 +65,61 @@ def cmd_verify_identities(config: RunConfig) -> int:
                     continue
                 load_shipped(path.stem, base)
         except Exception as exc:  # validation failure: report and bail
-            write_report(config.report, {"error": str(exc), "ok": False})
+            write_report(args.report, {"error": str(exc), "ok": False})
             sys.stderr.write(f"fixture validation failed: {exc}\n")
             return 1
-    records = run_batteries(seed=config.seed, only=config.only)
+    records = run_batteries(seed=args.seed, only=args.only)
     failures = [r for r in records if not r["passed"]]
     for r in records:
         status = "pass" if r["passed"] else "FAIL"
         sys.stderr.write(f"[{status}] {r['battery']}: {r['case']}\n")
     report = {
         "command": "verify-identities",
-        "seed": config.seed,
-        "only": config.only,
+        "seed": args.seed,
+        "only": args.only,
         "total": len(records),
         "failed": len(failures),
         "records": records,
         "ok": not failures,
     }
-    write_report(config.report, report)
+    write_report(args.report, report)
     return 0 if not failures else 1
 
 
-def cmd_pipeline(config: RunConfig) -> int:
+def cmd_pipeline(args) -> int:
     from .cohomology import SelmerStructure
     from .fixtures import load_shipped
     from .grouprep import coset_sign_character, trivial_character
     from .polarization import LatticeRep, PipelineError, theorem_main_pipeline
 
-    name = config.fixture_name or "ribet_q7_d6"
-    base = fixtures_dir(config)
+    name = args.fixture_name or "ribet_q7_d6"
+    base = fixtures_dir(args)
+
+    def refuse(error):
+        write_report(
+            args.report,
+            {"command": "pipeline", "fixture": name, "error": error,
+             "class": None, "ok": False},
+        )
+        sys.stderr.write(f"pipeline: {error}\n")
+        return 1
+
     try:
         fix = load_shipped(name, base)
     except Exception as exc:
-        write_report(config.report, {"error": str(exc), "ok": False})
+        write_report(args.report, {"error": str(exc), "ok": False})
         sys.stderr.write(f"fixture load failed: {exc}\n")
         return 1
+    missing = [r for r in ("lattice", "chi", "chi_inv") if r not in fix.reps]
+    if missing:
+        return refuse(f"fixture {name!r} lacks the representations {', '.join(missing)}")
     mod2 = fix.rep("lattice").mod
-    if config.flip_psi:
+    if args.flip_psi:
         psi = trivial_character(fix.group, "G", mod2)
     else:
         psi = coset_sign_character(fix.group, mod2)
     selmer = None
-    selmer_path = config.selmer
+    selmer_path = args.selmer
     if selmer_path is None and base is not None:
         cand = Path(base) / f"{name}.selmer.json"
         if cand.exists():
@@ -134,28 +130,22 @@ def cmd_pipeline(config: RunConfig) -> int:
         cand = DATA_DIR / f"{name}.selmer.json"
         if cand.exists():
             selmer_path = str(cand)
-    if selmer_path:
-        selmer = SelmerStructure.from_json(json.loads(Path(selmer_path).read_text()))
-    latt = LatticeRep(fix.rep("lattice"), fix.rep("chi"), fix.rep("chi_inv"))
     try:
+        if selmer_path:
+            selmer = SelmerStructure.from_json(json.loads(Path(selmer_path).read_text()))
+        latt = LatticeRep(fix.rep("lattice"), fix.rep("chi"), fix.rep("chi_inv"))
         rep = theorem_main_pipeline(
-            latt, psi, selmer=selmer, require_odd_psi=not config.flip_psi
+            latt, psi, selmer=selmer, require_odd_psi=not args.flip_psi
         )
-    except PipelineError as exc:
-        write_report(
-            config.report,
-            {"command": "pipeline", "fixture": name, "error": str(exc),
-             "class": None, "ok": False},
-        )
-        sys.stderr.write(f"pipeline: {exc}\n")
-        return 1
+    except (OSError, ValueError, PipelineError) as exc:
+        return refuse(str(exc))
     obj = {"command": "pipeline", "fixture": name, "ok": rep.eigenvalue_law_holds}
     obj.update(rep.to_json())
-    write_report(config.report, obj)
+    write_report(args.report, obj)
     return 0 if rep.eigenvalue_law_holds else 1
 
 
-def cmd_lfunc(config: RunConfig) -> int:
+def cmd_lfunc(args) -> int:
     from .lfunc import (
         asai_dirichlet,
         euler_factor,
@@ -164,43 +154,43 @@ def cmd_lfunc(config: RunConfig) -> int:
         verify_lambda2,
     )
 
-    report = {"command": "lfunc", "seed": config.seed}
-    if config.coeffs:
+    report = {"command": "lfunc", "seed": args.seed}
+    if args.coeffs:
         try:
-            tbl = ingest_coeffs(config.coeffs)
-            coeffs = asai_dirichlet(tbl, config.N)
-        except (ValueError, KeyError) as exc:
-            write_report(config.report, {"error": str(exc), "ok": False})
+            tbl = ingest_coeffs(args.coeffs)
+            coeffs = asai_dirichlet(tbl, args.N)
+        except (OSError, ValueError, KeyError) as exc:
+            write_report(args.report, {"error": str(exc), "ok": False})
             sys.stderr.write(f"lfunc: {exc}\n")
             return 1
-        report["dirichlet"] = {"N": config.N, "coefficients": coeffs}
+        report["dirichlet"] = {"N": args.N, "coefficients": coeffs}
         report["ok"] = True
-        write_report(config.report, report)
+        write_report(args.report, report)
         return 0
-    if config.primes is None:
+    if args.primes is None:
         sys.stderr.write("lfunc needs --primes A..B or --coeffs FILE\n")
         return 2
-    lo, hi = config.primes
+    lo, hi = args.primes
     entries = []
     all_ok = True
     for p in range(lo, hi + 1):
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
             continue
-        rng = np.random.default_rng((config.seed, p))
+        rng = np.random.default_rng((args.seed, p))
         sp = random_satake(rng, p=p)
         row = {"p": p, "split": sp.split, "factors": {}}
         for tag in ("ind", "asai+", "asai-", "lambda2", "std", "sim"):
             row["factors"][tag] = [int(c) for c in euler_factor(sp, tag).poly.coeffs]
-        if config.verify_lambda2:
+        if args.verify_lambda2:
             ok, _ = verify_lambda2(sp, 1)
             row["lambda2_ok"] = ok
             all_ok = all_ok and ok
         entries.append(row)
     report["primes"] = entries
-    if config.verify_lambda2:
+    if args.verify_lambda2:
         report["lambda2_all_ok"] = all_ok
     report["ok"] = all_ok
-    write_report(config.report, report)
+    write_report(args.report, report)
     return 0 if all_ok else 1
 
 
@@ -245,26 +235,12 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        fixtures=args.fixtures,
-        seed=args.seed,
-        report=args.report,
-        only=getattr(args, "only", None),
-        primes=getattr(args, "primes", None),
-        coeffs=getattr(args, "coeffs", None),
-        N=getattr(args, "N", 50),
-        fixture_name=getattr(args, "fixture_name", None),
-        selmer=getattr(args, "selmer", None),
-        flip_psi=getattr(args, "flip_psi", False),
-        verify_lambda2=getattr(args, "verify_lambda2", False),
-    )
-    if config.command == "verify-identities":
-        return cmd_verify_identities(config)
-    if config.command == "pipeline":
-        return cmd_pipeline(config)
-    if config.command == "lfunc":
-        return cmd_lfunc(config)
+    if args.command == "verify-identities":
+        return cmd_verify_identities(args)
+    if args.command == "pipeline":
+        return cmd_pipeline(args)
+    if args.command == "lfunc":
+        return cmd_lfunc(args)
     raise AssertionError("unreachable")
 
 

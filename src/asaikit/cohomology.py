@@ -74,7 +74,7 @@ class GModule:
 
     def restrict(self, elements) -> "GModule":
         els = sorted(int(e) for e in elements)
-        if any(self.pos[e] < 0 for e in els):
+        if any(not 0 <= e < self.group.n or self.pos[e] < 0 for e in els):
             raise ValueError("restriction target is not inside the domain")
         return GModule(self.group, els, self.images[self.pos[els]], self.mod)
 
@@ -170,11 +170,7 @@ class H1Data:
         self.q = q
         g = m.group
         els = list(m.elements)
-        sub = set(els)
-        gens = g.generators(sub)
-        if not gens:
-            gens = [g.one]
-        self.gens = gens
+        self.gens = gens = g.generators(set(els))
         d = m.dim
         D = len(gens) * d
         # expansion phi(g) = expand[g] @ x by breadth-first closure
@@ -270,23 +266,6 @@ def _gen_block(slc, d, D):
     out = np.zeros((d, D), dtype=np.int64)
     out[:, slc] = np.eye(d, dtype=np.int64)
     return out
-
-
-class CohClass:
-    """A 1-cohomology class: a representative cocycle modulo coboundaries."""
-
-    def __init__(self, h1: H1Data, cocycle: Cocycle):
-        if cocycle.module is not h1.module and not cocycle.module.same_action(h1.module):
-            raise ValueError("cocycle does not live in this module")
-        self.h1 = h1
-        self.cocycle = cocycle
-        self.coords = h1.class_coords(cocycle)
-
-    def is_zero(self):
-        return not np.any(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, CohClass) and np.array_equal(self.coords, other.coords)
 
 
 def h1(module: GModule) -> H1Data:
@@ -515,9 +494,13 @@ class SelmerStructure:
 
     @staticmethod
     def from_json(obj) -> "SelmerStructure":
-        conds = []
-        for c in obj:
-            conds.append((tuple(int(x) for x in c["subgroup"]), c["local_condition"]))
+        if not isinstance(obj, list):
+            raise ValueError("a Selmer structure is a JSON list of local conditions")
+        try:
+            conds = [(tuple(int(x) for x in c["subgroup"]), c["local_condition"])
+                     for c in obj]
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"malformed local condition: {exc!r}") from exc
         return SelmerStructure(conds)
 
     def to_json(self):

@@ -1,11 +1,13 @@
-"""Exact linear algebra over Z/m for m an odd prime power.
+"""Exact linear algebra over Z/m for m an odd prime power, and over Z and Q.
 
-Everything here is integer arithmetic on numpy int64 arrays reduced mod m;
-there is no floating point anywhere.  Over a prime modulus the solver is
-plain Gaussian elimination; over q^n (n >= 2) it uses a diagonal normal
-form valid for chain rings (pivoting on entries of minimal q-valuation),
-which yields a particular solution plus kernel generators with annihilator
-exponents.
+Matrices over Z/m are numpy int64 arrays reduced mod m; there is no
+floating point anywhere.  Over a prime modulus the solver is plain Gaussian
+elimination; over q^n (n >= 2) it uses a diagonal normal form valid for
+chain rings (pivoting on entries of minimal q-valuation), which yields a
+particular solution plus kernel generators with annihilator exponents.
+The package's one determinant (Bareiss), characteristic polynomial
+(Berkowitz) and rational elimination (Fraction Gauss-Jordan) work on
+nested sequences of int or Fraction entries.
 
 Conventions fixed once for the whole package:
   * Kronecker products order pairs row-major: (i, j) -> i*cols(b) + j.
@@ -15,7 +17,9 @@ Conventions fixed once for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 import json
+import operator
 
 import numpy as np
 
@@ -47,41 +51,6 @@ def validate_modulus(m):
     if m < 3:
         raise ValueError("modulus must be >= 3")
     return q, n
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """A residue class with its modulus (q or q^n, q an odd prime)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        validate_modulus(self.modulus)
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.modulus != self.modulus:
-                raise ValueError("modulus mismatch")
-            return other.value
-        return int(other)
-
-    def __add__(self, other):
-        return Scalar(self.value + self._coerce(other), self.modulus)
-
-    def __sub__(self, other):
-        return Scalar(self.value - self._coerce(other), self.modulus)
-
-    def __mul__(self, other):
-        return Scalar(self.value * self._coerce(other), self.modulus)
-
-    def inverse(self):
-        return Scalar(inverse_mod(self.value, self.modulus), self.modulus)
-
-    def is_unit(self):
-        q, _ = factor_prime_power(self.modulus)
-        return self.value % q != 0
 
 
 def inverse_mod(a, m):
@@ -199,11 +168,11 @@ class Mat:
 
     def det(self):
         """Determinant, computed fraction-free over Z then reduced."""
-        return _bareiss_det(self.a.tolist()) % self.mod
+        return det(self.a.tolist()) % self.mod
 
     def is_invertible(self):
         q, _ = factor_prime_power(self.mod)
-        return _bareiss_det(self.a.tolist()) % q != 0
+        return det(self.a.tolist()) % q != 0
 
     def inverse(self):
         sol = solve_mod(self.a, np.eye(self.rows, dtype=np.int64), self.mod)
@@ -232,14 +201,21 @@ class Mat:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _bareiss_det(rows):
-    """Exact integer determinant (Bareiss fraction-free elimination)."""
+def det(rows):
+    """Exact determinant of an int or Fraction matrix (Bareiss, O(n^3)).
+
+    Every division in Bareiss elimination is exact, so int matrices stay in
+    Z; a matrix with any Fraction entry is computed over Q throughout.
+    """
     n = len(rows)
-    if n == 0:
-        return 1
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    m = [[int(x) for x in r] for r in rows]
+    m = [list(r) for r in rows]
+    if any(isinstance(x, Fraction) for r in m for x in r):
+        m = [[Fraction(x) for x in r] for r in m]
+        div = operator.truediv
+    else:
+        div = operator.floordiv
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -253,9 +229,64 @@ def _bareiss_det(rows):
                 return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+                m[i][j] = div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def charpoly(rows):
+    """Coefficients [1, c_1, ..., c_n] of det(X I - a) = X^n + c_1 X^(n-1)
+    + ... + c_n, for an int or Fraction matrix (Berkowitz, division-free).
+
+    Read lowest degree first, the same list is det(I - a X).
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    if n == 0:
+        return [1]
+    poly = [1, -rows[0][0]]
+    for r in range(1, n):
+        # bordering the leading r x r block A by column c, row s, corner a:
+        # the Toeplitz column is 1, -a, -s c, -s A c, ..., -s A^(r-1) c
+        s = rows[r][:r]
+        v = [rows[i][r] for i in range(r)]
+        toeplitz = [1, -rows[r][r]]
+        for _ in range(r):
+            toeplitz.append(-sum(x * y for x, y in zip(s, v)))
+            v = [sum(rows[i][j] * v[j] for j in range(r)) for i in range(r)]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1))
+            for i in range(r + 2)
+        ]
+    return poly
+
+
+def rref_rational(rows):
+    """Reduced row echelon form over Q (Fraction Gauss-Jordan).
+
+    Returns (R, pivot_columns) with R a list of Fraction rows.
+    """
+    R = [[Fraction(x) for x in r] for r in rows]
+    nr = len(R)
+    nc = len(R[0]) if nr else 0
+    pivots = []
+    for col in range(nc):
+        rank = len(pivots)
+        if rank == nr:
+            break
+        piv = next((i for i in range(rank, nr) if R[i][col] != 0), None)
+        if piv is None:
+            continue
+        R[rank], R[piv] = R[piv], R[rank]
+        pv = R[rank][col]
+        R[rank] = [x / pv for x in R[rank]]
+        for i in range(nr):
+            if i != rank and R[i][col] != 0:
+                f = R[i][col]
+                R[i] = [a - f * b for a, b in zip(R[i], R[rank])]
+        pivots.append(col)
+    return R, pivots
 
 
 def tensor_product(a: Mat, b: Mat) -> Mat:
@@ -274,25 +305,28 @@ def wedge_pairs(d):
     return _WEDGE_CACHE[d]
 
 
+def wedge_square(m):
+    """Lambda^2 of a square matrix of exact entries, as a tuple of rows,
+    on e_i ^ e_j (i < j, lex order)."""
+    pairs = wedge_pairs(len(m))
+    return tuple(
+        tuple(m[i][k] * m[j][l] - m[i][l] * m[j][k] for (k, l) in pairs)
+        for (i, j) in pairs
+    )
+
+
 def exterior_square(m: Mat) -> Mat:
     """Action induced on e_i ^ e_j (i < j, lex order); size d(d-1)/2."""
     if m.rows != m.cols:
         raise ValueError("exterior square of a non-square matrix")
-    d = m.rows
-    if d < 2:
+    if m.rows < 2:
         raise ValueError("exterior square needs dimension >= 2")
-    pairs = wedge_pairs(d)
-    a = m.a
-    out = np.zeros((len(pairs), len(pairs)), dtype=np.int64)
-    for r, (i, j) in enumerate(pairs):
-        for c, (k, l) in enumerate(pairs):
-            out[r, c] = (a[i, k] * a[j, l] - a[i, l] * a[j, k]) % m.mod
-    return Mat(out, m.mod)
+    return Mat(wedge_square(m.a.tolist()), m.mod)
 
 
 @dataclass
 class LinearSolution:
-    """Result of solve_mod / solve_linear.
+    """Result of solve_mod.
 
     particular  -- one solution (same shape as rhs), or None if inconsistent
     kernel      -- list of (vector, annihilator) pairs: vector generates
@@ -303,9 +337,6 @@ class LinearSolution:
     particular: np.ndarray | None
     kernel: list[tuple[np.ndarray, int]]
     modulus: int
-
-    def kernel_basis(self):
-        return [v for v, _ in self.kernel]
 
 
 def smith_form_mod(a, mod):
@@ -423,10 +454,17 @@ def solve_mod(a, rhs, mod):
     return LinearSolution(particular, kernel, mod)
 
 
-def solve_linear(a: Mat, rhs) -> LinearSolution:
-    """Spec'd entry point: particular solution + kernel generators for Mat."""
-    r = rhs.a if isinstance(rhs, Mat) else np.asarray(rhs, dtype=np.int64)
-    return solve_mod(a.a, r, a.mod)
+def kernel_gens(a, mod):
+    """Generators (vector, annihilator) of the right kernel of `a` over Z/mod.
+
+    Over a prime q these are the kernel_mod basis rows, each of annihilator
+    q; over q^n (n >= 2) the chain-ring kernel generators of solve_mod.
+    """
+    q, n = factor_prime_power(mod)
+    if n == 1:
+        return [(v, q) for v in kernel_mod(a, q)]
+    a = np.asarray(a, dtype=np.int64)
+    return solve_mod(a, np.zeros(a.shape[0], dtype=np.int64), mod).kernel
 
 
 # -- fast paths over a prime field ----------------------------------------
@@ -475,13 +513,6 @@ def row_space_mod(a, p):
     """Row-space basis (nonzero rows of the rref) mod prime p."""
     R, pivots = rref_mod(a, p)
     return R[: len(pivots)].copy()
-
-
-def in_row_space(v, basis, p):
-    if basis.shape[0] == 0:
-        return not np.any(np.mod(v, p))
-    stacked = np.vstack([basis, np.mod(v, p)])
-    return len(rref_mod(stacked, p)[1]) == len(rref_mod(basis, p)[1])
 
 
 def extend_basis(inner, vectors, p):

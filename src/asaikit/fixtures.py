@@ -229,26 +229,13 @@ def _metacyclic_2dim_rep(group, index, p, d, q, j_char=1, antisym_u=False, mod=N
     z = _lift_root_of_unity(element_of_order(p, q), p, q, mod)
     zi = inverse_mod(z, mod)
     low = (mod - 1) if antisym_u else 1
-    r_img = np.array([[z, 0], [0, zi]], dtype=np.int64)
-    u_img = np.array([[0, 1], [low, 0]], dtype=np.int64)
+    r_img = Mat([[z, 0], [0, zi]], mod)
+    u_img = Mat([[0, 1], [low, 0]], mod)
     imgs = {}
     for b in range(p):
         for jj in range(0, d, 2):
-            g = index[(b, jj)]
-            m = _mat_pow(r_img, (b * j_char) % p, mod) @ _mat_pow(u_img, jj // 2, mod) % mod
-            imgs[g] = Mat(m % mod, mod)
+            imgs[index[(b, jj)]] = r_img.pow((b * j_char) % p) @ u_img.pow(jj // 2)
     return Rep(group, "H", imgs, mod)
-
-
-def _mat_pow(m, k, mod):
-    out = np.eye(m.shape[0], dtype=np.int64)
-    base = m.copy() % mod
-    while k:
-        if k & 1:
-            out = out @ base % mod
-        base = base @ base % mod
-        k >>= 1
-    return out
 
 
 def _lift_root_of_unity(z, order, q, mod):

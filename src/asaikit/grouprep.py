@@ -17,9 +17,8 @@ import numpy as np
 from .exactalg import (
     Mat,
     factor_prime_power,
-    kernel_mod,
+    kernel_gens,
     row_space_mod,
-    solve_mod,
     validate_modulus,
 )
 
@@ -129,7 +128,8 @@ class FiniteGroup:
         return seen
 
     def generators(self, subset=None):
-        """Small generating set of the subgroup `subset` (default: G), greedy."""
+        """Small generating set of the subgroup `subset` (default: G), greedy;
+        [one] for the trivial subgroup."""
         pool = sorted(subset) if subset is not None else list(range(self.n))
         target = set(pool)
         gens: list[int] = []
@@ -142,7 +142,7 @@ class FiniteGroup:
                     break
         if have != target:
             raise ValueError("subset is not a subgroup")
-        return gens
+        return gens or [self.one]
 
     def coset_elements(self):
         return [g for g in range(self.n) if g not in self.H_set]
@@ -412,35 +412,24 @@ def transfer_character(chi: Rep) -> Rep:
     return Rep(g, "G", vals, chi.mod)
 
 
-def _hom_system(r1: Rep, r2: Rep, gens):
-    """Rows of the linear system for {M : M r1(g) = r2(g) M, g in gens}."""
-    d1, d2 = r1.dim, r2.dim
-    blocks = []
-    i1 = np.eye(d1, dtype=np.int64)
-    i2 = np.eye(d2, dtype=np.int64)
-    for g in gens:
-        a = np.kron(i2, r1.arr(g).T) - np.kron(r2.arr(g), i1)
-        blocks.append(a)
-    return np.vstack(blocks) % r1.mod
+def fixed_space(rep: Rep, block) -> list[tuple[np.ndarray, int]]:
+    """Kernel generators (vector, annihilator) of block(x) stacked over the
+    generators x of rep's domain; a caller wanting the free part keeps
+    annihilator == rep.mod."""
+    gens = rep.group.generators(set(rep.domain_elements.tolist()))
+    return kernel_gens(np.vstack([block(x) for x in gens]) % rep.mod, rep.mod)
 
 
 def intertwiner_space(r1: Rep, r2: Rep) -> list[Mat]:
     """Basis of {M : M r1(g) = r2(g) M for all g} (maps V1 -> V2)."""
     if r1.group is not r2.group or r1.domain != r2.domain or r1.mod != r2.mod:
         raise ValueError("intertwiners need the same group, domain and modulus")
-    g = r1.group
-    dom = list(range(g.n)) if r1.domain == "G" else list(g.H)
-    gens = g.generators(set(dom)) or [g.one]
-    sys = _hom_system(r1, r2, gens)
-    q, n = factor_prime_power(r1.mod)
-    if n == 1:
-        basis = kernel_mod(sys, q)
-        return [Mat(v.reshape(r2.dim, r1.dim), r1.mod) for v in basis]
-    sol = solve_mod(sys, np.zeros(sys.shape[0], dtype=np.int64), r1.mod)
-    out = []
-    for v, ann in sol.kernel:
-        out.append(Mat(v.reshape(r2.dim, r1.dim), r1.mod))
-    return out
+    i1 = np.eye(r1.dim, dtype=np.int64)
+    i2 = np.eye(r2.dim, dtype=np.int64)
+    kernel = fixed_space(
+        r1, lambda x: np.kron(i2, r1.arr(x).T) - np.kron(r2.arr(x), i1)
+    )
+    return [Mat(v.reshape(r2.dim, r1.dim), r1.mod) for v, _ in kernel]
 
 
 def contains_invertible(basis: list[Mat], rng=None, tries=200):
@@ -488,19 +477,9 @@ def isotypic_lines(rho: Rep, chi: Rep) -> list[np.ndarray]:
     """Basis of {v : rho(g) v = chi(g) v for all g}."""
     if chi.dim != 1:
         raise ValueError("chi must be a character")
-    g = rho.group
-    dom = list(range(g.n)) if rho.domain == "G" else list(g.H)
-    gens = g.generators(set(dom)) or [g.one]
-    rows = []
     eye = np.eye(rho.dim, dtype=np.int64)
-    for x in gens:
-        rows.append((rho.arr(x) - chi.value(x) * eye) % rho.mod)
-    sys = np.vstack(rows)
-    q, n = factor_prime_power(rho.mod)
-    if n > 1:
-        sol = solve_mod(sys, np.zeros(sys.shape[0], dtype=np.int64), rho.mod)
-        return [v for v, ann in sol.kernel if ann == rho.mod]
-    return list(kernel_mod(sys, q))
+    kernel = fixed_space(rho, lambda x: rho.arr(x) - chi.value(x) * eye)
+    return [v for v, ann in kernel if ann == rho.mod]
 
 
 class PairingClassification:
@@ -532,20 +511,16 @@ def classify_pairing(rho: Rep, mu: Rep) -> PairingClassification:
     """
     if mu.dim != 1:
         raise ValueError("mu must be a character")
-    g = rho.group
-    dom = list(range(g.n)) if rho.domain == "G" else list(g.H)
-    gens = g.generators(set(dom)) or [g.one]
-    d = rho.dim
-    rows = []
-    eye = np.eye(d * d, dtype=np.int64)
-    for x in gens:
-        rt = rho.arr(x).T
-        rows.append((np.kron(rt, rt) - mu.value(x) * eye) % rho.mod)
-    sys = np.vstack(rows)
     q, n = factor_prime_power(rho.mod)
     if n > 1:
         raise NotImplementedError("pairing classification is over F_q")
-    raw = kernel_mod(sys, q)
+    d = rho.dim
+    eye = np.eye(d * d, dtype=np.int64)
+    raw = [
+        v for v, _ in fixed_space(
+            rho, lambda x: np.kron(rho.arr(x).T, rho.arr(x).T) - mu.value(x) * eye
+        )
+    ]
     inv2 = pow(2, -1, q)
     sym_rows, anti_rows = [], []
     for v in raw:
@@ -566,5 +541,5 @@ def classify_pairing(rho: Rep, mu: Rep) -> PairingClassification:
     if len(basis) != len(raw):
         # mixed-symmetry leftovers cannot occur over an odd modulus
         raise AssertionError("pairing space failed to split by symmetry")
-    mu_ct = mu.value(g.ctilde) if mu.domain == "G" else None
+    mu_ct = mu.value(rho.group.ctilde) if mu.domain == "G" else None
     return PairingClassification(basis, mu_ct, rho.mod)

@@ -14,12 +14,11 @@ the induced space and x (x) y -> +- a y (x) x on the tensor-induced one.
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .exactalg import PolyX
+from .exactalg import PolyX, charpoly, det, rref_rational, wedge_pairs, wedge_square
 
 REP_TAGS = ("ind", "asai+", "asai-", "lambda2", "std", "sim", "zeta", "quadratic-char")
 
@@ -73,22 +72,6 @@ def blockdiag(a, b):
     return mat(out)
 
 
-def det_exact(a):
-    n = len(a)
-    if n == 0:
-        return 1
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    total = 0
-    for j in range(n):
-        if a[0][j]:
-            minor = [r[:j] + r[j + 1 :] for r in a[1:]]
-            total += (-1) ** j * a[0][j] * det_exact(minor)
-    return total
-
-
 def swap_flip(sign):
     """The coset action x (x) y -> sign * y (x) x on a 2 (x) 2 space."""
     s = [[0] * 4 for _ in range(4)]
@@ -98,32 +81,10 @@ def swap_flip(sign):
     return mat(s)
 
 
-WEDGE4_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-
-
-def wedge_square(m):
-    d = len(m)
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    return mat(
-        [
-            [m[i][k] * m[j][l] - m[i][l] * m[j][k] for (k, l) in pairs]
-            for (i, j) in pairs
-        ]
-    )
-
-
 def charpoly_reciprocal(m) -> PolyX:
     """det(I - m X) as an exact polynomial (integer if entries are)."""
-    d = len(m)
-    coeffs = [0] * (d + 1)
-    coeffs[0] = 1
-    for k in range(1, d + 1):
-        s = 0
-        for sub in itertools.combinations(range(d), k):
-            s += det_exact([[m[i][j] for j in sub] for i in sub])
-        coeffs[k] = (-1) ** k * s
     norm = []
-    for c in coeffs:
+    for c in charpoly(m):
         if isinstance(c, Fraction):
             if c.denominator != 1:
                 raise ValueError("non-integral Euler factor coefficient")
@@ -152,13 +113,13 @@ class SatakeParam:
     def __post_init__(self):
         a = mat(self.a)
         object.__setattr__(self, "a", a)
-        if det_exact(a) == 0:
+        if det(a) == 0:
             raise ValueError("a must be invertible")
         if self.split:
             if self.b is None:
                 raise ValueError("a split parameter needs both matrices")
             b = mat(self.b)
-            if det_exact(b) == 0:
+            if det(b) == 0:
                 raise ValueError("b must be invertible")
             object.__setattr__(self, "b", b)
         else:
@@ -172,11 +133,11 @@ class SatakeParam:
 
     def similitude(self):
         if self.split:
-            da, db = det_exact(self.a), det_exact(self.b)
+            da, db = det(self.a), det(self.b)
             if da != db:
                 raise ValueError("split similitude needs det a = det b")
             return da
-        if det_exact(self.a) != 1:
+        if det(self.a) != 1:
             raise ValueError("inert similitude needs det a = 1")
         return 1
 
@@ -321,7 +282,11 @@ def std_map(m):
             for i in range(6)
         ]
     )
-    p6_inv = _invert_fraction(p6)
+    n = len(p6)
+    reduced, _ = rref_rational(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(p6)]
+    )
+    p6_inv = mat([r[n:] for r in reduced])
     conj = mmul(mmul(p6_inv, w), p6)
     for i in range(5):
         if conj[i][5] != 0 or conj[5][i] != 0:
@@ -329,22 +294,6 @@ def std_map(m):
     if conj[5][5] != 1:
         raise AssertionError("invariant line eigenvalue is not 1")
     return mat([[conj[i][j] for j in range(5)] for i in range(5)])
-
-
-def _invert_fraction(m):
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return mat([r[n:] for r in aug])
 
 
 def verify_std_decomposition(sp: SatakeParam):
@@ -370,7 +319,7 @@ def std_in_so5(m):
     st = mat([[s[j][i] for j in range(5)] for i in range(5)])
     if mmul(mmul(st, gram), s) != gram:
         return False
-    return det_exact(s) == 1
+    return det(s) == 1
 
 
 def _wedge_pairing_gram():
@@ -379,8 +328,8 @@ def _wedge_pairing_gram():
 
     def pair(u, v):
         total = 0
-        for i, (a, b) in enumerate(WEDGE4_PAIRS):
-            for j, (c, d) in enumerate(WEDGE4_PAIRS):
+        for i, (a, b) in enumerate(wedge_pairs(4)):
+            for j, (c, d) in enumerate(wedge_pairs(4)):
                 if {a, b} & {c, d}:
                     continue
                 perm = (a, b, c, d)
@@ -486,6 +435,8 @@ def _is_int(s):
 
 def asai_dirichlet(tbl: CoeffTable, N: int) -> list[int]:
     """Coefficients (index 1..N) of zeta(2s) * sum_m c(m O_K) m^{-s}."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     for m in range(1, N + 1):
         if not tbl.has_diagonal(m):
             raise KeyError(f"missing diagonal coefficient c({m} O_K) below N={N}")
@@ -505,7 +456,7 @@ def hecke_power_coefficients(m2, kmax):
     """c(p^k) for k = 0..kmax from a 2x2 matrix via the trace recursion
     s_k = t s_{k-1} - d s_{k-2} (s_k = trace Sym^k)."""
     t = m2[0][0] + m2[1][1]
-    d = det_exact(m2)
+    d = det(m2)
     s = [1, t]
     for _ in range(2, kmax + 1):
         s.append(t * s[-1] - d * s[-2])

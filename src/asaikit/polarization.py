@@ -13,7 +13,6 @@ sign fixtures use involutive coset representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,8 +29,14 @@ from .cohomology import (
 )
 from .exactalg import (
     Mat,
+    PolyX,
+    charpoly,
     factor_prime_power,
-    kernel_mod,
+    inverse_mod,
+    kernel_gens,
+    rref_mod,
+    rref_rational,
+    row_space_mod,
     solve_mod,
 )
 from .grouprep import (
@@ -39,6 +44,7 @@ from .grouprep import (
     conjugate_rep,
     contains_invertible,
     dual_twist,
+    fixed_space,
     intertwiner_space,
 )
 
@@ -55,13 +61,10 @@ class PipelineError(RuntimeError):
 def _witness_rows(rep: Rep, psi: Rep, conjugate: bool):
     """Linear system rows for R^vee(g) A = psi(g) A R^?(g) on generators."""
     g = rep.group
-    dom = list(rep.domain_elements)
-    gens = g.generators(set(dom)) or [g.one]
     d = rep.dim
     eye = np.eye(d, dtype=np.int64)
     rows = []
-    for x in gens:
-        x = int(x)
+    for x in g.generators(set(rep.domain_elements.tolist())):
         rv = rep.arr(g.inverse(x)).T  # R^vee(x) = R(x^{-1})^T
         target = rep.arr(g.conj_ctilde(x)) if conjugate else rep.arr(x)
         pv = psi.value(x)
@@ -83,30 +86,13 @@ def _symmetry_rows(d, mod, antisymmetric):
     return np.array(rows, dtype=np.int64)
 
 
-def _kernel_mats(rows, d, mod):
-    q, n = factor_prime_power(mod)
-    if n == 1:
-        return [Mat(v.reshape(d, d), mod) for v in kernel_mod(rows, q)]
-    sol = solve_mod(rows, np.zeros(rows.shape[0], dtype=np.int64), mod)
-    return [Mat(v.reshape(d, d), mod) for v, _ in sol.kernel]
-
-
 def endomorphism_free_rank(rep: Rep) -> int:
     """Number of full-order generators of End(rep) (1 = Schur at precision)."""
-    g = rep.group
-    dom = list(rep.domain_elements)
-    gens = g.generators(set(dom)) or [g.one]
-    d = rep.dim
-    eye = np.eye(d, dtype=np.int64)
-    rows = np.vstack(
-        [(np.kron(rep.arr(x), eye) - np.kron(eye, rep.arr(x).T)) % rep.mod
-         for x in gens]
+    eye = np.eye(rep.dim, dtype=np.int64)
+    kernel = fixed_space(
+        rep, lambda x: np.kron(rep.arr(x), eye) - np.kron(eye, rep.arr(x).T)
     )
-    q, n = factor_prime_power(rep.mod)
-    if n == 1:
-        return len(kernel_mod(rows, q))
-    sol = solve_mod(rows, np.zeros(rows.shape[0], dtype=np.int64), rep.mod)
-    return sum(1 for _, ann in sol.kernel if ann == rep.mod)
+    return sum(1 for _, ann in kernel if ann == rep.mod)
 
 
 @dataclass
@@ -153,7 +139,7 @@ def polarize(rep: Rep, psi: Rep, conjugate: bool = True, rng=None) -> PolarizedR
     for label, anti in (("symmetric", False), ("antisymmetric", True)):
         sym = _symmetry_rows(d, rep.mod, anti)
         aug = np.vstack([rows, sym]) if sym.size else rows
-        cands = _kernel_mats(aug, d, rep.mod)
+        cands = [Mat(v.reshape(d, d), rep.mod) for v, _ in kernel_gens(aug, rep.mod)]
         w = contains_invertible(cands, rng=rng)
         if w is not None:
             found[label] = w
@@ -217,37 +203,6 @@ def sign_congruence(p1: PolarizedRep, p2: PolarizedRep) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _charpoly_mod(a, mod):
-    """Coefficients of det(X I - a) mod `mod`, exact integer minors."""
-    import itertools
-
-    d = a.shape[0]
-    coeffs = [0] * (d + 1)
-    coeffs[d] = 1
-    rows = [[int(x) for x in r] for r in a]
-    for k in range(1, d + 1):
-        s = 0
-        for sub in itertools.combinations(range(d), k):
-            m = [[rows[i][j] for j in sub] for i in sub]
-            s += _det_int(m)
-        coeffs[d - k] = (-1) ** k * s % mod
-    return [c % mod for c in coeffs]
-
-
-def _det_int(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    det = 0
-    for j in range(n):
-        if m[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            det += (-1) ** j * m[0][j] * _det_int(minor)
-    return det
-
-
 @dataclass
 class LatticeRep:
     """A representation over Z/q^n (n >= 2) whose mod-q semisimplification
@@ -273,15 +228,9 @@ class LatticeRep:
         # Brauer-Nesbitt style check of the semisimplification on H
         rH = self.rep.restrict_to_H()
         for x in self.rhobar1.domain_elements:
-            x = int(x)
-            lhs = _charpoly_mod(rH.arr(x), q)
-            p1 = _charpoly_mod(self.rhobar1.arr(x), q)
-            p2 = _charpoly_mod(self.rhobar2.arr(x), q)
-            prod = [0] * (len(p1) + len(p2) - 1)
-            for i, a in enumerate(p1):
-                for j, b in enumerate(p2):
-                    prod[i + j] = (prod[i + j] + a * b) % q
-            if lhs != prod:
+            p1, p2, lhs = (PolyX(charpoly(r.arr(x).tolist()), q)
+                           for r in (self.rhobar1, self.rhobar2, rH))
+            if lhs != p1 * p2:
                 raise ValueError("mod-q semisimplification does not match")
 
     @property
@@ -321,8 +270,6 @@ def _mod_q_triangularization(latt: LatticeRep):
             "block order (rhobar1 does not embed)"
         )
     m1 = hom1[0].a  # (d1+d2) x d1, columns span the rhobar1-subspace
-    from .exactalg import rref_mod, row_space_mod
-
     sub = row_space_mod(m1.T, q)
     # complement via pivot-free coordinates
     _, piv = rref_mod(sub, q)
@@ -506,8 +453,6 @@ def theorem_main_pipeline(
     in_sel = None
     if selmer is not None:
         sel = selmer_subgroup(data_as, selmer)
-        from .exactalg import rref_mod
-
         stacked = np.vstack([sel, coords]) if len(sel) else coords.reshape(1, -1)
         in_sel = len(rref_mod(stacked, q)[1]) == len(rref_mod(sel, q)[1]) if len(sel) else not np.any(coords)
     details = {"psi_at_ctilde": -1 if psic_sign == -1 else 1,
@@ -534,8 +479,6 @@ def _char_mod_q(psi: Rep, q) -> Rep:
 
 
 def _character_mod_q_inverse(psi: Rep, q) -> Rep:
-    from .exactalg import inverse_mod
-
     vals = np.array(
         [[[inverse_mod(int(m[0, 0]) % q, q)]] for m in psi.images], dtype=np.int64
     )
@@ -562,7 +505,7 @@ def criticality_dimensions(n: int, w: int = 1, i: int = 0) -> dict:
         for b in range(n):
             iota[b * n + a, a * n + b] = sign
     eye = np.eye(n * n, dtype=np.int64)
-    betti_plus = n * n - _rank_rational(iota - eye)
+    betti_plus = n * n - len(rref_rational((iota - eye).tolist())[1])
     dr = n * (n - 1) // 2
     return {
         "betti_plus": betti_plus,
@@ -571,26 +514,3 @@ def criticality_dimensions(n: int, w: int = 1, i: int = 0) -> dict:
         "weight": w,
         "twist": i,
     }
-
-
-def _rank_rational(m) -> int:
-    rows = [[Fraction(int(x)) for x in r] for r in m]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    rank = 0
-    col = 0
-    while rank < nr and col < nc:
-        piv = next((i for i in range(rank, nr) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(nr):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank

@@ -1,6 +1,8 @@
 import json
 import shutil
 
+import pytest
+
 from asaikit import cli
 from asaikit.fixtures import DATA_DIR
 
@@ -152,3 +154,37 @@ def test_shipped_fixture_files_match_builders():
         loaded = load_shipped(name)
         built = build()
         assert loaded.to_json() == built.to_json(), name
+
+
+def test_pipeline_fixture_without_lattice(tmp_path):
+    report = tmp_path / "p.json"
+    assert run(["pipeline", "c15_q31", "--report", str(report)]) == 1
+    obj = json.loads(report.read_text())
+    assert obj == {"command": "pipeline", "fixture": "c15_q31", "class": None,
+                   "ok": False, "error": obj["error"]}
+    assert "lattice" in obj["error"] and "chi_inv" in obj["error"]
+
+
+@pytest.mark.parametrize("case", [
+    "selmer-missing-file", "selmer-not-a-list", "selmer-element-outside-group",
+    "coeffs-missing-file", "coeffs-nonpositive-N",
+])
+def test_bad_input_ends_in_refusal_report(case, tmp_path, capsys):
+    sfile = tmp_path / "s.json"
+    argv = {
+        "selmer-missing-file": ["pipeline", "--selmer", str(tmp_path / "none.json")],
+        "selmer-not-a-list": ["pipeline", "--selmer", str(sfile)],
+        "selmer-element-outside-group": ["pipeline", "--selmer", str(sfile)],
+        "coeffs-missing-file": ["lfunc", "--coeffs", str(tmp_path / "none.csv")],
+        "coeffs-nonpositive-N": ["lfunc", "--coeffs",
+                                 str(DATA_DIR / "sample_coefficients.csv"), "--N", "-5"],
+    }[case]
+    if case == "selmer-not-a-list":
+        sfile.write_text(json.dumps({"subgroup": [0], "local_condition": "zero"}))
+    elif case == "selmer-element-outside-group":
+        # ribet_q7_d6 has |G| = 84, so element 84 does not exist
+        sfile.write_text(json.dumps([{"subgroup": [0, 84], "local_condition": "zero"}]))
+    report = tmp_path / "r.json"
+    assert run(argv + ["--report", str(report)]) == 1
+    assert json.loads(report.read_text())["ok"] is False
+    assert "Traceback" not in capsys.readouterr().err

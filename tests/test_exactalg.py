@@ -7,7 +7,6 @@ from asaikit.exactalg import (
     exterior_square,
     kernel_mod,
     smith_form_mod,
-    solve_linear,
     solve_mod,
     tensor_product,
     validate_modulus,
@@ -55,22 +54,6 @@ def det_oracle(m: Mat) -> int:
             term *= int(m.a[i, perm[i]])
         total += term
     return total % m.mod
-
-
-def test_scalar_arithmetic():
-    from asaikit.exactalg import Scalar
-
-    a = Scalar(9, 7)
-    assert a.value == 2
-    assert (a + Scalar(6, 7)).value == 1
-    assert (a * 4).value == 1
-    assert (a - 3).value == 6
-    assert a.inverse().value == 4
-    assert Scalar(7, 49).is_unit() is False and Scalar(3, 49).is_unit()
-    with pytest.raises(ValueError):
-        Scalar(1, 8)  # even modulus rejected
-    with pytest.raises(ValueError):
-        Scalar(1, 2)
 
 
 def test_modulus_validation():
@@ -141,7 +124,7 @@ def test_solve_invertible_field():
         if a.is_invertible():
             break
     b = rng.integers(0, 7, size=3)
-    sol = solve_linear(a, b)
+    sol = solve_mod(a.a, b, a.mod)
     assert sol.particular is not None
     assert not sol.kernel
     assert np.array_equal(np.mod(a.a @ sol.particular, 7), np.mod(b, 7))
