@@ -216,7 +216,7 @@ def selmerres_battery():
         res_h = ambient.restrict([h for h in ambient.group.H])
         data_H = h1(res_h)
         data_G = h1(ambient)
-        data_Gt = h1(ambient.twist_sign())
+        data_Gt = h1(ambient.twist(coset_sign_character(ambient.group, q)))
         ok_dims = data_H.dim == data_G.dim + data_Gt.dim
         cmat = conj_action_matrix(data_H, ambient)
         plus, minus = eigenspace_split(data_H, cmat)

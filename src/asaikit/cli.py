@@ -42,32 +42,13 @@ def write_report(path, obj):
         raise
 
 
-def fixtures_dir(args):
-    if args.fixtures:
-        return args.fixtures
-    return os.environ.get(FIXTURES_ENV)
-
-
 def cmd_verify_identities(args) -> int:
     from .batteries import BATTERIES, run_batteries
-    from .fixtures import load_shipped
 
     if args.only and args.only not in BATTERIES:
         sys.stderr.write(f"unknown battery {args.only!r}; "
                          f"choose from {sorted(BATTERIES)}\n")
         return 2
-    base = fixtures_dir(args)
-    if base is not None:
-        # load and validate every fixture file in the directory up front
-        try:
-            for path in sorted(Path(base).glob("*.json")):
-                if path.name.endswith(".selmer.json"):
-                    continue
-                load_shipped(path.stem, base)
-        except Exception as exc:  # validation failure: report and bail
-            write_report(args.report, {"error": str(exc), "ok": False})
-            sys.stderr.write(f"fixture validation failed: {exc}\n")
-            return 1
     records = run_batteries(seed=args.seed, only=args.only)
     failures = [r for r in records if not r["passed"]]
     for r in records:
@@ -93,7 +74,7 @@ def cmd_pipeline(args) -> int:
     from .polarization import LatticeRep, PipelineError, theorem_main_pipeline
 
     name = args.fixture_name or "ribet_q7_d6"
-    base = fixtures_dir(args)
+    base = args.fixtures or os.environ.get(FIXTURES_ENV)
 
     def refuse(error):
         write_report(
@@ -208,8 +189,6 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--fixtures", help="fixture directory "
-                        f"(default: ${FIXTURES_ENV} or the packaged set)")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--report", help="write the JSON report to this path")
 
@@ -220,6 +199,8 @@ def build_parser():
     p = sub.add_parser("pipeline", parents=[common],
                        help="run the lattice-to-Selmer-class pipeline")
     p.add_argument("fixture_name", nargs="?", default=None)
+    p.add_argument("--fixtures", help="read NAME.json from this fixture directory "
+                   f"(default: ${FIXTURES_ENV}, else build the named fixture)")
     p.add_argument("--selmer", help="SelmerStructure JSON file")
     p.add_argument("--flip-psi", action="store_true",
                    help="rerun with the parity-flipped character")

@@ -1,9 +1,10 @@
-"""1-cocycles, coboundaries and H^1 for finite modules over F_q, with the
+"""1-cocycles, coboundaries and H^1 over F_q, with the
 conjugation action of the nontrivial coset, the polarization involution on
 extension classes, eigenspace splitting, the Shapiro isomorphism, and
 Selmer-style subgroups cut out by local conditions.
 
-Cocycles are stored on every element of their domain and the defining
+Coefficient modules are `grouprep.Rep`s on any subgroup of G.  Cocycles
+are stored on every element of their domain and the defining
 identity phi(gh) = phi(g) + g.phi(h) is checked exactly on construction.
 H^1 is computed by parametrizing cocycles by their values on a generating
 set: the cocycle identity across all (element, generator) pairs is a finite
@@ -23,83 +24,13 @@ from .exactalg import (
     rref_mod,
     solve_mod,
 )
-from .grouprep import FiniteGroup, Rep, conjugate_rep, tensor_induce
-
-
-class GModule:
-    """A finite module: a subgroup's exact matrix action on (F_q)^d.
-
-    `elements` is any subgroup of the ambient FiniteGroup (not only G or H),
-    so restriction to decomposition subgroups is just `restrict`.
-    """
-
-    def __init__(self, group: FiniteGroup, elements, images, mod, validate=True):
-        self.group = group
-        self.elements = tuple(sorted(int(e) for e in elements))
-        self.mod = int(mod)
-        pos = np.full(group.n, -1, dtype=np.int64)
-        pos[list(self.elements)] = np.arange(len(self.elements))
-        self.pos = pos
-        self.images = np.mod(np.asarray(images, dtype=np.int64), mod)
-        self.images.flags.writeable = False
-        self.dim = int(self.images.shape[1])
-        if validate:
-            self.validate()
-
-    @staticmethod
-    def from_rep(rep: Rep) -> "GModule":
-        return GModule(rep.group, list(rep.domain_elements), rep.images, rep.mod,
-                       validate=False)
-
-    def validate(self):
-        g = self.group
-        els = np.array(self.elements)
-        prod = g.mul[np.ix_(els, els)]
-        if np.any(self.pos[prod] < 0):
-            raise ValueError("module elements do not form a subgroup")
-        k = len(els)
-        step = max(1, (1 << 20) // max(1, k * self.dim * self.dim))
-        idx = self.pos[els]
-        for lo in range(0, k, step):
-            hi = min(k, lo + step)
-            lhs = np.einsum("aij,bjk->abik", self.images[lo:hi], self.images) % self.mod
-            if not np.array_equal(lhs, self.images[self.pos[prod[lo:hi]]]):
-                raise ValueError("module action does not respect the group law")
-
-    def act(self, g):
-        p = int(self.pos[g])
-        if p < 0:
-            raise KeyError(f"element {g} not in module domain")
-        return self.images[p]
-
-    def restrict(self, elements) -> "GModule":
-        els = sorted(int(e) for e in elements)
-        if any(not 0 <= e < self.group.n or self.pos[e] < 0 for e in els):
-            raise ValueError("restriction target is not inside the domain")
-        return GModule(self.group, els, self.images[self.pos[els]], self.mod)
-
-    def twist_sign(self) -> "GModule":
-        """Tensor with the coset sign character (only meaningful over G)."""
-        signs = np.array([1 if e in self.group.H_set else -1 for e in self.elements])
-        return GModule(
-            self.group, self.elements,
-            (self.images * signs[:, None, None]) % self.mod,
-            self.mod, validate=False,
-        )
-
-    def same_action(self, other: "GModule") -> bool:
-        return (
-            self.group is other.group
-            and self.elements == other.elements
-            and self.mod == other.mod
-            and np.array_equal(self.images, other.images)
-        )
+from .grouprep import Rep, conjugate_rep, induce, tensor_induce
 
 
 class Cocycle:
     """phi: domain -> (F_q)^d with phi(gh) = phi(g) + g.phi(h), exactly."""
 
-    def __init__(self, module: GModule, values, validate=True):
+    def __init__(self, module: Rep, values, validate=True):
         self.module = module
         self.values = np.mod(np.asarray(values, dtype=np.int64), module.mod)
         if self.values.shape != (len(module.elements), module.dim):
@@ -140,12 +71,14 @@ class Cocycle:
         return Cocycle(self.module, (self.values * int(k)) % self.module.mod,
                        validate=False)
 
-    def restrict(self, submodule: GModule) -> "Cocycle":
-        vals = self.values[[int(self.module.pos[e]) for e in submodule.elements]]
-        return Cocycle(submodule, vals, validate=False)
+    def restrict(self, submodule: Rep) -> "Cocycle":
+        idx = self.module.pos[list(submodule.elements)]
+        if idx.min() < 0:
+            raise ValueError("restriction target is not inside the cocycle's domain")
+        return Cocycle(submodule, self.values[idx], validate=False)
 
 
-def coboundary(module: GModule, x) -> Cocycle:
+def coboundary(module: Rep, x) -> Cocycle:
     """(dx)(g) = g.x - x."""
     x = np.mod(np.asarray(x, dtype=np.int64), module.mod)
     vals = (np.einsum("aij,j->ai", module.images, x) - x) % module.mod
@@ -161,7 +94,7 @@ class H1Data:
     coboundary map, and the H^1 representatives extend B^1 to Z^1.
     """
 
-    def __init__(self, module: GModule):
+    def __init__(self, module: Rep):
         m = module
         q, n = factor_prime_power(m.mod)
         if n != 1:
@@ -185,7 +118,7 @@ class H1Data:
                     b = g.op(a, s)
                     if b in expand:
                         continue
-                    Eb = (m.act(a) @ _gen_block(gen_slices[s], d, D) + Ea) % q
+                    Eb = (m.arr(a) @ _gen_block(gen_slices[s], d, D) + Ea) % q
                     expand[b] = Eb
                     nxt.append(b)
             frontier = nxt
@@ -195,7 +128,7 @@ class H1Data:
         rows = []
         for a in els:
             Ea = expand[a]
-            act_a = m.act(a)
+            act_a = m.arr(a)
             for s in gens:
                 Eb = expand[g.op(a, s)]
                 rows.append((Eb - Ea - act_a @ _gen_block(gen_slices[s], d, D)) % q)
@@ -207,7 +140,7 @@ class H1Data:
         eye = np.eye(d, dtype=np.int64)
         for j in range(d):
             x = eye[j]
-            vec = np.concatenate([(m.act(s) @ x - x) % q for s in gens])
+            vec = np.concatenate([(m.arr(s) @ x - x) % q for s in gens])
             cb.append(vec)
         self.b1 = row_space_mod(np.array(cb), q) if cb else np.zeros((0, D), dtype=np.int64)
         keep = extend_basis(self.b1, self.z1, q)
@@ -268,8 +201,8 @@ def _gen_block(slc, d, D):
     return out
 
 
-def h1(module: GModule) -> H1Data:
-    """Z^1 basis, B^1 basis and H^1 representatives for a finite module."""
+def h1(module: Rep) -> H1Data:
+    """Z^1 basis, B^1 basis and H^1 representatives for a module over F_q."""
     return H1Data(module)
 
 
@@ -278,7 +211,7 @@ def h1(module: GModule) -> H1Data:
 # ---------------------------------------------------------------------------
 
 
-def conj_action(cocycle: Cocycle, ambient: GModule) -> Cocycle:
+def conj_action(cocycle: Cocycle, ambient: Rep) -> Cocycle:
     """(c.phi)(g) = ambient(ctilde) . phi(ctilde g ctilde^{-1}).
 
     `ambient` is a module over the whole group whose restriction to the
@@ -286,19 +219,18 @@ def conj_action(cocycle: Cocycle, ambient: GModule) -> Cocycle:
     """
     m = cocycle.module
     g = m.group
-    if len(ambient.elements) != g.n:
+    if ambient.domain != "G":
         raise ValueError("ambient module must be defined over the whole group")
-    res = ambient.restrict(m.elements)
-    if not res.same_action(m):
+    if ambient.restrict(m.elements) != m:
         raise ValueError("ambient action does not restrict to the cocycle's module")
-    act_c = ambient.act(g.ctilde)
+    act_c = ambient.arr(g.ctilde)
     vals = np.zeros_like(cocycle.values)
     for x in m.elements:
         vals[m.pos[x]] = act_c @ cocycle.value(g.conj_ctilde(x)) % m.mod
     return Cocycle(m, vals)
 
 
-def conj_action_matrix(h1d: H1Data, ambient: GModule) -> np.ndarray:
+def conj_action_matrix(h1d: H1Data, ambient: Rep) -> np.ndarray:
     mat = h1d.map_matrix(lambda z: conj_action(z, ambient), h1d)
     sq = mat @ mat % h1d.q
     if not np.array_equal(sq, np.eye(h1d.dim, dtype=np.int64) % h1d.q):
@@ -306,29 +238,27 @@ def conj_action_matrix(h1d: H1Data, ambient: GModule) -> np.ndarray:
     return mat
 
 
-def hom_module(rho: Rep, sigma: Rep) -> GModule:
+def hom_module(rho: Rep, sigma: Rep) -> Rep:
     """Hom(sigma, rho) with action g.X = rho(g) X sigma(g)^{-1} (vec row-major)."""
     if rho.group is not sigma.group or rho.domain != sigma.domain or rho.mod != sigma.mod:
         raise ValueError("mismatched representations")
     g = rho.group
-    els = list(rho.domain_elements)
-    imgs = np.zeros((len(els), rho.dim * sigma.dim, rho.dim * sigma.dim), dtype=np.int64)
-    for x in els:
-        x = int(x)
+    d = rho.dim * sigma.dim
+    imgs = np.zeros((len(rho.elements), d, d), dtype=np.int64)
+    for x in rho.elements:
         s_inv_t = sigma.arr(g.inverse(x)).T
         imgs[rho.pos[x]] = np.kron(rho.arr(x), s_inv_t) % rho.mod
-    return GModule(g, els, imgs, rho.mod, validate=False)
+    return Rep(g, rho.domain, imgs, rho.mod, validate=False)
 
 
-def conjugate_hom_module(rho: Rep) -> GModule:
+def conjugate_hom_module(rho: Rep) -> Rep:
     """Hom(rho^c, rho): the coefficient module of lattice extension classes."""
     return hom_module(rho, conjugate_rep(rho))
 
 
-def as_twisted_module(rho: Rep, twist: Rep, sign=+1) -> GModule:
+def as_twisted_module(rho: Rep, twist: Rep, sign=+1) -> Rep:
     """The tensor-induced module of rho twisted by a character of G."""
-    asp = tensor_induce(rho, sign)
-    return GModule.from_rep(asp.twist(twist))
+    return tensor_induce(rho, sign).twist(twist)
 
 
 def hom_to_as_matrix(n, mod):
@@ -373,16 +303,14 @@ def polarization_involution(cocycle: Cocycle, rho: Rep, eps_pow: Rep | None = No
     P_inv = Mat(P, mod).inverse().a
     rc = conjugate_rep(rho)
     eps_vals = {}
-    for x in rho.domain_elements:
-        x = int(x)
+    for x in rho.elements:
         if eps_pow is not None:
             eps_vals[x] = eps_pow.value(x)
         else:
             # the twist is pinned by the compatibility condition on H
             eps_vals[x] = Mat(rho.arr(x), mod).det()
     # fixture validity: P rho_perp P^{-1} = rho^c exactly
-    for x in rho.domain_elements:
-        x = int(x)
+    for x in rho.elements:
         perp = (eps_vals[x] * rho.arr(g.inverse(g.conj_ctilde(x))).T) % mod
         if not np.array_equal((P @ perp @ P_inv) % mod, rc.arr(x)):
             raise ValueError("P rho_perp P^{-1} = rho^c fails: invalid fixture")
@@ -429,24 +357,6 @@ def eigenspace_split(h1d: H1Data, involution: np.ndarray):
     return plus, minus
 
 
-def induced_module(module: GModule) -> GModule:
-    """Ind from H to G of a module over H, on M + M with cosets {1, ctilde}."""
-    g = module.group
-    if set(module.elements) != g.H_set:
-        raise ValueError("induction starts from a module over H")
-    d = module.dim
-    cinv = g.inverse(g.ctilde)
-    imgs = np.zeros((g.n, 2 * d, 2 * d), dtype=np.int64)
-    for x in range(g.n):
-        if g.in_H(x):
-            imgs[x, :d, :d] = module.act(x)
-            imgs[x, d:, d:] = module.act(g.conj_ctilde(x))
-        else:
-            imgs[x, :d, d:] = module.act(g.op(x, cinv))
-            imgs[x, d:, :d] = module.act(g.op(g.ctilde, x))
-    return GModule(g, range(g.n), imgs, module.mod)
-
-
 class ShapiroResult:
     def __init__(self, matrix, h1_H, h1_G_ind, ind_module):
         self.matrix = matrix          # H^1(G, ind M) -> H^1(H, M) on class coords
@@ -455,10 +365,10 @@ class ShapiroResult:
         self.ind_module = ind_module
 
 
-def shapiro(module: GModule) -> ShapiroResult:
+def shapiro(module: Rep) -> ShapiroResult:
     """Explicit iso H^1(G, ind M) -> H^1(H, M): restrict, project to the
     identity-coset component; verified bijective."""
-    ind = induced_module(module)
+    ind = induce(module)
     h1_H = h1(module)
     h1_G = h1(ind)
     d = module.dim
@@ -513,6 +423,23 @@ class SelmerStructure:
         return out
 
 
+def _local_subspace(cond, dim, q) -> np.ndarray:
+    """Rows spanning a local condition: "zero", or a list of vectors of
+    length dim H^1(D) (reduced mod q)."""
+    if cond == "zero":
+        return np.zeros((0, dim), dtype=np.int64)
+    seq = (list, tuple)
+    if isinstance(cond, seq) and all(
+        isinstance(v, seq) and len(v) == dim
+        and all(isinstance(x, (int, np.integer)) for x in v)
+        for v in cond
+    ):
+        rows = [[int(x) % q for x in v] for v in cond]
+        return np.array(rows, dtype=np.int64).reshape(len(cond), dim)
+    raise ValueError(f"local condition {cond!r} is not 'full', 'zero' or a list "
+                     f"of vectors of length dim H^1(D) = {dim}")
+
+
 def selmer_subgroup(h1d: H1Data, structure: SelmerStructure) -> np.ndarray:
     """Kernel of the restrictions-to-local-quotient maps, as rows in the
     H^1 coordinate space."""
@@ -520,26 +447,15 @@ def selmer_subgroup(h1d: H1Data, structure: SelmerStructure) -> np.ndarray:
     rows = []
     for sub, cond in structure.conditions:
         submod = h1d.module.restrict(sub)
+        if cond == "full":
+            continue
         h1_loc = h1(submod)
-        res = restriction_matrix(h1d, h1_loc)
-        if isinstance(cond, str):
-            if cond == "full":
-                continue
-            if cond == "zero":
-                local = np.zeros((0, h1_loc.dim), dtype=np.int64)
-            else:
-                raise ValueError(f"unknown local condition {cond!r}")
-        else:
-            local = np.array([list(v) for v in cond], dtype=np.int64).reshape(
-                -1, h1_loc.dim
-            )
-            if local.size and local.shape[1] != h1_loc.dim:
-                raise ValueError("local condition is not a subspace of H^1(D, M)")
+        local = _local_subspace(cond, h1_loc.dim, q)
         if h1_loc.dim == 0:
             continue
         ann = kernel_mod(local, q) if local.size else np.eye(h1_loc.dim, dtype=np.int64)
         if ann.size:
-            rows.append(ann @ res % q)
+            rows.append(ann @ restriction_matrix(h1d, h1_loc) % q)
     if not rows:
         return np.eye(h1d.dim, dtype=np.int64)
     sys = np.vstack(rows)

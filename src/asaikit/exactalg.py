@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 import json
 import operator
 
 import numpy as np
 
 
+@functools.lru_cache(maxsize=None)
 def factor_prime_power(m):
     """Return (q, n) with m = q**n for a prime q, or raise ValueError."""
     if m < 2:
@@ -44,13 +46,23 @@ def factor_prime_power(m):
 
 
 def validate_modulus(m):
-    """Check m = q**n with q an odd prime, m >= 3; return (q, n)."""
+    """Check m = q**n with q an odd prime, 3 <= m and (m-1)^2 < 2^63, so
+    that a product of two residues fits in int64; return (q, n)."""
+    check_int64_products(1, m)
     q, n = factor_prime_power(int(m))
     if q == 2:
         raise ValueError("even moduli are rejected: the modulus must be a power of an odd prime")
     if m < 3:
         raise ValueError("modulus must be >= 3")
     return q, n
+
+
+def check_int64_products(d, m):
+    """Reject modulus m when a length-d dot product of residues mod m can
+    leave int64, where numpy would wrap around silently."""
+    if d * (int(m) - 1) ** 2 >= 2**63:
+        raise ValueError(f"modulus {m} is too large: products of {d} residues "
+                         "would overflow int64")
 
 
 def inverse_mod(a, m):
@@ -76,12 +88,12 @@ class Mat:
 
     __slots__ = ("a", "mod")
 
-    def __init__(self, entries, mod, _validated=False):
-        if not _validated:
-            validate_modulus(mod)
+    def __init__(self, entries, mod):
+        validate_modulus(mod)
         a = np.asarray(entries, dtype=np.int64)
         if a.ndim != 2:
             raise ValueError("matrix entries must be 2-dimensional")
+        check_int64_products(a.shape[1], mod)
         a = np.mod(a, mod)
         a.flags.writeable = False
         self.a = a

@@ -13,7 +13,9 @@ Families:
   * a 294-element group with a 2-dim triangular rep for the cohomology
     batteries (nonzero H^1 with a 4-dim coefficient module)
 
-Every fixture is validated on load: group axioms, subgroup index, and each
+Fixtures are built here, from their builders only; JSON (`Fixture.save`,
+`Fixture.load`) is the format for user-supplied fixtures.  Every fixture is
+validated when built or loaded: group axioms, subgroup index, and each
 representation against the full multiplication table.
 """
 
@@ -97,13 +99,16 @@ class Fixture:
 
     @staticmethod
     def from_json(obj) -> "Fixture":
-        group = FiniteGroup(obj["elements"], obj["mul"], obj["H"], obj["ctilde"])
-        reps = {}
-        for r in obj["reps"]:
-            d = r["dim"]
-            imgs = np.array(r["images"], dtype=np.int64).reshape(-1, d, d)
-            reps[r["name"]] = Rep(group, r["domain"], imgs, r["modulus"])
-        return Fixture(obj["name"], group, reps, obj.get("meta", {}))
+        try:
+            group = FiniteGroup(obj["elements"], obj["mul"], obj["H"], obj["ctilde"])
+            reps = {}
+            for r in obj["reps"]:
+                d = r["dim"]
+                imgs = np.array(r["images"], dtype=np.int64).reshape(-1, d, d)
+                reps[r["name"]] = Rep(group, r["domain"], imgs, r["modulus"])
+            return Fixture(obj["name"], group, reps, obj.get("meta", {}))
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed fixture: {exc!r}") from exc
 
     def save(self, path):
         Path(path).write_text(json.dumps(self.to_json(), sort_keys=True) + "\n")
@@ -496,22 +501,14 @@ def shipped_fixture_builders():
 
 
 def load_shipped(name, fixtures_dir=None) -> Fixture:
-    """Load a fixture from JSON if shipped, else build it programmatically."""
-    base = Path(fixtures_dir) if fixtures_dir else DATA_DIR
-    path = base / f"{name}.json"
-    if path.exists():
-        return Fixture.load(path)
+    """Read `fixtures_dir/name.json` when a directory is given, else build
+    the named shipped fixture."""
+    if fixtures_dir:
+        return Fixture.load(Path(fixtures_dir) / f"{name}.json")
     builders = shipped_fixture_builders()
-    if name in builders:
-        return builders[name]()
-    raise FileNotFoundError(f"unknown fixture {name!r} (no file at {path})")
-
-
-def write_shipped_fixtures(directory=None):
-    base = Path(directory) if directory else DATA_DIR
-    base.mkdir(parents=True, exist_ok=True)
-    for name, build in shipped_fixture_builders().items():
-        build().save(base / f"{name}.json")
+    if name not in builders:
+        raise FileNotFoundError(f"unknown fixture {name!r}")
+    return builders[name]()
 
 
 # ---------------------------------------------------------------------------

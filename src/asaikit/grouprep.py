@@ -16,6 +16,7 @@ import numpy as np
 
 from .exactalg import (
     Mat,
+    check_int64_products,
     factor_prime_power,
     kernel_gens,
     row_space_mod,
@@ -32,7 +33,9 @@ class FiniteGroup:
         self.mul = np.asarray(mul, dtype=np.int64)
         self.mul.flags.writeable = False
         self.n = len(self.elements)
-        self.H = tuple(sorted(int(h) for h in H))
+        if self.mul.shape != (self.n, self.n):
+            raise ValueError("multiplication table has the wrong shape")
+        self.H = tuple(sorted({int(h) for h in H}))
         self.H_set = frozenset(self.H)
         self.ctilde = int(ctilde)
         self.one = self._find_identity()
@@ -61,8 +64,8 @@ class FiniteGroup:
 
     def validate(self):
         n = self.n
-        if self.mul.shape != (n, n) or self.mul.min() < 0 or self.mul.max() >= n:
-            raise ValueError("multiplication table has wrong shape or entries")
+        if self.mul.min() < 0 or self.mul.max() >= n:
+            raise ValueError("multiplication table has entries outside the group")
         # associativity, chunked to bound memory
         step = max(1, (1 << 21) // (n * n))
         for lo in range(0, n, step):
@@ -73,6 +76,8 @@ class FiniteGroup:
                 raise ValueError("multiplication table is not associative")
         if 2 * len(self.H) != n:
             raise ValueError("H does not have index 2")
+        if self.H[0] < 0 or self.H[-1] >= n:
+            raise ValueError("H has elements outside the group")
         hs = self.H_set
         if self.one not in hs:
             raise ValueError("H does not contain the identity")
@@ -102,9 +107,6 @@ class FiniteGroup:
 
     def in_H(self, g):
         return g in self.H_set
-
-    def coset_sign(self, g):
-        return 1 if g in self.H_set else -1
 
     def order_of(self, g):
         k, x = 1, g
@@ -149,54 +151,65 @@ class FiniteGroup:
 
 
 class Rep:
-    """A matrix representation of G or of its subgroup H.
+    """A subgroup of G acting by matrices over Z/m: a representation of G,
+    of H, or of any subgroup given by its element indices (a decomposition
+    group, say).  It is also the coefficient module of H^1.
 
-    images are stored densely per domain element and are checked against
-    the multiplication table exactly on construction.
+    `domain` is "G" or "H" for those two subgroups and the sorted element
+    tuple otherwise; images are stored densely per element of `elements`
+    and are checked against the multiplication table exactly on
+    construction.
     """
 
-    def __init__(self, group: FiniteGroup, domain: str, images, mod, validate=True):
-        if domain not in ("G", "H"):
-            raise ValueError("domain must be 'G' or 'H'")
+    def __init__(self, group: FiniteGroup, domain, images, mod, validate=True):
         validate_modulus(mod)
         self.group = group
-        self.domain = domain
         self.mod = int(mod)
-        self.domain_elements = (
-            np.arange(group.n, dtype=np.int64)
-            if domain == "G"
-            else np.array(group.H, dtype=np.int64)
-        )
+        if isinstance(domain, str):
+            if domain not in ("G", "H"):
+                raise ValueError("domain must be 'G', 'H' or a list of elements")
+            els = tuple(range(group.n)) if domain == "G" else group.H
+        else:
+            els = tuple(sorted({int(e) for e in domain}))
+            if els and not (0 <= els[0] and els[-1] < group.n):
+                raise ValueError("domain has elements outside the group")
+        self.elements = els
+        self.domain = "G" if len(els) == group.n else "H" if els == group.H else els
         pos = np.full(group.n, -1, dtype=np.int64)
-        pos[self.domain_elements] = np.arange(len(self.domain_elements))
+        pos[list(els)] = np.arange(len(els))
         self.pos = pos
         if isinstance(images, dict):
             first = next(iter(images.values()))
             dim = (first.a if isinstance(first, Mat) else np.asarray(first)).shape[0]
-            arr = np.zeros((len(self.domain_elements), dim, dim), dtype=np.int64)
+            arr = np.zeros((len(els), dim, dim), dtype=np.int64)
             for g, m in images.items():
+                if not 0 <= g < group.n or pos[g] < 0:
+                    raise ValueError(f"element {g} is not in the domain")
                 arr[pos[g]] = m.a if isinstance(m, Mat) else np.asarray(m)
         else:
             arr = np.asarray(images, dtype=np.int64)
+        if arr.ndim != 3 or arr.shape[0] != len(els) or arr.shape[1] != arr.shape[2]:
+            raise ValueError("images must be one square matrix per domain element")
         self.images = np.mod(arr, self.mod)
         self.images.flags.writeable = False
         self.dim = int(self.images.shape[1])
+        check_int64_products(self.dim, self.mod)
         if validate:
             self.validate()
 
     def validate(self):
         g = self.group
-        dom = self.domain_elements
-        if self.images.shape != (len(dom), self.dim, self.dim):
-            raise ValueError("bad image array shape")
-        if not np.array_equal(self.arr(g.one), np.eye(self.dim, dtype=np.int64)):
+        els = list(self.elements)
+        k, d = len(els), self.dim
+        if self.pos[g.one] < 0:
+            raise ValueError("domain does not contain the identity")
+        if not np.array_equal(self.arr(g.one), np.eye(d, dtype=np.int64)):
             raise ValueError("identity does not map to the identity matrix")
         # full multiplication-table check, chunked
-        k = len(dom)
-        prod_pos = self.pos[self.group.mul[np.ix_(dom, dom)]]
+        prod_pos = self.pos[g.mul[np.ix_(els, els)]]
         if prod_pos.min() < 0:
             raise ValueError("domain is not closed under multiplication")
-        step = max(1, (1 << 20) // (k * self.dim * self.dim))
+        step = max(1, (1 << 20) // max(1, k * d * d))
         for lo in range(0, k, step):
             hi = min(k, lo + step)
             lhs = np.einsum(
@@ -224,9 +237,6 @@ class Rep:
             raise ValueError("value() is for characters (dim 1)")
         return int(self.arr(g)[0, 0])
 
-    def is_character(self):
-        return self.dim == 1
-
     def __eq__(self, other):
         return (
             isinstance(other, Rep)
@@ -241,17 +251,34 @@ class Rep:
 
     # -- derived reps -----------------------------------------------------------
 
+    def restrict(self, elements) -> "Rep":
+        """The validated restriction to a subgroup of the domain."""
+        els = sorted({int(e) for e in elements})
+        if any(not 0 <= e < self.group.n or self.pos[e] < 0 for e in els):
+            raise ValueError("restriction target is not inside the domain")
+        return Rep(self.group, els, self.images[self.pos[els]], self.mod)
+
     def restrict_to_H(self) -> "Rep":
+        """Restriction of a representation of G to H, not validated again:
+        it restricts a representation that already was."""
         if self.domain == "H":
             return self
-        imgs = self.images[self.pos[np.array(self.group.H)]]
+        if self.domain != "G":
+            return self.restrict(self.group.H)
+        imgs = self.images[self.pos[list(self.group.H)]]
         return Rep(self.group, "H", imgs, self.mod, validate=False)
+
+    def reduce(self, q) -> "Rep":
+        """The reduction modulo q, a prime power dividing the modulus."""
+        if self.mod % q:
+            raise ValueError(f"{q} does not divide the modulus {self.mod}")
+        return Rep(self.group, self.domain, self.images % q, q, validate=False)
 
     def twist(self, chi: "Rep") -> "Rep":
         """rho tensor chi for a character chi on the same (or larger) domain."""
         if chi.dim != 1:
             raise ValueError("twist by a character only")
-        vals = np.array([chi.value(g) for g in self.domain_elements])
+        vals = np.array([chi.value(g) for g in self.elements])
         imgs = (self.images * vals[:, None, None]) % self.mod
         return Rep(self.group, self.domain, imgs, self.mod, validate=False)
 
@@ -262,7 +289,7 @@ class Rep:
         if self.domain != other.domain or self.mod != other.mod:
             raise ValueError("tensor needs matching domain and modulus")
         imgs = np.einsum("aij,akl->aikjl", self.images, other.images).reshape(
-            len(self.domain_elements), self.dim * other.dim, self.dim * other.dim
+            len(self.elements), self.dim * other.dim, self.dim * other.dim
         ) % self.mod
         return Rep(self.group, self.domain, imgs, self.mod, validate=False)
 
@@ -276,11 +303,8 @@ class Rep:
 def make_character(group: FiniteGroup, domain: str, values, mod) -> Rep:
     """Character from a dict {element: value} or per-domain-element array."""
     if isinstance(values, dict):
-        dom = np.arange(group.n) if domain == "G" else np.array(group.H)
-        arr = np.array([[[values[int(g)]]] for g in dom], dtype=np.int64)
-    else:
-        arr = np.asarray(values, dtype=np.int64).reshape(-1, 1, 1)
-    return Rep(group, domain, arr, mod)
+        return Rep(group, domain, {g: [[v]] for g, v in values.items()}, mod)
+    return Rep(group, domain, np.asarray(values, dtype=np.int64).reshape(-1, 1, 1), mod)
 
 
 def trivial_character(group: FiniteGroup, domain: str, mod) -> Rep:
@@ -309,10 +333,7 @@ def conjugate_rep(rho: Rep) -> Rep:
     if rho.domain == "G":
         warnings.warn("conjugating a representation of the whole group: "
                       "the result is isomorphic to the input", stacklevel=2)
-        dom = np.arange(g.n)
-    else:
-        dom = np.array(g.H)
-    imgs = np.stack([rho.arr(g.conj_ctilde(int(x))) for x in dom])
+    imgs = np.stack([rho.arr(g.conj_ctilde(x)) for x in rho.elements])
     return Rep(g, rho.domain, imgs, rho.mod, validate=False)
 
 
@@ -322,8 +343,7 @@ def dual_twist(rho: Rep, psi: Rep | None) -> Rep:
         raise ValueError("modulus mismatch")
     g = rho.group
     imgs = np.empty_like(rho.images)
-    for x in rho.domain_elements:
-        x = int(x)
+    for x in rho.elements:
         m = rho.arr(g.inverse(x)).T
         if psi is not None:
             m = m * psi.value(x)
@@ -416,7 +436,7 @@ def fixed_space(rep: Rep, block) -> list[tuple[np.ndarray, int]]:
     """Kernel generators (vector, annihilator) of block(x) stacked over the
     generators x of rep's domain; a caller wanting the free part keeps
     annihilator == rep.mod."""
-    gens = rep.group.generators(set(rep.domain_elements.tolist()))
+    gens = rep.group.generators(set(rep.elements))
     return kernel_gens(np.vstack([block(x) for x in gens]) % rep.mod, rep.mod)
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .cohomology import (
     Cocycle,
-    GModule,
     SelmerStructure,
     as_twisted_module,
     coboundary,
@@ -32,7 +31,6 @@ from .exactalg import (
     PolyX,
     charpoly,
     factor_prime_power,
-    inverse_mod,
     kernel_gens,
     rref_mod,
     rref_rational,
@@ -46,6 +44,7 @@ from .grouprep import (
     dual_twist,
     fixed_space,
     intertwiner_space,
+    power_character,
 )
 
 
@@ -64,7 +63,7 @@ def _witness_rows(rep: Rep, psi: Rep, conjugate: bool):
     d = rep.dim
     eye = np.eye(d, dtype=np.int64)
     rows = []
-    for x in g.generators(set(rep.domain_elements.tolist())):
+    for x in g.generators(set(rep.elements)):
         rv = rep.arr(g.inverse(x)).T  # R^vee(x) = R(x^{-1})^T
         target = rep.arr(g.conj_ctilde(x)) if conjugate else rep.arr(x)
         pv = psi.value(x)
@@ -116,8 +115,7 @@ class PolarizedRep:
         if self.symmetry == -1 and t != Mat((-a.a) % a.mod, a.mod):
             raise ValueError("witness is not antisymmetric")
         ainv = a.inverse()
-        for x in self.rep.domain_elements:
-            x = int(x)
+        for x in self.rep.elements:
             rv = Mat(self.rep.arr(g.inverse(x)).T, self.rep.mod)
             tgt = self.rep.arr(g.conj_ctilde(x)) if self.conjugate else self.rep.arr(x)
             rhs = (a @ Mat(tgt, self.rep.mod) @ ainv).scale(self.psi.value(x))
@@ -171,11 +169,10 @@ def sign_congruence(p1: PolarizedRep, p2: PolarizedRep) -> dict:
         raise ValueError("mismatched representations")
     q, n = factor_prime_power(r1.mod)
     report = {"q": q, "modulus": r1.mod}
-    for x in r1.domain_elements:
-        if (p1.psi.value(int(x)) - p2.psi.value(int(x))) % q:
+    for x in r1.elements:
+        if (p1.psi.value(x) - p2.psi.value(x)) % q:
             raise ValueError("polarization characters disagree mod q")
-    red1 = Rep(r1.group, r1.domain, r1.images % q, q, validate=False)
-    red2 = Rep(r2.group, r2.domain, r2.images % q, q, validate=False)
+    red1, red2 = r1.reduce(q), r2.reduce(q)
     for red in (red1, red2):
         if endomorphism_free_rank(red) != 1:
             raise ValueError("reduction is not absolutely irreducible")
@@ -227,7 +224,7 @@ class LatticeRep:
             raise ValueError("residual summands must be non-isomorphic")
         # Brauer-Nesbitt style check of the semisimplification on H
         rH = self.rep.restrict_to_H()
-        for x in self.rhobar1.domain_elements:
+        for x in self.rhobar1.elements:
             p1, p2, lhs = (PolyX(charpoly(r.arr(x).tolist()), q)
                            for r in (self.rhobar1, self.rhobar2, rH))
             if lhs != p1 * p2:
@@ -250,17 +247,13 @@ class RibetResult:
     level: int                  # q-valuation at which the class appeared
     h1data: object = None
 
-    @property
-    def coh_class(self):
-        return self.cocycle
-
 
 def _mod_q_triangularization(latt: LatticeRep):
     """Basis V over Z/q^n whose conjugate reduces to [[rb1, *], [0, rb2]]."""
     rep = latt.rep.restrict_to_H()
     q = latt.q
     mod = rep.mod
-    red = Rep(rep.group, "H", rep.images % q, q, validate=False)
+    red = rep.reduce(q)
     rb1, rb2 = latt.rhobar1, latt.rhobar2
     d1, d2 = rb1.dim, rb2.dim
     hom1 = intertwiner_space(rb1, red)  # maps V1 -> reduction
@@ -274,20 +267,14 @@ def _mod_q_triangularization(latt: LatticeRep):
     # complement via pivot-free coordinates
     _, piv = rref_mod(sub, q)
     free = [j for j in range(d1 + d2) if j not in piv]
-    # quotient action on the complement coordinates
-    proj = np.zeros((d2, d1 + d2), dtype=np.int64)
     lift = np.zeros((d1 + d2, d2), dtype=np.int64)
     for i, j in enumerate(free):
         lift[j, i] = 1
     # projection along the subspace: solve [sub^T | lift] coords
     basis = np.hstack([sub.T, lift]) % q
-    binv = Mat(basis, q).inverse().a
-    proj = binv[d1:, :] % q  # complement coordinates
-    quo_imgs = np.zeros((len(red.domain_elements), d2, d2), dtype=np.int64)
-    for x in red.domain_elements:
-        x = int(x)
-        quo_imgs[red.pos[x]] = proj @ red.arr(x) @ lift % q
-    quo = Rep(red.group, "H", quo_imgs, q, validate=False)
+    proj = Mat(basis, q).inverse().a[d1:, :]  # complement coordinates
+    # quotient action on the complement coordinates
+    quo = Rep(red.group, "H", proj @ red.images @ lift % q, q, validate=False)
     t = intertwiner_space(rb2, quo)
     tw = contains_invertible(t)
     if tw is None:
@@ -314,7 +301,7 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
     v = _mod_q_triangularization(latt)
     vinv = v.inverse()
     imgs = np.stack([
-        (vinv.a @ rep.arr(int(x)) @ v.a) % mod for x in rep.domain_elements
+        (vinv.a @ rep.arr(x) @ v.a) % mod for x in rep.elements
     ])
     hmod = hom_module(rb1, rb2)  # Hom(rb2, rb1), action rb1 . X . rb2^{-1}
     data = h1(hmod)
@@ -325,9 +312,8 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
         if np.any(shoulders % scale):
             raise AssertionError("shoulder valuation dropped below the level")
         bvals = (shoulders // scale) % q
-        phi_vals = np.zeros((len(rep.domain_elements), d1 * d2), dtype=np.int64)
-        for x in rep.domain_elements:
-            x = int(x)
+        phi_vals = np.zeros((len(rep.elements), d1 * d2), dtype=np.int64)
+        for x in rep.elements:
             b = bvals[rep.pos[x]]
             phi = b @ rb2.arr(g.inverse(x)) % q  # phi(g) = b(g) rb2(g)^{-1}
             phi_vals[rep.pos[x]] = phi.reshape(-1)
@@ -358,7 +344,7 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
     return RibetResult(conj, None, True, level, data)
 
 
-def coboundary_of(module: GModule, j):
+def coboundary_of(module: Rep, j):
     x = np.zeros(module.dim, dtype=np.int64)
     x[j] = 1
     return coboundary(module, x)
@@ -416,7 +402,7 @@ def theorem_main_pipeline(
         raise PipelineError("psi(ctilde) = -1 is required")
     rb1, rb2 = latt.rhobar1, latt.rhobar2
     # residual blocks swapped by the polarization: rb2 = rb1^{c vee} psi^{-1}
-    psibar_inv = _character_mod_q_inverse(psi, q)
+    psibar_inv = power_character(psi.reduce(q), -1)
     target = dual_twist(conjugate_rep(rb1), psibar_inv)
     tws = intertwiner_space(rb2, target)
     t = contains_invertible(tws, rng=rng)
@@ -432,7 +418,7 @@ def theorem_main_pipeline(
     pol = polarize(latt.rep.restrict_to_H(), psi, conjugate=True, rng=rng)
     sign = bc_sign(pol)
     # transport the class into the tensor-induced ambient module
-    ambient = as_twisted_module(rb1, _char_mod_q(psi, q))
+    ambient = as_twisted_module(rb1, psi.reduce(q))
     res_amb = ambient.restrict(rr.cocycle.module.elements)
     tinv = t.inverse().a
     conv = np.kron(np.eye(rb1.dim, dtype=np.int64), tinv.T) % q
@@ -471,18 +457,6 @@ def theorem_main_pipeline(
         eigenvalue_law_holds=law,
         details=details,
     )
-
-
-def _char_mod_q(psi: Rep, q) -> Rep:
-    vals = psi.images % q
-    return Rep(psi.group, psi.domain, vals, q, validate=False)
-
-
-def _character_mod_q_inverse(psi: Rep, q) -> Rep:
-    vals = np.array(
-        [[[inverse_mod(int(m[0, 0]) % q, q)]] for m in psi.images], dtype=np.int64
-    )
-    return Rep(psi.group, psi.domain, vals, q, validate=False)
 
 
 # ---------------------------------------------------------------------------

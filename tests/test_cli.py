@@ -1,10 +1,9 @@
 import json
-import shutil
 
 import pytest
 
 from asaikit import cli
-from asaikit.fixtures import DATA_DIR
+from asaikit.fixtures import DATA_DIR, ribet_fixture, s3_fixture
 
 
 def run(argv):
@@ -52,14 +51,15 @@ def test_verify_identities_failure_exit(monkeypatch, tmp_path):
 
 
 def test_corrupted_fixture_rejected(tmp_path):
-    src = DATA_DIR / "s3_c3_chi3_q7.json"
-    obj = json.loads(src.read_text())
-    obj["mul"][0][1] = 5  # break the multiplication table
     bad_dir = tmp_path / "fixtures"
     bad_dir.mkdir()
-    (bad_dir / "s3_c3_chi3_q7.json").write_text(json.dumps(obj))
+    path = bad_dir / "s3_c3_chi3_q7.json"
+    s3_fixture().save(path)
+    obj = json.loads(path.read_text())
+    obj["mul"][0][1] = 5  # break the multiplication table
+    path.write_text(json.dumps(obj))
     report = tmp_path / "r.json"
-    code = run(["verify-identities", "--fixtures", str(bad_dir),
+    code = run(["pipeline", "s3_c3_chi3_q7", "--fixtures", str(bad_dir),
                 "--report", str(report)])
     assert code == 1
     assert json.loads(report.read_text())["ok"] is False
@@ -68,9 +68,20 @@ def test_corrupted_fixture_rejected(tmp_path):
 def test_fixtures_env_default(tmp_path, monkeypatch):
     good = tmp_path / "fixtures"
     good.mkdir()
-    shutil.copy(DATA_DIR / "s3_c3_chi3_q7.json", good / "s3_c3_chi3_q7.json")
+    ribet_fixture().save(good / "ribet_q7_d6.json")
+    monkeypatch.delenv(cli.FIXTURES_ENV, raising=False)
+    default = tmp_path / "default.json"
+    assert run(["pipeline", "--report", str(default)]) == 0
     monkeypatch.setenv(cli.FIXTURES_ENV, str(good))
-    assert run(["verify-identities", "--only", "shapiro"]) == 0
+    from_env = tmp_path / "env.json"
+    assert run(["pipeline", "--report", str(from_env)]) == 0
+    assert from_env.read_bytes() == default.read_bytes()
+
+
+def test_verify_identities_has_no_fixtures_option():
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-identities", "--fixtures", "somewhere"])
+    assert exc.value.code == 2  # an argparse usage error
 
 
 def test_pipeline_report(tmp_path):
@@ -145,17 +156,6 @@ def test_lfunc_needs_input():
     assert run(["lfunc"]) == 2
 
 
-def test_shipped_fixture_files_match_builders():
-    from asaikit.fixtures import load_shipped, shipped_fixture_builders
-
-    for name, build in shipped_fixture_builders().items():
-        path = DATA_DIR / f"{name}.json"
-        assert path.exists(), name
-        loaded = load_shipped(name)
-        built = build()
-        assert loaded.to_json() == built.to_json(), name
-
-
 def test_pipeline_fixture_without_lattice(tmp_path):
     report = tmp_path / "p.json"
     assert run(["pipeline", "c15_q31", "--report", str(report)]) == 1
@@ -167,6 +167,7 @@ def test_pipeline_fixture_without_lattice(tmp_path):
 
 @pytest.mark.parametrize("case", [
     "selmer-missing-file", "selmer-not-a-list", "selmer-element-outside-group",
+    "selmer-condition-not-a-list", "selmer-condition-wrong-length",
     "coeffs-missing-file", "coeffs-nonpositive-N",
 ])
 def test_bad_input_ends_in_refusal_report(case, tmp_path, capsys):
@@ -175,6 +176,8 @@ def test_bad_input_ends_in_refusal_report(case, tmp_path, capsys):
         "selmer-missing-file": ["pipeline", "--selmer", str(tmp_path / "none.json")],
         "selmer-not-a-list": ["pipeline", "--selmer", str(sfile)],
         "selmer-element-outside-group": ["pipeline", "--selmer", str(sfile)],
+        "selmer-condition-not-a-list": ["pipeline", "--selmer", str(sfile)],
+        "selmer-condition-wrong-length": ["pipeline", "--selmer", str(sfile)],
         "coeffs-missing-file": ["lfunc", "--coeffs", str(tmp_path / "none.csv")],
         "coeffs-nonpositive-N": ["lfunc", "--coeffs",
                                  str(DATA_DIR / "sample_coefficients.csv"), "--N", "-5"],
@@ -184,6 +187,12 @@ def test_bad_input_ends_in_refusal_report(case, tmp_path, capsys):
     elif case == "selmer-element-outside-group":
         # ribet_q7_d6 has |G| = 84, so element 84 does not exist
         sfile.write_text(json.dumps([{"subgroup": [0, 84], "local_condition": "zero"}]))
+    elif case == "selmer-condition-not-a-list":
+        sfile.write_text(json.dumps([{"subgroup": list(range(7)), "local_condition": 5}]))
+    elif case == "selmer-condition-wrong-length":
+        # H^1 of the order-7 subgroup {0..6} is 1-dimensional here
+        sfile.write_text(json.dumps(
+            [{"subgroup": list(range(7)), "local_condition": [[1, 0, 0]]}]))
     report = tmp_path / "r.json"
     assert run(argv + ["--report", str(report)]) == 1
     assert json.loads(report.read_text())["ok"] is False

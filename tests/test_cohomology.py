@@ -5,7 +5,6 @@ import pytest
 
 from asaikit.cohomology import (
     Cocycle,
-    GModule,
     SelmerStructure,
     as_twisted_module,
     coboundary,
@@ -30,7 +29,7 @@ from asaikit.fixtures import (
     ribet_fixture,
     s3_fixture,
 )
-from asaikit.grouprep import coset_sign_character, induce, power_character
+from asaikit.grouprep import Rep, coset_sign_character, induce, power_character
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +46,7 @@ def trivial_module(group, elements, dim, mod):
     imgs = np.broadcast_to(
         np.eye(dim, dtype=np.int64), (len(list(elements)), dim, dim)
     ).copy()
-    return GModule(group, elements, imgs, mod, validate=False)
+    return Rep(group, elements, imgs, mod, validate=False)
 
 
 def test_h1_cyclic_q_torsion():
@@ -64,7 +63,7 @@ def test_h1_coprime_order_vanishes():
     assert h1(mod).dim == 0
 
 
-def brute_force_z1_dim(module: GModule) -> int:
+def brute_force_z1_dim(module: Rep) -> int:
     """Enumerate all generator-value assignments and count consistent ones."""
     g = module.group
     gens = g.generators(set(module.elements))
@@ -83,7 +82,7 @@ def brute_force_z1_dim(module: GModule) -> int:
             for a in list(vals):
                 for s in gens:
                     b = g.op(a, s)
-                    want = (vals[a] + module.act(a) @ vals[s]) % q
+                    want = (vals[a] + module.arr(a) @ vals[s]) % q
                     if b in vals:
                         if not np.array_equal(vals[b], want):
                             ok = False
@@ -106,9 +105,8 @@ def test_h1_s3_matches_brute_force():
     fx = s3_fixture()
     g = fx.group
     rho = induce(fx.rep("chi3"))  # 2-dim module chi + chi^{-1} over S_3
-    mod = GModule.from_rep(rho)
-    data = h1(mod)
-    z1_dim = brute_force_z1_dim(mod)
+    data = h1(rho)
+    z1_dim = brute_force_z1_dim(rho)
     assert len(data.z1) == z1_dim
     assert data.dim == len(data.z1) - len(data.b1)
 
@@ -116,7 +114,27 @@ def test_h1_s3_matches_brute_force():
 def test_h1_requires_prime_field(rib):
     lat = rib.rep("lattice")  # Z/49 module: H^1 wants F_q coefficients
     with pytest.raises(ValueError, match="prime field"):
-        h1(GModule.from_rep(lat.restrict_to_H()))
+        h1(lat.restrict_to_H())
+
+
+def test_h1_on_a_decomposition_subgroup_rep(rib):
+    # chi^2 is trivial on V = F_7, so H^1(V, chi^2) = Hom(C_7, F_7)
+    m = hom_module(rib.rep("chi"), rib.rep("chi_inv"))
+    g = rib.group
+    v_sub = tuple(h for h in g.H if g.elements[h][1] == 0)
+    direct = Rep(g, v_sub, np.ones((len(v_sub), 1, 1), dtype=np.int64), 7)
+    assert direct.domain == v_sub
+    assert direct == m.restrict(v_sub)
+    assert h1(direct).dim == h1(m.restrict(v_sub)).dim == 1
+
+
+def test_cocycle_restrict_rejects_a_foreign_subgroup():
+    fx = s3_fixture()
+    g = fx.group
+    z = coboundary(fx.rep("chi3"), np.array([1]))  # a cocycle on H
+    dec = coset_sign_character(g, 7).restrict([g.one, g.ctilde])
+    with pytest.raises(ValueError, match="inside the cocycle's domain"):
+        z.restrict(dec)
 
 
 def test_cocycle_identity_enforced(rib):
@@ -257,7 +275,7 @@ def test_conjugation_eigenvalue_matches_restriction_origin(coh294):
         as_coc = Cocycle(res_amb, (z.values @ theta.T) % q)
         coords = data_as.class_coords(as_coc)
         data_G = h1(ambient)
-        data_G_tw = h1(ambient.twist_sign())
+        data_G_tw = h1(ambient.twist(coset_sign_character(ambient.group, q)))
         res = restriction_matrix(data_G, data_as)
         res_tw = restriction_matrix(data_G_tw, data_as)
 
@@ -306,7 +324,7 @@ def test_eigenspace_split_dims_add(coh294):
 
 def test_shapiro_zero_module(rib):
     g = rib.group
-    zero = GModule(
+    zero = Rep(
         g, g.H, np.zeros((len(g.H), 0, 0), dtype=np.int64), 7, validate=False
     )
     res = shapiro(zero)
@@ -338,7 +356,7 @@ def _restriction_eigenspace_check(ambient, data_H, q):
     pl = row_space_mod(plus, q) if len(plus) else np.zeros((0, data_H.dim))
     assert im.shape == pl.shape and np.array_equal(im, pl)
     # sign-twisted side
-    tw = ambient.twist_sign()
+    tw = ambient.twist(coset_sign_character(ambient.group, q))
     data_G2 = h1(tw)
     res2 = restriction_matrix(data_G2, data_H)
     if data_G2.dim:
@@ -356,7 +374,7 @@ def test_selmerres_decomposition_rib(rib):
     m = hom_module(chi, rib.rep("chi_inv"))
     data_H = h1(m)
     # identify M with the ambient restricted to H (they are equal here)
-    assert ambient.restrict(m.elements).same_action(m)
+    assert ambient.restrict(m.elements) == m
     dplus, dminus = _restriction_eigenspace_check(ambient, data_H, 7)
     assert dplus + dminus == data_H.dim
     assert data_H.dim == 1
@@ -434,7 +452,7 @@ def test_conj_action_direct_evaluation(rib):
     z = data.representative(0)
     out = conj_action(z, ambient)
     g = rib.group
-    act_c = ambient.act(g.ctilde)
+    act_c = ambient.arr(g.ctilde)
     for x in m.elements:
         expect = act_c @ z.value(g.conj_ctilde(x)) % 7
         assert np.array_equal(out.value(x), expect)

@@ -65,6 +65,23 @@ def test_modulus_validation():
             validate_modulus(bad)
 
 
+def test_modulus_rejects_int64_overflow_before_factoring():
+    # (10^9 + 7)^2 is an odd prime power, but a product of two residues
+    # leaves int64; it is refused before any trial division
+    with pytest.raises(ValueError, match="int64"):
+        validate_modulus((10**9 + 7) ** 2)
+    assert validate_modulus(101**3) == (101, 3)
+
+
+def test_mat_rejects_int64_overflowing_products():
+    p = 3037000493  # prime, (p-1)^2 < 2^63 <= 2 (p-1)^2
+    assert validate_modulus(p) == (p, 1)
+    one = Mat([[p - 1]], p)
+    assert (one @ one).a[0, 0] == 1  # a 1x1 product still fits
+    with pytest.raises(ValueError, match="int64"):
+        Mat([[p - 1] * 2] * 2, p)
+
+
 def test_tensor_identity_and_diagonal():
     i2 = Mat.identity(2, 7)
     assert tensor_product(i2, i2) == Mat.identity(4, 7)

@@ -3,6 +3,7 @@ import pytest
 
 from asaikit.exactalg import Mat, exterior_square
 from asaikit.grouprep import (
+    Rep,
     classify_pairing,
     conjugate_rep,
     coset_sign_character,
@@ -11,6 +12,7 @@ from asaikit.grouprep import (
     intertwiner_space,
     is_isomorphic,
     isotypic_lines,
+    make_character,
     tensor_induce,
     transfer_character,
     trivial_character,
@@ -374,3 +376,44 @@ def test_tensor_induce_plain_swap_at_involution_2dim():
     assert np.array_equal(asp.arr(group.ctilde), swap)
     asm = tensor_induce(rho, -1)
     assert np.array_equal(asm.arr(group.ctilde), (q - 1) * swap % q)
+
+
+def test_rep_on_explicit_H_list_is_the_H_rep(s3):
+    chi = s3.rep("chi3")
+    again = Rep(s3.group, list(s3.group.H), chi.images, chi.mod)
+    assert again.domain == "H" and again.elements == s3.group.H
+    assert again == chi
+
+
+def test_restrict_rejects_non_subgroups_and_foreign_elements(s3):
+    g = s3.group
+    chi = s3.rep("chi3")
+    ind = induce(chi)
+    rot = next(h for h in g.H if h != g.one)  # order 3: {1, r} is not closed
+    with pytest.raises(ValueError, match="closed"):
+        ind.restrict([g.one, rot])
+    with pytest.raises(ValueError, match="inside the domain"):
+        ind.restrict([g.one, g.n])  # not an element of G
+    with pytest.raises(ValueError, match="inside the domain"):
+        chi.restrict([g.one, g.ctilde])  # an element of G outside H
+    dec = ind.restrict([g.one, g.ctilde])  # the order-2 subgroup of ctilde
+    assert dec.domain == (g.one, g.ctilde) and dec.elements == dec.domain
+    with pytest.raises(ValueError, match="inside the domain"):
+        dec.restrict_to_H()  # H is not inside the decomposition subgroup
+
+
+def test_rep_rejects_images_that_do_not_match_the_domain(s3):
+    g = s3.group
+    with pytest.raises(ValueError, match="not in the domain"):
+        make_character(g, "H", {g.one: 1, g.ctilde: 1}, 7)
+    with pytest.raises(ValueError, match="per domain element"):
+        Rep(g, [g.one, g.ctilde], np.ones((len(g.H), 1, 1), dtype=np.int64), 7,
+            validate=False)
+
+
+def test_rep_rejects_int64_overflow_even_unvalidated(s3):
+    p = 3037000493  # prime, (p-1)^2 < 2^63 <= 2 (p-1)^2
+    eye = np.broadcast_to(np.eye(2, dtype=np.int64), (s3.group.n, 2, 2))
+    with pytest.raises(ValueError, match="int64"):
+        Rep(s3.group, "G", eye, p, validate=False)
+    assert Rep(s3.group, "G", eye[:, :1, :1], p, validate=False).dim == 1

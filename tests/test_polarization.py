@@ -251,7 +251,7 @@ def test_ribet_conjugated_rep_is_triangular(rib):
     latt = conjugated_lattice(rib, rng)
     rr = ribet_lattice(latt)
     q = 7
-    for x in latt.rep.restrict_to_H().domain_elements:
+    for x in latt.rep.restrict_to_H().elements:
         m = rr.conjugated.arr(int(x)) % q
         assert not np.any(m[1:, :1])  # lower-left block vanishes mod q
         assert m[0, 0] % q == rib.rep("chi").value(int(x))
@@ -434,3 +434,13 @@ def test_criticality_through_rank8():
 def test_endomorphism_free_rank(rib):
     r = rib.rep("lattice").restrict_to_H()
     assert endomorphism_free_rank(r) == 1
+
+
+def test_reduce_is_the_residual_representation(rib):
+    lat = rib.rep("lattice")  # over Z/49
+    red = lat.reduce(7)
+    assert red.mod == 7 and red.domain == "G"
+    assert np.array_equal(red.images, lat.images % 7)
+    red.validate()  # the reduction is again a representation
+    with pytest.raises(ValueError, match="divide"):
+        lat.reduce(5)
