@@ -16,7 +16,7 @@ Families:
 Fixtures are built here, from their builders only; JSON (`Fixture.save`,
 `Fixture.load`) is the format for user-supplied fixtures.  Every fixture is
 validated when built or loaded: group axioms, subgroup index, and each
-representation against the full multiplication table.
+representation, checked on generators (Light's test), exactly.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """Finite groups with a distinguished index-2 subgroup and their matrix
 representations over F_q / Z/q^n.
 
-The group is stored by its full multiplication table (fixtures are small),
-so every identity below is checked exactly against the table.  The two
+The group is stored by its full multiplication table (fixtures are small).
+The group axioms and every representation are checked on generators (Light's
+test), exactly: the elements c with (x y) c = x (y c) for all x, y -- or
+with rho(x c) = rho(x) rho(c) for all x -- are closed under products, so
+checking them on a generating set checks them on the whole group.  The two
 canonical extensions of rho (x) rho^c from the index-2 subgroup H to G are
 ``tensor_induce(rho, +1)`` and ``tensor_induce(rho, -1)``; they differ by
 the sign of the action on the nontrivial coset.
@@ -10,6 +13,7 @@ the sign of the action on the nontrivial coset.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -40,6 +44,7 @@ class FiniteGroup:
         self.ctilde = int(ctilde)
         self.one = self._find_identity()
         self.inv = self._find_inverses()
+        self._gens: dict[frozenset, tuple[int, ...]] = {}
         if validate:
             self.validate()
 
@@ -66,13 +71,10 @@ class FiniteGroup:
         n = self.n
         if self.mul.min() < 0 or self.mul.max() >= n:
             raise ValueError("multiplication table has entries outside the group")
-        # associativity, chunked to bound memory
-        step = max(1, (1 << 21) // (n * n))
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            left = self.mul[self.mul[lo:hi, :], :]
-            right = self.mul[lo:hi, :][:, self.mul].reshape(hi - lo, n, n)
-            if not np.array_equal(left, right):
+        # associativity by Light's test: (x y) s = x (y s) for all x, y and
+        # each generator s (the identity is two-sided, found above)
+        for s in self.generators():
+            if not np.array_equal(self.mul[self.mul, s], self.mul[:, self.mul[:, s]]):
                 raise ValueError("multiplication table is not associative")
         if 2 * len(self.H) != n:
             raise ValueError("H does not have index 2")
@@ -129,22 +131,25 @@ class FiniteGroup:
             frontier = nxt
         return seen
 
-    def generators(self, subset=None):
+    def generators(self, subset=None) -> tuple[int, ...]:
         """Small generating set of the subgroup `subset` (default: G), greedy;
-        [one] for the trivial subgroup."""
-        pool = sorted(subset) if subset is not None else list(range(self.n))
-        target = set(pool)
+        (one,) for the trivial subgroup.  Memoized per subset: the table is
+        read-only."""
+        key = frozenset(range(self.n) if subset is None else subset)
+        if key in self._gens:
+            return self._gens[key]
         gens: list[int] = []
         have = {self.one}
-        for g in pool:
+        for g in sorted(key):
             if g not in have:
                 gens.append(g)
                 have = self.closure(gens)
-                if have == target:
+                if have == key:
                     break
-        if have != target:
+        if have != key:
             raise ValueError("subset is not a subgroup")
-        return gens or [self.one]
+        self._gens[key] = tuple(gens) or (self.one,)
+        return self._gens[key]
 
     def coset_elements(self):
         return [g for g in range(self.n) if g not in self.H_set]
@@ -157,8 +162,7 @@ class Rep:
 
     `domain` is "G" or "H" for those two subgroups and the sorted element
     tuple otherwise; images are stored densely per element of `elements`
-    and are checked against the multiplication table exactly on
-    construction.
+    and are checked on construction, on generators (Light's test), exactly.
     """
 
     def __init__(self, group: FiniteGroup, domain, images, mod, validate=True):
@@ -199,24 +203,26 @@ class Rep:
 
     def validate(self):
         g = self.group
-        els = list(self.elements)
-        k, d = len(els), self.dim
         if self.pos[g.one] < 0:
             raise ValueError("domain does not contain the identity")
-        if not np.array_equal(self.arr(g.one), np.eye(d, dtype=np.int64)):
+        if not np.array_equal(self.arr(g.one), np.eye(self.dim, dtype=np.int64)):
             raise ValueError("identity does not map to the identity matrix")
-        # full multiplication-table check, chunked
-        prod_pos = self.pos[g.mul[np.ix_(els, els)]]
-        if prod_pos.min() < 0:
-            raise ValueError("domain is not closed under multiplication")
-        step = max(1, (1 << 20) // max(1, k * d * d))
-        for lo in range(0, k, step):
-            hi = min(k, lo + step)
-            lhs = np.einsum(
-                "aij,bjk->abik", self.images[lo:hi], self.images, optimize=True
-            ) % self.mod
-            if not np.array_equal(lhs, self.images[prod_pos[lo:hi]]):
-                raise ValueError("images do not respect the multiplication table")
+        try:
+            gens = list(self.gens)
+        except ValueError:
+            raise ValueError("domain is not closed under multiplication") from None
+        # rho(x s) = rho(x) rho(s) for every x and generator s (Light's test)
+        prod_pos = self.pos[g.mul[np.ix_(self.elements, gens)]]
+        lhs = np.einsum(
+            "aij,bjk->abik", self.images, self.images[self.pos[gens]]
+        ) % self.mod
+        if not np.array_equal(lhs, self.images[prod_pos]):
+            raise ValueError("images do not respect the multiplication table")
+
+    @functools.cached_property
+    def gens(self) -> tuple[int, ...]:
+        """Generators of the domain; ValueError if it is not a subgroup."""
+        return self.group.generators(self.elements)
 
     # -- access ---------------------------------------------------------------
 
@@ -259,14 +265,8 @@ class Rep:
         return Rep(self.group, els, self.images[self.pos[els]], self.mod)
 
     def restrict_to_H(self) -> "Rep":
-        """Restriction of a representation of G to H, not validated again:
-        it restricts a representation that already was."""
-        if self.domain == "H":
-            return self
-        if self.domain != "G":
-            return self.restrict(self.group.H)
-        imgs = self.images[self.pos[list(self.group.H)]]
-        return Rep(self.group, "H", imgs, self.mod, validate=False)
+        """The validated restriction to H."""
+        return self if self.domain == "H" else self.restrict(self.group.H)
 
     def reduce(self, q) -> "Rep":
         """The reduction modulo q, a prime power dividing the modulus."""
@@ -386,8 +386,8 @@ def tensor_induce(rho: Rep, sign: int, ctilde: int | None = None) -> Rep:
     """The two canonical extensions of rho (x) rho^c to G (sign = +1 or -1).
 
     On H the action is rho(h) (x) rho^c(h); the chosen coset representative
-    sends x (x) y to +- y (x) rho(ctilde^2) x.  Consistency with the whole
-    multiplication table is validated on construction.
+    sends x (x) y to +- y (x) rho(ctilde^2) x.  The result is validated on
+    construction, on generators (Light's test), exactly.
     """
     if rho.domain != "H":
         raise ValueError("tensor induction expects a representation of H")
@@ -436,8 +436,7 @@ def fixed_space(rep: Rep, block) -> list[tuple[np.ndarray, int]]:
     """Kernel generators (vector, annihilator) of block(x) stacked over the
     generators x of rep's domain; a caller wanting the free part keeps
     annihilator == rep.mod."""
-    gens = rep.group.generators(set(rep.elements))
-    return kernel_gens(np.vstack([block(x) for x in gens]) % rep.mod, rep.mod)
+    return kernel_gens(np.vstack([block(x) for x in rep.gens]) % rep.mod, rep.mod)
 
 
 def intertwiner_space(r1: Rep, r2: Rep) -> list[Mat]:

@@ -216,9 +216,10 @@ def verify_lambda2(sp: SatakeParam, chi: int = 1):
     """
     if chi not in (1, -1):
         raise ValueError("chi must be a local value +1 or -1")
-    lam = mscale(frobenius_matrix(sp, "lambda2"), Fraction(1, chi))
+    # chi^{-1} = chi for chi = +-1: integer scaling keeps charpoly over ints
+    lam = mscale(frobenius_matrix(sp, "lambda2"), chi)
     lhs = charpoly_reciprocal(lam)
-    asai = mscale(frobenius_matrix(sp, "asai-"), Fraction(1, chi))
+    asai = mscale(frobenius_matrix(sp, "asai-"), chi)
     zeta = PolyX([1, -1])
     quad = PolyX([1, -sp.chi_quadratic])
     rhs = zeta * quad * charpoly_reciprocal(asai)
@@ -305,7 +306,8 @@ def verify_std_decomposition(sp: SatakeParam):
     lhs = charpoly_reciprocal(s)
     mu = sp.similitude()
     cq = sp.chi_quadratic
-    asai = mscale(frobenius_matrix(sp, "asai+"), Fraction(cq, mu))
+    scale = cq * mu if mu in (1, -1) else Fraction(cq, mu)
+    asai = mscale(frobenius_matrix(sp, "asai+"), scale)
     rhs = PolyX([1, -cq]) * charpoly_reciprocal(asai)
     ok = lhs == rhs
     return ok, {"p": sp.p, "split": sp.split, "lhs": list(lhs.coeffs),

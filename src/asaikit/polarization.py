@@ -63,7 +63,7 @@ def _witness_rows(rep: Rep, psi: Rep, conjugate: bool):
     d = rep.dim
     eye = np.eye(d, dtype=np.int64)
     rows = []
-    for x in g.generators(set(rep.elements)):
+    for x in rep.gens:
         rv = rep.arr(g.inverse(x)).T  # R^vee(x) = R(x^{-1})^T
         target = rep.arr(g.conj_ctilde(x)) if conjugate else rep.arr(x)
         pv = psi.value(x)

@@ -25,6 +25,7 @@ from asaikit.exactalg import Mat, row_space_mod, rref_mod
 from asaikit.fixtures import (
     coh294_fixture,
     dihedral_pair,
+    f20_fixture,
     m40_fixture,
     ribet_fixture,
     s3_fixture,
@@ -144,6 +145,58 @@ def test_cocycle_identity_enforced(rib):
     bad[3, 0] = 1
     with pytest.raises(ValueError):
         Cocycle(m, bad)
+
+
+def full_table_cocycle_validate(z):
+    """The former Cocycle.validate: phi(x y) = phi(x) + x.phi(y) for all pairs."""
+    m = z.module
+    prod_pos = m.pos[m.group.mul[np.ix_(m.elements, m.elements)]]
+    rhs = z.values[:, None, :] + np.einsum("aij,bj->abi", m.images, z.values)
+    if not np.array_equal(z.values[prod_pos], rhs % m.mod):
+        raise ValueError("cocycle identity fails")
+
+
+def test_cocycle_wrong_at_one_non_generator_element_is_rejected(rib):
+    s3 = s3_fixture()
+    modules = [s3.rep("chi3"), induce(s3.rep("chi3")),
+               hom_module(rib.rep("chi"), rib.rep("chi_inv"))]
+    rng = np.random.default_rng(5)
+    for m in modules:
+        vals = coboundary(m, rng.integers(0, m.mod, size=m.dim)).values.copy()
+        g = m.group
+        x = int(rng.choice([e for e in m.elements if e != g.one and e not in m.gens]))
+        vals[m.pos[x], 0] = (vals[m.pos[x], 0] + 1) % m.mod
+        with pytest.raises(ValueError, match="cocycle identity fails"):
+            Cocycle(m, vals)
+
+
+def test_cocycle_generator_check_agrees_with_full_table_check(rib):
+    rng = np.random.default_rng(2025)
+    reached = rejected = 0
+    for fx in (s3_fixture(), f20_fixture(11), m40_fixture()):
+        modules = list(fx.reps.values())
+        modules += [induce(r) for r in modules if r.domain == "H"]
+        for m in modules:
+            z = coboundary(m, rng.integers(0, m.mod, size=m.dim))
+            for _ in range(12):
+                vals = z.values.copy()
+                idx = (int(rng.integers(0, vals.shape[0])), int(rng.integers(0, m.dim)))
+                vals[idx] = (vals[idx] + rng.integers(0, m.mod)) % m.mod
+                cand = Cocycle(m, vals, validate=False)
+                try:
+                    full_table_cocycle_validate(cand)
+                    old = True
+                except ValueError:
+                    old = False
+                try:
+                    cand.validate()
+                    new = True
+                except ValueError:
+                    new = False
+                assert new == old
+                reached += 1
+                rejected += not old
+    assert reached > 100 and 50 < rejected < reached
 
 
 def test_h1_ribet_module_dimension(rib):

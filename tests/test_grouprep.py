@@ -3,6 +3,7 @@ import pytest
 
 from asaikit.exactalg import Mat, exterior_square
 from asaikit.grouprep import (
+    FiniteGroup,
     Rep,
     classify_pairing,
     conjugate_rep,
@@ -21,6 +22,7 @@ from asaikit.fixtures import (
     c15_fixture,
     f20_fixture,
     m40_fixture,
+    ribet_fixture,
     s3_fixture,
 )
 
@@ -417,3 +419,161 @@ def test_rep_rejects_int64_overflow_even_unvalidated(s3):
     with pytest.raises(ValueError, match="int64"):
         Rep(s3.group, "G", eye, p, validate=False)
     assert Rep(s3.group, "G", eye[:, :1, :1], p, validate=False).dim == 1
+
+
+# -- checks on generators (Light's test) against the full-table checks --------
+
+
+def full_table_group_validate(g):
+    """The former FiniteGroup.validate: associativity over all n^3 triples."""
+    n = g.n
+    if g.mul.min() < 0 or g.mul.max() >= n:
+        raise ValueError("multiplication table has entries outside the group")
+    if not np.array_equal(g.mul[g.mul, :], g.mul[:, g.mul]):
+        raise ValueError("multiplication table is not associative")
+    if 2 * len(g.H) != n:
+        raise ValueError("H does not have index 2")
+    if g.H[0] < 0 or g.H[-1] >= n:
+        raise ValueError("H has elements outside the group")
+    if g.one not in g.H_set:
+        raise ValueError("H does not contain the identity")
+    if not set(np.unique(g.mul[np.ix_(g.H, g.H)])) <= g.H_set:
+        raise ValueError("H is not closed under multiplication")
+    if any(int(g.inv[h]) not in g.H_set for h in g.H):
+        raise ValueError("H is not closed under inverses")
+    if g.ctilde in g.H_set or not (0 <= g.ctilde < n):
+        raise ValueError("ctilde must lie outside H")
+
+
+def full_table_rep_validate(r):
+    """The former Rep.validate: rho(x y) = rho(x) rho(y) for all pairs."""
+    g, els = r.group, list(r.elements)
+    if r.pos[g.one] < 0:
+        raise ValueError("domain does not contain the identity")
+    if not np.array_equal(r.arr(g.one), np.eye(r.dim, dtype=np.int64)):
+        raise ValueError("identity does not map to the identity matrix")
+    prod_pos = r.pos[g.mul[np.ix_(els, els)]]
+    if prod_pos.min() < 0:
+        raise ValueError("domain is not closed under multiplication")
+    lhs = np.einsum("aij,bjk->abik", r.images, r.images) % r.mod
+    if not np.array_equal(lhs, r.images[prod_pos]):
+        raise ValueError("images do not respect the multiplication table")
+
+
+def verdict(check, obj):
+    try:
+        check(obj)
+    except ValueError as exc:
+        return str(exc)
+    return "ok"
+
+
+# Non-associative loops: identity 0 and two-sided inverses, so building the
+# group succeeds and only the associativity check can reject them.  In the
+# order-5 loop every element is its own inverse; the order-6 loop is
+# generated by 1 alone and has the index-2 subloop {0, 2, 5}, so with
+# H = {0, 2, 5} and ctilde = 1 every other check passes.
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+LOOP6 = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 2, 3, 0, 5, 4],
+    [2, 4, 5, 1, 3, 0],
+    [3, 0, 4, 5, 2, 1],
+    [4, 5, 1, 2, 0, 3],
+    [5, 3, 0, 4, 1, 2],
+]
+
+
+@pytest.mark.parametrize("table, H", [(LOOP5, [0]), (LOOP6, [0, 2, 5])])
+def test_nonassociative_loop_is_rejected(table, H):
+    n = len(table)
+    loop = FiniteGroup(range(n), table, H, 1, validate=False)
+    assert loop.one == 0 and sorted(loop.inv) == list(range(n))
+    assert verdict(full_table_group_validate, loop) == "multiplication table is not associative"
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(range(n), table, H, 1)
+
+
+def _wrong_at_a_non_generator(r, rng):
+    """Copy of r's images, changed at one element outside 1 and the
+    domain's generators."""
+    g = r.group
+    x = int(rng.choice([e for e in r.elements if e != g.one and e not in r.gens]))
+    imgs = r.images.copy()
+    i, j = rng.integers(0, r.dim, size=2)
+    imgs[r.pos[x], i, j] = (imgs[r.pos[x], i, j] + rng.integers(1, r.mod)) % r.mod
+    return imgs
+
+
+def test_rep_wrong_at_one_non_generator_element_is_rejected(s3, f20):
+    rng = np.random.default_rng(11)
+    for r in (s3.rep("chi3"), induce(s3.rep("chi3")), f20.rep("rho")):
+        imgs = _wrong_at_a_non_generator(r, rng)
+        with pytest.raises(ValueError, match="respect the multiplication table"):
+            Rep(r.group, r.domain, imgs, r.mod)
+
+
+def _single_entry_mutations(a, rng, count, low, high):
+    """`count` copies of the int array a, each with one entry replaced by a
+    different value in [low, high)."""
+    out = []
+    while len(out) < count:
+        b = a.copy()
+        idx = tuple(int(rng.integers(0, k)) for k in a.shape)
+        v = int(rng.integers(low, high))
+        if v != b[idx]:
+            b[idx] = v
+            out.append(b)
+    return out
+
+
+def test_generator_checks_agree_with_full_table_checks(s3, f20, m40):
+    rng = np.random.default_rng(2024)
+    reached = rejected = 0
+    for fx in (s3, f20, m40):
+        g = fx.group
+        tables = [g.mul.copy()] + _single_entry_mutations(g.mul, rng, 60, -1, g.n + 1)
+        for mul in tables:
+            try:
+                cand = FiniteGroup(g.elements, mul, g.H, g.ctilde, validate=False)
+            except ValueError:
+                continue  # no identity or inverses: validate is never reached
+            reached += 1
+            old = verdict(full_table_group_validate, cand)
+            assert verdict(FiniteGroup.validate, cand) == old
+            rejected += old != "ok"
+        reps = list(fx.reps.values())
+        reps += [induce(r) for r in reps if r.domain == "H"]
+        for r in reps:
+            mutants = [r.images] + _single_entry_mutations(r.images, rng, 10, 0, r.mod)
+            # and a domain that is not closed: the last element dropped
+            cands = [Rep(g, r.domain, imgs, r.mod, validate=False) for imgs in mutants]
+            cands.append(Rep(g, r.elements[:-1], r.images[:-1], r.mod, validate=False))
+            for cand in cands:
+                old = verdict(full_table_rep_validate, cand)
+                assert verdict(Rep.validate, cand) == old
+                reached += 1
+                rejected += old != "ok"
+    # a single-entry change of a group table breaks associativity at every
+    # generator, so the loops stand in for tables that one generator exposes
+    for table, H in ((LOOP5, [0]), (LOOP6, [0, 2, 5])):
+        loop = FiniteGroup(range(len(table)), table, H, 1, validate=False)
+        assert verdict(FiniteGroup.validate, loop) == verdict(full_table_group_validate, loop)
+    assert reached > 200 and rejected > 150
+
+
+def test_ribet_ladder_top_rung_builds_and_validates():
+    fx = ribet_fixture(101, d=4, alpha=100, chi_val=10, precision=3)
+    g = fx.group
+    assert g.n == 808
+    g.validate()
+    for r in fx.reps.values():
+        r.validate()
+        r.restrict_to_H().validate()
+
