@@ -1,16 +1,19 @@
 """Shipped group/representation fixtures and their JSON (de)serialization.
 
-Families:
-  * dihedral pairs  C_m < D_m            -- character-level identities
-  * metacyclic      C_p x| C_4 or C_8    -- 2-dim dihedral-type reps; the
-    order-40 cover has trivial-determinant reps, so its induced 4-dim rep
-    carries the two invariant wedge lines and the +-1/-1 symplectic pair
-  * abelian + involution  C_m x| C_2     -- induced 2-dim reps with an
-    involutive coset representative
-  * affine pipeline groups  F_q x| (C_d x C_2) -- the only desk-scale shape
-    whose group order is divisible by q, so H^1 is nonzero and lattice
-    extensions exist; used for the Selmer pipeline
-  * a 294-element group with a 2-dim triangular rep for the cohomology
+Families, one group constructor each:
+  * metacyclic pairs  C_m x| C_d > C_m x| C_{d/2}  (`metacyclic_pair`)
+    - d = 2: the dihedral pairs C_m < D_m and the abelian + involution
+      pairs C_m x| C_2 -- character-level identities, induced 2-dim reps
+      with an involutive coset representative
+    - d = 4 or 8, m = p prime: 2-dim dihedral-type reps; the order-40
+      cover has trivial-determinant reps, so its induced 4-dim rep carries
+      the two invariant wedge lines and the +-1/-1 symplectic pair
+  * affine pipeline groups  V x| (C_d x C_2), V = Z/q or Z/q^2
+    (`affine_pipeline_group`) -- the only desk-scale shape whose group
+    order is divisible by q, so H^1 is nonzero and lattice extensions
+    exist; used for the Selmer pipeline
+  * plane pipeline groups  F_q^2 x| (C_d x C_2)  (`plane_pipeline_group`)
+    -- the 294-element group with a 2-dim triangular rep for the cohomology
     batteries (nonzero H^1 with a 4-dim coefficient module)
 
 Fixtures are built here, from their builders only; JSON (`Fixture.save`,
@@ -21,6 +24,7 @@ representation, checked on generators (Light's test), exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -123,22 +127,12 @@ class Fixture:
 # ---------------------------------------------------------------------------
 
 
-def dihedral_pair(m, validate=True):
-    """D_m over C_m: elements (b, eps) with (b,e)(b',e') = (b + (-1)^e b', e+e')."""
-    labels = [(b, e) for e in range(2) for b in range(m)]
-
-    def mult(x, y):
-        b, e = x
-        b2, e2 = y
-        return ((b + (-1) ** e * b2) % m, (e + e2) % 2)
-
-    return group_from_labels(labels, mult, lambda x: x[1] == 0, (0, 1), validate)
-
-
 def metacyclic_pair(p, d, a, validate=True):
     """C_p x| C_d, generator of C_d acting by multiplication by a (a^d = 1 mod p).
 
-    H is the index-2 subgroup C_p x| (even part of C_d); d must be even.
+    H is the index-2 subgroup C_p x| (even part of C_d); d must be even, and
+    p need not be prime.  d = 2 gives C_p x| C_2 with the involution x -> a x:
+    the dihedral pair C_p < D_p for a = p - 1.
     """
     if d % 2:
         raise ValueError("need even d for an index-2 subgroup")
@@ -154,25 +148,14 @@ def metacyclic_pair(p, d, a, validate=True):
     return group_from_labels(labels, mult, lambda x: x[1] % 2 == 0, (0, 1), validate)
 
 
-def abelian_involution_pair(m, a, validate=True):
-    """C_m x| C_2 with the involution acting by x -> a x (a^2 = 1 mod m)."""
-    if pow(a, 2, m) != 1:
-        raise ValueError("a must be an involution mod m")
-    labels = [(b, e) for e in range(2) for b in range(m)]
-
-    def mult(x, y):
-        b, e = x
-        b2, e2 = y
-        return ((b + pow(a, e, m) * b2) % m, (e + e2) % 2)
-
-    return group_from_labels(labels, mult, lambda x: x[1] == 0, (0, 1), validate)
-
-
 def affine_pipeline_group(q, d, alpha, validate=True):
-    """F_q x| (C_d x C_2): delta scales V by alpha, the involution negates V.
+    """V x| (C_d x C_2), V = Z/q: delta scales V by alpha, the involution
+    negates V.
 
     |G| = 2 d q, H = V x| C_d has order divisible by q, so H^1(H, -) over
-    F_q is typically nonzero: this is the Selmer-bearing family.
+    F_q is typically nonzero: this is the Selmer-bearing family.  q may be a
+    prime power: V = Z/q^2 lets extension classes lift to inputs whose
+    corner is nonzero mod q (`ribet_v0_fixture`).
     """
     if pow(alpha, d, q) != 1:
         raise ValueError("alpha must have order dividing d mod q")
@@ -212,18 +195,20 @@ def plane_pipeline_group(q, d, alpha, validate=True):
 # ---------------------------------------------------------------------------
 
 
+def _cyclic_character(group, index, m, q, k=1):
+    """(b, 0) -> z^(k b) on H = C_m of C_m x| C_2, z of order m in F_q."""
+    z = element_of_order(m, q)
+    return make_character(group, "H", {index[(b, 0)]: pow(z, k * b, q) for b in range(m)}, q)
+
+
 def s3_fixture(q=7) -> Fixture:
     """(S_3, C_3, chi_3) over F_7: the smallest index-2 example."""
-    group, index = dihedral_pair(3)
-    z = element_of_order(3, q)
-    chi = make_character(
-        group, "H", {index[(b, 0)]: pow(z, b, q) for b in range(3)}, q
-    )
+    group, index = metacyclic_pair(3, 2, 2)
     return Fixture(
         "s3_c3_chi3_q7",
         group,
-        {"chi3": chi, "chi3_inv": make_character(
-            group, "H", {index[(b, 0)]: pow(z, -b, q) for b in range(3)}, q)},
+        {"chi3": _cyclic_character(group, index, 3, q),
+         "chi3_inv": _cyclic_character(group, index, 3, q, -1)},
         {"q": q, "kind": "dihedral", "m": 3},
     )
 
@@ -303,15 +288,38 @@ def m40_fixture(q=11, lattice=True) -> Fixture:
 
 def c15_fixture(q=31) -> Fixture:
     """C_15 x| C_2 (involution x -> 4x) with an order-15 character."""
-    group, index = abelian_involution_pair(15, 4)
-    z = element_of_order(15, q)
-    chi = make_character(group, "H", {index[(b, 0)]: pow(z, b, q) for b in range(15)}, q)
-    chi2 = make_character(
-        group, "H", {index[(b, 0)]: pow(z, 2 * b, q) for b in range(15)}, q
-    )
+    group, index = metacyclic_pair(15, 2, 4)
+    chi = _cyclic_character(group, index, 15, q)
+    chi2 = _cyclic_character(group, index, 15, q, 2)
     return Fixture(
         f"c15_q{q}", group, {"chi": chi, "chi_2": chi2}, {"q": q, "kind": "abelian_inv"}
     )
+
+
+def _ribet_reps(group, index, q, d, chi_val, n_v, modn, corner):
+    """chi, chi_inv and the lattice rep on V x| (C_d x C_2), V = Z/n_v.
+
+    chi(delta) = chi_val mod q on H, and over Z/modn
+
+        (v, j, e) -> [[w^j, corner v w^-j], [0, w^-j]] diag(1, (-1)^e)
+
+    with w the Teichmueller lift of chi_val.
+    """
+    z = chi_val % q
+    H = [(v, j) for v in range(n_v) for j in range(d)]
+    chi, chi_inv = (
+        make_character(group, "H", {index[(v, j, 0)]: pow(z, k * j, q) for v, j in H}, q)
+        for k in (1, -1)
+    )
+    w = _lift_root_of_unity(chi_val, d, q, modn)
+    wi = inverse_mod(w, modn)
+    imgs = np.zeros((group.n, 2, 2), dtype=np.int64)
+    for v, j in H:
+        a, c = pow(w, j, modn), pow(wi, j, modn)
+        b = corner * v * c
+        for e, s in ((0, 1), (1, -1)):
+            imgs[index[(v, j, e)]] = [[a, b * s % modn], [0, c * s % modn]]
+    return {"chi": chi, "chi_inv": chi_inv, "lattice": Rep(group, "G", imgs, modn)}
 
 
 def ribet_fixture(q=7, d=6, alpha=2, chi_val=3, deform=1, precision=2,
@@ -335,44 +343,14 @@ def ribet_fixture(q=7, d=6, alpha=2, chi_val=3, deform=1, precision=2,
     if not 1 <= level < precision:
         raise ValueError("the planted level must satisfy 1 <= level < precision")
     group, index = affine_pipeline_group(q, d, alpha)
-    z = chi_val % q
-    chi = make_character(
-        group,
-        "H",
-        {index[(v, j, 0)]: pow(z, j, q) for v in range(q) for j in range(d)},
-        q,
-    )
-    chi_inv = make_character(
-        group,
-        "H",
-        {index[(v, j, 0)]: pow(z, -j, q) for v in range(q) for j in range(d)},
-        q,
-    )
-    modn = q**precision
-    scale = q**level
-    w = _lift_root_of_unity(chi_val, d, q, modn)
-    wi = inverse_mod(w, modn)
-    imgs = np.zeros((group.n, 2, 2), dtype=np.int64)
-    for v in range(q):
-        for j in range(d):
-            for e in range(2):
-                g = index[(v, j, e)]
-                m = np.array(
-                    [[pow(w, j, modn), (scale * deform * v * pow(wi, j, modn))],
-                     [0, pow(wi, j, modn)]],
-                    dtype=np.int64,
-                ) % modn
-                if e:
-                    m = m @ np.array([[1, 0], [0, modn - 1]], dtype=np.int64) % modn
-                imgs[g] = m
-    lattice = Rep(group, "G", imgs, modn)
+    reps = _ribet_reps(group, index, q, d, chi_val, q, q**precision, q**level * deform)
     suffix = "" if deform else "_split"
     if precision != 2:
         suffix += f"_prec{precision}"
     return Fixture(
         f"ribet_q{q}_d{d}" + suffix,
         group,
-        {"chi": chi, "chi_inv": chi_inv, "lattice": lattice},
+        reps,
         {
             "q": q,
             "d": d,
@@ -386,65 +364,20 @@ def ribet_fixture(q=7, d=6, alpha=2, chi_val=3, deform=1, precision=2,
     )
 
 
-def cyclic_mod2_pipeline_group(q, d, alpha, validate=True):
-    """Z/q^2 x| (C_d x C_2): like affine_pipeline_group but with a cyclic
-    q^2-part, so extension classes lift to 'corner nonzero mod q' inputs."""
-    m2 = q * q
-    if pow(alpha, d, m2) != 1:
-        raise ValueError("alpha must have order dividing d mod q^2")
-    labels = [(v, j, e) for e in range(2) for j in range(d) for v in range(m2)]
-
-    def mult(x, y):
-        v, j, e = x
-        v2, j2, e2 = y
-        return ((v + pow(alpha, j, m2) * (-1) ** e * v2) % m2, (j + j2) % d, (e + e2) % 2)
-
-    return group_from_labels(labels, mult, lambda x: x[2] == 0, (0, 0, 1), validate)
-
-
 def ribet_v0_fixture(q=7, d=6) -> Fixture:
     """Already-triangular non-split input: the lattice rep has its extension
     visible mod q (corner not divisible by q).
 
-    Needs chi with chi^2 = alpha exactly mod q^2, which the Z/q^2-cyclic
-    group provides: for q = 7, chi(delta) = 31 (order 6 mod 49) and
-    alpha = 31^2 = 30 mod 49.
+    Needs chi with chi^2 = alpha exactly mod q^2, which V = Z/q^2 provides:
+    for q = 7, chi(delta) = 31 (order 6 mod 49) and alpha = 31^2 = 30 mod 49.
     """
     m2 = q * q
     w = _lift_root_of_unity(element_of_order(d, q), d, q, m2)
-    alpha = w * w % m2
-    group, index = cyclic_mod2_pipeline_group(q, d, alpha)
-    wi = inverse_mod(w, m2)
-    z = w % q
-    chi = make_character(
-        group,
-        "H",
-        {index[(v, j, 0)]: pow(z, j, q) for v in range(m2) for j in range(d)},
-        q,
-    )
-    chi_inv = make_character(
-        group,
-        "H",
-        {index[(v, j, 0)]: pow(z, -j, q) for v in range(m2) for j in range(d)},
-        q,
-    )
-    imgs = np.zeros((group.n, 2, 2), dtype=np.int64)
-    for v in range(m2):
-        for j in range(d):
-            for e in range(2):
-                g = index[(v, j, e)]
-                m = np.array(
-                    [[pow(w, j, m2), v * pow(wi, j, m2)], [0, pow(wi, j, m2)]],
-                    dtype=np.int64,
-                ) % m2
-                if e:
-                    m = m @ np.array([[1, 0], [0, m2 - 1]], dtype=np.int64) % m2
-                imgs[g] = m
-    lattice = Rep(group, "G", imgs, m2)
+    group, index = affine_pipeline_group(m2, d, w * w % m2)
     return Fixture(
         f"ribet_v0_q{q}",
         group,
-        {"chi": chi, "chi_inv": chi_inv, "lattice": lattice},
+        _ribet_reps(group, index, q, d, w, m2, m2, 1),
         {"q": q, "d": d, "kind": "pipeline_v0"},
     )
 
@@ -519,55 +452,35 @@ DIHEDRAL_TABLE = [(3, 7), (3, 13), (5, 11), (5, 31), (7, 29), (9, 19), (11, 23),
 METACYCLIC_TABLE = [(5, 4, 2, 11), (5, 4, 2, 31), (5, 4, 2, 41), (5, 8, 2, 11), (13, 4, 5, 53)]
 ABELIAN_TABLE = [(15, 4, 31), (21, 8, 43)]
 
-_GROUP_CACHE: dict[tuple, tuple] = {}
-
-
-def _cached_group(kind, *args):
-    key = (kind,) + args
-    if key not in _GROUP_CACHE:
-        if kind == "dihedral":
-            _GROUP_CACHE[key] = dihedral_pair(*args)
-        elif kind == "metacyclic":
-            _GROUP_CACHE[key] = metacyclic_pair(*args)
-        elif kind == "abelian":
-            _GROUP_CACHE[key] = abelian_involution_pair(*args)
-        else:
-            raise ValueError(kind)
-    return _GROUP_CACHE[key]
+# Battery cases share a few groups; caching keeps each group (and its
+# memoized generators) across cases and runs.
+_battery_group = functools.lru_cache(maxsize=None)(metacyclic_pair)
 
 
 def random_battery_case(rng):
     """One randomized (group, rho1, rho2, q) case for the identity batteries.
 
-    Mixes character-level cases (dihedral / abelian-involution pairs) with
-    2-dimensional cases (metacyclic pairs).
+    Mixes character-level cases (dihedral / abelian-involution pairs, both
+    C_m x| C_2) with 2-dimensional cases (metacyclic pairs).
     """
     kind = rng.choice(["dihedral", "metacyclic", "abelian"], p=[0.4, 0.4, 0.2])
+    if kind == "metacyclic":
+        p, d, a, q = METACYCLIC_TABLE[int(rng.integers(len(METACYCLIC_TABLE)))]
+        group, index = _battery_group(p, d, a)
+        j1 = int(rng.integers(1, (p - 1) // 2 + 1))
+        j2 = int(rng.integers(1, (p - 1) // 2 + 1))
+        anti = d == 8
+        r1 = _metacyclic_2dim_rep(group, index, p, d, q, j_char=j1, antisym_u=anti)
+        r2 = _metacyclic_2dim_rep(group, index, p, d, q, j_char=j2, antisym_u=anti)
+        return group, r1, r2, q, f"C{p}x|C{d} dim2 j={j1},{j2} q={q}"
     if kind == "dihedral":
         m, q = DIHEDRAL_TABLE[int(rng.integers(len(DIHEDRAL_TABLE)))]
-        group, index = _cached_group("dihedral", m)
-        z = element_of_order(m, q)
-        a1 = int(rng.integers(1, m))
-        a2 = int(rng.integers(1, m))
-        mk = lambda a: make_character(
-            group, "H", {index[(b, 0)]: pow(z, a * b, q) for b in range(m)}, q
-        )
-        return group, mk(a1), mk(a2), q, f"D{m}/C{m} chars a={a1},{a2} q={q}"
-    if kind == "abelian":
+        a, name = m - 1, f"D{m}/C{m}"
+    else:
         m, a, q = ABELIAN_TABLE[int(rng.integers(len(ABELIAN_TABLE)))]
-        group, index = _cached_group("abelian", m, a)
-        z = element_of_order(m, q)
-        a1 = int(rng.integers(1, m))
-        a2 = int(rng.integers(1, m))
-        mk = lambda aa: make_character(
-            group, "H", {index[(b, 0)]: pow(z, aa * b, q) for b in range(m)}, q
-        )
-        return group, mk(a1), mk(a2), q, f"C{m}x|C2 chars a={a1},{a2} q={q}"
-    p, d, a, q = METACYCLIC_TABLE[int(rng.integers(len(METACYCLIC_TABLE)))]
-    group, index = _cached_group("metacyclic", p, d, a)
-    j1 = int(rng.integers(1, (p - 1) // 2 + 1))
-    j2 = int(rng.integers(1, (p - 1) // 2 + 1))
-    anti = d == 8
-    r1 = _metacyclic_2dim_rep(group, index, p, d, q, j_char=j1, antisym_u=anti)
-    r2 = _metacyclic_2dim_rep(group, index, p, d, q, j_char=j2, antisym_u=anti)
-    return group, r1, r2, q, f"C{p}x|C{d} dim2 j={j1},{j2} q={q}"
+        name = f"C{m}x|C2"
+    group, index = _battery_group(m, 2, a)
+    a1 = int(rng.integers(1, m))
+    a2 = int(rng.integers(1, m))
+    chi1, chi2 = (_cyclic_character(group, index, m, q, k) for k in (a1, a2))
+    return group, chi1, chi2, q, f"{name} chars a={a1},{a2} q={q}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .exactalg import PolyX, charpoly, det, rref_rational, wedge_pairs, wedge_square
+from .exactalg import PolyX, charpoly, det, wedge_pairs, wedge_square
 
 REP_TAGS = ("ind", "asai+", "asai-", "lambda2", "std", "sim", "zeta", "quadratic-char")
 
@@ -237,7 +237,11 @@ def verify_lambda2(sp: SatakeParam, chi: int = 1):
 
 J4 = mat([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
 
-# complement of the invariant wedge line e0^e1 + e2^e3, in lex pair order
+# Lambda^2 positions in lex pair order (01, 02, 03, 12, 13, 23).  The
+# invariant wedge line of J4 is e01 + e23; its complement has the basis
+# e02, e03, e12, e13, e01 - e23, in which std_map writes its matrix.
+_E01, _E23 = 0, 5
+_COMPLEMENT = (1, 2, 3, 4)
 _STD_BASIS = mat(
     [
         [0, 0, 0, 0, 1],
@@ -248,7 +252,6 @@ _STD_BASIS = mat(
         [0, 0, 0, 0, -1],
     ]
 )
-_J_LINE = ((1,), (0,), (0,), (0,), (0,), (1,))
 
 
 def similitude_of(m):
@@ -259,7 +262,7 @@ def similitude_of(m):
     for i in range(4):
         for j in range(4):
             if J4[i][j]:
-                r = Fraction(w[i][j], J4[i][j])
+                r = w[i][j] * J4[i][j]  # J4 entries are +-1
                 if mu is None:
                     mu = r
                 elif mu != r:
@@ -269,32 +272,31 @@ def similitude_of(m):
     return mu
 
 
+def _exact_div(x, mu):
+    return x // mu if x % mu == 0 else Fraction(x, mu)
+
+
 def std_map(m):
     """The 5-dim factor of Lambda^2(m) mu^{-1} after splitting the invariant
     line of the symplectic form; requires m in the similitude group of J."""
     mu = similitude_of(m)
     if mu is None or mu == 0:
         raise ValueError("matrix does not preserve J up to similitude")
-    w = mscale(wedge_square(m), Fraction(1, mu))
-    # full 6x6 change of basis [complement | J-line]
-    p6 = mat(
-        [
-            [_STD_BASIS[i][j] for j in range(5)] + [_J_LINE[i][0]]
-            for i in range(6)
-        ]
-    )
-    n = len(p6)
-    reduced, _ = rref_rational(
-        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(p6)]
-    )
-    p6_inv = mat([r[n:] for r in reduced])
-    conj = mmul(mmul(p6_inv, w), p6)
-    for i in range(5):
-        if conj[i][5] != 0 or conj[5][i] != 0:
-            raise AssertionError("invariant line failed to split off")
-    if conj[5][5] != 1:
+    w = wedge_square(m)
+    r01, r23 = w[_E01], w[_E23]
+    # In the basis (complement | e01 + e23), Lambda^2(m) must be block
+    # diagonal with mu on the line: these are its off-block entries and
+    # its (line, line) entry, times 2.
+    if (any(w[i][_E01] + w[i][_E23] or r01[i] + r23[i] for i in _COMPLEMENT)
+            or r01[_E01] + r01[_E23] - r23[_E01] - r23[_E23]
+            or r01[_E01] - r01[_E23] + r23[_E01] - r23[_E23]):
+        raise AssertionError("invariant line failed to split off")
+    if r01[_E01] + r01[_E23] + r23[_E01] + r23[_E23] != 2 * mu:
         raise AssertionError("invariant line eigenvalue is not 1")
-    return mat([[conj[i][j] for j in range(5)] for i in range(5)])
+    rows = [[w[i][j] for j in _COMPLEMENT] + [w[i][_E01] - w[i][_E23]]
+            for i in _COMPLEMENT]
+    rows.append([r01[j] for j in _COMPLEMENT] + [r01[_E01] - r01[_E23]])
+    return mat([[_exact_div(x, mu) for x in r] for r in rows])
 
 
 def verify_std_decomposition(sp: SatakeParam):
@@ -391,8 +393,11 @@ class CoeffTable:
             and norm == int(label[1:-1]) ** 2
         )
         mset = set(ms)
+        top = max(ms, default=0)
         for m in ms:
-            for n in ms:
+            for n in ms:  # sorted: past top, no product is in the table
+                if m * n > top:
+                    break
                 if m < 2 or n < m or math.gcd(m, n) != 1 or m * n not in mset:
                     continue
                 if self.diagonal(m) * self.diagonal(n) != self.diagonal(m * n):

@@ -115,7 +115,11 @@ class PolarizedRep:
         if self.symmetry == -1 and t != Mat((-a.a) % a.mod, a.mod):
             raise ValueError("witness is not antisymmetric")
         ainv = a.inverse()
-        for x in self.rep.elements:
+        # Both sides of the identity are homomorphisms in x once rep and psi
+        # are, so agreement on the domain's generators is agreement on it.
+        self.rep.validate()
+        self.psi.validate()
+        for x in self.rep.gens:
             rv = Mat(self.rep.arr(g.inverse(x)).T, self.rep.mod)
             tgt = self.rep.arr(g.conj_ctilde(x)) if self.conjugate else self.rep.arr(x)
             rhs = (a @ Mat(tgt, self.rep.mod) @ ainv).scale(self.psi.value(x))
@@ -208,6 +212,7 @@ class LatticeRep:
     rep: Rep          # over Z/q^n, on G (carries the coset structure)
     rhobar1: Rep      # over F_q, on H
     rhobar2: Rep      # over F_q, on H
+    rep_H: Rep = field(init=False, repr=False, compare=False)  # rep on H
 
     def __post_init__(self):
         q, n = factor_prime_power(self.rep.mod)
@@ -223,10 +228,10 @@ class LatticeRep:
         if intertwiner_space(self.rhobar1, self.rhobar2):
             raise ValueError("residual summands must be non-isomorphic")
         # Brauer-Nesbitt style check of the semisimplification on H
-        rH = self.rep.restrict_to_H()
+        self.rep_H = self.rep.restrict_to_H()
         for x in self.rhobar1.elements:
             p1, p2, lhs = (PolyX(charpoly(r.arr(x).tolist()), q)
-                           for r in (self.rhobar1, self.rhobar2, rH))
+                           for r in (self.rhobar1, self.rhobar2, self.rep_H))
             if lhs != p1 * p2:
                 raise ValueError("mod-q semisimplification does not match")
 
@@ -250,7 +255,7 @@ class RibetResult:
 
 def _mod_q_triangularization(latt: LatticeRep):
     """Basis V over Z/q^n whose conjugate reduces to [[rb1, *], [0, rb2]]."""
-    rep = latt.rep.restrict_to_H()
+    rep = latt.rep_H
     q = latt.q
     mod = rep.mod
     red = rep.reduce(q)
@@ -292,7 +297,7 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
     """Conjugate the lattice so its reduction is [[rb1, *], [0, rb2]] and
     extract the extension class, descending the lattice chain while the
     class vanishes; termination is bounded by the precision n."""
-    rep = latt.rep.restrict_to_H()
+    rep = latt.rep_H
     g = rep.group
     q, n = factor_prime_power(rep.mod)
     mod = rep.mod
@@ -415,7 +420,7 @@ def theorem_main_pipeline(
     if rr.split:
         raise PipelineError("split extension: the pipeline yields no class")
     # the polarization sign of R = rep|_H
-    pol = polarize(latt.rep.restrict_to_H(), psi, conjugate=True, rng=rng)
+    pol = polarize(latt.rep_H, psi, conjugate=True, rng=rng)
     sign = bc_sign(pol)
     # transport the class into the tensor-induced ambient module
     ambient = as_twisted_module(rb1, psi.reduce(q))

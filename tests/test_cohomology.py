@@ -24,9 +24,9 @@ from asaikit.cohomology import (
 from asaikit.exactalg import Mat, row_space_mod, rref_mod
 from asaikit.fixtures import (
     coh294_fixture,
-    dihedral_pair,
     f20_fixture,
     m40_fixture,
+    metacyclic_pair,
     ribet_fixture,
     s3_fixture,
 )
@@ -52,14 +52,14 @@ def trivial_module(group, elements, dim, mod):
 
 def test_h1_cyclic_q_torsion():
     # H^1(C_7, trivial F_7) = Hom(C_7, F_7) is one-dimensional
-    group, _ = dihedral_pair(7)
+    group, _ = metacyclic_pair(7, 2, 6)
     mod = trivial_module(group, group.H, 1, 7)
     assert h1(mod).dim == 1
 
 
 def test_h1_coprime_order_vanishes():
     # H^1(C_5, trivial F_7) = 0
-    group, _ = dihedral_pair(5)
+    group, _ = metacyclic_pair(5, 2, 4)
     mod = trivial_module(group, group.H, 1, 7)
     assert h1(mod).dim == 0
 

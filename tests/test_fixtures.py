@@ -1,0 +1,40 @@
+import hashlib
+import json
+
+import pytest
+
+from asaikit.fixtures import ribet_fixture, ribet_v0_fixture, shipped_fixture_builders
+
+# sha256 of json.dumps(fixture.to_json(), sort_keys=True): elements, table, H,
+# ctilde, every rep image and the metadata.  A builder change that alters any
+# fixture content shows up here.
+FIXTURE_SHA256 = {
+    "s3_c3_chi3_q7": "b6284d14bcbe957e37a9fd9a8e1a8e238161a3c230aac517eea06ba62169fa56",
+    "f20_d5_rho_q11": "21d3198bd0a5c99c7b051e05a17d97070927e1db16268c3e5939b8ace67639a5",
+    "f20_d5_rho_q41": "af62644b64d342f54abd2e159c3329720c0816b6ecf4a449c1ce3d3b32b581eb",
+    "m40_q11": "bf2cd45bb0e1abb80149284f4d732369ed220169b0a02a4bd071aa7c278d201e",
+    "c15_q31": "72651d80e70e2308ff70b3fe9eacbca4bb4970cab4c071eff03cf0645f26b64b",
+    "ribet_q7_d6": "4e05e94308f58ed1004e20ac962b9ff19f5e6ab1a062906396545b9d596ddadc",
+    "ribet_q7_d6_split": "14a16a15daf51f2680b2357e1a16f4ae639d231240a3c53b8b6e987a8ae5cc5a",
+    "coh294_q7": "24690f27fe6be852e8a3bd2407b7093d8038703169eeef9ffc3f056cb54c74aa",
+    "ribet_v0_q7": "1c7f3792b9f2608fc8f2715cc7e61bf20c803b0c91d40e23413db815b19246e7",
+    "ribet_q13_d4_prec3": "02bce0fc01872d724a1bf672a55f908bfcfcc73983248ce0265ffae97617ea0f",
+}
+
+BUILDERS = {
+    **shipped_fixture_builders(),
+    "ribet_v0_q7": ribet_v0_fixture,
+    "ribet_q13_d4_prec3": lambda: ribet_fixture(13, d=4, alpha=12, chi_val=5, precision=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SHA256))
+def test_fixture_content_is_pinned(name):
+    fix = BUILDERS[name]()
+    assert fix.name == name
+    text = json.dumps(fix.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_SHA256[name]
+
+
+def test_every_shipped_fixture_is_pinned():
+    assert set(shipped_fixture_builders()) <= set(FIXTURE_SHA256)

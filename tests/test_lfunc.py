@@ -1,13 +1,16 @@
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from asaikit.exactalg import PolyX
+from asaikit.exactalg import PolyX, rref_rational, wedge_square
 from asaikit.lfunc import (
+    J4,
     CoeffTable,
     SatakeParam,
     asai_dirichlet,
+    blockdiag,
     charpoly_reciprocal,
     euler_factor,
     euler_product_coefficients,
@@ -15,7 +18,10 @@ from asaikit.lfunc import (
     frobenius_matrix,
     ingest_coeffs,
     mat,
+    mmul,
     random_satake,
+    random_sl2,
+    similitude_of,
     std_in_so5,
     std_map,
     synthetic_table,
@@ -148,6 +154,64 @@ def test_std_rejects_non_gsp4():
         std_map(bad)
 
 
+# columns e02, e03, e12, e13, e01 - e23 | e01 + e23 in lex pair order
+_P6 = [
+    [0, 0, 0, 0, 1, 1],
+    [1, 0, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0],
+    [0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, -1, 1],
+]
+
+
+def std_map_by_change_of_basis(m):
+    """Oracle: conjugate Lambda^2(m) / mu by the 6x6 change of basis
+    [complement | J-line], check the line splits off with eigenvalue 1 and
+    read off the 5x5 block."""
+    mu = similitude_of(m)
+    w = [[Fraction(x, mu) for x in r] for r in wedge_square(m)]
+    reduced, _ = rref_rational(
+        [r + [int(i == j) for j in range(6)] for i, r in enumerate(_P6)]
+    )
+    conj = mmul(mmul([r[6:] for r in reduced], w), _P6)
+    assert all(conj[i][5] == 0 and conj[5][i] == 0 for i in range(5))
+    assert conj[5][5] == 1
+    return mat([r[:5] for r in conj[:5]])
+
+
+def random_transvection(rng):
+    """x -> x + l (x^T J4 v) v, a symplectic matrix mixing the two blocks."""
+    v = [int(x) for x in rng.integers(-1, 2, size=4)]
+    jv = [sum(J4[i][k] * v[k] for k in range(4)) for i in range(4)]
+    lam = int(rng.integers(-2, 3))
+    return mat([[int(i == j) + lam * v[i] * jv[j] for j in range(4)] for i in range(4)])
+
+
+def test_std_map_matches_change_of_basis_oracle():
+    rng = np.random.default_rng(29)
+    unit = [frobenius_matrix(random_satake(rng), "ind") for _ in range(200)]
+    unit += [frobenius_matrix(random_satake(rng, twist=-1), "ind") for _ in range(50)]
+    unit += [mmul(mmul(random_transvection(rng), m), random_transvection(rng))
+             for m in unit[:100]]
+    scaled = [mat([[3 * int(i == j) for j in range(4)] for i in range(4)])]
+    for k in range(90):
+        p = (3, 5, 7)[k % 3]
+        a = mmul(random_sl2(rng), mat([[p, 0], [0, 1]]))
+        b = mmul(mat([[1, 0], [0, p]]), random_sl2(rng))
+        m = blockdiag(a, b)
+        if k % 3 == 1:  # mix the two blocks with an inert Frobenius
+            m = mmul(frobenius_matrix(random_satake(rng, split=False), "ind"), m)
+        elif k % 3 == 2:
+            m = mmul(random_transvection(rng), m)
+        scaled.append(m)
+    for m in unit + scaled:
+        assert std_map(m) == std_map_by_change_of_basis(m)
+    # integral results come back as ints, so charpolys stay over the integers
+    assert all(type(x) is int for m in unit + scaled[:1] for r in std_map(m) for x in r)
+    assert any(isinstance(x, Fraction) for m in scaled for r in std_map(m) for x in r)
+
+
 def test_std_decomposition_split_and_inert():
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -247,6 +311,16 @@ def test_ingest_rejects_multiplicativity_violation():
     text = "norm,label,coefficient\n4,(2),1\n9,(3),1\n36,(6),5\n"
     with pytest.raises(ValueError, match="multiplicativity"):
         ingest_coeffs(io.StringIO(text))
+
+
+def test_multiplicativity_violation_at_a_large_index_is_rejected():
+    rng = np.random.default_rng(37)
+    params = {p: random_satake(rng, p=p) for p in primes_upto(2000)}
+    rows = synthetic_table(params, 2000).to_rows()
+    # 1994 = 2 * 997 is the only coprime factorization of the planted index
+    bad = [(n, l, c + 1 if l == "(1994)" else c) for n, l, c in rows]
+    with pytest.raises(ValueError, match=r"c\(2\)c\(997\) != c\(1994\)"):
+        CoeffTable(bad)
 
 
 def test_ingest_requires_header():

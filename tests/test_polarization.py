@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from asaikit.cohomology import SelmerStructure
-from asaikit.exactalg import Mat
+from asaikit.exactalg import Mat, kernel_gens
 from asaikit.fixtures import (
     c15_fixture,
     element_of_order,
@@ -96,6 +96,99 @@ def test_bc_sign_scalar_rescaling_invariant(rib):
     p = polarize(r, psi)
     scaled = PolarizedRep(r, psi, p.witness.scale(3), p.symmetry, True)
     assert bc_sign(scaled) == bc_sign(p)
+
+
+def witness_identity_holds_everywhere(rep, psi, a, conjugate):
+    """Oracle: R^vee(x) = psi(x) A R^?(x) A^{-1} at every domain element."""
+    g = rep.group
+    ainv = a.inverse()
+    for x in rep.elements:
+        rv = Mat(rep.arr(g.inverse(x)).T, rep.mod)
+        tgt = rep.arr(g.conj_ctilde(x)) if conjugate else rep.arr(x)
+        if rv != (a @ Mat(tgt, rep.mod) @ ainv).scale(psi.value(x)):
+            return False
+    return True
+
+
+def partial_witnesses(rep, psi, conjugate, sym, skip):
+    """Kernel generators of the witness system of the given symmetry over
+    every domain generator except gens[skip]."""
+    g, d, mod = rep.group, rep.dim, rep.mod
+    eye = np.eye(d, dtype=np.int64)
+    rows = []
+    for k, x in enumerate(rep.gens):
+        if k != skip:
+            rv = rep.arr(g.inverse(x)).T
+            tgt = rep.arr(g.conj_ctilde(x)) if conjugate else rep.arr(x)
+            rows += list((np.kron(rv, eye) - psi.value(x) * np.kron(eye, tgt.T)) % mod)
+    for i in range(d):
+        for j in range(i, d):
+            r = np.zeros(d * d, dtype=np.int64)
+            r[i * d + j] += 1
+            r[j * d + i] += -sym
+            rows.append(r % mod)
+    return [v for v, _ in kernel_gens(np.array(rows), mod)]
+
+
+def test_witness_generator_check_agrees_with_full_check(rib, m40):
+    rng = np.random.default_rng(41)
+    g40 = m40.group
+    cases = [
+        (rib.rep("lattice").restrict_to_H(), coset_sign_character(rib.group, 49), True),
+        (induce(m40.rep("rho_lift")), coset_sign_character(g40, 121), False),
+        (induce(m40.rep("rho_lift")), trivial_character(g40, "G", 121), False),
+    ]
+    verdicts = set()
+    for rep, psi, conjugate in cases:
+        base = polarize(rep, coset_sign_character(rep.group, rep.mod), conjugate)
+        d, mod, sym = rep.dim, rep.mod, base.symmetry
+        witnesses = []
+        for _ in range(40):  # symmetry-preserving single-entry changes, rescaled
+            a = base.witness.a.copy()
+            if rng.integers(3):
+                i, j = (int(k) for k in rng.choice(d, size=2, replace=sym == 1))
+                t = int(rng.integers(1, mod))
+                a[i, j] += t
+                if i != j:
+                    a[j, i] += t * sym
+            witnesses.append(a * int(rng.choice([1, 2, 3, mod - 1])))
+        for skip in range(len(rep.gens)):  # right on all generators but one
+            kernel = partial_witnesses(rep, psi, conjugate, sym, skip)
+            for _ in range(20):
+                coeffs = rng.integers(0, mod, size=len(kernel))
+                witnesses.append(sum(int(c) * v for c, v in zip(coeffs, kernel)).reshape(d, d))
+        for a in witnesses:
+            a = Mat(a % mod, mod)
+            if not a.is_invertible():
+                continue
+            expected = witness_identity_holds_everywhere(rep, psi, a, conjugate)
+            try:
+                PolarizedRep(rep, psi, a, sym, conjugate)
+                ok = True
+            except ValueError as exc:
+                assert str(exc) == "polarization witness identity fails"
+                ok = False
+            assert ok == expected
+            verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def test_witness_check_rejects_a_rep_or_psi_off_at_one_non_generator(rib):
+    g = rib.group
+    r = rib.rep("lattice").restrict_to_H()
+    psi = coset_sign_character(g, 49)
+    a = polarize(r, psi).witness
+    x = next(h for h in r.elements
+             if h not in r.gens and g.conj_ctilde(g.inverse(h)) != h)
+    bad_r = r.images.copy()
+    bad_r[r.pos[x]] = bad_r[r.pos[x]] * 2 % 49
+    bad_psi = psi.images.copy()
+    bad_psi[psi.pos[x]] = 48
+    for rep, chi in ((Rep(g, "H", bad_r, 49, validate=False), psi),
+                     (r, Rep(g, "G", bad_psi, 49, validate=False))):
+        assert not witness_identity_holds_everywhere(rep, chi, a, True)
+        with pytest.raises(ValueError, match="multiplication table"):
+            PolarizedRep(rep, chi, a, 1, True)
 
 
 def test_bc_sign_conjugation_invariant(rib):
@@ -347,6 +440,21 @@ def test_pipeline_parity_law(rib):
     assert rep2.eigenvalue_law_holds and rep2.details["parity_matches_k"]
     rep3 = theorem_main_pipeline(latt, psi, k_parity=-1)
     assert not rep3.eigenvalue_law_holds
+
+
+def test_pipeline_restricts_the_lattice_rep_once(rib, monkeypatch):
+    lattice = rib.rep("lattice")
+    calls = []
+    restrict = Rep.restrict
+
+    def counting_restrict(self, elements):
+        if self is lattice:
+            calls.append(elements)
+        return restrict(self, elements)
+
+    monkeypatch.setattr(Rep, "restrict", counting_restrict)
+    theorem_main_pipeline(make_lattice(rib), coset_sign_character(rib.group, 49))
+    assert len(calls) == 1
 
 
 def test_pipeline_parity_flip(rib):
