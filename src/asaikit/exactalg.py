@@ -1,10 +1,15 @@
 """Exact linear algebra over Z/m for m an odd prime power, and over Z and Q.
 
 Matrices over Z/m are numpy int64 arrays reduced mod m; there is no
-floating point anywhere.  Over a prime modulus the solver is plain Gaussian
-elimination; over q^n (n >= 2) it uses a diagonal normal form valid for
-chain rings (pivoting on entries of minimal q-valuation), which yields a
-particular solution plus kernel generators with annihilator exponents.
+floating point anywhere.  One routine, `echelon_mod`, eliminates over the
+chain ring Z/q^n by row operations only: it takes the q-valuations
+v = 0, 1, ..., n-1 in turn and pivots on the leftmost column holding an
+entry of valuation v, topmost row first.  Over a prime field that is
+Gauss-Jordan elimination.  `rref_mod`, `row_space_mod`, `kernel_mod`,
+`extend_basis`, `solve_mod` and `kernel_gens` all read its output; kernel
+generators come with their annihilators (one of annihilator q^n per
+non-pivot column, one of annihilator q^v per pivot of valuation v > 0) and
+their cyclic spans form a direct sum.
 The package's one determinant (Bareiss), characteristic polynomial
 (Berkowitz) and rational elimination (Fraction Gauss-Jordan) work on
 nested sequences of int or Fraction entries.
@@ -19,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import functools
-import json
 import operator
 
 import numpy as np
@@ -52,8 +56,6 @@ def validate_modulus(m):
     q, n = factor_prime_power(int(m))
     if q == 2:
         raise ValueError("even moduli are rejected: the modulus must be a power of an odd prime")
-    if m < 3:
-        raise ValueError("modulus must be >= 3")
     return q, n
 
 
@@ -66,21 +68,10 @@ def check_int64_products(d, m):
 
 
 def inverse_mod(a, m):
-    a = int(a) % m
-    g, x = _ext_gcd(a, m)
-    if g != 1:
-        raise ZeroDivisionError(f"{a} is not invertible mod {m}")
-    return x % m
-
-
-def _ext_gcd(a, b):
-    # returns (g, x) with a*x = g mod b
-    x0, x1, r0, r1 = 1, 0, a, b
-    while r1:
-        s, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        x0, x1 = x1, x0 - s * x1
-    return r0, x0
+    try:
+        return pow(int(a), -1, m)
+    except ValueError:
+        raise ZeroDivisionError(f"{int(a) % m} is not invertible mod {m}") from None
 
 
 class Mat:
@@ -208,9 +199,6 @@ class Mat:
     @staticmethod
     def from_json(obj):
         return Mat.from_flat(obj["entries"], obj["rows"], obj["cols"], obj["modulus"])
-
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def det(rows):
@@ -351,73 +339,112 @@ class LinearSolution:
     modulus: int
 
 
-def smith_form_mod(a, mod):
-    """U A V = D over Z/mod (mod = q^n), D diagonal with q-power pivots.
+def echelon_mod(a, mod, rhs=None):
+    """Row echelon form of `a` over Z/mod, mod = q^n, by row operations only.
 
-    Returns (U, D, V, pivots) as int64 arrays, U and V invertible mod `mod`,
-    pivots the list of q-valuations of the diagonal entries.
+    Valuation levels v = 0, 1, ..., n-1 are taken in turn.  Within a level
+    the pivot is the leftmost unused column holding an entry of valuation v
+    in the rows not yet pivoted, at the topmost such row; the pivot row is
+    scaled so that its pivot is q^v, and every other entry of the pivot
+    column that q^v divides is cleared.  That is every entry below, so a
+    column left of the pivot never regains a valuation-v entry and one scan
+    per level suffices.  Over a prime field (n = 1) this is Gauss-Jordan
+    elimination and E is the reduced row echelon form.
+
+    Returns (E, pivots, B).  Row i of E holds the pivot pivots[i] =
+    (column, v), is zero in the columns of the earlier pivots, and has every
+    entry divisible by q^v; the rows past the last pivot are zero.  B is
+    `rhs` (a matrix with the rows of `a`, or None) under the same row
+    operations.
     """
     q, n = factor_prime_power(mod)
-    A = np.mod(np.asarray(a, dtype=np.int64), mod).copy()
+    A = np.mod(np.asarray(a, dtype=np.int64), mod)
+    B = None if rhs is None else np.mod(np.asarray(rhs, dtype=np.int64), mod)
     r, c = A.shape
-    U = np.eye(r, dtype=np.int64)
-    V = np.eye(c, dtype=np.int64)
+    used = [False] * c
     pivots = []
-    k = 0
-    while k < min(r, c):
-        sub = A[k:, k:]
-        if not sub.any():
-            break
-        # pivot of minimal q-valuation in the remaining block
-        if n == 1:
-            idx = int(np.argmax(sub.reshape(-1) != 0))
-            v = 0
-        else:
-            val = np.zeros(sub.shape, dtype=np.int64)
-            for w in range(1, n):
-                val += np.mod(sub, q**w) == 0
-            val[sub == 0] = 1 << 30
-            idx = int(np.argmin(val.reshape(-1)))
-            v = int(val.reshape(-1)[idx])
-        i, j = divmod(idx, c - k)
-        i += k
-        j += k
-        if i != k:
-            A[[k, i]] = A[[i, k]]
-            U[[k, i]] = U[[i, k]]
-        if j != k:
-            A[:, [k, j]] = A[:, [j, k]]
-            V[:, [k, j]] = V[:, [j, k]]
-        piv = int(A[k, k])
-        unit = piv // q**v
-        uinv = inverse_mod(unit, mod)
-        A[k] = (A[k] * uinv) % mod
-        U[k] = (U[k] * uinv) % mod
+    row = 0
+    for v in range(n):
         d = q**v
-        # clear the rest of column k (every entry has valuation >= v)
-        col = A[:, k].copy()
-        col[k] = 0
-        if col.any():
-            f = col // d
-            A -= np.outer(f, A[k])
-            U -= np.outer(f, U[k])
-            A %= mod
-            U %= mod
-        # clear the rest of row k
-        row = A[k].copy()
-        row[k] = 0
-        if row.any():
-            f = row // d
-            A -= np.outer(A[:, k], f)
-            V -= np.outer(V[:, k], f)
-            A %= mod
-            V %= mod
-        pivots.append(v)
-        k += 1
-    D = np.zeros_like(A)
-    for i, v in enumerate(pivots):
-        D[i, i] = q**v % mod
-    return U % mod, D, V % mod, pivots
+        for col in range(c):
+            if row == r:
+                return A, pivots, B
+            if used[col]:
+                continue
+            # rows not yet pivoted hold entries of valuation >= v here
+            below = A[row:, col]
+            if v < n - 1:
+                below = below % (d * q)
+            hit = np.nonzero(below)[0]
+            if hit.size == 0:
+                continue
+            i = row + int(hit[0])
+            if i != row:
+                A[[row, i]] = A[[i, row]]
+                if B is not None:
+                    B[[row, i]] = B[[i, row]]
+            unit = int(A[row, col]) // d
+            if unit != 1:
+                uinv = inverse_mod(unit, mod)
+                A[row] = A[row] * uinv % mod
+                if B is not None:
+                    B[row] = B[row] * uinv % mod
+            column = A[:, col]
+            other = np.nonzero((column % d == 0) & (column != 0) if v else column)[0]
+            other = other[other != row]
+            if other.size:
+                f = column[other] // d if v else column[other]
+                A[other] = (A[other] - np.outer(f, A[row])) % mod
+                if B is not None:
+                    B[other] = (B[other] - np.outer(f, B[row])) % mod
+            used[col] = True
+            pivots.append((col, v))
+            row += 1
+    return A, pivots, B
+
+
+def _solve_echelon(a, rhs, mod):
+    """Solve A X = rhs (rhs a matrix, or None for the kernel alone).
+
+    Returns (particular, gens, anns): particular is None when rhs is None or
+    inconsistent; the rows of gens generate the kernel, row t with additive
+    order anns[t], and their cyclic spans form a direct sum.  A pivot
+    (column, v) with v > 0 gives a generator of order q^v, seeded with
+    q^(n-v) in its column; each non-pivot column gives one of order mod,
+    seeded with 1.  Entries in the other pivot columns come from one
+    back-substitution for all right-hand sides and generators at once.
+    """
+    q, n = factor_prime_power(mod)
+    E, pivots, B = echelon_mod(a, mod, rhs)
+    c = E.shape[1]
+    k = len(pivots)
+    cols = [j for j, _ in pivots]
+    scale = np.array([q**v for _, v in pivots], dtype=np.int64).reshape(k, 1)
+    free = np.ones(c, dtype=bool)
+    free[cols] = False
+    torsion = [i for i, (_, v) in enumerate(pivots) if v]
+    anns = [q ** pivots[i][1] for i in torsion] + [mod] * int(free.sum())
+    if B is not None and (B[k:].any() or (B[:k] % scale).any()):
+        B = None
+    m = 0 if B is None else B.shape[1]
+    X = np.zeros((c, m + len(anns)), dtype=np.int64)
+    if m:
+        X[cols, :m] = B[:k] // scale
+    for t, i in enumerate(torsion, m):
+        X[cols[i], t] = q ** (n - pivots[i][1])
+    X[free, m + len(torsion):] = np.eye(len(anns) - len(torsion), dtype=np.int64)
+    if not torsion:
+        # unit pivots: E is reduced, so each pivot variable reads off directly
+        X[cols, m:] = -E[:k][:, free] % mod
+    else:
+        # row i of E / q^v pins column j given the free and later pivot columns
+        for i in range(k - 1, -1, -1):
+            j = cols[i]
+            row = E[i] // scale[i]
+            row[j] = 0
+            X[j] = (X[j] - row @ X) % mod
+    particular = None if B is None else X[:, :m]
+    return particular, np.ascontiguousarray(X[:, m:].T), anns
 
 
 def solve_mod(a, rhs, mod):
@@ -426,99 +453,34 @@ def solve_mod(a, rhs, mod):
     rhs may be a vector or a matrix (each column solved simultaneously).
     Inconsistent systems come back with particular=None, never an exception.
     """
-    q, n = factor_prime_power(mod)
-    A = np.mod(np.asarray(a, dtype=np.int64), mod)
-    b = np.mod(np.asarray(rhs, dtype=np.int64), mod)
+    b = np.asarray(rhs, dtype=np.int64)
     vec = b.ndim == 1
     B = b.reshape(-1, 1) if vec else b
-    if A.shape[0] != B.shape[0]:
+    if np.shape(a)[0] != B.shape[0]:
         raise ValueError("rhs has wrong number of rows")
-    r, c = A.shape
-    U, D, V, pivots = smith_form_mod(A, mod)
-    C = (U @ B) % mod
-    Y = np.zeros((c, B.shape[1]), dtype=np.int64)
-    ok = True
-    for i in range(r):
-        if i < len(pivots):
-            dv = q ** pivots[i]
-            if np.any(C[i] % dv):
-                ok = False
-                break
-            Y[i] = (C[i] // dv) % mod
-        else:
-            if np.any(C[i]):
-                ok = False
-                break
-    particular = None
-    if ok:
-        X = (V @ Y) % mod
-        particular = X.reshape(-1) if vec else X
-    kernel = []
-    for i in range(c):
-        if i < len(pivots):
-            v = pivots[i]
-            if v == 0:
-                continue
-            gen = (V[:, i] * (q ** (n - v))) % mod
-            kernel.append((gen, q**v))
-        else:
-            kernel.append((V[:, i].copy() % mod, mod))
-    return LinearSolution(particular, kernel, mod)
+    particular, gens, anns = _solve_echelon(a, B, mod)
+    if particular is not None and vec:
+        particular = particular.reshape(-1)
+    return LinearSolution(particular, list(zip(gens, anns)), mod)
 
 
 def kernel_gens(a, mod):
-    """Generators (vector, annihilator) of the right kernel of `a` over Z/mod.
-
-    Over a prime q these are the kernel_mod basis rows, each of annihilator
-    q; over q^n (n >= 2) the chain-ring kernel generators of solve_mod.
-    """
-    q, n = factor_prime_power(mod)
-    if n == 1:
-        return [(v, q) for v in kernel_mod(a, q)]
-    a = np.asarray(a, dtype=np.int64)
-    return solve_mod(a, np.zeros(a.shape[0], dtype=np.int64), mod).kernel
-
-
-# -- fast paths over a prime field ----------------------------------------
+    """Generators (vector, annihilator) of the right kernel of `a` over
+    Z/mod whose cyclic spans form a direct sum (the generators of
+    annihilator mod span the free part)."""
+    _, gens, anns = _solve_echelon(a, None, mod)
+    return list(zip(gens, anns))
 
 
 def rref_mod(a, p):
     """Reduced row echelon form mod prime p; returns (R, pivot_columns)."""
-    A = np.mod(np.asarray(a, dtype=np.int64), p).copy()
-    r, c = A.shape
-    pivots = []
-    row = 0
-    for col in range(c):
-        if row >= r:
-            break
-        nz = np.nonzero(A[row:, col])[0]
-        if nz.size == 0:
-            continue
-        i = row + int(nz[0])
-        if i != row:
-            A[[row, i]] = A[[i, row]]
-        A[row] = (A[row] * inverse_mod(int(A[row, col]), p)) % p
-        other = np.nonzero(A[:, col])[0]
-        other = other[other != row]
-        if other.size:
-            A[other] = (A[other] - np.outer(A[other, col], A[row])) % p
-        pivots.append(col)
-        row += 1
-    return A, pivots
+    R, pivots, _ = echelon_mod(a, p)
+    return R, [j for j, _ in pivots]
 
 
 def kernel_mod(a, p):
     """Basis (rows) of the right kernel of `a` mod prime p."""
-    A = np.asarray(a, dtype=np.int64)
-    c = A.shape[1]
-    R, pivots = rref_mod(A, p)
-    free = [j for j in range(c) if j not in pivots]
-    basis = np.zeros((len(free), c), dtype=np.int64)
-    for k, j in enumerate(free):
-        basis[k, j] = 1
-        for i, col in enumerate(pivots):
-            basis[k, col] = (-R[i, j]) % p
-    return basis
+    return _solve_echelon(a, None, p)[1]
 
 
 def row_space_mod(a, p):
@@ -528,18 +490,11 @@ def row_space_mod(a, p):
 
 
 def extend_basis(inner, vectors, p):
-    """Indices of `vectors` rows extending row-space `inner` to inner+vectors."""
-    chosen = []
-    cur = inner.copy() if inner.size else inner.reshape(0, vectors.shape[1])
-    rank = len(rref_mod(cur, p)[1]) if cur.size else 0
-    for i, v in enumerate(vectors):
-        cand = np.vstack([cur, v.reshape(1, -1)]) if cur.size else v.reshape(1, -1)
-        rk = len(rref_mod(cand, p)[1])
-        if rk > rank:
-            chosen.append(i)
-            cur = cand
-            rank = rk
-    return chosen
+    """Indices of `vectors` rows extending row-space `inner` to inner+vectors:
+    the pivot columns past `inner` of one rref of [inner; vectors]^T."""
+    k = len(inner)
+    stacked = np.vstack([np.reshape(inner, (k, vectors.shape[1])), vectors])
+    return [j - k for j in rref_mod(stacked.T, p)[1] if j >= k]
 
 
 class PolyX:

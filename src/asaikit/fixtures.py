@@ -324,7 +324,8 @@ def _ribet_reps(group, index, q, d, chi_val, n_v, modn, corner):
 
 def ribet_fixture(q=7, d=6, alpha=2, chi_val=3, deform=1, precision=2,
                   level=None) -> Fixture:
-    """Pipeline fixture: G = F_q x| (C_d x C_2), involutive ctilde negating V.
+    """Pipeline fixture: G = V x| (C_d x C_2), V = Z/q^k with
+    k = precision - level, involutive ctilde negating V.
 
     chi is the order-d character of H = V x| C_d with chi(delta) = chi_val;
     chi_val^2 = alpha mod q makes Hom_Delta(V, chi^2) nonzero, so the 2-dim
@@ -334,7 +335,9 @@ def ribet_fixture(q=7, d=6, alpha=2, chi_val=3, deform=1, precision=2,
         ctil -> diag(1, -1)                 (w = Teichmueller lift of chi_val)
 
     has a non-split class sitting `level` lattice steps down (default: one
-    step below the reduction).  deform=0 ships the split variant.
+    step below the reduction, where V = F_q).  The corner q^level v needs v
+    mod q^k, and delta scales V by w^2 mod q^k.  deform=0 ships the split
+    variant.
     """
     if pow(chi_val, 2, q) != alpha % q:
         raise ValueError("need chi_val^2 = alpha mod q for a nonzero class")
@@ -342,11 +345,15 @@ def ribet_fixture(q=7, d=6, alpha=2, chi_val=3, deform=1, precision=2,
         level = precision - 1
     if not 1 <= level < precision:
         raise ValueError("the planted level must satisfy 1 <= level < precision")
-    group, index = affine_pipeline_group(q, d, alpha)
-    reps = _ribet_reps(group, index, q, d, chi_val, q, q**precision, q**level * deform)
+    n_v = q ** (precision - level)
+    w = _lift_root_of_unity(chi_val, d, q, n_v)
+    group, index = affine_pipeline_group(n_v, d, w * w % n_v)
+    reps = _ribet_reps(group, index, q, d, chi_val, n_v, q**precision, q**level * deform)
     suffix = "" if deform else "_split"
     if precision != 2:
         suffix += f"_prec{precision}"
+    if level != precision - 1:
+        suffix += f"_level{level}"
     return Fixture(
         f"ribet_q{q}_d{d}" + suffix,
         group,

@@ -30,11 +30,11 @@ from .exactalg import (
     Mat,
     PolyX,
     charpoly,
+    extend_basis,
     factor_prime_power,
     kernel_gens,
     rref_mod,
     rref_rational,
-    row_space_mod,
     solve_mod,
 )
 from .grouprep import (
@@ -268,9 +268,9 @@ def _mod_q_triangularization(latt: LatticeRep):
             "block order (rhobar1 does not embed)"
         )
     m1 = hom1[0].a  # (d1+d2) x d1, columns span the rhobar1-subspace
-    sub = row_space_mod(m1.T, q)
+    sub, piv = rref_mod(m1.T, q)
+    sub = sub[: len(piv)]
     # complement via pivot-free coordinates
-    _, piv = rref_mod(sub, q)
     free = [j for j in range(d1 + d2) if j not in piv]
     lift = np.zeros((d1 + d2, d2), dtype=np.int64)
     for i, j in enumerate(free):
@@ -444,8 +444,7 @@ def theorem_main_pipeline(
     in_sel = None
     if selmer is not None:
         sel = selmer_subgroup(data_as, selmer)
-        stacked = np.vstack([sel, coords]) if len(sel) else coords.reshape(1, -1)
-        in_sel = len(rref_mod(stacked, q)[1]) == len(rref_mod(sel, q)[1]) if len(sel) else not np.any(coords)
+        in_sel = not extend_basis(sel, coords.reshape(1, -1), q)
     details = {"psi_at_ctilde": -1 if psic_sign == -1 else 1,
                "h1_dim": int(data_as.dim)}
     if k_parity is not None:

@@ -4,9 +4,9 @@ import pytest
 from asaikit.exactalg import (
     Mat,
     PolyX,
+    echelon_mod,
     exterior_square,
     kernel_mod,
-    smith_form_mod,
     solve_mod,
     tensor_product,
     validate_modulus,
@@ -187,14 +187,27 @@ def test_solve_depth_three_chain_ring():
     assert span.particular is not None
 
 
-def test_smith_form_reconstruction():
+def test_echelon_form_generates_the_row_module():
     rng = np.random.default_rng(9)
+    deep = np.random.default_rng(10)
     for mod in (7, 121, 27):
-        a = rng.integers(0, mod, size=(5, 3))
-        U, D, V, piv = smith_form_mod(a, mod)
-        assert np.array_equal(np.mod(U @ a @ V, mod), D)
         q, _ = validate_modulus(mod)
-        assert all(int(D[i, i]) % q ** piv[i] == 0 for i in range(len(piv)))
+        cases = [rng.integers(0, mod, size=(5, 3))] + [
+            deep.integers(0, mod, size=(5, 3)) * q ** deep.integers(0, 3, size=(5, 3)) % mod
+            for _ in range(8)
+        ]
+        for a in cases:
+            e, pivots, _ = echelon_mod(a, mod)
+            # each row module lies in the other: e = P a and a = Q e
+            assert solve_mod(a.T, e.T, mod).particular is not None
+            assert solve_mod(e.T, a.T, mod).particular is not None
+            vals = [v for _, v in pivots]
+            assert vals == sorted(vals)
+            for i, (j, v) in enumerate(pivots):
+                assert e[i, j] == q**v
+                assert not np.any(e[i] % q**v)
+                assert not np.any(e[i + 1:, j])
+            assert not np.any(e[len(pivots):])
 
 
 def test_inverse_roundtrip():

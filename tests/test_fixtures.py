@@ -4,6 +4,8 @@ import json
 import pytest
 
 from asaikit.fixtures import ribet_fixture, ribet_v0_fixture, shipped_fixture_builders
+from asaikit.grouprep import coset_sign_character
+from asaikit.polarization import LatticeRep, theorem_main_pipeline
 
 # sha256 of json.dumps(fixture.to_json(), sort_keys=True): elements, table, H,
 # ctilde, every rep image and the metadata.  A builder change that alters any
@@ -38,3 +40,16 @@ def test_fixture_content_is_pinned(name):
 
 def test_every_shipped_fixture_is_pinned():
     assert set(shipped_fixture_builders()) <= set(FIXTURE_SHA256)
+
+
+@pytest.mark.parametrize("precision, level", [(3, 1), (4, 2)])
+def test_ribet_fixture_plants_a_class_below_the_default_level(precision, level):
+    # V = Z/7^2 carries the corner 7^level v over Z/7^precision
+    fix = ribet_fixture(7, precision=precision, level=level)
+    assert fix.name == f"ribet_q7_d6_prec{precision}_level{level}"
+    assert fix.group.n == 588
+    lattice = fix.rep("lattice")
+    latt = LatticeRep(lattice, fix.rep("chi"), fix.rep("chi_inv"))
+    report = theorem_main_pipeline(latt, coset_sign_character(fix.group, lattice.mod))
+    assert report.level == level
+    assert report.eigenvalue_law_holds
