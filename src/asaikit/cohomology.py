@@ -27,7 +27,7 @@ from .exactalg import (
     rref_mod,
     solve_mod,
 )
-from .grouprep import Rep, conjugate_rep, induce, tensor_induce
+from .grouprep import Rep, conjugate_rep, induce, kron_stack, tensor_induce
 
 
 class Cocycle:
@@ -54,10 +54,8 @@ class Cocycle:
             raise ValueError("cocycle identity fails")
 
     def value(self, g):
-        p = int(self.module.pos[g])
-        if p < 0:
-            raise KeyError(f"element {g} not in cocycle domain")
-        return self.values[p]
+        """phi(g), or the stack of values on an index array g."""
+        return self.values[self.module.index(g)]
 
     def __add__(self, other):
         return Cocycle(self.module, (self.values + other.values) % self.module.mod,
@@ -88,10 +86,13 @@ def coboundary(module: Rep, x) -> Cocycle:
 class H1Data:
     """Exact Z^1 / B^1 / H^1 data for a module, in generator coordinates.
 
-    A cocycle is determined by its values on `gens`; `expand[g]` maps that
-    generator-value vector to phi(g).  Z^1 is the kernel of the consistency
-    system over all (element, generator) pairs, B^1 the image of the
-    coboundary map, and the H^1 representatives extend B^1 to Z^1.
+    A cocycle is determined by its values on `gens`; `expand[module.pos[g]]`
+    maps that generator-value vector to phi(g).  It is filled breadth-first
+    from the identity, one batched step per layer, through the first
+    (frontier element, generator) pair in row-major order that reaches each
+    new element: phi(a s) = phi(a) + a.phi(s).  Z^1 is the kernel of the
+    consistency system over all (element, generator) pairs, B^1 the image
+    of the coboundary map, and the H^1 representatives extend B^1 to Z^1.
     """
 
     def __init__(self, module: Rep):
@@ -102,47 +103,38 @@ class H1Data:
         self.module = m
         self.q = q
         g = m.group
-        els = list(m.elements)
-        self.gens = gens = m.gens
-        d = m.dim
-        D = len(gens) * d
-        # expansion phi(g) = expand[g] @ x by breadth-first closure
-        expand = {g.one: np.zeros((d, D), dtype=np.int64)}
-        gen_slices = {s: slice(i * d, (i + 1) * d) for i, s in enumerate(gens)}
-        frontier = [g.one]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                Ea = expand[a]
-                for s in gens:
-                    b = g.op(a, s)
-                    if b in expand:
-                        continue
-                    Eb = (m.arr(a) @ _gen_block(gen_slices[s], d, D) + Ea) % q
-                    expand[b] = Eb
-                    nxt.append(b)
-            frontier = nxt
-        assert len(expand) == len(els)
-        self.expand = expand
-        # consistency rows: phi(gs) - phi(g) - g.phi(s) = 0 for all g, gens s
-        rows = []
-        for a in els:
-            Ea = expand[a]
-            act_a = m.arr(a)
-            for s in gens:
-                Eb = expand[g.op(a, s)]
-                rows.append((Eb - Ea - act_a @ _gen_block(gen_slices[s], d, D)) % q)
-        sys = np.vstack(rows) if rows else np.zeros((0, D), dtype=np.int64)
-        self.z1 = kernel_mod(sys, q)  # rows: gen-coordinate vectors
-        # coboundaries in generator coordinates
-        db = np.zeros((d, D), dtype=np.int64)
-        cb = []
+        self.gens = m.gens
+        gens = np.array(m.gens)
+        N, k, d = len(m.elements), len(gens), m.dim
+        D = k * d
+        expand = np.zeros((N, d, k, d), dtype=np.int64)
+        seen = np.zeros(g.n, dtype=bool)
+        seen[g.one] = True
+        frontier = np.array([g.one])
+        while frontier.size:
+            prods = g.mul[np.ix_(frontier, gens)].reshape(-1)
+            fresh = np.flatnonzero(~seen[prods])
+            _, first = np.unique(prods[fresh], return_index=True)
+            edge = np.sort(fresh[first])  # discovery order
+            a, new = frontier[edge // k], prods[edge]
+            # phi(a s) = phi(a) + a.phi(s): rho(a) lands in s's column block
+            step = expand[m.pos[a]]
+            step[np.arange(len(edge)), :, edge % k, :] += m.arr(a)
+            expand[m.pos[new]] = step % q
+            seen[new] = True
+            frontier = new
+        assert np.array_equal(np.flatnonzero(seen), m.elements)
+        self.expand = expand.reshape(N, d, D)
+        # consistency rows: phi(x s) - phi(x) - x.phi(s) = 0 for all x, gens s
+        sys = self.expand[m.pos[g.mul[np.ix_(m.elements, gens)]]]
+        sys -= self.expand[:, None]
+        sys.reshape(N, k, d, k, d)[:, np.arange(k), :, np.arange(k), :] -= m.images[None]
+        sys %= q
+        self.z1 = kernel_mod(sys.reshape(N * k * d, D), q)  # gen-coordinate rows
+        # row j: the coboundary of e_j in generator coordinates, s.e_j - e_j
         eye = np.eye(d, dtype=np.int64)
-        for j in range(d):
-            x = eye[j]
-            vec = np.concatenate([(m.arr(s) @ x - x) % q for s in gens])
-            cb.append(vec)
-        self.b1 = row_space_mod(np.array(cb), q) if cb else np.zeros((0, D), dtype=np.int64)
+        self.coboundaries = (m.arr(gens) - eye).transpose(2, 0, 1).reshape(d, D) % q
+        self.b1 = row_space_mod(self.coboundaries, q)
         keep = extend_basis(self.b1, self.z1, q)
         self.h1_reps = self.z1[keep] if keep else np.zeros((0, D), dtype=np.int64)
         self.dim = len(self.h1_reps)
@@ -151,14 +143,10 @@ class H1Data:
         ) else np.zeros((0, D), dtype=np.int64)
 
     def gen_vector(self, cocycle: Cocycle) -> np.ndarray:
-        return np.concatenate([cocycle.value(s) for s in self.gens]) % self.q
+        return cocycle.value(np.array(self.gens)).reshape(-1) % self.q
 
     def cocycle_from_gen_vector(self, x) -> Cocycle:
-        m = self.module
-        vals = np.zeros((len(m.elements), m.dim), dtype=np.int64)
-        for g in m.elements:
-            vals[m.pos[g]] = self.expand[g] @ np.asarray(x) % self.q
-        return Cocycle(m, vals)
+        return Cocycle(self.module, self.expand @ np.asarray(x) % self.q)
 
     def representative(self, i) -> Cocycle:
         return self.cocycle_from_gen_vector(self.h1_reps[i])
@@ -195,12 +183,6 @@ class H1Data:
         return np.stack(cols, axis=1) % self.q
 
 
-def _gen_block(slc, d, D):
-    out = np.zeros((d, D), dtype=np.int64)
-    out[:, slc] = np.eye(d, dtype=np.int64)
-    return out
-
-
 def h1(module: Rep) -> H1Data:
     """Z^1 basis, B^1 basis and H^1 representatives for a module over F_q."""
     return H1Data(module)
@@ -224,9 +206,7 @@ def conj_action(cocycle: Cocycle, ambient: Rep) -> Cocycle:
     if ambient.restrict(m.elements) != m:
         raise ValueError("ambient action does not restrict to the cocycle's module")
     act_c = ambient.arr(g.ctilde)
-    vals = np.zeros_like(cocycle.values)
-    for x in m.elements:
-        vals[m.pos[x]] = act_c @ cocycle.value(g.conj_ctilde(x)) % m.mod
+    vals = cocycle.value(g.conj_ctilde(np.array(m.elements))) @ act_c.T % m.mod
     return Cocycle(m, vals)
 
 
@@ -242,13 +222,9 @@ def hom_module(rho: Rep, sigma: Rep) -> Rep:
     """Hom(sigma, rho) with action g.X = rho(g) X sigma(g)^{-1} (vec row-major)."""
     if rho.group is not sigma.group or rho.domain != sigma.domain or rho.mod != sigma.mod:
         raise ValueError("mismatched representations")
-    g = rho.group
-    d = rho.dim * sigma.dim
-    imgs = np.zeros((len(rho.elements), d, d), dtype=np.int64)
-    for x in rho.elements:
-        s_inv_t = sigma.arr(g.inverse(x)).T
-        imgs[rho.pos[x]] = np.kron(rho.arr(x), s_inv_t) % rho.mod
-    return Rep(g, rho.domain, imgs, rho.mod, validate=False)
+    s_inv_t = sigma.arr(rho.group.inv[np.array(rho.elements)]).transpose(0, 2, 1)
+    imgs = kron_stack(rho.images, s_inv_t, rho.mod)
+    return Rep(rho.group, rho.domain, imgs, rho.mod, validate=False)
 
 
 def conjugate_hom_module(rho: Rep) -> Rep:
@@ -270,7 +246,6 @@ def hom_to_as_matrix(n, mod):
     """
     if n != 2:
         raise ValueError("canonical pairing iso implemented for 2-dim rho")
-    omega = np.array([[0, 1], [mod - 1, 0]], dtype=np.int64)
     omega_inv = np.array([[0, mod - 1], [1, 0]], dtype=np.int64)
     return np.kron(np.eye(n, dtype=np.int64), omega_inv) % mod
 
@@ -302,32 +277,25 @@ def polarization_involution(cocycle: Cocycle, rho: Rep, eps_pow: Rep | None = No
         P = np.array([[0, 1], [mod - 1, 0]], dtype=np.int64)
     P_inv = Mat(P, mod).inverse().a
     rc = conjugate_rep(rho)
-    eps_vals = {}
-    for x in rho.elements:
-        if eps_pow is not None:
-            eps_vals[x] = eps_pow.value(x)
-        else:
-            # the twist is pinned by the compatibility condition on H
-            eps_vals[x] = Mat(rho.arr(x), mod).det()
+    # without eps_pow the twist is pinned by the compatibility condition on H
+    eps = eps_pow if eps_pow is not None else rho.det_character()
     # fixture validity: P rho_perp P^{-1} = rho^c exactly
-    for x in rho.elements:
-        perp = (eps_vals[x] * rho.arr(g.inverse(g.conj_ctilde(x))).T) % mod
-        if not np.array_equal((P @ perp @ P_inv) % mod, rc.arr(x)):
-            raise ValueError("P rho_perp P^{-1} = rho^c fails: invalid fixture")
-    vals = np.zeros_like(cocycle.values)
-    for x in m.elements:
-        cgc = g.conj_ctilde(x)
-        cginvc = g.conj_ctilde(g.inverse(x))
-        phi_cgc = cocycle.value(cgc).reshape(2, 2)
-        phi_cginvc = cocycle.value(cginvc).reshape(2, 2)
-        b = phi_cginvc @ rc.arr(cginvc) % mod
-        rcx_inv = rc.arr(g.inverse(x))
-        defn = (eps_vals[x] * (P @ b.T @ P_inv @ rcx_inv)) % mod
-        simp = (P @ ((-phi_cgc) % mod).T @ P_inv) % mod
-        if not np.array_equal(defn, simp):
-            raise AssertionError("polarization involution formulas disagree")
-        vals[m.pos[x]] = defn.reshape(-1)
-    return Cocycle(m, vals)
+    els = np.array(rho.elements)
+    perp = (rho.arr(g.inv[g.conj_ctilde(els)]).transpose(0, 2, 1)
+            * eps.value(els)[:, None, None] % mod)
+    if not np.array_equal(P @ perp % mod @ P_inv % mod, rc.images):
+        raise ValueError("P rho_perp P^{-1} = rho^c fails: invalid fixture")
+    xs = np.array(m.elements)
+    cginvc = g.conj_ctilde(g.inv[xs])
+    phi_cgc = cocycle.value(g.conj_ctilde(xs)).reshape(-1, 2, 2)
+    phi_cginvc = cocycle.value(cginvc).reshape(-1, 2, 2)
+    b_t = (phi_cginvc @ rc.arr(cginvc) % mod).transpose(0, 2, 1)
+    defn = (P @ b_t % mod @ P_inv % mod @ rc.arr(g.inv[xs]) % mod
+            * eps.value(xs)[:, None, None] % mod)
+    simp = P @ (-phi_cgc % mod).transpose(0, 2, 1) % mod @ P_inv % mod
+    if not np.array_equal(defn, simp):
+        raise AssertionError("polarization involution formulas disagree")
+    return Cocycle(m, defn.reshape(len(xs), 4))
 
 
 def polarization_involution_matrix(h1d: H1Data, rho: Rep,
@@ -374,10 +342,7 @@ def shapiro(module: Rep) -> ShapiroResult:
     d = module.dim
 
     def down(z: Cocycle) -> Cocycle:
-        vals = np.zeros((len(module.elements), d), dtype=np.int64)
-        for x in module.elements:
-            vals[module.pos[x]] = z.value(x)[:d]
-        return Cocycle(module, vals)
+        return Cocycle(module, z.value(np.array(module.elements))[:, :d])
 
     mat = h1_G.map_matrix(down, h1_H)
     if h1_G.dim != h1_H.dim:

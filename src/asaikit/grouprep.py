@@ -2,9 +2,13 @@
 representations over F_q / Z/q^n.
 
 The group is stored by its full multiplication table (fixtures are small).
-The group axioms and every representation are checked on generators (Light's
-test), exactly: the elements c with (x y) c = x (y c) for all x, y -- or
-with rho(x c) = rho(x) rho(c) for all x -- are closed under products, so
+Every map over group elements -- conjugation by ctilde, rho^c, the dual,
+induction, tensor induction -- is one gather through the index arrays
+(`mul`, `inv`, `Rep.pos`, the H mask) plus a batched product over the image
+stack, reduced mod m between factors.  The group axioms and every
+representation are checked on generators (Light's test), exactly: the
+elements c with (x y) c = x (y c) for all x, y -- or with
+rho(x c) = rho(x) rho(c) for all x -- are closed under products, so
 checking them on a generating set checks them on the whole group.  The two
 canonical extensions of rho (x) rho^c from the index-2 subgroup H to G are
 ``tensor_induce(rho, +1)`` and ``tensor_induce(rho, -1)``; they differ by
@@ -84,10 +88,9 @@ class FiniteGroup:
         if self.one not in hs:
             raise ValueError("H does not contain the identity")
         harr = np.array(self.H)
-        prods = self.mul[np.ix_(harr, harr)]
-        if not set(np.unique(prods)) <= hs:
+        if not self.h_mask[self.mul[np.ix_(harr, harr)]].all():
             raise ValueError("H is not closed under multiplication")
-        if any(int(self.inv[h]) not in hs for h in self.H):
+        if not self.h_mask[self.inv[harr]].all():
             raise ValueError("H is not closed under inverses")
         if self.ctilde in hs or not (0 <= self.ctilde < n):
             raise ValueError("ctilde must lie outside H")
@@ -101,14 +104,24 @@ class FiniteGroup:
         return int(self.inv[g])
 
     def conj(self, c, g):
-        """c g c^{-1}."""
-        return int(self.mul[self.mul[c, g], self.inv[c]])
+        """c g c^{-1}, elementwise on an index array g."""
+        x = self.mul[self.mul[c, g], self.inv[c]]
+        return int(x) if np.ndim(x) == 0 else x
 
     def conj_ctilde(self, g):
         return self.conj(self.ctilde, g)
 
     def in_H(self, g):
         return g in self.H_set
+
+    @functools.cached_property
+    def h_mask(self) -> np.ndarray:
+        """Boolean mask of H over the element indices (built on first use,
+        so `validate` has range-checked H by then)."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[list(self.H)] = True
+        mask.flags.writeable = False
+        return mask
 
     def order_of(self, g):
         k, x = 1, g
@@ -152,7 +165,7 @@ class FiniteGroup:
         return self._gens[key]
 
     def coset_elements(self):
-        return [g for g in range(self.n) if g not in self.H_set]
+        return np.flatnonzero(~self.h_mask).tolist()
 
 
 class Rep:
@@ -226,22 +239,23 @@ class Rep:
 
     # -- access ---------------------------------------------------------------
 
-    def at(self, g) -> Mat:
-        p = int(self.pos[g])
-        if p < 0:
+    def index(self, g):
+        """Positions in `elements` of g (an element or an index array);
+        KeyError for anything outside the domain."""
+        p = self.pos[g]
+        if (p < 0).any():
             raise KeyError(f"element {g} not in domain")
-        return Mat(self.images[p], self.mod)
+        return p
 
     def arr(self, g):
-        p = int(self.pos[g])
-        if p < 0:
-            raise KeyError(f"element {g} not in domain")
-        return self.images[p]
+        """The image of g, or the stack of images of an index array g."""
+        return self.images[self.index(g)]
 
     def value(self, g):
         if self.dim != 1:
             raise ValueError("value() is for characters (dim 1)")
-        return int(self.arr(g)[0, 0])
+        v = self.arr(g)[..., 0, 0]
+        return int(v) if v.ndim == 0 else v
 
     def __eq__(self, other):
         return (
@@ -278,7 +292,7 @@ class Rep:
         """rho tensor chi for a character chi on the same (or larger) domain."""
         if chi.dim != 1:
             raise ValueError("twist by a character only")
-        vals = np.array([chi.value(g) for g in self.elements])
+        vals = chi.value(np.array(self.elements))
         imgs = (self.images * vals[:, None, None]) % self.mod
         return Rep(self.group, self.domain, imgs, self.mod, validate=False)
 
@@ -288,9 +302,7 @@ class Rep:
     def tensor(self, other: "Rep") -> "Rep":
         if self.domain != other.domain or self.mod != other.mod:
             raise ValueError("tensor needs matching domain and modulus")
-        imgs = np.einsum("aij,akl->aikjl", self.images, other.images).reshape(
-            len(self.elements), self.dim * other.dim, self.dim * other.dim
-        ) % self.mod
+        imgs = kron_stack(self.images, other.images, self.mod)
         return Rep(self.group, self.domain, imgs, self.mod, validate=False)
 
     def det_character(self) -> "Rep":
@@ -298,6 +310,13 @@ class Rep:
             [[[Mat(m, self.mod).det()]] for m in self.images], dtype=np.int64
         )
         return Rep(self.group, self.domain, vals, self.mod, validate=False)
+
+
+def kron_stack(a, b, mod) -> np.ndarray:
+    """Elementwise Kronecker product of two stacks of matrices, mod m."""
+    n, r1, c1 = a.shape
+    _, r2, c2 = b.shape
+    return np.einsum("aij,akl->aikjl", a, b).reshape(n, r1 * r2, c1 * c2) % mod
 
 
 def make_character(group: FiniteGroup, domain: str, values, mod) -> Rep:
@@ -313,10 +332,7 @@ def trivial_character(group: FiniteGroup, domain: str, mod) -> Rep:
 
 
 def coset_sign_character(group: FiniteGroup, mod) -> Rep:
-    vals = np.array(
-        [[[1 if g in group.H_set else mod - 1]] for g in range(group.n)],
-        dtype=np.int64,
-    )
+    vals = np.where(group.h_mask, 1, mod - 1).astype(np.int64).reshape(-1, 1, 1)
     return Rep(group, "G", vals, mod, validate=False)
 
 
@@ -333,7 +349,7 @@ def conjugate_rep(rho: Rep) -> Rep:
     if rho.domain == "G":
         warnings.warn("conjugating a representation of the whole group: "
                       "the result is isomorphic to the input", stacklevel=2)
-    imgs = np.stack([rho.arr(g.conj_ctilde(x)) for x in rho.elements])
+    imgs = rho.arr(g.conj_ctilde(np.array(rho.elements)))
     return Rep(g, rho.domain, imgs, rho.mod, validate=False)
 
 
@@ -342,13 +358,11 @@ def dual_twist(rho: Rep, psi: Rep | None) -> Rep:
     if psi is not None and psi.mod != rho.mod:
         raise ValueError("modulus mismatch")
     g = rho.group
-    imgs = np.empty_like(rho.images)
-    for x in rho.elements:
-        m = rho.arr(g.inverse(x)).T
-        if psi is not None:
-            m = m * psi.value(x)
-        imgs[rho.pos[x]] = np.mod(m, rho.mod)
-    return Rep(g, rho.domain, imgs, rho.mod, validate=False)
+    els = np.array(rho.elements)
+    imgs = rho.arr(g.inv[els]).transpose(0, 2, 1)
+    if psi is not None:
+        imgs = imgs * psi.value(els)[:, None, None]
+    return Rep(g, rho.domain, imgs % rho.mod, rho.mod, validate=False)
 
 
 def induce(rho: Rep) -> Rep:
@@ -361,32 +375,34 @@ def induce(rho: Rep) -> Rep:
         raise ValueError("induce expects a representation of H")
     g = rho.group
     d = rho.dim
-    cinv = g.inverse(g.ctilde)
+    xs = np.arange(g.n)
+    h, o = xs[g.h_mask], xs[~g.h_mask]
     imgs = np.zeros((g.n, 2 * d, 2 * d), dtype=np.int64)
-    for x in range(g.n):
-        if g.in_H(x):
-            imgs[x, :d, :d] = rho.arr(x)
-            imgs[x, d:, d:] = rho.arr(g.conj_ctilde(x))
-        else:
-            imgs[x, :d, d:] = rho.arr(g.op(x, cinv))
-            imgs[x, d:, :d] = rho.arr(g.op(g.ctilde, x))
+    imgs[h, :d, :d] = rho.arr(h)
+    imgs[h, d:, d:] = rho.arr(g.conj_ctilde(h))
+    imgs[o, :d, d:] = rho.arr(g.mul[o, g.inv[g.ctilde]])
+    imgs[o, d:, :d] = rho.arr(g.mul[g.ctilde, o])
     return Rep(g, "G", imgs, rho.mod)
+
+
+def _swap_perm(n) -> np.ndarray:
+    """The flip x tensor y -> y tensor x as a permutation of the n^2
+    coordinates; it is its own inverse."""
+    return np.arange(n * n).reshape(n, n).T.reshape(-1)
 
 
 def swap_matrix(n, mod) -> np.ndarray:
     """The flip x tensor y -> y tensor x on an n^2-dimensional space."""
-    s = np.zeros((n * n, n * n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            s[j * n + i, i * n + j] = 1
-    return s % mod
+    return np.eye(n * n, dtype=np.int64)[_swap_perm(n)] % mod
 
 
 def tensor_induce(rho: Rep, sign: int, ctilde: int | None = None) -> Rep:
     """The two canonical extensions of rho (x) rho^c to G (sign = +1 or -1).
 
     On H the action is rho(h) (x) rho^c(h); the chosen coset representative
-    sends x (x) y to +- y (x) rho(ctilde^2) x.  The result is validated on
+    sends x (x) y to +- y (x) rho(ctilde^2) x.  Off H the image is
+    rho(g ctilde^{-1}) (x) rho(ctilde g) followed by the swap, applied as a
+    column permutation times the sign.  The result is validated on
     construction, on generators (Light's test), exactly.
     """
     if rho.domain != "H":
@@ -401,20 +417,13 @@ def tensor_induce(rho: Rep, sign: int, ctilde: int | None = None) -> Rep:
     if g.in_H(ct):
         raise ValueError("ctilde must lie outside H")
     d = rho.dim
-    cinv = g.inverse(ct)
-    s = swap_matrix(d, rho.mod)
-    if sign == -1:
-        s = (-s) % rho.mod
-    imgs = np.zeros((g.n, d * d, d * d), dtype=np.int64)
-    for x in range(g.n):
-        if g.in_H(x):
-            a = rho.arr(x)
-            b = rho.arr(g.conj(ct, x))
-            imgs[x] = np.kron(a, b) % rho.mod
-        else:
-            a = rho.arr(g.op(x, cinv))
-            b = rho.arr(g.op(ct, x))
-            imgs[x] = (np.kron(a, b) @ s) % rho.mod
+    xs = np.arange(g.n)
+    on_h = g.h_mask
+    left = np.where(on_h, xs, g.mul[xs, g.inv[ct]])
+    right = np.where(on_h, g.conj(ct, xs), g.mul[ct, xs])
+    imgs = kron_stack(rho.arr(left), rho.arr(right), rho.mod)
+    # M @ swap_matrix(d) permutes the columns of M
+    imgs[~on_h] = sign * imgs[~on_h][:, :, _swap_perm(d)] % rho.mod
     return Rep(g, "G", imgs, rho.mod)  # validate=True: table failure = bug
 
 
@@ -423,13 +432,12 @@ def transfer_character(chi: Rep) -> Rep:
     if chi.dim != 1 or chi.domain != "H":
         raise ValueError("transfer expects a character of H")
     g = chi.group
-    vals = np.zeros((g.n, 1, 1), dtype=np.int64)
-    for x in range(g.n):
-        if g.in_H(x):
-            vals[x, 0, 0] = chi.value(x) * chi.value(g.conj_ctilde(x)) % chi.mod
-        else:
-            vals[x, 0, 0] = chi.value(g.op(x, x))
-    return Rep(g, "G", vals, chi.mod)
+    xs = np.arange(g.n)
+    on_h = g.h_mask
+    first = chi.value(np.where(on_h, xs, g.mul[xs, xs]))
+    second = chi.value(g.conj_ctilde(np.where(on_h, xs, g.one)))
+    vals = np.where(on_h, first * second % chi.mod, first)
+    return Rep(g, "G", vals.reshape(-1, 1, 1), chi.mod)
 
 
 def fixed_space(rep: Rep, block) -> list[tuple[np.ndarray, int]]:

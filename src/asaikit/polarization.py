@@ -20,7 +20,6 @@ from .cohomology import (
     Cocycle,
     SelmerStructure,
     as_twisted_module,
-    coboundary,
     conj_action,
     h1,
     hom_module,
@@ -173,9 +172,9 @@ def sign_congruence(p1: PolarizedRep, p2: PolarizedRep) -> dict:
         raise ValueError("mismatched representations")
     q, n = factor_prime_power(r1.mod)
     report = {"q": q, "modulus": r1.mod}
-    for x in r1.elements:
-        if (p1.psi.value(x) - p2.psi.value(x)) % q:
-            raise ValueError("polarization characters disagree mod q")
+    els = np.array(r1.elements)
+    if np.any((p1.psi.value(els) - p2.psi.value(els)) % q):
+        raise ValueError("polarization characters disagree mod q")
     red1, red2 = r1.reduce(q), r2.reduce(q)
     for red in (red1, red2):
         if endomorphism_free_rank(red) != 1:
@@ -279,7 +278,7 @@ def _mod_q_triangularization(latt: LatticeRep):
     basis = np.hstack([sub.T, lift]) % q
     proj = Mat(basis, q).inverse().a[d1:, :]  # complement coordinates
     # quotient action on the complement coordinates
-    quo = Rep(red.group, "H", proj @ red.images @ lift % q, q, validate=False)
+    quo = Rep(red.group, "H", proj @ red.images % q @ lift % q, q, validate=False)
     t = intertwiner_space(rb2, quo)
     tw = contains_invertible(t)
     if tw is None:
@@ -298,16 +297,13 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
     extract the extension class, descending the lattice chain while the
     class vanishes; termination is bounded by the precision n."""
     rep = latt.rep_H
-    g = rep.group
     q, n = factor_prime_power(rep.mod)
     mod = rep.mod
     rb1, rb2 = latt.rhobar1, latt.rhobar2
     d1, d2 = rb1.dim, rb2.dim
     v = _mod_q_triangularization(latt)
-    vinv = v.inverse()
-    imgs = np.stack([
-        (vinv.a @ rep.arr(x) @ v.a) % mod for x in rep.elements
-    ])
+    imgs = v.inverse().a @ rep.images % mod @ v.a % mod
+    rb2_inv = rb2.arr(rep.group.inv[np.array(rep.elements)])
     hmod = hom_module(rb1, rb2)  # Hom(rb2, rb1), action rb1 . X . rb2^{-1}
     data = h1(hmod)
     level = 0
@@ -317,25 +313,15 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
         if np.any(shoulders % scale):
             raise AssertionError("shoulder valuation dropped below the level")
         bvals = (shoulders // scale) % q
-        phi_vals = np.zeros((len(rep.elements), d1 * d2), dtype=np.int64)
-        for x in rep.elements:
-            b = bvals[rep.pos[x]]
-            phi = b @ rb2.arr(g.inverse(x)) % q  # phi(g) = b(g) rb2(g)^{-1}
-            phi_vals[rep.pos[x]] = phi.reshape(-1)
-        phi = Cocycle(hmod, phi_vals)
+        # phi(g) = b(g) rb2(g)^{-1}
+        phi = Cocycle(hmod, (bvals @ rb2_inv % q).reshape(len(imgs), d1 * d2))
         if not data.is_coboundary(phi):
             conj = Rep(rep.group, "H", imgs, mod, validate=False)
             return RibetResult(conj, phi, False, level, data)
         if level == n - 1:
             break
         # absorb the coboundary level and move one lattice step deeper
-        coords = data.gen_vector(phi)
-        sol = solve_mod(
-            np.array([data.gen_vector(coboundary_of(hmod, j)) for j in range(d1 * d2)]).T,
-            coords,
-            q,
-        )
-        x = sol.particular
+        x = solve_mod(data.coboundaries.T, data.gen_vector(phi), q).particular
         if x is None:
             raise AssertionError("coboundary did not solve")
         corr = x.reshape(d1, d2)
@@ -343,16 +329,10 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
         u[:d1, d1:] = (-scale * corr) % mod
         uinv = np.eye(d1 + d2, dtype=np.int64)
         uinv[:d1, d1:] = (scale * corr) % mod
-        imgs = np.stack([(uinv @ m @ u) % mod for m in imgs])
+        imgs = uinv @ imgs % mod @ u % mod
         level += 1
     conj = Rep(rep.group, "H", imgs, mod, validate=False)
     return RibetResult(conj, None, True, level, data)
-
-
-def coboundary_of(module: Rep, j):
-    x = np.zeros(module.dim, dtype=np.int64)
-    x[j] = 1
-    return coboundary(module, x)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,29 @@ def test_pipeline_custom_selmer(tmp_path):
     assert json.loads(report.read_text())["selmer_membership"] is False
 
 
+def test_pipeline_on_a_conjugated_seventh_power_lattice(tmp_path):
+    """A saved Z/13^7 lattice fixture, conjugated so that every level below
+    the class is scrambled, gives a report instead of a traceback."""
+    from asaikit.exactalg import Mat
+    from asaikit.fixtures import Fixture
+    from asaikit.grouprep import Rep
+
+    fix = ribet_fixture(13, d=4, alpha=12, chi_val=5, precision=7)
+    lat = fix.rep("lattice")
+    mod = lat.mod
+    u = Mat([[1, 2], [3, 7]], mod)
+    imgs = u.inverse().a @ lat.images % mod @ u.a % mod
+    reps = {"lattice": Rep(fix.group, "G", imgs, mod),
+            "chi": fix.rep("chi"), "chi_inv": fix.rep("chi_inv")}
+    Fixture("ribet_q13_conj", fix.group, reps, fix.meta).save(tmp_path / "ribet_q13_conj.json")
+    report = tmp_path / "p.json"
+    code = run(["pipeline", "ribet_q13_conj", "--fixtures", str(tmp_path),
+                "--report", str(report)])
+    obj = json.loads(report.read_text())
+    assert code == 0 and obj["ok"] is True
+    assert obj["lattice_level"] == 6 and obj["eigenvalue_law_holds"] is True
+
+
 def test_lfunc_primes(tmp_path):
     report = tmp_path / "l.json"
     assert run(["lfunc", "--primes", "3..20", "--verify-lambda2", "--seed", "2",

@@ -347,6 +347,19 @@ def test_c15_induction(s3):
     assert g.op(g.ctilde, g.ctilde) == g.one
 
 
+def test_tensor_induce_minus_sign_past_int64_products():
+    """Over Z/11^7 the signed swap holds 11^7 - 1, and multiplying an
+    unreduced Kronecker product by it overflowed int64.  As a column
+    permutation times -1, As^- is As^+ twisted by the coset sign."""
+    from asaikit.fixtures import _metacyclic_2dim_rep, metacyclic_pair
+
+    group, index = metacyclic_pair(5, 8, 2)
+    mod = 11**7
+    rho = _metacyclic_2dim_rep(group, index, 5, 8, 11, antisym_u=True, mod=mod)
+    plus_twisted = tensor_induce(rho, +1).twist(coset_sign_character(group, mod))
+    assert tensor_induce(rho, -1) == plus_twisted
+
+
 def test_tensor_induce_plain_swap_at_involution_2dim():
     """At an involutive coset representative, the plus coset action is the
     bare swap permutation on the n^2 basis vectors."""

@@ -421,6 +421,23 @@ def test_pipeline_precision3():
     assert rep.eigenvalue_law_holds
 
 
+def test_ribet_descent_reduces_between_factors_past_int64():
+    """Over Z/13^7 (accepted by the int64 product check) a product of three
+    residues overflows int64.  Conjugating the lattice by [[1, 2], [3, 7]]
+    scrambles all six levels below the class, and the descent still finds
+    it at level 6 with the eigenvalue law holding."""
+    fix = ribet_fixture(13, d=4, alpha=12, chi_val=5, precision=7)
+    lat = fix.rep("lattice")
+    mod = lat.mod
+    u = Mat([[1, 2], [3, 7]], mod)
+    imgs = u.inverse().a @ lat.images % mod @ u.a % mod
+    latt = LatticeRep(Rep(fix.group, "G", imgs, mod), fix.rep("chi"), fix.rep("chi_inv"))
+    rr = ribet_lattice(latt)
+    assert not rr.split and rr.level == 6
+    report = theorem_main_pipeline(latt, coset_sign_character(fix.group, mod))
+    assert report.level == 6 and report.eigenvalue_law_holds
+
+
 # ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------
