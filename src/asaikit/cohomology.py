@@ -194,19 +194,23 @@ def h1(module: Rep) -> H1Data:
 
 
 def conj_action(cocycle: Cocycle, ambient: Rep) -> Cocycle:
-    """(c.phi)(g) = ambient(ctilde) . phi(ctilde g ctilde^{-1}).
+    """(c.phi)(g) = ambient(ctilde) . phi(ctilde^{-1} g ctilde).
 
     `ambient` is a module over the whole group whose restriction to the
-    cocycle's domain must equal the cocycle's module exactly.
+    cocycle's domain must equal the cocycle's module exactly.  The result
+    is a cocycle for any ctilde, involutive or not; on H^1 it depends only
+    on the coset, since inner conjugation by H acts trivially.
     """
     m = cocycle.module
     g = m.group
     if ambient.domain != "G":
         raise ValueError("ambient module must be defined over the whole group")
-    if ambient.restrict(m.elements) != m:
+    els = np.array(m.elements)
+    if (ambient.group is not g or ambient.mod != m.mod
+            or not np.array_equal(ambient.arr(els), m.images)):
         raise ValueError("ambient action does not restrict to the cocycle's module")
     act_c = ambient.arr(g.ctilde)
-    vals = cocycle.value(g.conj_ctilde(np.array(m.elements))) @ act_c.T % m.mod
+    vals = cocycle.value(g.conj(g.inverse(g.ctilde), els)) @ act_c.T % m.mod
     return Cocycle(m, vals)
 
 
@@ -250,15 +254,16 @@ def hom_to_as_matrix(n, mod):
     return np.kron(np.eye(n, dtype=np.int64), omega_inv) % mod
 
 
-def polarization_involution(cocycle: Cocycle, rho: Rep, eps_pow: Rep | None = None,
-                            P: np.ndarray | None = None) -> Cocycle:
+def polarization_involution(cocycle: Cocycle, rho: Rep,
+                            eps_pow: Rep | None = None) -> Cocycle:
     """The involution on extension classes induced by g -> ctilde g^{-1}
     ctilde^{-1} twisted by the determinant-compatible character.
 
     Both the definitional formula (through b(g) = phi(g) rho^c(g)) and its
     simplified form P (-phi(ctilde g ctilde^{-1}))^T P^{-1} are evaluated
     and must agree entry for entry; the module must be Hom(rho^c, rho) for
-    a 2-dimensional rho satisfying P rho_perp P^{-1} = rho^c.
+    a 2-dimensional rho satisfying P rho_perp P^{-1} = rho^c, where
+    P = [[0, 1], [-1, 0]].
     """
     if rho.dim != 2:
         raise ValueError("the polarization involution needs a 2-dimensional rho")
@@ -273,8 +278,7 @@ def polarization_involution(cocycle: Cocycle, rho: Rep, eps_pow: Rep | None = No
             "rho(ctilde^2) is not scalar: the polarization involution "
             "needs an involutive coset representative (up to center)"
         )
-    if P is None:
-        P = np.array([[0, 1], [mod - 1, 0]], dtype=np.int64)
+    P = np.array([[0, 1], [mod - 1, 0]], dtype=np.int64)
     P_inv = Mat(P, mod).inverse().a
     rc = conjugate_rep(rho)
     # without eps_pow the twist is pinned by the compatibility condition on H

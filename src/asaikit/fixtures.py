@@ -55,7 +55,7 @@ def element_of_order(m, q):
     return pow(primitive_root(q), (q - 1) // m, q)
 
 
-def group_from_labels(labels, mult, H_pred, ctilde_label, validate=True):
+def group_from_labels(labels, mult, H_pred, ctilde_label):
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     mul = np.zeros((n, n), dtype=np.int64)
@@ -63,7 +63,7 @@ def group_from_labels(labels, mult, H_pred, ctilde_label, validate=True):
         for j, b in enumerate(labels):
             mul[i, j] = index[mult(a, b)]
     H = [i for i, lab in enumerate(labels) if H_pred(lab)]
-    return FiniteGroup(labels, mul, H, index[ctilde_label], validate=validate), index
+    return FiniteGroup(labels, mul, H, index[ctilde_label]), index
 
 
 class Fixture:
@@ -127,7 +127,7 @@ class Fixture:
 # ---------------------------------------------------------------------------
 
 
-def metacyclic_pair(p, d, a, validate=True):
+def metacyclic_pair(p, d, a):
     """C_p x| C_d, generator of C_d acting by multiplication by a (a^d = 1 mod p).
 
     H is the index-2 subgroup C_p x| (even part of C_d); d must be even, and
@@ -145,10 +145,10 @@ def metacyclic_pair(p, d, a, validate=True):
         b2, j2 = y
         return ((b + pow(a, j, p) * b2) % p, (j + j2) % d)
 
-    return group_from_labels(labels, mult, lambda x: x[1] % 2 == 0, (0, 1), validate)
+    return group_from_labels(labels, mult, lambda x: x[1] % 2 == 0, (0, 1))
 
 
-def affine_pipeline_group(q, d, alpha, validate=True):
+def affine_pipeline_group(q, d, alpha):
     """V x| (C_d x C_2), V = Z/q: delta scales V by alpha, the involution
     negates V.
 
@@ -166,10 +166,10 @@ def affine_pipeline_group(q, d, alpha, validate=True):
         v2, j2, e2 = y
         return ((v + pow(alpha, j, q) * (-1) ** e * v2) % q, (j + j2) % d, (e + e2) % 2)
 
-    return group_from_labels(labels, mult, lambda x: x[2] == 0, (0, 0, 1), validate)
+    return group_from_labels(labels, mult, lambda x: x[2] == 0, (0, 0, 1))
 
 
-def plane_pipeline_group(q, d, alpha, validate=True):
+def plane_pipeline_group(q, d, alpha):
     """F_q^2 x| (C_d x C_2): delta scales the plane by alpha, involution negates."""
     if pow(alpha, d, q) != 1:
         raise ValueError("alpha must have order dividing d mod q")
@@ -187,7 +187,7 @@ def plane_pipeline_group(q, d, alpha, validate=True):
         s = pow(alpha, j, q) * (-1) ** e
         return (((v1 + s * w1) % q, (v2 + s * w2) % q), (j + j2) % d, (e + e2) % 2)
 
-    return group_from_labels(labels, mult, lambda x: x[2] == 0, ((0, 0), 0, 1), validate)
+    return group_from_labels(labels, mult, lambda x: x[2] == 0, ((0, 0), 0, 1))
 
 
 # ---------------------------------------------------------------------------

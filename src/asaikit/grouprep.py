@@ -13,6 +13,11 @@ checking them on a generating set checks them on the whole group.  The two
 canonical extensions of rho (x) rho^c from the index-2 subgroup H to G are
 ``tensor_induce(rho, +1)`` and ``tensor_induce(rho, -1)``; they differ by
 the sign of the action on the nontrivial coset.
+
+Every Hom space -- intertwiners, End (Schur), isotypic lines, invariant
+pairings, and in `polarization` the polarization witnesses -- is the kernel
+of one system, ``hom_system(r1, r2)``, with ``symmetry_rows`` appended when
+a transpose symmetry is imposed.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .exactalg import (
     check_int64_products,
     factor_prime_power,
     kernel_gens,
+    kernel_mod,
     row_space_mod,
     validate_modulus,
 )
@@ -440,26 +446,52 @@ def transfer_character(chi: Rep) -> Rep:
     return Rep(g, "G", vals.reshape(-1, 1, 1), chi.mod)
 
 
-def fixed_space(rep: Rep, block) -> list[tuple[np.ndarray, int]]:
-    """Kernel generators (vector, annihilator) of block(x) stacked over the
-    generators x of rep's domain; a caller wanting the free part keeps
-    annihilator == rep.mod."""
-    return kernel_gens(np.vstack([block(x) for x in rep.gens]) % rep.mod, rep.mod)
+def hom_system(r1: Rep, r2: Rep) -> np.ndarray:
+    """The linear system of Hom(r1, r2) = {X : X r1(s) = r2(s) X}.
+
+    X is a d2 x d1 matrix, vectorized row-major; the rows are
+    kron(I, r1(s)^T) - kron(r2(s), I) for each generator s of r2's domain,
+    in `r2.gens` order, reduced mod m.  Every Hom space of the package --
+    intertwiners, End for Schur, invariant lines, invariant pairings and
+    polarization witnesses -- is the kernel of this one system, with
+    `symmetry_rows` appended where a transpose symmetry is imposed.
+    """
+    if r1.group is not r2.group or r1.mod != r2.mod:
+        raise ValueError("Hom needs the same group and modulus")
+    gens = np.array(r2.gens)
+    k, d1, d2 = len(gens), r1.dim, r2.dim
+    sys = np.zeros((k, d2, d1, d2, d1), dtype=np.int64)
+    # -r2(s) on the block-diagonal pattern (i, j) <- (i', j), then r1(s)^T
+    # on the diagonal blocks (i, j) <- (i, j')
+    sys[:, :, np.arange(d1), :, np.arange(d1)] = -r2.arr(gens)
+    sys[:, np.arange(d2), :, np.arange(d2), :] += r1.arr(gens).transpose(0, 2, 1)
+    return sys.reshape(k * d2 * d1, d2 * d1) % r2.mod
+
+
+def symmetry_rows(d, mod, antisymmetric) -> np.ndarray:
+    """Rows cutting the symmetric (X^T = X) or antisymmetric (X^T = -X)
+    d x d matrices out of all of them, X vectorized row-major."""
+    i, j = np.triu_indices(d, 0 if antisymmetric else 1)
+    rows = np.zeros((len(i), d * d), dtype=np.int64)
+    r = np.arange(len(i))
+    rows[r, i * d + j] = 1
+    off = i != j
+    rows[r[off], (j * d + i)[off]] = 1 if antisymmetric else mod - 1
+    return rows
 
 
 def intertwiner_space(r1: Rep, r2: Rep) -> list[Mat]:
     """Basis of {M : M r1(g) = r2(g) M for all g} (maps V1 -> V2)."""
     if r1.group is not r2.group or r1.domain != r2.domain or r1.mod != r2.mod:
         raise ValueError("intertwiners need the same group, domain and modulus")
-    i1 = np.eye(r1.dim, dtype=np.int64)
-    i2 = np.eye(r2.dim, dtype=np.int64)
-    kernel = fixed_space(
-        r1, lambda x: np.kron(i2, r1.arr(x).T) - np.kron(r2.arr(x), i1)
-    )
+    kernel = kernel_gens(hom_system(r1, r2), r1.mod)
     return [Mat(v.reshape(r2.dim, r1.dim), r1.mod) for v, _ in kernel]
 
 
-def contains_invertible(basis: list[Mat], rng=None, tries=200):
+_RANDOM_TRIES = 200
+
+
+def contains_invertible(basis: list[Mat], rng=None):
     """Search an invertible element of the span; exhaustive for dim <= 2."""
     if not basis:
         return None
@@ -481,7 +513,7 @@ def contains_invertible(basis: list[Mat], rng=None, tries=200):
                     return cand
         return None
     rng = rng or np.random.default_rng(0)
-    for _ in range(tries):
+    for _ in range(_RANDOM_TRIES):
         coeffs = rng.integers(0, mod, size=len(basis))
         cand = Mat.zeros(basis[0].rows, basis[0].cols, mod)
         for c, b in zip(coeffs, basis):
@@ -501,11 +533,11 @@ def is_isomorphic(r1: Rep, r2: Rep, rng=None):
 
 
 def isotypic_lines(rho: Rep, chi: Rep) -> list[np.ndarray]:
-    """Basis of {v : rho(g) v = chi(g) v for all g}."""
+    """Basis of {v : rho(g) v = chi(g) v for all g}: the free part of
+    Hom(chi, rho)."""
     if chi.dim != 1:
         raise ValueError("chi must be a character")
-    eye = np.eye(rho.dim, dtype=np.int64)
-    kernel = fixed_space(rho, lambda x: rho.arr(x) - chi.value(x) * eye)
+    kernel = kernel_gens(hom_system(chi, rho), rho.mod)
     return [v for v, ann in kernel if ann == rho.mod]
 
 
@@ -532,9 +564,9 @@ class PairingClassification:
 def classify_pairing(rho: Rep, mu: Rep) -> PairingClassification:
     """Basis of {B : rho(g)^T B rho(g) = mu(g) B}, tagged by transpose symmetry.
 
-    The solution space is transpose-stable, so it splits into symmetric and
-    antisymmetric parts (the modulus is odd); the returned basis is adapted
-    to that splitting.
+    The space is Hom(rho, rho^vee mu).  It is transpose-stable, so over an
+    odd prime field it is the direct sum of its symmetric and antisymmetric
+    parts; the basis is the reduced row echelon basis of each part.
     """
     if mu.dim != 1:
         raise ValueError("mu must be a character")
@@ -542,30 +574,12 @@ def classify_pairing(rho: Rep, mu: Rep) -> PairingClassification:
     if n > 1:
         raise NotImplementedError("pairing classification is over F_q")
     d = rho.dim
-    eye = np.eye(d * d, dtype=np.int64)
-    raw = [
-        v for v, _ in fixed_space(
-            rho, lambda x: np.kron(rho.arr(x).T, rho.arr(x).T) - mu.value(x) * eye
-        )
-    ]
-    inv2 = pow(2, -1, q)
-    sym_rows, anti_rows = [], []
-    for v in raw:
-        b = v.reshape(d, d)
-        s = ((b + b.T) * inv2) % q
-        a = ((b - b.T) * inv2) % q
-        if s.any():
-            sym_rows.append(s.reshape(-1))
-        if a.any():
-            anti_rows.append(a.reshape(-1))
+    sys = hom_system(rho, dual_twist(rho, mu))
     basis = []
-    if sym_rows:
-        for v in row_space_mod(np.array(sym_rows), q):
-            basis.append((Mat(v.reshape(d, d), rho.mod), "symmetric"))
-    if anti_rows:
-        for v in row_space_mod(np.array(anti_rows), q):
-            basis.append((Mat(v.reshape(d, d), rho.mod), "antisymmetric"))
-    if len(basis) != len(raw):
+    for label, anti in (("symmetric", False), ("antisymmetric", True)):
+        part = kernel_mod(np.vstack([sys, symmetry_rows(d, q, anti)]), q)
+        basis += [(Mat(v.reshape(d, d), q), label) for v in row_space_mod(part, q)]
+    if len(basis) != len(kernel_mod(sys, q)):
         # mixed-symmetry leftovers cannot occur over an odd modulus
         raise AssertionError("pairing space failed to split by symmetry")
     mu_ct = mu.value(rho.group.ctilde) if mu.domain == "G" else None

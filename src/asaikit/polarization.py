@@ -4,8 +4,11 @@ dimension count.
 
 Sign conventions.  A conjugate-polarized representation is R on H with
 R^vee = A R^c A^{-1} psi|_H for a character psi of G; a plain-polarized one
-satisfies R^vee = B R B^{-1} psi.  In both cases the definite-symmetry
-invertible witnesses all share one transpose symmetry, which is the sign.
+satisfies R^vee = B R B^{-1} psi.  The witnesses are the kernel of
+``grouprep.hom_system(psi R^c, R^vee)`` (``psi R`` for the plain case), and
+``PolarizedRep`` checks a given witness against the same system.  In both
+cases the definite-symmetry invertible witnesses all share one transpose
+symmetry, which is the sign.
 The witness can be +- definite only when R(ctilde^2) acts as a scalar, so
 sign fixtures use involutive coset representatives.
 """
@@ -41,9 +44,10 @@ from .grouprep import (
     conjugate_rep,
     contains_invertible,
     dual_twist,
-    fixed_space,
+    hom_system,
     intertwiner_space,
     power_character,
+    symmetry_rows,
 )
 
 
@@ -56,40 +60,20 @@ class PipelineError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _witness_rows(rep: Rep, psi: Rep, conjugate: bool):
-    """Linear system rows for R^vee(g) A = psi(g) A R^?(g) on generators."""
+def _witness_system(rep: Rep, psi: Rep, conjugate: bool) -> np.ndarray:
+    """hom_system(psi R^c, R^vee), or hom_system(psi R, R^vee) for a plain
+    polarization: its kernel is the A with R^vee(g) A = psi(g) A R^?(g)."""
     g = rep.group
-    d = rep.dim
-    eye = np.eye(d, dtype=np.int64)
-    rows = []
-    for x in rep.gens:
-        rv = rep.arr(g.inverse(x)).T  # R^vee(x) = R(x^{-1})^T
-        target = rep.arr(g.conj_ctilde(x)) if conjugate else rep.arr(x)
-        pv = psi.value(x)
-        rows.append((np.kron(rv, eye) - pv * np.kron(eye, target.T)) % rep.mod)
-    return np.vstack(rows)
-
-
-def _symmetry_rows(d, mod, antisymmetric):
-    rows = []
-    for i in range(d):
-        for j in range(i, d):
-            if i == j and not antisymmetric:
-                continue
-            r = np.zeros(d * d, dtype=np.int64)
-            r[i * d + j] = 1
-            if i != j:
-                r[j * d + i] = 1 if antisymmetric else mod - 1
-            rows.append(r)
-    return np.array(rows, dtype=np.int64)
+    src = rep
+    if conjugate:  # R^c by its gather: conjugate_rep warns on a rep of all of G
+        imgs = rep.arr(g.conj_ctilde(np.array(rep.elements)))
+        src = Rep(g, rep.domain, imgs, rep.mod, validate=False)
+    return hom_system(src.twist(psi), rep.dual())
 
 
 def endomorphism_free_rank(rep: Rep) -> int:
     """Number of full-order generators of End(rep) (1 = Schur at precision)."""
-    eye = np.eye(rep.dim, dtype=np.int64)
-    kernel = fixed_space(
-        rep, lambda x: np.kron(rep.arr(x), eye) - np.kron(eye, rep.arr(x).T)
-    )
+    kernel = kernel_gens(hom_system(rep, rep), rep.mod)
     return sum(1 for _, ann in kernel if ann == rep.mod)
 
 
@@ -104,7 +88,6 @@ class PolarizedRep:
     conjugate: bool = True
 
     def __post_init__(self):
-        g = self.rep.group
         a = self.witness
         if not a.is_invertible():
             raise ValueError("witness is not invertible")
@@ -113,17 +96,14 @@ class PolarizedRep:
             raise ValueError("witness is not symmetric")
         if self.symmetry == -1 and t != Mat((-a.a) % a.mod, a.mod):
             raise ValueError("witness is not antisymmetric")
-        ainv = a.inverse()
         # Both sides of the identity are homomorphisms in x once rep and psi
         # are, so agreement on the domain's generators is agreement on it.
         self.rep.validate()
         self.psi.validate()
-        for x in self.rep.gens:
-            rv = Mat(self.rep.arr(g.inverse(x)).T, self.rep.mod)
-            tgt = self.rep.arr(g.conj_ctilde(x)) if self.conjugate else self.rep.arr(x)
-            rhs = (a @ Mat(tgt, self.rep.mod) @ ainv).scale(self.psi.value(x))
-            if rv != rhs:
-                raise ValueError("polarization witness identity fails")
+        sys = _witness_system(self.rep, self.psi, self.conjugate)
+        # a length-d^2 dot product, exact in Python ints at any modulus
+        if np.any(sys.astype(object) @ a.a.reshape(-1).astype(object) % a.mod):
+            raise ValueError("polarization witness identity fails")
 
 
 def polarize(rep: Rep, psi: Rep, conjugate: bool = True, rng=None) -> PolarizedRep:
@@ -134,12 +114,11 @@ def polarize(rep: Rep, psi: Rep, conjugate: bool = True, rng=None) -> PolarizedR
     """
     if endomorphism_free_rank(rep) != 1:
         raise ValueError("intertwiner space dimension != 1: sign undefined")
-    rows = _witness_rows(rep, psi, conjugate)
+    rows = _witness_system(rep, psi, conjugate)
     d = rep.dim
     found = {}
     for label, anti in (("symmetric", False), ("antisymmetric", True)):
-        sym = _symmetry_rows(d, rep.mod, anti)
-        aug = np.vstack([rows, sym]) if sym.size else rows
+        aug = np.vstack([rows, symmetry_rows(d, rep.mod, anti)])
         cands = [Mat(v.reshape(d, d), rep.mod) for v, _ in kernel_gens(aug, rep.mod)]
         w = contains_invertible(cands, rng=rng)
         if w is not None:

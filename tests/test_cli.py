@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -220,3 +221,35 @@ def test_bad_input_ends_in_refusal_report(case, tmp_path, capsys):
     assert run(argv + ["--report", str(report)]) == 1
     assert json.loads(report.read_text())["ok"] is False
     assert "Traceback" not in capsys.readouterr().err
+
+
+# The canonical report of each command, pinned by exit code and sha256: a
+# change that keeps the behaviour keeps these bytes.
+PINNED_REPORTS = {
+    "verify-seed0": (["verify-identities", "--seed", "0"], 0,
+                     "df3b4d57e2e3e6040f5ff81b647f37a2cdda88e6528a8c6a3f6a3f5bb7a81e71"),
+    "verify-seed7": (["verify-identities", "--seed", "7"], 0,
+                     "65e87f87639a80b1466acef689a40682e05b14ebdaf2a2667c32edc625e0cd4c"),
+    "pipeline": (["pipeline"], 0,
+                 "357b4959c96221d612063f72b75bf35d448ce859d722c941efedd7cfc323f2ea"),
+    "pipeline-flip-psi": (["pipeline", "--flip-psi"], 0,
+                          "786eb9231ba3470ffac6ea956ab076a9b38c37ce8ce4a3caa62e08275963ab52"),
+    "pipeline-split": (["pipeline", "ribet_q7_d6_split"], 1,
+                       "ed1d01e2c8a27390e453c5582c7bd875fdf5ba4c923ef50167596153de09011a"),
+    "pipeline-c15": (["pipeline", "c15_q31"], 1,
+                     "f1873af3c59fad77205377a0f7b53a566766e3a2b4bdb2a95dc04415be9f15e8"),
+    "lfunc-primes": (["lfunc", "--primes", "3..50", "--verify-lambda2"], 0,
+                     "71cdafa5f9009abe9a9f14d9255a3b078caabcef5ed188fb626c3da3061cf4b6"),
+    "lfunc-coeffs": (["lfunc", "--coeffs", str(DATA_DIR / "sample_coefficients.csv"),
+                      "--N", "100"], 0,
+                     "822b603e02b40ae8dc9d033fc122d679518de414ee6e4aa77b736c7456e9498e"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(case, tmp_path, monkeypatch):
+    argv, code, digest = PINNED_REPORTS[case]
+    monkeypatch.delenv(cli.FIXTURES_ENV, raising=False)
+    report = tmp_path / "r.json"
+    assert run(argv + ["--report", str(report)]) == code
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest

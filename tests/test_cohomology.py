@@ -207,6 +207,9 @@ def test_h1_ribet_module_dimension(rib):
 
 
 def test_conj_action_preserves_coboundaries(rib):
+    """Also for ctilde of order 4 (f20, q = 11 and 41) and 8 (m40): c.phi is
+    a cocycle, a coboundary goes to a coboundary, and the action squares to
+    one on H^1."""
     chi = rib.rep("chi")
     m = hom_module(chi, rib.rep("chi_inv"))
     data = h1(m)
@@ -215,6 +218,16 @@ def test_conj_action_preserves_coboundaries(rib):
     cb = coboundary(m, np.array([3]))
     out = conj_action(cb, ambient)
     assert data.is_coboundary(out)
+    for fix in (f20_fixture(11), f20_fixture(41), m40_fixture()):
+        g = fix.group
+        assert g.order_of(g.ctilde) in (4, 8)
+        rho = fix.rep("rho")
+        ambient = as_twisted_module(rho, coset_sign_character(g, rho.mod))
+        m = ambient.restrict_to_H()
+        data = h1(m)
+        out = conj_action(coboundary(m, np.arange(1, m.dim + 1)), ambient)
+        assert data.is_coboundary(out), fix.name
+        conj_action_matrix(data, ambient)  # raises unless it squares to one
 
 
 def test_conj_action_squares_to_identity(rib):
@@ -228,12 +241,23 @@ def test_conj_action_squares_to_identity(rib):
 
 
 def test_conj_action_requires_matching_module(rib):
+    """An ambient with other images on H, another modulus or another group
+    is refused."""
+    g = rib.group
     chi = rib.rep("chi")
     m = hom_module(chi, rib.rep("chi_inv"))
-    triv = trivial_module(rib.group, range(rib.group.n), 1, 7)
-    cb = coboundary(m, np.array([1]))
-    with pytest.raises(ValueError):
-        conj_action(cb, triv)
+    triv = trivial_module(g, range(g.n), 1, 7)
+    other = ribet_fixture()
+    cases = [
+        (coboundary(m, np.array([1])), triv),
+        (coboundary(trivial_module(g, g.H, 1, 7), np.array([1])),
+         trivial_module(g, range(g.n), 1, 49)),
+        (coboundary(m, np.array([1])),
+         as_twisted_module(other.rep("chi"), coset_sign_character(other.group, 7))),
+    ]
+    for cb, ambient in cases:
+        with pytest.raises(ValueError, match="does not restrict to the cocycle's module"):
+            conj_action(cb, ambient)
 
 
 def test_polarization_involution_g294(coh294):

@@ -1,10 +1,11 @@
-"""Per-element oracles for the batched element maps.
+"""Per-element and per-generator oracles for the batched builders.
 
 Every map over group elements in grouprep, cohomology and polarization is
 one gather through the group's index arrays plus a batched product over
-the image stack.  The functions below keep the element-by-element loops
-those builders replaced, and each test compares the two, exactly, on the
-shipped fixtures.
+the image stack, and every Hom space is the kernel of one
+`grouprep.hom_system`.  The functions below keep the element-by-element
+loops and the per-generator Hom blocks those builders replaced, and each
+test compares the two, exactly, on the shipped fixtures.
 """
 
 import numpy as np
@@ -18,17 +19,25 @@ from asaikit.cohomology import (
     hom_module,
     polarization_involution,
 )
-from asaikit.exactalg import Mat, factor_prime_power, kernel_mod
-from asaikit.fixtures import shipped_fixture_builders
+from asaikit.exactalg import Mat, factor_prime_power, kernel_gens, kernel_mod, row_space_mod
+from asaikit.fixtures import ribet_fixture, shipped_fixture_builders
 from asaikit.grouprep import (
     Rep,
+    classify_pairing,
     conjugate_rep,
+    coset_sign_character,
     dual_twist,
+    hom_system,
     induce,
+    intertwiner_space,
+    isotypic_lines,
     swap_matrix,
+    symmetry_rows,
     tensor_induce,
     transfer_character,
+    trivial_character,
 )
+from asaikit.polarization import _witness_system, endomorphism_free_rank
 
 
 @pytest.fixture(scope="module")
@@ -121,9 +130,10 @@ def conj_action_oracle(cocycle, ambient):
     m = cocycle.module
     g = m.group
     act_c = ambient.arr(g.ctilde)
+    c_inv = g.inverse(g.ctilde)
     vals = np.zeros_like(cocycle.values)
     for x in m.elements:
-        vals[m.pos[x]] = act_c @ cocycle.value(g.conj_ctilde(x)) % m.mod
+        vals[m.pos[x]] = act_c @ cocycle.value(g.op(g.op(c_inv, x), g.ctilde)) % m.mod
     return vals
 
 
@@ -264,8 +274,6 @@ def test_conj_action_matches_the_loop(shipped):
     rng = np.random.default_rng(7)
     for label, rho in prime_field_h_reps(shipped):
         g = rho.group
-        if g.op(g.ctilde, g.ctilde) != g.one:
-            continue  # c.phi is a cocycle only for an involutive ctilde
         # a unipotent change of basis, so that ambient(ctilde) is not symmetric
         mod = rho.mod
         u = np.triu(np.ones((rho.dim**2, rho.dim**2), dtype=np.int64))
@@ -292,3 +300,163 @@ def test_polarization_involution_matches_the_loop(shipped):
         for z in cocycles:
             assert np.array_equal(polarization_involution(z, rho, eps_pow).values,
                                   polarization_oracle(z, rho, eps_pow))
+
+
+# ---------------------------------------------------------------------------
+# Hom systems: the per-generator blocks that hom_system replaced
+# ---------------------------------------------------------------------------
+
+
+def fixed_space_oracle(rep, block):
+    return kernel_gens(np.vstack([block(x) for x in rep.gens]) % rep.mod, rep.mod)
+
+
+def intertwiner_block(r1, r2):
+    i1 = np.eye(r1.dim, dtype=np.int64)
+    i2 = np.eye(r2.dim, dtype=np.int64)
+    return lambda x: np.kron(i2, r1.arr(x).T) - np.kron(r2.arr(x), i1)
+
+
+def endomorphism_block(rep):
+    eye = np.eye(rep.dim, dtype=np.int64)
+    return lambda x: np.kron(rep.arr(x), eye) - np.kron(eye, rep.arr(x).T)
+
+
+def isotypic_block(rho, chi):
+    eye = np.eye(rho.dim, dtype=np.int64)
+    return lambda x: rho.arr(x) - chi.value(x) * eye
+
+
+def pairing_block(rho, mu):
+    eye = np.eye(rho.dim**2, dtype=np.int64)
+    return lambda x: np.kron(rho.arr(x).T, rho.arr(x).T) - mu.value(x) * eye
+
+
+def witness_rows_oracle(rep, psi, conjugate):
+    g = rep.group
+    eye = np.eye(rep.dim, dtype=np.int64)
+    rows = []
+    for x in rep.gens:
+        rv = rep.arr(g.inverse(x)).T
+        target = rep.arr(g.conj_ctilde(x)) if conjugate else rep.arr(x)
+        rows.append((np.kron(rv, eye) - psi.value(x) * np.kron(eye, target.T)) % rep.mod)
+    return np.vstack(rows)
+
+
+def symmetry_rows_oracle(d, mod, antisymmetric):
+    rows = []
+    for i in range(d):
+        for j in range(i, d):
+            if i == j and not antisymmetric:
+                continue
+            r = np.zeros(d * d, dtype=np.int64)
+            r[i * d + j] = 1
+            if i != j:
+                r[j * d + i] = 1 if antisymmetric else mod - 1
+            rows.append(r)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), d * d)
+
+
+def classify_pairing_oracle(rho, mu):
+    """The (b +- b^T)/2 projections of the raw pairing space, each part in
+    reduced row echelon form."""
+    q, d = rho.mod, rho.dim
+    raw = [v.reshape(d, d) for v, _ in fixed_space_oracle(rho, pairing_block(rho, mu))]
+    inv2 = pow(2, -1, q)
+    basis = []
+    for label, sign in (("symmetric", 1), ("antisymmetric", -1)):
+        rows = [r for r in ((b + sign * b.T) * inv2 % q for b in raw) if r.any()]
+        if rows:
+            basis += [(v.reshape(d, d), label)
+                      for v in row_space_mod(np.array([r.reshape(-1) for r in rows]), q)]
+    assert len(basis) == len(raw)
+    return basis
+
+
+def assert_same_kernel(new, old, label):
+    assert len(new) == len(old), label
+    for (u, a), (v, b) in zip(new, old):
+        assert a == b and np.array_equal(u, v), label
+
+
+@pytest.fixture(scope="module")
+def hom_reps(shipped):
+    """(label, rep): every shipped rep, and for each rep of H its induction
+    and its As^-; m40's Z/121 rho_lift and the Z/49 lattice are among them."""
+    out = []
+    for f, fix in shipped.items():
+        for r, rho in fix.reps.items():
+            out.append((f"{f}/{r}", rho))
+            if rho.domain == "H":
+                out += [(f"{f}/{r} ind", induce(rho)), (f"{f}/{r} As-", tensor_induce(rho, -1))]
+    return out
+
+
+def test_end_and_intertwiner_systems_match_the_blocks(hom_reps):
+    for label, rep in hom_reps:
+        new = kernel_gens(hom_system(rep, rep), rep.mod)
+        assert_same_kernel(new, fixed_space_oracle(rep, intertwiner_block(rep, rep)), label)
+        assert_same_kernel(new, fixed_space_oracle(rep, endomorphism_block(rep)), label)
+        assert endomorphism_free_rank(rep) == sum(ann == rep.mod for _, ann in new)
+        dual = dual_twist(rep, rep.det_character())
+        old = fixed_space_oracle(rep, intertwiner_block(rep, dual))
+        assert_same_kernel(kernel_gens(hom_system(rep, dual), rep.mod), old, label)
+        mats = intertwiner_space(rep, dual)
+        assert len(mats) == len(old), label
+        assert all(np.array_equal(m.a, v.reshape(rep.dim, rep.dim))
+                   for m, (v, _) in zip(mats, old)), label
+
+
+def test_isotypic_systems_match_the_blocks(hom_reps):
+    for label, rep in hom_reps:
+        w = rep.tensor(rep) if rep.dim <= 2 else rep
+        chi = rep.det_character()
+        old = fixed_space_oracle(w, isotypic_block(w, chi))
+        assert_same_kernel(kernel_gens(hom_system(chi, w), w.mod), old, label)
+        lines = isotypic_lines(w, chi)
+        free = [v for v, ann in old if ann == w.mod]
+        assert len(lines) == len(free), label
+        assert all(np.array_equal(u, v) for u, v in zip(lines, free)), label
+
+
+def test_classify_pairing_matches_the_projection_basis(hom_reps):
+    nonempty = 0
+    for label, rep in hom_reps:
+        if factor_prime_power(rep.mod)[1] > 1:
+            continue
+        chars = [rep.det_character()]
+        if rep.domain in ("G", "H"):
+            chars.append(trivial_character(rep.group, rep.domain, rep.mod))
+        for mu in chars:
+            new = classify_pairing(rep, mu).basis
+            old = classify_pairing_oracle(rep, mu)
+            assert [s for _, s in new] == [s for _, s in old], label
+            assert all(np.array_equal(m.a, b) for (m, _), (b, _) in zip(new, old)), label
+            nonempty += bool(new)
+    assert nonempty >= 5
+
+
+def test_symmetry_rows_match_the_loop():
+    for d in range(1, 6):
+        for anti in (False, True):
+            assert np.array_equal(symmetry_rows(d, 49, anti), symmetry_rows_oracle(d, 49, anti))
+
+
+def test_witness_systems_match_the_witness_rows(shipped, hom_reps):
+    rib, rib13 = ribet_fixture(), ribet_fixture(13, d=4, alpha=12, chi_val=5, precision=3)
+    cases = [(rib.rep("lattice").restrict_to_H(), True),
+             (rib13.rep("lattice").restrict_to_H(), True),
+             (induce(shipped["m40_q11"].rep("rho_lift")), True)]
+    cases += [(rep, rep.domain == "H") for _, rep in hom_reps]
+    for rep, conjugate in cases:
+        g = rep.group
+        for psi in (coset_sign_character(g, rep.mod), trivial_character(g, "G", rep.mod)):
+            rows, old_rows = _witness_system(rep, psi, conjugate), witness_rows_oracle(
+                rep, psi, conjugate)
+            for anti in (False, True):
+                new = kernel_gens(np.vstack([rows, symmetry_rows(rep.dim, rep.mod, anti)]),
+                                  rep.mod)
+                old = kernel_gens(
+                    np.vstack([old_rows, symmetry_rows_oracle(rep.dim, rep.mod, anti)]),
+                    rep.mod)
+                assert_same_kernel(new, old, (repr(rep), conjugate, anti))
