@@ -180,6 +180,13 @@ def parse_primes(text):
     return int(lo), int(hi)
 
 
+def parse_seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, not {seed}")
+    return seed
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="asai-kit",
@@ -189,7 +196,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=parse_seed, default=0)
     common.add_argument("--report", help="write the JSON report to this path")
 
     v = sub.add_parser("verify-identities", parents=[common],

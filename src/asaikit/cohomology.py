@@ -376,11 +376,17 @@ class SelmerStructure:
         if not isinstance(obj, list):
             raise ValueError("a Selmer structure is a JSON list of local conditions")
         try:
-            conds = [(tuple(int(x) for x in c["subgroup"]), c["local_condition"])
-                     for c in obj]
+            conds = [(c["subgroup"], c["local_condition"]) for c in obj]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed local condition: {exc!r}") from exc
-        return SelmerStructure(conds)
+        for sub, cond in conds:
+            if not _is_int_list(sub):
+                raise ValueError(f"subgroup {sub!r} is not a list of element indices")
+            if not (isinstance(cond, str) or type(cond) is list
+                    and all(map(_is_int_list, cond))):
+                raise ValueError(f"local condition {cond!r} is neither a name nor a "
+                                 "list of integer vectors")
+        return SelmerStructure((tuple(sub), cond) for sub, cond in conds)
 
     def to_json(self):
         out = []
@@ -390,6 +396,11 @@ class SelmerStructure:
             ]
             out.append({"subgroup": list(sub), "local_condition": enc})
         return out
+
+
+def _is_int_list(x) -> bool:
+    """A JSON list of ints (a bool, float or str entry makes it False)."""
+    return type(x) is list and all(type(v) is int for v in x)
 
 
 def _local_subspace(cond, dim, q) -> np.ndarray:

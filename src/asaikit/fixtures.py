@@ -1,20 +1,26 @@
 """Shipped group/representation fixtures and their JSON (de)serialization.
 
-Families, one group constructor each:
-  * metacyclic pairs  C_m x| C_d > C_m x| C_{d/2}  (`metacyclic_pair`)
-    - d = 2: the dihedral pairs C_m < D_m and the abelian + involution
-      pairs C_m x| C_2 -- character-level identities, induced 2-dim reps
-      with an involutive coset representative
-    - d = 4 or 8, m = p prime: 2-dim dihedral-type reps; the order-40
-      cover has trivial-determinant reps, so its induced 4-dim rep carries
-      the two invariant wedge lines and the +-1/-1 symplectic pair
-  * affine pipeline groups  V x| (C_d x C_2), V = Z/q or Z/q^2
-    (`affine_pipeline_group`) -- the only desk-scale shape whose group
+Every shipped group is V x| A, V = (Z/m)^k, with A abelian acting on V by
+scalars, and comes from one constructor, `semidirect_group(m, k, orders,
+scalars)`.  The families, as (m, k, orders, scalars):
+  * metacyclic pairs  C_m x| C_d > C_m x| C_{d/2}:  (m, 1, (d,), (a,))
+    - d = 2: the dihedral pairs C_m < D_m (a = m - 1) and the abelian +
+      involution pairs C_m x| C_2 -- character-level identities, induced
+      2-dim reps with an involutive coset representative (s3, c15 and the
+      battery sampler)
+    - d = 4 or 8, m = p prime: 2-dim dihedral-type reps (f20, m40); the
+      order-40 cover has trivial-determinant reps, so its induced 4-dim rep
+      carries the two invariant wedge lines and the +-1/-1 symplectic pair
+  * affine pipeline groups  V x| (C_d x C_2), V = Z/q^j:
+    (q^j, 1, (d, 2), (alpha, -1)) -- the only desk-scale shape whose group
     order is divisible by q, so H^1 is nonzero and lattice extensions
-    exist; used for the Selmer pipeline
-  * plane pipeline groups  F_q^2 x| (C_d x C_2)  (`plane_pipeline_group`)
+    exist; used for the Selmer pipeline (ribet, ribet_v0)
+  * plane pipeline groups  F_q^2 x| (C_d x C_2):  (q, 2, (d, 2), (alpha, -1))
     -- the 294-element group with a 2-dim triangular rep for the cohomology
-    batteries (nonzero H^1 with a 4-dim coefficient module)
+    batteries (nonzero H^1 with a 4-dim coefficient module; coh294)
+
+`group_from_labels` stays the generic builder for a group given by labels
+and a Python product; no shipped group uses it.
 
 Fixtures are built here, from their builders only; JSON (`Fixture.save`,
 `Fixture.load`) is the format for user-supplied fixtures.  Every fixture is
@@ -25,7 +31,9 @@ representation, checked on generators (Light's test), exactly.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +74,14 @@ def group_from_labels(labels, mult, H_pred, ctilde_label):
     return FiniteGroup(labels, mul, H, index[ctilde_label]), index
 
 
+def _int_leaves(x):
+    """True when x is an int or nested lists of ints; a bool, float or str
+    anywhere makes it False."""
+    if type(x) is list:
+        return all(type(y) is int for y in x) or all(map(_int_leaves, x))
+    return type(x) is int
+
+
 class Fixture:
     """A named group together with its distinguished reps and metadata."""
 
@@ -104,9 +120,15 @@ class Fixture:
     @staticmethod
     def from_json(obj) -> "Fixture":
         try:
+            if not _int_leaves([obj["mul"], obj["H"], obj["ctilde"]]):
+                raise ValueError("malformed fixture: mul, H and ctilde must be integers")
             group = FiniteGroup(obj["elements"], obj["mul"], obj["H"], obj["ctilde"])
             reps = {}
             for r in obj["reps"]:
+                domain = [] if isinstance(r["domain"], str) else r["domain"]
+                if not _int_leaves([r["dim"], r["modulus"], r["images"], domain]):
+                    raise ValueError("malformed fixture: a rep's dim, modulus, images "
+                                     "and element list must be integers")
                 d = r["dim"]
                 imgs = np.array(r["images"], dtype=np.int64).reshape(-1, d, d)
                 reps[r["name"]] = Rep(group, r["domain"], imgs, r["modulus"])
@@ -127,67 +149,42 @@ class Fixture:
 # ---------------------------------------------------------------------------
 
 
-def metacyclic_pair(p, d, a):
-    """C_p x| C_d, generator of C_d acting by multiplication by a (a^d = 1 mod p).
+def semidirect_group(m, k, orders, scalars):
+    """V x| A with V = (Z/m)^k and A = C_{orders[0]} x ... x C_{orders[-1]},
+    a in A acting on V by the scalar s(a) = prod scalars[i]^{a_i} mod m.
 
-    H is the index-2 subgroup C_p x| (even part of C_d); d must be even, and
-    p need not be prime.  d = 2 gives C_p x| C_2 with the involution x -> a x:
-    the dihedral pair C_p < D_p for a = p - 1.
+    H is {last A-coordinate even} and ctilde = (0, 0, ..., 1).  The labels
+    are (v, a_0, ..., a_r), v an int when k = 1 and a k-tuple otherwise,
+    numbered with a_r outermost and v innermost.  The table is the closed
+    form (v, a) (v', a') = (v + s(a) v', a + a'), evaluated on coordinate
+    arrays; m need not be prime.
     """
-    if d % 2:
-        raise ValueError("need even d for an index-2 subgroup")
-    if pow(a, d, p) != 1:
-        raise ValueError("a must have order dividing d mod p")
-    labels = [(b, j) for j in range(d) for b in range(p)]
-
-    def mult(x, y):
-        b, j = x
-        b2, j2 = y
-        return ((b + pow(a, j, p) * b2) % p, (j + j2) % d)
-
-    return group_from_labels(labels, mult, lambda x: x[1] % 2 == 0, (0, 1))
-
-
-def affine_pipeline_group(q, d, alpha):
-    """V x| (C_d x C_2), V = Z/q: delta scales V by alpha, the involution
-    negates V.
-
-    |G| = 2 d q, H = V x| C_d has order divisible by q, so H^1(H, -) over
-    F_q is typically nonzero: this is the Selmer-bearing family.  q may be a
-    prime power: V = Z/q^2 lets extension classes lift to inputs whose
-    corner is nonzero mod q (`ribet_v0_fixture`).
-    """
-    if pow(alpha, d, q) != 1:
-        raise ValueError("alpha must have order dividing d mod q")
-    labels = [(v, j, e) for e in range(2) for j in range(d) for v in range(q)]
-
-    def mult(x, y):
-        v, j, e = x
-        v2, j2, e2 = y
-        return ((v + pow(alpha, j, q) * (-1) ** e * v2) % q, (j + j2) % d, (e + e2) % 2)
-
-    return group_from_labels(labels, mult, lambda x: x[2] == 0, (0, 0, 1))
-
-
-def plane_pipeline_group(q, d, alpha):
-    """F_q^2 x| (C_d x C_2): delta scales the plane by alpha, involution negates."""
-    if pow(alpha, d, q) != 1:
-        raise ValueError("alpha must have order dividing d mod q")
-    labels = [
-        ((v1, v2), j, e)
-        for e in range(2)
-        for j in range(d)
-        for v1 in range(q)
-        for v2 in range(q)
-    ]
-
-    def mult(x, y):
-        (v1, v2), j, e = x
-        (w1, w2), j2, e2 = y
-        s = pow(alpha, j, q) * (-1) ** e
-        return (((v1 + s * w1) % q, (v2 + s * w2) % q), (j + j2) % d, (e + e2) % 2)
-
-    return group_from_labels(labels, mult, lambda x: x[2] == 0, ((0, 0), 0, 1))
+    orders = tuple(orders)
+    if orders[-1] % 2:
+        raise ValueError("the last order must be even for an index-2 subgroup")
+    if any(pow(s, d, m) != 1 for s, d in zip(scalars, orders, strict=True)):
+        raise ValueError("each scalar must have order dividing its factor's order mod m")
+    a_labels = [a[::-1] for a in itertools.product(*map(range, orders[::-1]))]
+    v_labels = list(range(m)) if k == 1 else list(itertools.product(range(m), repeat=k))
+    na, nv = len(a_labels), m**k
+    ac = np.array(a_labels).T  # (len(orders), na): A-coordinates per A-index
+    vc = np.indices((m,) * k).reshape(k, nv)  # (k, nv): V-coordinates per V-index
+    a_stride = np.cumprod((1,) + orders[:-1])
+    v_stride = m ** np.arange(k - 1, -1, -1)
+    scale = np.array([math.prod(pow(s, e, m) for s, e in zip(scalars, a)) % m
+                      for a in a_labels])
+    # indices of a + a' (na, na), v + w (nv, nv) and s(a) v' (na, nv)
+    a_sum = np.tensordot(a_stride, (ac[:, :, None] + ac[:, None, :])
+                         % np.array(orders)[:, None, None], 1)
+    v_add = np.tensordot(v_stride, (vc[:, :, None] + vc[:, None, :]) % m, 1)
+    scaled = np.tensordot(v_stride, scale[:, None] * vc[:, None, :] % m, 1)
+    mul = np.empty((na, nv, na, nv), dtype=np.int64)
+    np.add(v_add[:, scaled].transpose(1, 0, 2)[:, :, None], nv * a_sum[:, None, :, None],
+           out=mul)
+    labels = [(v, *a) for a in a_labels for v in v_labels]
+    H = np.flatnonzero(np.repeat(ac[-1] % 2 == 0, nv))
+    group = FiniteGroup(labels, mul.reshape(na * nv, na * nv), H, nv * a_stride[-1])
+    return group, {lab: i for i, lab in enumerate(labels)}
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +200,7 @@ def _cyclic_character(group, index, m, q, k=1):
 
 def s3_fixture(q=7) -> Fixture:
     """(S_3, C_3, chi_3) over F_7: the smallest index-2 example."""
-    group, index = metacyclic_pair(3, 2, 2)
+    group, index = semidirect_group(3, 1, (2,), (2,))
     return Fixture(
         "s3_c3_chi3_q7",
         group,
@@ -248,7 +245,7 @@ def f20_fixture(q=11) -> Fixture:
     splits off two lines whose characters take 4th-root values at ctilde;
     over F_11 no such lines exist (X^2 + 1 is irreducible).
     """
-    group, index = metacyclic_pair(5, 4, 2)
+    group, index = semidirect_group(5, 1, (4,), (2,))
     rho = _metacyclic_2dim_rep(group, index, 5, 4, q)
     reps = {"rho": rho}
     meta = {"q": q, "kind": "metacyclic", "p": 5, "d": 4}
@@ -271,7 +268,7 @@ def m40_fixture(q=11, lattice=True) -> Fixture:
     one odd antisymmetric pairing -- the exact analogue of the two
     symplectic structures on a tensor-induced representation.
     """
-    group, index = metacyclic_pair(5, 8, 2)
+    group, index = semidirect_group(5, 1, (8,), (2,))
     rho = _metacyclic_2dim_rep(group, index, 5, 8, q, antisym_u=True)
     reps = {"rho": rho}
     if lattice:
@@ -288,7 +285,7 @@ def m40_fixture(q=11, lattice=True) -> Fixture:
 
 def c15_fixture(q=31) -> Fixture:
     """C_15 x| C_2 (involution x -> 4x) with an order-15 character."""
-    group, index = metacyclic_pair(15, 2, 4)
+    group, index = semidirect_group(15, 1, (2,), (4,))
     chi = _cyclic_character(group, index, 15, q)
     chi2 = _cyclic_character(group, index, 15, q, 2)
     return Fixture(
@@ -296,8 +293,8 @@ def c15_fixture(q=31) -> Fixture:
     )
 
 
-def _ribet_reps(group, index, q, d, chi_val, n_v, modn, corner):
-    """chi, chi_inv and the lattice rep on V x| (C_d x C_2), V = Z/n_v.
+def _ribet_reps(group, index, q, d, chi_val, modn, corner):
+    """chi, chi_inv and the lattice rep on V x| (C_d x C_2), V = Z/q^j.
 
     chi(delta) = chi_val mod q on H, and over Z/modn
 
@@ -306,19 +303,17 @@ def _ribet_reps(group, index, q, d, chi_val, n_v, modn, corner):
     with w the Teichmueller lift of chi_val.
     """
     z = chi_val % q
-    H = [(v, j) for v in range(n_v) for j in range(d)]
     chi, chi_inv = (
-        make_character(group, "H", {index[(v, j, 0)]: pow(z, k * j, q) for v, j in H}, q)
+        make_character(group, "H", {g: pow(z, k * j, q)
+                                    for (_, j, e), g in index.items() if e == 0}, q)
         for k in (1, -1)
     )
     w = _lift_root_of_unity(chi_val, d, q, modn)
     wi = inverse_mod(w, modn)
     imgs = np.zeros((group.n, 2, 2), dtype=np.int64)
-    for v, j in H:
-        a, c = pow(w, j, modn), pow(wi, j, modn)
-        b = corner * v * c
-        for e, s in ((0, 1), (1, -1)):
-            imgs[index[(v, j, e)]] = [[a, b * s % modn], [0, c * s % modn]]
+    for (v, j, e), g in index.items():
+        c = pow(wi, j, modn) * (-1) ** e
+        imgs[g] = [[pow(w, j, modn), corner * v * c % modn], [0, c % modn]]
     return {"chi": chi, "chi_inv": chi_inv, "lattice": Rep(group, "G", imgs, modn)}
 
 
@@ -347,8 +342,8 @@ def ribet_fixture(q=7, d=6, alpha=2, chi_val=3, deform=1, precision=2,
         raise ValueError("the planted level must satisfy 1 <= level < precision")
     n_v = q ** (precision - level)
     w = _lift_root_of_unity(chi_val, d, q, n_v)
-    group, index = affine_pipeline_group(n_v, d, w * w % n_v)
-    reps = _ribet_reps(group, index, q, d, chi_val, n_v, q**precision, q**level * deform)
+    group, index = semidirect_group(n_v, 1, (d, 2), (w * w % n_v, -1))
+    reps = _ribet_reps(group, index, q, d, chi_val, q**precision, q**level * deform)
     suffix = "" if deform else "_split"
     if precision != 2:
         suffix += f"_prec{precision}"
@@ -380,11 +375,11 @@ def ribet_v0_fixture(q=7, d=6) -> Fixture:
     """
     m2 = q * q
     w = _lift_root_of_unity(element_of_order(d, q), d, q, m2)
-    group, index = affine_pipeline_group(m2, d, w * w % m2)
+    group, index = semidirect_group(m2, 1, (d, 2), (w * w % m2, -1))
     return Fixture(
         f"ribet_v0_q{q}",
         group,
-        _ribet_reps(group, index, q, d, w, m2, m2, 1),
+        _ribet_reps(group, index, q, d, w, m2, 1),
         {"q": q, "d": d, "kind": "pipeline_v0"},
     )
 
@@ -399,26 +394,11 @@ def coh294_fixture(q=7) -> Fixture:
     the second coordinate survive.
     """
     d, alpha = 3, 2
-    group, index = plane_pipeline_group(q, d, alpha)
-    imgs = {}
-    for v1 in range(q):
-        for v2 in range(q):
-            for j in range(d):
-                g = index[((v1, v2), j, 0)]
-                imgs[g] = Mat(np.array([[pow(alpha, j, q), v1], [0, 1]]), q)
-    rho = Rep(group, "H", imgs, q)
-    eps = make_character(
-        group,
-        "G",
-        {
-            index[((v1, v2), j, e)]: pow(alpha, j, q) * (q - 1) ** e % q
-            for v1 in range(q)
-            for v2 in range(q)
-            for j in range(d)
-            for e in range(2)
-        },
-        q,
-    )
+    group, index = semidirect_group(q, 2, (d, 2), (alpha, -1))
+    rho = Rep(group, "H", {g: [[pow(alpha, j, q), v1], [0, 1]]
+                           for ((v1, _), j, e), g in index.items() if e == 0}, q)
+    eps = make_character(group, "G", {g: pow(alpha, j, q) * (q - 1) ** e % q
+                                      for (_, j, e), g in index.items()}, q)
     return Fixture(
         "coh294_q7",
         group,
@@ -459,9 +439,9 @@ DIHEDRAL_TABLE = [(3, 7), (3, 13), (5, 11), (5, 31), (7, 29), (9, 19), (11, 23),
 METACYCLIC_TABLE = [(5, 4, 2, 11), (5, 4, 2, 31), (5, 4, 2, 41), (5, 8, 2, 11), (13, 4, 5, 53)]
 ABELIAN_TABLE = [(15, 4, 31), (21, 8, 43)]
 
-# Battery cases share a few groups; caching keeps each group (and its
-# memoized generators) across cases and runs.
-_battery_group = functools.lru_cache(maxsize=None)(metacyclic_pair)
+# Battery cases share a few metacyclic groups (m, 1, (d,), (a,)); caching
+# keeps each group (and its memoized generators) across cases and runs.
+_battery_group = functools.lru_cache(maxsize=None)(semidirect_group)
 
 
 def random_battery_case(rng):
@@ -473,7 +453,7 @@ def random_battery_case(rng):
     kind = rng.choice(["dihedral", "metacyclic", "abelian"], p=[0.4, 0.4, 0.2])
     if kind == "metacyclic":
         p, d, a, q = METACYCLIC_TABLE[int(rng.integers(len(METACYCLIC_TABLE)))]
-        group, index = _battery_group(p, d, a)
+        group, index = _battery_group(p, 1, (d,), (a,))
         j1 = int(rng.integers(1, (p - 1) // 2 + 1))
         j2 = int(rng.integers(1, (p - 1) // 2 + 1))
         anti = d == 8
@@ -486,7 +466,7 @@ def random_battery_case(rng):
     else:
         m, a, q = ABELIAN_TABLE[int(rng.integers(len(ABELIAN_TABLE)))]
         name = f"C{m}x|C2"
-    group, index = _battery_group(m, 2, a)
+    group, index = _battery_group(m, 1, (2,), (a,))
     a1 = int(rng.integers(1, m))
     a2 = int(rng.integers(1, m))
     chi1, chi2 = (_cyclic_character(group, index, m, q, k) for k in (a1, a2))

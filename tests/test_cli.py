@@ -85,6 +85,18 @@ def test_verify_identities_has_no_fixtures_option():
     assert exc.value.code == 2  # an argparse usage error
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-identities", "--only", "prasad"],
+    ["pipeline"],
+    ["lfunc", "--primes", "3..7"],
+])
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_pipeline_report(tmp_path):
     report = tmp_path / "p.json"
     assert run(["pipeline", "--report", str(report)]) == 0

@@ -26,9 +26,9 @@ from asaikit.fixtures import (
     coh294_fixture,
     f20_fixture,
     m40_fixture,
-    metacyclic_pair,
     ribet_fixture,
     s3_fixture,
+    semidirect_group,
 )
 from asaikit.grouprep import Rep, coset_sign_character, induce, power_character
 
@@ -52,14 +52,14 @@ def trivial_module(group, elements, dim, mod):
 
 def test_h1_cyclic_q_torsion():
     # H^1(C_7, trivial F_7) = Hom(C_7, F_7) is one-dimensional
-    group, _ = metacyclic_pair(7, 2, 6)
+    group, _ = semidirect_group(7, 1, (2,), (6,))
     mod = trivial_module(group, group.H, 1, 7)
     assert h1(mod).dim == 1
 
 
 def test_h1_coprime_order_vanishes():
     # H^1(C_5, trivial F_7) = 0
-    group, _ = metacyclic_pair(5, 2, 4)
+    group, _ = semidirect_group(5, 1, (2,), (4,))
     mod = trivial_module(group, group.H, 1, 7)
     assert h1(mod).dim == 0
 

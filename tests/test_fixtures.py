@@ -1,9 +1,18 @@
 import hashlib
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from asaikit.fixtures import ribet_fixture, ribet_v0_fixture, shipped_fixture_builders
+from asaikit import fixtures
+from asaikit.fixtures import (
+    group_from_labels,
+    ribet_fixture,
+    ribet_v0_fixture,
+    semidirect_group,
+    shipped_fixture_builders,
+)
 from asaikit.grouprep import coset_sign_character
 from asaikit.polarization import LatticeRep, theorem_main_pipeline
 
@@ -53,3 +62,88 @@ def test_ribet_fixture_plants_a_class_below_the_default_level(precision, level):
     report = theorem_main_pipeline(latt, coset_sign_character(fix.group, lattice.mod))
     assert report.level == level
     assert report.eigenvalue_law_holds
+
+
+# The label-closure constructors that `semidirect_group` replaced, kept as
+# the oracle: each multiplies labels in Python through `group_from_labels`.
+def metacyclic_oracle(p, d, a):
+    labels = [(b, j) for j in range(d) for b in range(p)]
+
+    def mult(x, y):
+        b, j = x
+        b2, j2 = y
+        return ((b + pow(a, j, p) * b2) % p, (j + j2) % d)
+
+    return group_from_labels(labels, mult, lambda x: x[1] % 2 == 0, (0, 1))
+
+
+def affine_oracle(q, d, alpha):
+    labels = [(v, j, e) for e in range(2) for j in range(d) for v in range(q)]
+
+    def mult(x, y):
+        v, j, e = x
+        v2, j2, e2 = y
+        return ((v + pow(alpha, j, q) * (-1) ** e * v2) % q, (j + j2) % d, (e + e2) % 2)
+
+    return group_from_labels(labels, mult, lambda x: x[2] == 0, (0, 0, 1))
+
+
+def plane_oracle(q, d, alpha):
+    labels = [((v1, v2), j, e) for e in range(2) for j in range(d)
+              for v1 in range(q) for v2 in range(q)]
+
+    def mult(x, y):
+        (v1, v2), j, e = x
+        (w1, w2), j2, e2 = y
+        s = pow(alpha, j, q) * (-1) ** e
+        return (((v1 + s * w1) % q, (v2 + s * w2) % q), (j + j2) % d, (e + e2) % 2)
+
+    return group_from_labels(labels, mult, lambda x: x[2] == 0, ((0, 0), 0, 1))
+
+
+EQUIVALENT_GROUPS = (
+    [("metacyclic", args, args[0], 1, (args[1],), (args[2],))
+     for args in [(3, 2, 2), (5, 4, 2), (5, 8, 2), (15, 2, 4), (21, 2, 8), (13, 4, 5),
+                  (5, 2, 4), (7, 2, 6)]]
+    + [("affine", args, args[0], 1, (args[1], 2), (args[2], -1))
+       for args in [(7, 6, 2), (49, 6, 30), (101, 4, 100)]]
+    + [("plane", (7, 3, 2), 7, 2, (3, 2), (2, -1))]
+)
+ORACLES = {"metacyclic": metacyclic_oracle, "affine": affine_oracle, "plane": plane_oracle}
+
+
+@pytest.mark.parametrize("family, args, m, k, orders, scalars", EQUIVALENT_GROUPS,
+                         ids=[f"{c[0]}{c[1]}" for c in EQUIVALENT_GROUPS])
+def test_semidirect_group_matches_the_label_closure(family, args, m, k, orders, scalars):
+    want, want_index = ORACLES[family](*args)
+    got, index = semidirect_group(m, k, orders, scalars)
+    # repr also tells a Python int label from a numpy one
+    assert [repr(e) for e in got.elements] == [repr(e) for e in want.elements]
+    assert np.array_equal(got.mul, want.mul)
+    assert got.H == want.H and got.ctilde == want.ctilde
+    assert index == want_index
+
+
+@pytest.mark.parametrize("k, orders, scalars, match", [
+    (1, (3,), (2,), "last order must be even"),
+    (1, (4,), (3,), "order dividing"),  # 3 has order 6 mod 7
+    (2, (6, 2), (3, 2), "order dividing"),  # 2 has order 3 mod 7
+    (1, (6, 2), (3,), None),  # one scalar per factor
+])
+def test_semidirect_group_rejects_bad_arguments(k, orders, scalars, match):
+    with pytest.raises(ValueError, match=match):
+        semidirect_group(7, k, orders, scalars)
+
+
+def test_semidirect_group_allocates_one_table(monkeypatch):
+    # the table is the only array of |G|^2 entries built; the (|A|, |V|, |V|)
+    # V-part is 1/|A| of it (|A| = 8 here)
+    monkeypatch.setattr(fixtures, "FiniteGroup", lambda *args: args)
+    tracemalloc.start()
+    try:
+        (_, mul, _, _), _ = semidirect_group(101, 1, (4, 2), (100, -1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mul.shape == (808, 808)
+    assert peak < 1.5 * mul.nbytes

@@ -351,9 +351,9 @@ def test_tensor_induce_minus_sign_past_int64_products():
     """Over Z/11^7 the signed swap holds 11^7 - 1, and multiplying an
     unreduced Kronecker product by it overflowed int64.  As a column
     permutation times -1, As^- is As^+ twisted by the coset sign."""
-    from asaikit.fixtures import _metacyclic_2dim_rep, metacyclic_pair
+    from asaikit.fixtures import _metacyclic_2dim_rep, semidirect_group
 
-    group, index = metacyclic_pair(5, 8, 2)
+    group, index = semidirect_group(5, 1, (8,), (2,))
     mod = 11**7
     rho = _metacyclic_2dim_rep(group, index, 5, 8, 11, antisym_u=True, mod=mod)
     plus_twisted = tensor_induce(rho, +1).twist(coset_sign_character(group, mod))

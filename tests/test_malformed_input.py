@@ -66,3 +66,47 @@ def test_mutated_selmer_json_succeeds_or_raises_value_error(base):
 
     outcomes = [succeeds_or_value_error(run) for _ in range(TRIALS)]
     assert 0 < sum(outcomes) < TRIALS
+
+
+def _replaced(obj, path, value):
+    out = copy.deepcopy(obj)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value(node[path[-1]])
+    return out
+
+
+# Each value equals the correct entry after int() or numpy's int64 cast, so
+# only a type check can refuse it.
+@pytest.mark.parametrize("path, value", [
+    (("mul", 0, 1), lambda x: x + 0.7),
+    (("mul", 0, 1), bool),
+    (("mul", 0, 1), str),
+    (("H", 0), lambda x: x + 0.2),
+    (("ctilde",), float),
+    (("reps", 0, "images", 0, 0), lambda x: x + 0.9),
+    (("reps", 0, "images", 0, 0), str),
+    (("reps", 0, "modulus"), lambda x: x + 0.5),
+    (("reps", 0, "dim"), bool),
+    (("reps", 0, "domain"), lambda _: [0.5, 1.5, 2.5]),  # H = (0, 1, 2)
+], ids=["mul-float", "mul-bool", "mul-str", "H-float", "ctilde-float", "image-float",
+        "image-str", "modulus-float", "dim-bool", "domain-float"])
+def test_fixture_json_takes_integers_only(path, value):
+    base = s3_fixture().to_json()
+    Fixture.from_json(base)
+    with pytest.raises(ValueError, match="malformed fixture"):
+        Fixture.from_json(_replaced(base, path, value))
+
+
+@pytest.mark.parametrize("condition", [
+    {"subgroup": [0.9, 1.2, 2], "local_condition": "zero"},
+    {"subgroup": ["0", "1"], "local_condition": "zero"},
+    {"subgroup": [0, True], "local_condition": "zero"},
+    {"subgroup": True, "local_condition": "zero"},
+    {"subgroup": list(range(7)), "local_condition": [[True]]},
+    {"subgroup": list(range(7)), "local_condition": [[1.0]]},
+], ids=["float", "str", "bool-entry", "bool", "bool-vector", "float-vector"])
+def test_selmer_json_takes_integers_only(condition):
+    with pytest.raises(ValueError):
+        SelmerStructure.from_json([condition])
