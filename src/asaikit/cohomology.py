@@ -304,7 +304,8 @@ def polarization_involution(cocycle: Cocycle, rho: Rep,
 
 def polarization_involution_matrix(h1d: H1Data, rho: Rep,
                                    eps_pow: Rep | None = None) -> np.ndarray:
-    mat = h1d.map_matrix(lambda z: polarization_involution(z, rho, eps_pow), h1d)
+    eps = eps_pow if eps_pow is not None else rho.det_character()
+    mat = h1d.map_matrix(lambda z: polarization_involution(z, rho, eps), h1d)
     sq = mat @ mat % h1d.q
     if not np.array_equal(sq, np.eye(h1d.dim, dtype=np.int64) % h1d.q):
         raise AssertionError("polarization involution does not square to one on H^1")

@@ -12,7 +12,8 @@ non-pivot column, one of annihilator q^v per pivot of valuation v > 0) and
 their cyclic spans form a direct sum.
 The package's one determinant (Bareiss), characteristic polynomial
 (Berkowitz) and rational elimination (Fraction Gauss-Jordan) work on
-nested sequences of int or Fraction entries.
+nested sequences of int or Fraction entries; `charpoly_stack` runs the same
+Berkowitz recurrence over a stack of matrices mod m at once.
 
 Conventions fixed once for the whole package:
   * Kronecker products order pairs row-major: (i, j) -> i*cols(b) + j.
@@ -259,6 +260,53 @@ def charpoly(rows):
             sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1))
             for i in range(r + 2)
         ]
+    return poly
+
+
+def polymul_stack(a, b, mod):
+    """Products mod m of two stacks of polynomials, row by row: (N, k) and
+    (N, l) coefficients, lowest degree first, give (N, k + l - 1).
+
+    Each coefficient sums at most min(k, l) residue products before it is
+    reduced, so check_int64_products(min(k, l), mod) keeps it exact.
+    """
+    a = np.mod(np.asarray(a, dtype=np.int64), mod)
+    b = np.mod(np.asarray(b, dtype=np.int64), mod)
+    k, l = a.shape[1], b.shape[1]
+    out = np.zeros((a.shape[0], k + l - 1), dtype=np.int64)
+    for j in range(l):
+        out[:, j:j + k] += a * b[:, j:j + 1]
+    return out % mod
+
+
+def charpoly_stack(a, mod):
+    """Coefficients of det(I - a X) mod m for each matrix of an (N, n, n)
+    stack, as an (N, n + 1) array, lowest degree first: row i is
+    `charpoly(a[i])` reduced mod m.
+
+    The same Berkowitz recurrence as `charpoly`, division-free and so valid
+    over Z/m, with every dot product, matvec and Toeplitz product taken once
+    over the whole stack.  Each sums at most n residue products before it is
+    reduced mod m, so check_int64_products(n, mod) keeps it exact.
+    """
+    a = np.mod(np.asarray(a, dtype=np.int64), mod)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("characteristic polynomials of a stack of square matrices")
+    n = a.shape[1]
+    check_int64_products(n, mod)
+    poly = np.ones((a.shape[0], 1), dtype=np.int64)
+    for r in range(n):
+        # bordering the leading r x r block A by column c, row s, corner a:
+        # the Toeplitz column is 1, -a, -s c, -s A c, ..., -s A^(r-1) c
+        s = a[:, r, :r]
+        v = a[:, :r, r]
+        toeplitz = np.empty((a.shape[0], r + 2), dtype=np.int64)
+        toeplitz[:, 0] = 1
+        toeplitz[:, 1] = -a[:, r, r] % mod
+        for k in range(r):
+            toeplitz[:, k + 2] = -(s * v).sum(axis=1) % mod
+            v = (a[:, :r, :r] @ v[:, :, None])[:, :, 0] % mod
+        poly = polymul_stack(toeplitz, poly, mod)[:, :r + 2]
     return poly
 
 

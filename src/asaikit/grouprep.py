@@ -29,6 +29,7 @@ import numpy as np
 
 from .exactalg import (
     Mat,
+    charpoly_stack,
     check_int64_products,
     factor_prime_power,
     kernel_gens,
@@ -312,10 +313,11 @@ class Rep:
         return Rep(self.group, self.domain, imgs, self.mod, validate=False)
 
     def det_character(self) -> "Rep":
-        vals = np.array(
-            [[[Mat(m, self.mod).det()]] for m in self.images], dtype=np.int64
-        )
-        return Rep(self.group, self.domain, vals, self.mod, validate=False)
+        """det rho, read off the charpolys: det a = (-1)^dim c_dim."""
+        c = charpoly_stack(self.images, self.mod)[:, self.dim]
+        vals = (-1) ** self.dim * c % self.mod
+        return Rep(self.group, self.domain, vals.reshape(-1, 1, 1), self.mod,
+                   validate=False)
 
 
 def kron_stack(a, b, mod) -> np.ndarray:

@@ -30,11 +30,11 @@ from .cohomology import (
 )
 from .exactalg import (
     Mat,
-    PolyX,
-    charpoly,
+    charpoly_stack,
     extend_basis,
     factor_prime_power,
     kernel_gens,
+    polymul_stack,
     rref_mod,
     rref_rational,
     solve_mod,
@@ -185,7 +185,14 @@ def sign_congruence(p1: PolarizedRep, p2: PolarizedRep) -> dict:
 @dataclass
 class LatticeRep:
     """A representation over Z/q^n (n >= 2) whose mod-q semisimplification
-    is rhobar1 + rhobar2 with distinct absolutely irreducible summands."""
+    is rhobar1 + rhobar2 with distinct absolutely irreducible summands.
+
+    The semisimplification is checked on H by Brauer-Nesbitt: at every
+    element, the charpoly of the reduction mod q equals the product of the
+    residual charpolys.  All three charpolys come from one batched
+    `charpoly_stack` each over the H image stack, and the products from one
+    `polymul_stack`.
+    """
 
     rep: Rep          # over Z/q^n, on G (carries the coset structure)
     rhobar1: Rep      # over F_q, on H
@@ -207,11 +214,11 @@ class LatticeRep:
             raise ValueError("residual summands must be non-isomorphic")
         # Brauer-Nesbitt style check of the semisimplification on H
         self.rep_H = self.rep.restrict_to_H()
-        for x in self.rhobar1.elements:
-            p1, p2, lhs = (PolyX(charpoly(r.arr(x).tolist()), q)
-                           for r in (self.rhobar1, self.rhobar2, self.rep_H))
-            if lhs != p1 * p2:
-                raise ValueError("mod-q semisimplification does not match")
+        els = np.array(self.rhobar1.elements)
+        p1, p2, lhs = (charpoly_stack(r.arr(els), q)
+                       for r in (self.rhobar1, self.rhobar2, self.rep_H))
+        if not np.array_equal(lhs, polymul_stack(p1, p2, q)):
+            raise ValueError("mod-q semisimplification does not match")
 
     @property
     def q(self):

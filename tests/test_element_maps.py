@@ -436,6 +436,19 @@ def test_classify_pairing_matches_the_projection_basis(hom_reps):
     assert nonempty >= 5
 
 
+def test_det_character_matches_the_per_image_det(hom_reps):
+    """det_character reads det off one charpoly_stack; the oracle is one
+    Bareiss Mat.det per image."""
+    dims = set()
+    for label, rep in hom_reps:
+        want = [Mat(m, rep.mod).det() for m in rep.images]
+        det = rep.det_character()
+        assert det.dim == 1 and det.domain == rep.domain, label
+        assert det.images[:, 0, 0].tolist() == want, label
+        dims.add(rep.dim)
+    assert {1, 2, 4}.issubset(dims)
+
+
 def test_symmetry_rows_match_the_loop():
     for d in range(1, 6):
         for anti in (False, True):

@@ -1,9 +1,11 @@
 """Independent oracles for the exact linear-algebra layer: sympy for the
 determinant, the characteristic polynomial, rational elimination and
-elimination over F_p, and brute-force enumeration for kernels over the chain
-rings Z/q^n."""
+elimination over F_p, brute-force enumeration for kernels over the chain
+rings Z/q^n, and the per-matrix Berkowitz `charpoly` for the batched
+`charpoly_stack`."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asaikit.exactalg import charpoly, det, extend_basis, kernel_gens, rref_mod, rref_rational
+from asaikit.exactalg import (
+    Mat,
+    PolyX,
+    charpoly,
+    charpoly_stack,
+    det,
+    extend_basis,
+    kernel_gens,
+    polymul_stack,
+    rref_mod,
+    rref_rational,
+)
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +200,103 @@ def test_kernel_gens_span_the_brute_force_kernel(system):
         _, keep = np.unique(_encode(span, mod), return_index=True)
         span = span[keep]
     assert len(span) == kernel_size
+
+
+# ---------------------------------------------------------------------------
+# the batched Berkowitz against the per-matrix one
+# ---------------------------------------------------------------------------
+
+
+def _charpoly_oracle(stack, mod):
+    """charpoly of each matrix over Z, reduced mod m: the per-element loop."""
+    return [[c % mod for c in charpoly(m.tolist())] for m in stack]
+
+
+def _invertible(rng, n, mod):
+    """A random invertible matrix mod m (unit lower times unit upper) and
+    its inverse."""
+    eye = np.eye(n, dtype=np.int64)
+    lower = np.tril(rng.integers(0, mod, size=(n, n)), -1) + eye
+    upper = np.triu(rng.integers(0, mod, size=(n, n)), 1) + eye
+    g = Mat(lower @ upper, mod)
+    return g.a, g.inverse().a
+
+
+def _seeded_stack(rng, n, mod):
+    """Dense random matrices plus zero, scalar and nilpotent ones (the
+    nilpotents conjugated away from triangular form), and rank-deficient
+    products through a narrower middle dimension."""
+    mats = list(rng.integers(0, mod, size=(8, n, n)))
+    mats.append(np.zeros((n, n), dtype=np.int64))
+    for c in (1, mod - 1, int(rng.integers(2, mod))):
+        mats.append(c * np.eye(n, dtype=np.int64) % mod)
+    for _ in range(3):
+        g, ginv = _invertible(rng, n, mod)
+        nil = np.triu(rng.integers(0, mod, size=(n, n)), 1)
+        mats.append(g @ nil % mod @ ginv % mod)
+    if n > 1:
+        k = int(rng.integers(1, n))
+        mats.append(rng.integers(0, mod, size=(n, k)) @ rng.integers(0, mod, size=(k, n)) % mod)
+    return np.array(mats, dtype=np.int64)
+
+
+@pytest.mark.parametrize("mod", [7, 121, 13**3, 101**3])
+def test_charpoly_stack_matches_the_per_matrix_berkowitz(mod):
+    rng = np.random.default_rng(mod)
+    for n in range(1, 7):
+        stack = _seeded_stack(rng, n, mod)
+        got = charpoly_stack(stack, mod)
+        assert got.shape == (len(stack), n + 1) and got.dtype == np.int64
+        assert got.tolist() == _charpoly_oracle(stack, mod)
+        # zero and nilpotent matrices have det(I - aX) = 1
+        one = [1] + [0] * n
+        assert got[8].tolist() == one
+        assert all(row == one for row in got[12:15].tolist())
+        # a scalar c gives the binomial expansion of (1 - cX)^n
+        c = int(stack[11, 0, 0])
+        assert got[11].tolist() == [math.comb(n, k) * (-c) ** k % mod for k in range(n + 1)]
+
+
+def test_charpoly_stack_edge_shapes_and_bounds():
+    assert charpoly_stack(np.zeros((3, 0, 0), dtype=np.int64), 7).tolist() == [[1]] * 3
+    assert charpoly_stack(np.zeros((0, 4, 4), dtype=np.int64), 7).shape == (0, 5)
+    with pytest.raises(ValueError, match="square"):
+        charpoly_stack(np.zeros((2, 2, 3), dtype=np.int64), 7)
+    # the dot products sum n residue products: refused where that leaves int64
+    big = 2**31 + 11
+    with pytest.raises(ValueError, match="overflow"):
+        charpoly_stack(np.zeros((1, 3, 3), dtype=np.int64), big)
+
+
+@st.composite
+def residue_stacks(draw):
+    mod = draw(st.sampled_from([3, 7, 9, 25, 121, 343]))
+    n = draw(st.integers(0, 4))
+    count = draw(st.integers(0, 4))
+    entries = draw(st.lists(st.integers(-2 * mod, 2 * mod),
+                            min_size=count * n * n, max_size=count * n * n))
+    return np.array(entries, dtype=np.int64).reshape(count, n, n), mod
+
+
+@settings(max_examples=120, deadline=None)
+@given(residue_stacks())
+def test_charpoly_stack_property(system):
+    stack, mod = system
+    got = charpoly_stack(stack, mod)
+    assert got.shape == (stack.shape[0], stack.shape[1] + 1)
+    assert got.tolist() == _charpoly_oracle(stack, mod)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([7, 49, 13**3]), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_polymul_stack_matches_polyx(mod, k, l, data):
+    rows = data.draw(st.integers(0, 3))
+    a = np.array(data.draw(st.lists(st.integers(0, mod - 1), min_size=rows * k,
+                                    max_size=rows * k)), dtype=np.int64).reshape(rows, k)
+    b = np.array(data.draw(st.lists(st.integers(0, mod - 1), min_size=rows * l,
+                                    max_size=rows * l)), dtype=np.int64).reshape(rows, l)
+    got = polymul_stack(a, b, mod)
+    assert got.shape == (rows, k + l - 1)
+    for x, y, row in zip(a, b, got):
+        want = (PolyX(x, mod) * PolyX(y, mod)).coeffs
+        assert row.tolist() == list(want) + [0] * (k + l - 1 - len(want))

@@ -388,6 +388,23 @@ def test_lattice_rep_invariants(rib):
         LatticeRep(lat, rib.rep("chi"), rib.rep("chi"))
 
 
+def test_lattice_rep_rejects_a_mismatched_semisimplification(rib):
+    """chi^2 and chi_inv are distinct, non-isomorphic and absolutely
+    irreducible (chi has order 6), so every other check passes; but the
+    lattice reduces to chi + chi_inv on H, and the Brauer-Nesbitt check must
+    refuse the pair."""
+    chi, chi_inv = rib.rep("chi"), rib.rep("chi_inv")
+    chi2 = chi.twist(chi)
+    assert chi2 != chi_inv and endomorphism_free_rank(chi2) == 1
+    with pytest.raises(ValueError, match="semisimplification does not match"):
+        LatticeRep(rib.rep("lattice"), chi2, chi_inv)
+    with pytest.raises(ValueError, match="semisimplification does not match"):
+        LatticeRep(rib.rep("lattice"), chi_inv, chi2)
+    # the same lattice with the matching pair is accepted, in either order
+    LatticeRep(rib.rep("lattice"), chi, chi_inv)
+    LatticeRep(rib.rep("lattice"), chi_inv, chi)
+
+
 def test_ribet_precision3_descent():
     """At precision q^3 with the class planted two lattice steps down, the
     descent absorbs two coboundary levels before finding it."""
