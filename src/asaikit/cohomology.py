@@ -11,7 +11,11 @@ under products, and every element, 1 included, is a non-empty word in
 the generators, so phi(1) = 0 follows.
 H^1 is computed by parametrizing cocycles by their values on a generating
 set: the cocycle identity across all (element, generator) pairs is a finite
-exact linear system whose kernel is Z^1.
+exact linear system whose kernel is Z^1.  The values on every element are
+expanded from the generator values along each generator's repeated squares
+s^(2^j), with phi(t^2) = phi(t) + t.phi(t), as in binary powering; the walk
+takes about sum log2(ord s) batched layers instead of one per step of the
+Cayley graph.
 """
 
 from __future__ import annotations
@@ -87,12 +91,19 @@ class H1Data:
     """Exact Z^1 / B^1 / H^1 data for a module, in generator coordinates.
 
     A cocycle is determined by its values on `gens`; `expand[module.pos[g]]`
-    maps that generator-value vector to phi(g).  It is filled breadth-first
-    from the identity, one batched step per layer, through the first
-    (frontier element, generator) pair in row-major order that reaches each
-    new element: phi(a s) = phi(a) + a.phi(s).  Z^1 is the kernel of the
-    consistency system over all (element, generator) pairs, B^1 the image
-    of the coboundary map, and the H^1 representatives extend B^1 to Z^1.
+    maps that generator-value vector to phi(g).  It is filled along the
+    jumps t = s^(2^j) of each generator s (in `gens` order, while t != 1
+    and 2^j < |domain|), whose values phi(t^2) = phi(t) + t.phi(t) follow
+    from phi(s) by repeated squaring.  The walk is breadth-first from the
+    identity over the jumps, one batched step per layer, through the first
+    (frontier element, jump) pair in row-major order that reaches each new
+    element: phi(a t) = phi(a) + a.phi(t).  `depth` counts its layers,
+    about the sum of log2(ord s) rather than the diameter of the Cayley
+    graph.  Off Z^1, `expand` depends on that spanning tree; on Z^1 it is
+    the cocycle itself.  Z^1 is the kernel of the consistency system over
+    all (element, generator) pairs, which does not depend on the tree, B^1
+    the image of the coboundary map, and the H^1 representatives extend
+    B^1 to Z^1.
     """
 
     def __init__(self, module: Rep):
@@ -107,24 +118,40 @@ class H1Data:
         gens = np.array(m.gens)
         N, k, d = len(m.elements), len(gens), m.dim
         D = k * d
-        expand = np.zeros((N, d, k, d), dtype=np.int64)
+        # the jumps s^(2^j) for 2^j < N, generator-major: phi(s) = e_s, and
+        # phi(t^2) = phi(t) + t.phi(t), each product a sum of d residue products
+        J = (N - 1).bit_length()
+        jump = np.empty((k, J), dtype=np.int64)
+        jval = np.empty((k, J, d, D), dtype=np.int64)
+        t, v = gens, np.eye(D, dtype=np.int64).reshape(k, d, D)
+        for j in range(J):
+            if j:
+                t, v = g.mul[t, t], (v + m.arr(t) @ v % q) % q
+            jump[:, j], jval[:, j] = t, v
+        keep = jump != g.one  # once t = 1 every later square is 1 too
+        jump, jval = jump[keep], jval[keep]
+        J = len(jump)
+        expand = np.zeros((N, d, D), dtype=np.int64)
         seen = np.zeros(g.n, dtype=bool)
         seen[g.one] = True
         frontier = np.array([g.one])
-        while frontier.size:
-            prods = g.mul[np.ix_(frontier, gens)].reshape(-1)
+        self.depth = 0
+        while True:
+            prods = g.mul[np.ix_(frontier, jump)].reshape(-1)
             fresh = np.flatnonzero(~seen[prods])
+            if not fresh.size:
+                break
             _, first = np.unique(prods[fresh], return_index=True)
             edge = np.sort(fresh[first])  # discovery order
-            a, new = frontier[edge // k], prods[edge]
-            # phi(a s) = phi(a) + a.phi(s): rho(a) lands in s's column block
-            step = expand[m.pos[a]]
-            step[np.arange(len(edge)), :, edge % k, :] += m.arr(a)
-            expand[m.pos[new]] = step % q
+            a, new = frontier[edge // J], prods[edge]
+            # phi(a t) = phi(a) + a.phi(t)
+            expand[m.pos[new]] = (expand[m.pos[a]] + m.arr(a) @ jval[edge % J] % q) % q
             seen[new] = True
             frontier = new
-        assert np.array_equal(np.flatnonzero(seen), m.elements)
-        self.expand = expand.reshape(N, d, D)
+            self.depth += 1
+        if not np.array_equal(np.flatnonzero(seen), m.elements):
+            raise AssertionError("the jump walk does not reach every element of the domain")
+        self.expand = expand
         # consistency rows: phi(x s) - phi(x) - x.phi(s) = 0 for all x, gens s
         sys = self.expand[m.pos[g.mul[np.ix_(m.elements, gens)]]]
         sys -= self.expand[:, None]

@@ -69,12 +69,13 @@ class FiniteGroup:
         raise ValueError("multiplication table has no identity")
 
     def _find_inverses(self):
-        inv = np.full(self.n, -1, dtype=np.int64)
-        for g in range(self.n):
-            js = np.nonzero(self.mul[g] == self.one)[0]
-            if js.size != 1 or self.mul[js[0], g] != self.one:
-                raise ValueError(f"element {g} has no two-sided inverse")
-            inv[g] = js[0]
+        # g needs exactly one right inverse j, and j g = 1 as well
+        is_one = self.mul == self.one
+        inv = is_one.argmax(axis=1)
+        ok = (is_one.sum(axis=1) == 1) & is_one[inv, np.arange(self.n)]
+        if not ok.all():
+            g = int(np.argmin(ok))
+            raise ValueError(f"element {g} has no two-sided inverse")
         inv.flags.writeable = False
         return inv
 
@@ -345,10 +346,10 @@ def coset_sign_character(group: FiniteGroup, mod) -> Rep:
 
 
 def power_character(chi: Rep, k: int) -> Rep:
-    vals = np.array(
-        [[[pow(int(m[0, 0]), k, chi.mod)]] for m in chi.images], dtype=np.int64
-    )
-    return Rep(chi.group, chi.domain, vals, chi.mod, validate=False)
+    vals, where = np.unique(chi.images[:, 0, 0], return_inverse=True)
+    powers = np.array([pow(int(x), k, chi.mod) for x in vals], dtype=np.int64)
+    return Rep(chi.group, chi.domain, powers[where].reshape(-1, 1, 1), chi.mod,
+               validate=False)
 
 
 def conjugate_rep(rho: Rep) -> Rep:

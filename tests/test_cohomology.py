@@ -129,6 +129,22 @@ def test_h1_on_a_decomposition_subgroup_rep(rib):
     assert h1(direct).dim == h1(m.restrict(v_sub)).dim == 1
 
 
+def test_h1_walk_depth_is_logarithmic_in_the_group_order():
+    # H = V x| C_4 with V = Z/101, generated by t = (1, 0, 0) of order 101
+    # and c = (0, 1, 0) of order 4: t^a c^b is a word in at most 6 jumps
+    # t^(2^i) (a <= 100 has at most 6 binary digits 1) and 2 jumps c^(2^j).
+    # A walk over the generators themselves needs 53 layers on H and 100 on V.
+    fx = ribet_fixture(101, d=4, alpha=100, chi_val=10, precision=3)
+    g = fx.group
+    m = hom_module(fx.rep("chi"), fx.rep("chi_inv"))
+    v_sub = tuple(h for h in g.H if g.elements[h][1] == 0)
+    data_h, data_v = h1(m), h1(m.restrict(v_sub))
+    assert len(m.elements) == 404 and len(v_sub) == 101
+    assert data_h.depth <= 9
+    assert data_v.depth <= 7
+    assert data_h.dim == data_v.dim == 1
+
+
 def test_cocycle_restrict_rejects_a_foreign_subgroup():
     fx = s3_fixture()
     g = fx.group

@@ -31,6 +31,7 @@ from asaikit.grouprep import (
     induce,
     intertwiner_space,
     isotypic_lines,
+    power_character,
     swap_matrix,
     symmetry_rows,
     tensor_induce,
@@ -191,6 +192,43 @@ def expand_oracle(m, gens):
     return expand, sys
 
 
+def jump_walk_oracle(m, gens):
+    """phi(g) = expand[g] @ x by a scalar dict walk over the jumps s^(2^j)
+    (2^j < |domain|, s^(2^j) != 1, generator-major), with phi(t^2) =
+    phi(t) + t.phi(t) and phi(a t) = phi(a) + a.phi(t) for the first
+    (frontier element, jump) pair that reaches each element; also the
+    number of layers."""
+    g = m.group
+    q = m.mod
+    d = m.dim
+    D = len(gens) * d
+    jumps = []
+    for i, s in enumerate(gens):
+        t = s
+        v = np.zeros((d, D), dtype=np.int64)
+        v[:, i * d:(i + 1) * d] = np.eye(d, dtype=np.int64)
+        j = 0
+        while t != g.one and 2**j < len(m.elements):
+            jumps.append((t, v))
+            t, v = g.op(t, t), (v + m.arr(t) @ v) % q
+            j += 1
+    expand = {g.one: np.zeros((d, D), dtype=np.int64)}
+    frontier = [g.one]
+    depth = 0
+    while True:
+        nxt = []
+        for a in frontier:
+            for t, v in jumps:
+                b = g.op(a, t)
+                if b not in expand:
+                    expand[b] = (expand[a] + m.arr(a) @ v) % q
+                    nxt.append(b)
+        if not nxt:
+            return expand, depth
+        frontier = nxt
+        depth += 1
+
+
 # ---------------------------------------------------------------------------
 # representation builders
 # ---------------------------------------------------------------------------
@@ -206,6 +244,21 @@ def test_conjugate_rep_and_dual_twist_match_the_loops(shipped):
                                   dual_twist_oracle(rho, None)), (f, r)
             assert np.array_equal(dual_twist(rho, psi).images,
                                   dual_twist_oracle(rho, psi)), (f, r)
+
+
+def test_power_character_matches_the_loop(shipped):
+    checked = 0
+    for f, fix in shipped.items():
+        for r, chi in fix.reps.items():
+            if chi.dim != 1:
+                continue
+            for k in (-1, 0, 2, 5):
+                want = [pow(int(m[0, 0]), k, chi.mod) for m in chi.images]
+                got = power_character(chi, k)
+                assert got.domain == chi.domain, (f, r)
+                assert got.images[:, 0, 0].tolist() == want, (f, r, k)
+            checked += 1
+    assert checked >= 4
 
 
 def test_induce_and_transfer_match_the_loops(shipped):
@@ -265,9 +318,17 @@ def test_h1_expand_and_consistency_system_match_the_dict_bfs(shipped):
         expand, sys = expand_oracle(m, data.gens)
         assert data.expand.shape == (len(m.elements), m.dim, len(data.gens) * m.dim)
         assert sorted(expand) == list(m.elements), label
-        for x in m.elements:
-            assert np.array_equal(data.expand[m.pos[x]], expand[x]), (label, x)
+        # Z^1 does not depend on the spanning tree, and on Z^1 both trees
+        # expand to the cocycle itself
         assert np.array_equal(data.z1, kernel_mod(sys, m.mod)), label
+        bfs = np.stack([expand[x] for x in m.elements])
+        for z in data.z1:
+            assert np.array_equal(data.expand @ z % m.mod, bfs @ z % m.mod), label
+        jumped, depth = jump_walk_oracle(m, data.gens)
+        assert sorted(jumped) == list(m.elements), label
+        for x in m.elements:
+            assert np.array_equal(data.expand[m.pos[x]], jumped[x]), (label, x)
+        assert data.depth == depth, label
 
 
 def test_conj_action_matches_the_loop(shipped):

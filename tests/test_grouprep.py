@@ -513,6 +513,13 @@ def test_nonassociative_loop_is_rejected(table, H):
         FiniteGroup(range(n), table, H, 1)
 
 
+def test_an_element_with_two_right_inverses_is_rejected():
+    # identity 0, but 1 * 1 = 1 * 2 = 0
+    table = [[0, 1, 2], [1, 0, 0], [2, 0, 1]]
+    with pytest.raises(ValueError, match="^element 1 has no two-sided inverse$"):
+        FiniteGroup(range(3), table, [0], 1, validate=False)
+
+
 def _wrong_at_a_non_generator(r, rng):
     """Copy of r's images, changed at one element outside 1 and the
     domain's generators."""

@@ -1,9 +1,16 @@
-"""The benchmark harness wraps asaikit functions by name (perfbench/spans.py).
-Installing and removing its tracer here makes a rename that would break
-traced benchmark runs fail the test suite."""
+"""The benchmark harness wraps asaikit functions by name (perfbench/spans.py)
+and its span hooks read attributes of what they return.  Installing and
+removing its tracer here, and one toy run of a workload with tracing off
+and on, make a rename that would break benchmark runs fail the test suite."""
 
 import importlib
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import asaikit.cohomology as cohomology
 import asaikit.grouprep as grouprep
@@ -31,3 +38,20 @@ def test_tracer_installs_records_and_uninstalls(monkeypatch):
     assert after == before
     names = {s.name for s in tracer.spans}
     assert {"grouprep.tensor_induce", "grouprep.rep_validate", "cohomology.h1"} <= names
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_toy_ribet_ladder_run_is_correct(trace, tmp_path):
+    # a copy of the harness beside a link to the sources, so that its
+    # scratch files and span dumps stay out of the checkout
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    for f in PERFBENCH.glob("*.py"):
+        shutil.copy(f, bench)
+    (tmp_path / "src").symlink_to(PERFBENCH.parent / "src", target_is_directory=True)
+    cmd = [sys.executable, str(bench / "run.py"), "--workload", "ribet-ladder",
+           "--size", "toy", "--seed", "1", "--seconds", "1", "--trace", str(trace)]
+    run = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
