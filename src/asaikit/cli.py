@@ -69,7 +69,7 @@ def cmd_verify_identities(args) -> int:
 
 def cmd_pipeline(args) -> int:
     from .cohomology import SelmerStructure
-    from .fixtures import load_shipped
+    from .fixtures import DATA_DIR, load_shipped
     from .grouprep import coset_sign_character, trivial_character
     from .polarization import LatticeRep, PipelineError, theorem_main_pipeline
 
@@ -88,9 +88,7 @@ def cmd_pipeline(args) -> int:
     try:
         fix = load_shipped(name, base)
     except Exception as exc:
-        write_report(args.report, {"error": str(exc), "ok": False})
-        sys.stderr.write(f"fixture load failed: {exc}\n")
-        return 1
+        return refuse(f"fixture load failed: {exc}")
     missing = [r for r in ("lattice", "chi", "chi_inv") if r not in fix.reps]
     if missing:
         return refuse(f"fixture {name!r} lacks the representations {', '.join(missing)}")
@@ -101,16 +99,9 @@ def cmd_pipeline(args) -> int:
         psi = coset_sign_character(fix.group, mod2)
     selmer = None
     selmer_path = args.selmer
-    if selmer_path is None and base is not None:
-        cand = Path(base) / f"{name}.selmer.json"
-        if cand.exists():
-            selmer_path = str(cand)
-    if selmer_path is None:
-        from .fixtures import DATA_DIR
-
-        cand = DATA_DIR / f"{name}.selmer.json"
-        if cand.exists():
-            selmer_path = str(cand)
+    if selmer_path is None:  # NAME.selmer.json beside the fixtures, else shipped
+        cands = [Path(d) / f"{name}.selmer.json" for d in (base, DATA_DIR) if d is not None]
+        selmer_path = next((str(c) for c in cands if c.exists()), None)
     try:
         if selmer_path:
             selmer = SelmerStructure.from_json(json.loads(Path(selmer_path).read_text()))

@@ -10,10 +10,10 @@ Gauss-Jordan elimination.  `rref_mod`, `row_space_mod`, `kernel_mod`,
 generators come with their annihilators (one of annihilator q^n per
 non-pivot column, one of annihilator q^v per pivot of valuation v > 0) and
 their cyclic spans form a direct sum.
-The package's one determinant (Bareiss), characteristic polynomial
-(Berkowitz) and rational elimination (Fraction Gauss-Jordan) work on
-nested sequences of int or Fraction entries; `charpoly_stack` runs the same
-Berkowitz recurrence over a stack of matrices mod m at once.
+The package's one determinant (Bareiss) and characteristic polynomial
+(Berkowitz) work on nested sequences of int or Fraction entries;
+`charpoly_stack` runs the same Berkowitz recurrence over a stack of
+matrices mod m at once.
 
 Conventions fixed once for the whole package:
   * Kronecker products order pairs row-major: (i, j) -> i*cols(b) + j.
@@ -308,33 +308,6 @@ def charpoly_stack(a, mod):
             v = (a[:, :r, :r] @ v[:, :, None])[:, :, 0] % mod
         poly = polymul_stack(toeplitz, poly, mod)[:, :r + 2]
     return poly
-
-
-def rref_rational(rows):
-    """Reduced row echelon form over Q (Fraction Gauss-Jordan).
-
-    Returns (R, pivot_columns) with R a list of Fraction rows.
-    """
-    R = [[Fraction(x) for x in r] for r in rows]
-    nr = len(R)
-    nc = len(R[0]) if nr else 0
-    pivots = []
-    for col in range(nc):
-        rank = len(pivots)
-        if rank == nr:
-            break
-        piv = next((i for i in range(rank, nr) if R[i][col] != 0), None)
-        if piv is None:
-            continue
-        R[rank], R[piv] = R[piv], R[rank]
-        pv = R[rank][col]
-        R[rank] = [x / pv for x in R[rank]]
-        for i in range(nr):
-            if i != rank and R[i][col] != 0:
-                f = R[i][col]
-                R[i] = [a - f * b for a, b in zip(R[i], R[rank])]
-        pivots.append(col)
-    return R, pivots
 
 
 def tensor_product(a: Mat, b: Mat) -> Mat:

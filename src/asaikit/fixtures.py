@@ -259,8 +259,9 @@ def f20_fixture(q=11) -> Fixture:
     return Fixture(f"f20_d5_rho_q{q}", group, reps, meta)
 
 
-def m40_fixture(q=11, lattice=True) -> Fixture:
-    """C_5 x| C_8 over C_5 x| C_4, 2-dim rep with trivial determinant.
+def m40_fixture(q=11) -> Fixture:
+    """C_5 x| C_8 over C_5 x| C_4, 2-dim rep with trivial determinant, and
+    its lift `rho_lift` over Z/q^2.
 
     Because det(rho) = 1 extends to the trivial character of G, the wedge
     square of the induced representation contains the two invariant lines
@@ -270,15 +271,11 @@ def m40_fixture(q=11, lattice=True) -> Fixture:
     """
     group, index = semidirect_group(5, 1, (8,), (2,))
     rho = _metacyclic_2dim_rep(group, index, 5, 8, q, antisym_u=True)
-    reps = {"rho": rho}
-    if lattice:
-        reps["rho_lift"] = _metacyclic_2dim_rep(
-            group, index, 5, 8, q, antisym_u=True, mod=q * q
-        )
+    rho_lift = _metacyclic_2dim_rep(group, index, 5, 8, q, antisym_u=True, mod=q * q)
     return Fixture(
         f"m40_q{q}",
         group,
-        reps,
+        {"rho": rho, "rho_lift": rho_lift},
         {"q": q, "kind": "metacyclic", "p": 5, "d": 8, "det_rho": "trivial"},
     )
 

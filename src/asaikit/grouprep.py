@@ -23,6 +23,7 @@ a transpose symmetry is imposed.
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 
 import numpy as np
@@ -495,39 +496,39 @@ _RANDOM_TRIES = 200
 
 
 def contains_invertible(basis: list[Mat], rng=None):
-    """Search an invertible element of the span; exhaustive for dim <= 2."""
-    if not basis:
-        return None
-    mod = basis[0].mod
-    q, _ = factor_prime_power(mod)
-    for b in basis:
-        if b.is_invertible():
-            return b
-    if len(basis) <= 2:
-        coeffs_range = range(q)
-        if len(basis) == 1:
-            return None  # single generator already tested
-        for a in coeffs_range:
-            for b in coeffs_range:
-                if a == 0 and b == 0:
-                    continue
-                cand = basis[0].scale(a) + basis[1].scale(b)
-                if cand.is_invertible():
-                    return cand
-        return None
-    rng = rng or np.random.default_rng(0)
-    for _ in range(_RANDOM_TRIES):
-        coeffs = rng.integers(0, mod, size=len(basis))
-        cand = Mat.zeros(basis[0].rows, basis[0].cols, mod)
-        for c, b in zip(coeffs, basis):
-            cand = cand + b.scale(int(c))
-        if cand.is_invertible():
-            return cand
-    return None
+    """The first invertible candidate of the span of `basis`, or None.
+
+    The candidates, each tested by its own `Mat.is_invertible`, are the
+    basis itself, then for two generators the pencil b0 + c b1 (c = 1..q-1),
+    else 200 combinations with coefficients drawn from `rng` (default
+    seed 0), one `rng.integers(0, m, size=k)` draw per try, made lazily up
+    to the first hit.  A matrix over Z/q^n is invertible iff its reduction
+    mod q is, and once b0 and b1 are singular a b0 + b b1 with a a unit is
+    invertible iff b0 + (b/a) b1 is: so for at most two generators None
+    means that no element of the span is invertible.  For three or more it
+    means only that the tries missed.
+    """
+    def combinations():
+        if len(basis) == 2:
+            q, _ = factor_prime_power(basis[0].mod)
+            yield from (basis[0] + basis[1].scale(c) for c in range(1, q))
+        elif len(basis) > 2:
+            draws = rng or np.random.default_rng(0)
+            mod = basis[0].mod
+            for _ in range(_RANDOM_TRIES):
+                coeffs = draws.integers(0, mod, size=len(basis))
+                # each scaled term is reduced mod m before the sum
+                yield Mat(sum(b.scale(int(c)).a for c, b in zip(coeffs, basis)), mod)
+
+    return next((c for c in itertools.chain(basis, combinations())
+                 if c.is_invertible()), None)
 
 
 def is_isomorphic(r1: Rep, r2: Rep, rng=None):
-    """(flag, witness): witness an invertible intertwiner when flag is True."""
+    """(flag, witness): an invertible intertwiner M r1(g) = r2(g) M when flag
+    is True, from `contains_invertible` over `intertwiner_space(r1, r2)`; the
+    package's one way to find an isomorphism.  `rng` draws the seeded tries
+    of a span of dimension 3 or more."""
     if r1.dim != r2.dim:
         return False, None
     basis = intertwiner_space(r1, r2)

@@ -416,9 +416,9 @@ def test_criterion_10_sign_congruences():
     m40 = m40_fixture()
     ind40 = _induce(m40.rep("rho_lift"))
     psi40 = coset_sign_character(m40.group, 121)
-    p40 = polarize(ind40, psi40, conjugate=False, rng=rng)
+    p40 = polarize(ind40, psi40, conjugate=False)
     for _ in range(10):
-        p2 = polarize(random_conjugate(ind40, rng), psi40, conjugate=False, rng=rng)
+        p2 = polarize(random_conjugate(ind40, rng), psi40, conjugate=False)
         repd = sign_congruence(p40, p2)
         pairs_ok += repd["signs_agree"] and repd["schur_scalar"] != 0
         total += 1
@@ -436,9 +436,9 @@ def test_criterion_10_sign_congruences():
                  dtype=np.int64),
         mod, validate=False,
     )
-    p15 = polarize(ind15, det_inv, conjugate=False, rng=rng)
+    p15 = polarize(ind15, det_inv, conjugate=False)
     for _ in range(10):
-        p2 = polarize(random_conjugate(ind15, rng), det_inv, conjugate=False, rng=rng)
+        p2 = polarize(random_conjugate(ind15, rng), det_inv, conjugate=False)
         repd = sign_congruence(p15, p2)
         pairs_ok += repd["signs_agree"] and repd["schur_scalar"] != 0
         total += 1

@@ -63,7 +63,41 @@ def test_corrupted_fixture_rejected(tmp_path):
     code = run(["pipeline", "s3_c3_chi3_q7", "--fixtures", str(bad_dir),
                 "--report", str(report)])
     assert code == 1
-    assert json.loads(report.read_text())["ok"] is False
+    obj = json.loads(report.read_text())
+    assert obj == {"command": "pipeline", "fixture": "s3_c3_chi3_q7", "class": None,
+                   "ok": False, "error": obj["error"]}
+    assert obj["error"].startswith("fixture load failed")
+
+
+@pytest.mark.parametrize("with_dir", [False, True])
+def test_unknown_fixture_ends_in_refusal_report(with_dir, tmp_path, capsys):
+    argv = ["pipeline", "no_such_fixture", "--report", str(tmp_path / "r.json")]
+    if with_dir:
+        argv += ["--fixtures", str(tmp_path)]
+    assert run(argv) == 1
+    obj = json.loads((tmp_path / "r.json").read_text())
+    assert obj == {"command": "pipeline", "fixture": "no_such_fixture", "class": None,
+                   "ok": False, "error": obj["error"]}
+    assert "no_such_fixture" in obj["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_selmer_file_beside_the_fixtures_and_its_override(tmp_path, monkeypatch):
+    """NAME.selmer.json in a --fixtures directory replaces the shipped one
+    (full local condition, class inside), and --selmer overrides both."""
+    monkeypatch.delenv(cli.FIXTURES_ENV, raising=False)
+    fix = ribet_fixture()
+    fix.save(tmp_path / "ribet_q7_d6.json")
+    g = fix.group
+    v_sub = sorted(h for h in g.H if g.elements[h][1] == 0)
+    (tmp_path / "ribet_q7_d6.selmer.json").write_text(
+        json.dumps([{"subgroup": v_sub, "local_condition": "zero"}]))
+    report = tmp_path / "p.json"
+    assert run(["pipeline", "--fixtures", str(tmp_path), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["selmer_membership"] is False
+    assert run(["pipeline", "--fixtures", str(tmp_path), "--report", str(report),
+                "--selmer", str(DATA_DIR / "ribet_q7_d6.selmer.json")]) == 0
+    assert json.loads(report.read_text())["selmer_membership"] is True
 
 
 def test_fixtures_env_default(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from asaikit.grouprep import (
     Rep,
     classify_pairing,
     conjugate_rep,
+    contains_invertible,
     coset_sign_character,
     dual_twist,
     induce,
@@ -597,3 +600,153 @@ def test_ribet_ladder_top_rung_builds_and_validates():
         r.validate()
         r.restrict_to_H().validate()
 
+
+# -- the invertible-witness search against the full grid and brute force ------
+
+
+def grid_contains_invertible(basis, rng=None):
+    """The former contains_invertible: the basis, then for two generators
+    the grid a b0 + b b1 over [0, q)^2 in lexicographic order, else 200
+    seeded tries summed term by term."""
+    if not basis:
+        return None
+    mod = basis[0].mod
+    q = next(p for p in range(2, mod + 1) if mod % p == 0)
+    for b in basis:
+        if b.is_invertible():
+            return b
+    if len(basis) == 1:
+        return None
+    if len(basis) == 2:
+        for a in range(q):
+            for b in range(q):
+                if a or b:
+                    cand = basis[0].scale(a) + basis[1].scale(b)
+                    if cand.is_invertible():
+                        return cand
+        return None
+    rng = rng or np.random.default_rng(0)
+    for _ in range(200):
+        coeffs = rng.integers(0, mod, size=len(basis))
+        cand = Mat.zeros(basis[0].rows, basis[0].cols, mod)
+        for c, b in zip(coeffs, basis):
+            cand = cand + b.scale(int(c))
+        if cand.is_invertible():
+            return cand
+    return None
+
+
+def _det(a):
+    """Leibniz determinant of a small integer matrix."""
+    d = len(a)
+    total = 0
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        term = (-1) ** inversions
+        for i in range(d):
+            term *= int(a[i][perm[i]])
+        total += term
+    return total
+
+
+def _singular(rng, d, q, n):
+    """A d x d matrix over Z/q^n whose reduction mod q has rank < d."""
+    m = q**n
+    low = rng.integers(0, q, size=(d, d - 1)) @ rng.integers(0, q, size=(d - 1, d))
+    return Mat(low + q * rng.integers(0, m, size=(d, d)), m)
+
+
+def _generator(rng, d, q, n):
+    """Mostly a singular matrix, sometimes a uniformly random one."""
+    if rng.random() < 0.9:
+        return _singular(rng, d, q, n)
+    return Mat(rng.integers(0, q**n, size=(d, d)), q**n)
+
+
+def _two_generator_spans(rng, q, n, d, count):
+    """Random k = 2 spans, mostly of singular generators, and planted ones
+    P (b0, b1) Q whose pencil b0 + c b1 is singular only at c = 0, -2."""
+    m = q**n
+    spans = [[_generator(rng, d, q, n), _generator(rng, d, q, n)] for _ in range(count)]
+    if d >= 2:
+        for _ in range(count // 4):
+            left, right = (rng.integers(0, m, size=(d, d)) for _ in range(2))
+            if _det(left) % q == 0 or _det(right) % q == 0:
+                continue
+            b0 = np.zeros((d, d), dtype=np.int64)
+            b1 = np.zeros((d, d), dtype=np.int64)
+            b0[:2, :2] = [[1, 1], [1, 1]]
+            b1[:2, :2] = [[0, 1], [1, 0]]
+            b1[2:, 2:] = np.eye(d - 2, dtype=np.int64)
+            spans.append([Mat(left @ b0 @ right, m), Mat(left @ b1 @ right, m)])
+    return spans
+
+
+@pytest.mark.parametrize("q, n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_pencil_search_matches_the_grid_and_brute_force(q, n):
+    rng = np.random.default_rng(100 * q + n)
+    found = missed = 0
+    for d in (1, 2, 3):
+        for basis in _two_generator_spans(rng, q, n, d, 24):
+            got = contains_invertible(basis)
+            assert got == grid_contains_invertible(basis)
+            exists = any(
+                _det(a * basis[0].a + b * basis[1].a) % q
+                for a in range(q) for b in range(q)
+            )
+            assert (got is not None) == exists
+            if got is not None:
+                assert _det(got.a) % q
+            found += got is not None
+            missed += got is None
+    assert found >= 10 and missed >= 10
+
+
+def _count_is_invertible(monkeypatch):
+    calls = []
+    original = Mat.is_invertible
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(Mat, "is_invertible", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_singular_pencil_is_decided_in_q_plus_one_tests(d, monkeypatch):
+    q = 101
+    e11, e12 = (np.zeros((d, d), dtype=np.int64) for _ in range(2))
+    e11[0, 0] = e12[0, 1] = 1
+    calls = _count_is_invertible(monkeypatch)
+    assert contains_invertible([Mat(e11, q), Mat(e12, q)]) is None
+    assert len(calls) <= q + 1
+
+
+def test_seeded_tries_keep_the_witness_and_the_draws():
+    """k >= 3: over Z/9 the span of E11, .., E44 holds diag(c0, .., c3),
+    invertible only when 3 divides no c_i.  With a seed whose first two
+    tries miss, the witness and the draws match the former loop; without
+    E44 every try misses and all 200 draws are made."""
+    mod, d = 9, 4
+    basis = [Mat(np.diag(np.eye(d, dtype=np.int64)[i]), mod) for i in range(d)]
+
+    def first_hit(seed):
+        rng = np.random.default_rng(seed)
+        return next(t for t in itertools.count()
+                    if np.all(rng.integers(0, mod, size=d) % 3))
+
+    seed = next(s for s in itertools.count() if first_hit(s) >= 2)
+    for span in (basis, basis[:3]):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        witness = contains_invertible(span, rng=ours)
+        assert witness == grid_contains_invertible(span, rng=theirs)
+        assert (witness is None) == (span is not basis)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_empty_and_single_generator_spans():
+    assert contains_invertible([]) is None
+    assert contains_invertible([Mat([[3, 0], [0, 1]], 9)]) is None
+    assert contains_invertible([Mat([[2, 0], [0, 1]], 9)]) == Mat([[2, 0], [0, 1]], 9)

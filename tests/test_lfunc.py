@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asaikit.exactalg import PolyX, rref_rational, wedge_square
+from asaikit.exactalg import PolyX, wedge_square
 from asaikit.lfunc import (
     J4,
     CoeffTable,
@@ -165,16 +165,29 @@ _P6 = [
 ]
 
 
+def _inverse(rows):
+    """Gauss-Jordan inverse over Q of an invertible square matrix."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+           for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for i in range(n):
+            if i != col:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return [r[n:] for r in aug]
+
+
 def std_map_by_change_of_basis(m):
     """Oracle: conjugate Lambda^2(m) / mu by the 6x6 change of basis
     [complement | J-line], check the line splits off with eigenvalue 1 and
     read off the 5x5 block."""
     mu = similitude_of(m)
     w = [[Fraction(x, mu) for x in r] for r in wedge_square(m)]
-    reduced, _ = rref_rational(
-        [r + [int(i == j) for j in range(6)] for i, r in enumerate(_P6)]
-    )
-    conj = mmul(mmul([r[6:] for r in reduced], w), _P6)
+    conj = mmul(mmul(_inverse(_P6), w), _P6)
     assert all(conj[i][5] == 0 and conj[5][i] == 0 for i in range(5))
     assert conj[5][5] == 1
     return mat([r[:5] for r in conj[:5]])

@@ -213,13 +213,13 @@ def test_bc_sign_rejects_reducible(rib):
         polarize(rr, psi)
 
 
-def plain_polarized_m40(rng=None, deform=True):
+def plain_polarized_m40(deform=True):
     fx = m40_fixture()
     g = fx.group
     mod = 121
     ind = induce(fx.rep("rho_lift"))
     psi = coset_sign_character(g, mod)
-    p = polarize(ind, psi, conjugate=False, rng=rng)
+    p = polarize(ind, psi, conjugate=False)
     return fx, ind, psi, p
 
 
@@ -242,7 +242,7 @@ def test_sign_congruence_trivial_and_conjugate():
     uinv = u.inverse()
     imgs = np.stack([(uinv.a @ m @ u.a) % mod for m in ind.images])
     ind2 = Rep(fx.group, "G", imgs, mod, validate=False)
-    p2 = polarize(ind2, psi, conjugate=False, rng=rng)
+    p2 = polarize(ind2, psi, conjugate=False)
     rep2 = sign_congruence(p1, p2)
     assert rep2["signs_agree"]
 
@@ -267,7 +267,7 @@ def test_sign_congruence_deformed_pair():
     uinv = u.inverse()
     imgs = np.stack([(uinv.a @ m @ u.a) % mod for m in ind.images])
     ind2 = Rep(fx.group, "G", imgs, mod, validate=False)
-    p2 = polarize(ind2, psi, conjugate=False, rng=rng)
+    p2 = polarize(ind2, psi, conjugate=False)
     rep = sign_congruence(p1, p2)
     assert rep["signs_agree"] and p2.symmetry == -1
 
@@ -301,7 +301,7 @@ def test_sign_congruence_c15_family():
                  dtype=np.int64),
         mod, validate=False,
     )
-    p1 = polarize(ind, det_inv, conjugate=False, rng=rng)
+    p1 = polarize(ind, det_inv, conjugate=False)
     assert bc_sign(p1) == -1
     while True:
         u = Mat(rng.integers(0, mod, size=(2, 2)), mod)
@@ -310,7 +310,7 @@ def test_sign_congruence_c15_family():
     uinv = u.inverse()
     imgs = np.stack([(uinv.a @ m @ u.a) % mod for m in ind.images])
     p2 = polarize(Rep(g, "G", imgs, mod, validate=False), det_inv,
-                  conjugate=False, rng=rng)
+                  conjugate=False)
     assert sign_congruence(p1, p2)["signs_agree"]
 
 
