@@ -10,9 +10,7 @@ obstruction that decides whether the two invariant lines exist at all.
 Run:  python3 demos/01_tensor_induction_tour.py
 """
 
-import numpy as np
-
-from asaikit.exactalg import Mat, exterior_square
+from asaikit.exactalg import exterior_square
 from asaikit.fixtures import f20_fixture, m40_fixture, s3_fixture
 from asaikit.grouprep import (
     Rep,
@@ -62,7 +60,7 @@ print("=" * 72)
 
 
 def wedge_rep(ind_rep):
-    imgs = np.stack([exterior_square(Mat(m, ind_rep.mod)).a for m in ind_rep.images])
+    imgs = exterior_square(ind_rep.images, ind_rep.mod)
     return Rep(ind_rep.group, "G", imgs, ind_rep.mod, validate=False)
 
 

@@ -80,8 +80,8 @@ def prasad_battery(seed=0, count=20):
 
 
 def _wedge_rep(ind: Rep) -> Rep:
-    imgs = np.stack([exterior_square(Mat(m, ind.mod)).a for m in ind.images])
-    return Rep(ind.group, ind.domain, imgs, ind.mod, validate=False)
+    return Rep(ind.group, ind.domain, exterior_square(ind.images, ind.mod), ind.mod,
+               validate=False)
 
 
 def lambda_battery():

@@ -1,9 +1,9 @@
 """Command-line entry point: reproducible identity batteries, the Selmer
 pipeline, and Euler/Dirichlet computations.
 
-Reports are canonical JSON written atomically (temp file then rename), so a
-fixed configuration produces byte-identical output across runs; the exit
-code reflects the verification status.
+Reports are canonical JSON, so a fixed configuration produces
+byte-identical output across runs; the exit code reflects the verification
+status.
 """
 
 from __future__ import annotations
@@ -25,21 +25,40 @@ def canonical_json(obj) -> str:
 
 
 def write_report(path, obj):
+    """Write the canonical JSON of `obj` to `path`, or to stdout for None.
+
+    Symlinks are followed.  An existing target that is not a regular file
+    (a FIFO or a device) is written in place; a regular file or a new path
+    is replaced atomically by a temp file of mode 0o666 & ~umask.  Failing
+    to write ends the run with one stderr line and exit code 2.
+    """
     text = canonical_json(obj)
     if path is None:
         sys.stdout.write(text)
         return
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".report-")
+    target = os.path.realpath(path)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        if os.path.exists(target) and not os.path.isfile(target):
+            with open(target, "w") as fh:
+                fh.write(text)
+            return
+        parent = os.path.dirname(target)
+        os.makedirs(parent, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=parent, prefix=".report-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        sys.stderr.write(f"cannot write the report {path}: {exc}\n")
+        raise SystemExit(2) from None
 
 
 def cmd_verify_identities(args) -> int:
@@ -74,7 +93,7 @@ def cmd_pipeline(args) -> int:
     from .polarization import LatticeRep, PipelineError, theorem_main_pipeline
 
     name = args.fixture_name or "ribet_q7_d6"
-    base = args.fixtures or os.environ.get(FIXTURES_ENV)
+    base = args.fixtures or os.environ.get(FIXTURES_ENV) or None
 
     def refuse(error):
         write_report(
@@ -132,16 +151,14 @@ def cmd_lfunc(args) -> int:
             tbl = ingest_coeffs(args.coeffs)
             coeffs = asai_dirichlet(tbl, args.N)
         except (OSError, ValueError, KeyError) as exc:
-            write_report(args.report, {"error": str(exc), "ok": False})
-            sys.stderr.write(f"lfunc: {exc}\n")
+            error = exc.args[0] if isinstance(exc, KeyError) else str(exc)
+            write_report(args.report, {"command": "lfunc", "error": error, "ok": False})
+            sys.stderr.write(f"lfunc: {error}\n")
             return 1
         report["dirichlet"] = {"N": args.N, "coefficients": coeffs}
         report["ok"] = True
         write_report(args.report, report)
         return 0
-    if args.primes is None:
-        sys.stderr.write("lfunc needs --primes A..B or --coeffs FILE\n")
-        return 2
     lo, hi = args.primes
     entries = []
     all_ok = True
@@ -205,8 +222,9 @@ def build_parser():
 
     l = sub.add_parser("lfunc", parents=[common],
                        help="Euler factors and Dirichlet coefficients")
-    l.add_argument("--primes", type=parse_primes, metavar="A..B")
-    l.add_argument("--coeffs", help="coefficient CSV (norm,label,coefficient)")
+    source = l.add_mutually_exclusive_group(required=True)
+    source.add_argument("--primes", type=parse_primes, metavar="A..B")
+    source.add_argument("--coeffs", help="coefficient CSV (norm,label,coefficient)")
     l.add_argument("--N", type=int, default=50)
     l.add_argument("--verify-lambda2", action="store_true")
     return ap

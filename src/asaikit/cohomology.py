@@ -189,9 +189,9 @@ class H1Data:
                 raise ValueError("vector not in Z^1 span")
             return np.zeros(0, dtype=np.int64)
         sol = solve_mod(self._coord_stack.T, x, self.q)
-        if sol.particular is None:
+        if sol is None:
             raise ValueError("cocycle is not in the computed Z^1")
-        return sol.particular[len(self.b1):] % self.q
+        return sol[len(self.b1):] % self.q
 
     def is_coboundary(self, cocycle: Cocycle) -> bool:
         return not np.any(self.class_coords(cocycle))

@@ -1,10 +1,12 @@
 """Exact linear algebra over Z/m for m an odd prime power, and over Z and Q.
 
 Matrices over Z/m are numpy int64 arrays reduced mod m; there is no
-floating point anywhere.  One routine, `echelon_mod`, eliminates over the
-chain ring Z/q^n by row operations only: it takes the q-valuations
-v = 0, 1, ..., n-1 in turn and pivots on the leftmost column holding an
-entry of valuation v, topmost row first.  Over a prime field that is
+floating point anywhere.  `Mat` wraps one such array with a checked modulus
+for the three decisions that need it: `det`, `is_invertible` and
+`inverse`.  One routine, `echelon_mod`, eliminates over the chain ring
+Z/q^n by row operations only: it takes the q-valuations v = 0, 1, ..., n-1
+in turn and pivots on the leftmost column holding an entry of valuation v,
+topmost row first.  Over a prime field that is
 Gauss-Jordan elimination.  `rref_mod`, `row_space_mod`, `kernel_mod`,
 `extend_basis`, `solve_mod` and `kernel_gens` all read its output; kernel
 generators come with their annihilators (one of annihilator q^n per
@@ -22,7 +24,6 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import functools
 import operator
@@ -76,7 +77,8 @@ def inverse_mod(a, m):
 
 
 class Mat:
-    """Immutable matrix over Z/m backed by an int64 numpy array."""
+    """Immutable matrix over Z/m backed by a reduced, read-only int64 array.
+    Arithmetic is done on the arrays."""
 
     __slots__ = ("a", "mod")
 
@@ -91,84 +93,12 @@ class Mat:
         self.a = a
         self.mod = int(mod)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def identity(n, mod):
-        return Mat(np.eye(n, dtype=np.int64), mod)
-
-    @staticmethod
-    def zeros(r, c, mod):
-        return Mat(np.zeros((r, c), dtype=np.int64), mod)
-
-    @staticmethod
-    def from_flat(entries, rows, cols, mod):
-        a = np.asarray(entries, dtype=np.int64).reshape(rows, cols)
-        return Mat(a, mod)
-
-    # -- basic structure ---------------------------------------------------
-
-    @property
-    def rows(self):
-        return self.a.shape[0]
-
-    @property
-    def cols(self):
-        return self.a.shape[1]
-
     def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.mod == other.mod
-            and self.a.shape == other.a.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
-
-    def __hash__(self):
-        return hash((self.mod, self.a.shape, self.a.tobytes()))
+        return (isinstance(other, Mat) and self.mod == other.mod
+                and np.array_equal(self.a, other.a))
 
     def __repr__(self):
         return f"Mat(mod={self.mod},\n{self.a})"
-
-    def _check(self, other):
-        if self.mod != other.mod:
-            raise ValueError("modulus mismatch")
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        self._check(other)
-        return Mat(self.a + other.a, self.mod)
-
-    def __sub__(self, other):
-        self._check(other)
-        return Mat(self.a - other.a, self.mod)
-
-    def __neg__(self):
-        return Mat(-self.a, self.mod)
-
-    def scale(self, k):
-        return Mat(self.a * (int(k) % self.mod), self.mod)
-
-    def __matmul__(self, other):
-        self._check(other)
-        return Mat(np.mod(self.a @ other.a, self.mod), self.mod)
-
-    @property
-    def T(self):
-        return Mat(self.a.T, self.mod)
-
-    def pow(self, k):
-        if k < 0:
-            return self.inverse().pow(-k)
-        out = Mat.identity(self.rows, self.mod)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
-        return out
 
     def det(self):
         """Determinant, computed fraction-free over Z then reduced."""
@@ -179,27 +109,11 @@ class Mat:
         return det(self.a.tolist()) % q != 0
 
     def inverse(self):
-        sol = solve_mod(self.a, np.eye(self.rows, dtype=np.int64), self.mod)
-        if sol.particular is None:
+        eye = np.eye(self.a.shape[0], dtype=np.int64)
+        inv = solve_mod(self.a, eye, self.mod)
+        if inv is None or not np.array_equal(inv @ self.a % self.mod, eye):
             raise ZeroDivisionError("matrix is not invertible")
-        inv = Mat(sol.particular, self.mod)
-        if (inv @ self) != Mat.identity(self.rows, self.mod):
-            raise ZeroDivisionError("matrix is not invertible")
-        return inv
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        return {
-            "modulus": self.mod,
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [int(x) for x in self.a.reshape(-1)],
-        }
-
-    @staticmethod
-    def from_json(obj):
-        return Mat.from_flat(obj["entries"], obj["rows"], obj["cols"], obj["modulus"])
+        return Mat(inv, self.mod)
 
 
 def det(rows):
@@ -310,20 +224,10 @@ def charpoly_stack(a, mod):
     return poly
 
 
-def tensor_product(a: Mat, b: Mat) -> Mat:
-    """Kronecker product with row-major pair ordering (i,j) -> i*cols(b)+j."""
-    a._check(b)
-    return Mat(np.mod(np.kron(a.a, b.a), a.mod), a.mod)
-
-
-_WEDGE_CACHE: dict[int, list[tuple[int, int]]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def wedge_pairs(d):
-    """Lexicographic list of index pairs (i, j), i < j, for dimension d."""
-    if d not in _WEDGE_CACHE:
-        _WEDGE_CACHE[d] = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    return _WEDGE_CACHE[d]
+    """Lexicographic tuple of index pairs (i, j), i < j, for dimension d."""
+    return tuple((i, j) for i in range(d) for j in range(i + 1, d))
 
 
 def wedge_square(m):
@@ -336,28 +240,23 @@ def wedge_square(m):
     )
 
 
-def exterior_square(m: Mat) -> Mat:
-    """Action induced on e_i ^ e_j (i < j, lex order); size d(d-1)/2."""
-    if m.rows != m.cols:
-        raise ValueError("exterior square of a non-square matrix")
-    if m.rows < 2:
-        raise ValueError("exterior square needs dimension >= 2")
-    return Mat(wedge_square(m.a.tolist()), m.mod)
+def exterior_square(a, mod):
+    """Exterior squares mod m of an (N, d, d) stack, as the (N, D, D) stack
+    of their actions on e_i ^ e_j (i < j, lex order), D = d(d-1)/2.
 
-
-@dataclass
-class LinearSolution:
-    """Result of solve_mod.
-
-    particular  -- one solution (same shape as rhs), or None if inconsistent
-    kernel      -- list of (vector, annihilator) pairs: vector generates
-                   solutions of A x = 0 and has additive order `annihilator`
-                   (a power of q; equal to the modulus for free generators)
+    Each is `wedge_square` of the reduced matrix; its entries xy - zw lie
+    within +-(m-1)^2, which fits int64 for every valid modulus.
     """
-
-    particular: np.ndarray | None
-    kernel: list[tuple[np.ndarray, int]]
-    modulus: int
+    validate_modulus(mod)
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("exterior square of a non-square matrix")
+    d = a.shape[1]
+    if d < 2:
+        raise ValueError("exterior square needs dimension >= 2")
+    D = d * (d - 1) // 2
+    wedges = [wedge_square(m) for m in np.mod(a, mod).tolist()]
+    return np.array(wedges, dtype=np.int64).reshape(len(a), D, D) % mod
 
 
 def echelon_mod(a, mod, rhs=None):
@@ -425,15 +324,15 @@ def echelon_mod(a, mod, rhs=None):
 
 
 def _solve_echelon(a, rhs, mod):
-    """Solve A X = rhs (rhs a matrix, or None for the kernel alone).
+    """Solve A X = rhs for a matrix rhs, or find the kernel when rhs is None.
 
-    Returns (particular, gens, anns): particular is None when rhs is None or
-    inconsistent; the rows of gens generate the kernel, row t with additive
-    order anns[t], and their cyclic spans form a direct sum.  A pivot
-    (column, v) with v > 0 gives a generator of order q^v, seeded with
-    q^(n-v) in its column; each non-pivot column gives one of order mod,
-    seeded with 1.  Entries in the other pivot columns come from one
-    back-substitution for all right-hand sides and generators at once.
+    Returns (X, anns).  For a right-hand side X is one solution, or None
+    when the system is inconsistent, and anns is empty.  For the kernel the
+    rows of X generate it, row t with additive order anns[t], and their
+    cyclic spans form a direct sum: a pivot (column, v) with v > 0 gives a
+    generator of order q^v, seeded with q^(n-v) in its column, and each
+    non-pivot column gives one of order mod, seeded with 1.  Entries in the
+    other pivot columns come from one back-substitution for all columns.
     """
     q, n = factor_prime_power(mod)
     E, pivots, B = echelon_mod(a, mod, rhs)
@@ -444,52 +343,52 @@ def _solve_echelon(a, rhs, mod):
     free = np.ones(c, dtype=bool)
     free[cols] = False
     torsion = [i for i, (_, v) in enumerate(pivots) if v]
-    anns = [q ** pivots[i][1] for i in torsion] + [mod] * int(free.sum())
-    if B is not None and (B[k:].any() or (B[:k] % scale).any()):
-        B = None
-    m = 0 if B is None else B.shape[1]
-    X = np.zeros((c, m + len(anns)), dtype=np.int64)
-    if m:
-        X[cols, :m] = B[:k] // scale
-    for t, i in enumerate(torsion, m):
-        X[cols[i], t] = q ** (n - pivots[i][1])
-    X[free, m + len(torsion):] = np.eye(len(anns) - len(torsion), dtype=np.int64)
-    if not torsion:
-        # unit pivots: E is reduced, so each pivot variable reads off directly
-        X[cols, m:] = -E[:k][:, free] % mod
+    if B is not None:
+        if B[k:].any() or (B[:k] % scale).any():
+            return None, []
+        anns = []
+        X = np.zeros((c, B.shape[1]), dtype=np.int64)
+        X[cols] = B[:k] // scale  # free variables are 0
     else:
+        anns = [q ** pivots[i][1] for i in torsion] + [mod] * int(free.sum())
+        X = np.zeros((c, len(anns)), dtype=np.int64)
+        for t, i in enumerate(torsion):
+            X[cols[i], t] = q ** (n - pivots[i][1])
+        X[free, len(torsion):] = np.eye(len(anns) - len(torsion), dtype=np.int64)
+        if not torsion:
+            # unit pivots: E is reduced, so each pivot variable reads off directly
+            X[cols] = -E[:k][:, free] % mod
+    if torsion:
         # row i of E / q^v pins column j given the free and later pivot columns
         for i in range(k - 1, -1, -1):
             j = cols[i]
             row = E[i] // scale[i]
             row[j] = 0
             X[j] = (X[j] - row @ X) % mod
-    particular = None if B is None else X[:, :m]
-    return particular, np.ascontiguousarray(X[:, m:].T), anns
+    return (X, anns) if B is not None else (np.ascontiguousarray(X.T), anns)
 
 
 def solve_mod(a, rhs, mod):
-    """Solve A x = rhs over Z/mod for mod any prime power (chain ring core).
+    """One solution x of A x = rhs over Z/mod, mod any prime power, shaped
+    like rhs, or None when the system is inconsistent (never an exception).
 
     rhs may be a vector or a matrix (each column solved simultaneously).
-    Inconsistent systems come back with particular=None, never an exception.
+    Kernels come from `kernel_gens` or `kernel_mod`.
     """
     b = np.asarray(rhs, dtype=np.int64)
     vec = b.ndim == 1
     B = b.reshape(-1, 1) if vec else b
     if np.shape(a)[0] != B.shape[0]:
         raise ValueError("rhs has wrong number of rows")
-    particular, gens, anns = _solve_echelon(a, B, mod)
-    if particular is not None and vec:
-        particular = particular.reshape(-1)
-    return LinearSolution(particular, list(zip(gens, anns)), mod)
+    x = _solve_echelon(a, B, mod)[0]
+    return x.reshape(-1) if x is not None and vec else x
 
 
 def kernel_gens(a, mod):
     """Generators (vector, annihilator) of the right kernel of `a` over
     Z/mod whose cyclic spans form a direct sum (the generators of
     annihilator mod span the free part)."""
-    _, gens, anns = _solve_echelon(a, None, mod)
+    gens, anns = _solve_echelon(a, None, mod)
     return list(zip(gens, anns))
 
 
@@ -501,7 +400,7 @@ def rref_mod(a, p):
 
 def kernel_mod(a, p):
     """Basis (rows) of the right kernel of `a` mod prime p."""
-    return _solve_echelon(a, None, p)[1]
+    return _solve_echelon(a, None, p)[0]
 
 
 def row_space_mod(a, p):

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exactalg import Mat, inverse_mod
+from .exactalg import inverse_mod
 from .grouprep import FiniteGroup, Rep, make_character
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -216,12 +216,15 @@ def _metacyclic_2dim_rep(group, index, p, d, q, j_char=1, antisym_u=False, mod=N
     z = _lift_root_of_unity(element_of_order(p, q), p, q, mod)
     zi = inverse_mod(z, mod)
     low = (mod - 1) if antisym_u else 1
-    r_img = Mat([[z, 0], [0, zi]], mod)
-    u_img = Mat([[0, 1], [low, 0]], mod)
+    one = np.eye(2, dtype=np.int64)
+    u = np.array([[0, 1], [low, 0]], dtype=np.int64)
+    u_pows = [one, u, low * one % mod, low * u % mod]  # u^2 = low I, low^2 = 1
     imgs = {}
     for b in range(p):
+        k = (b * j_char) % p
+        r_k = np.diag([pow(z, k, mod), pow(zi, k, mod)])
         for jj in range(0, d, 2):
-            imgs[index[(b, jj)]] = r_img.pow((b * j_char) % p) @ u_img.pow(jj // 2)
+            imgs[index[(b, jj)]] = r_k @ u_pows[(jj // 2) % 4] % mod
     return Rep(group, "H", imgs, mod)
 
 

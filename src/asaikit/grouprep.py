@@ -205,13 +205,12 @@ class Rep:
         pos[list(els)] = np.arange(len(els))
         self.pos = pos
         if isinstance(images, dict):
-            first = next(iter(images.values()))
-            dim = (first.a if isinstance(first, Mat) else np.asarray(first)).shape[0]
+            dim = len(next(iter(images.values())))
             arr = np.zeros((len(els), dim, dim), dtype=np.int64)
             for g, m in images.items():
                 if not 0 <= g < group.n or pos[g] < 0:
                     raise ValueError(f"element {g} is not in the domain")
-                arr[pos[g]] = m.a if isinstance(m, Mat) else np.asarray(m)
+                arr[pos[g]] = m
         else:
             arr = np.asarray(images, dtype=np.int64)
         if arr.ndim != 3 or arr.shape[0] != len(els) or arr.shape[1] != arr.shape[2]:
@@ -509,16 +508,20 @@ def contains_invertible(basis: list[Mat], rng=None):
     means only that the tries missed.
     """
     def combinations():
+        if len(basis) < 2:
+            return
+        mod = basis[0].mod
         if len(basis) == 2:
-            q, _ = factor_prime_power(basis[0].mod)
-            yield from (basis[0] + basis[1].scale(c) for c in range(1, q))
-        elif len(basis) > 2:
+            q, _ = factor_prime_power(mod)
+            b0, b1 = basis[0].a, basis[1].a
+            # c b1 is reduced before the sum: b0 + c b1 can pass 2^63 at large q
+            yield from (Mat(b0 + c * b1 % mod, mod) for c in range(1, q))
+        else:
             draws = rng or np.random.default_rng(0)
-            mod = basis[0].mod
             for _ in range(_RANDOM_TRIES):
                 coeffs = draws.integers(0, mod, size=len(basis))
                 # each scaled term is reduced mod m before the sum
-                yield Mat(sum(b.scale(int(c)).a for c, b in zip(coeffs, basis)), mod)
+                yield Mat(sum(b.a * int(c) % mod for c, b in zip(coeffs, basis)), mod)
 
     return next((c for c in itertools.chain(basis, combinations())
                  if c.is_invertible()), None)

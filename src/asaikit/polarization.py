@@ -88,13 +88,13 @@ class PolarizedRep:
     conjugate: bool = True
 
     def __post_init__(self):
-        a = self.witness
-        if not a.is_invertible():
+        w = self.witness
+        if not w.is_invertible():
             raise ValueError("witness is not invertible")
-        t = a.T
-        if self.symmetry == 1 and t != a:
+        a = w.a
+        if self.symmetry == 1 and not np.array_equal(a.T, a):
             raise ValueError("witness is not symmetric")
-        if self.symmetry == -1 and t != Mat((-a.a) % a.mod, a.mod):
+        if self.symmetry == -1 and not np.array_equal(a.T, -a % w.mod):
             raise ValueError("witness is not antisymmetric")
         # Both sides of the identity are homomorphisms in x once rep and psi
         # are, so agreement on the domain's generators is agreement on it.
@@ -102,7 +102,7 @@ class PolarizedRep:
         self.psi.validate()
         sys = _witness_system(self.rep, self.psi, self.conjugate)
         # a length-d^2 dot product, exact in Python ints at any modulus
-        if np.any(sys.astype(object) @ a.a.reshape(-1).astype(object) % a.mod):
+        if np.any(sys.astype(object) @ a.reshape(-1).astype(object) % w.mod):
             raise ValueError("polarization witness identity fails")
 
 
@@ -164,11 +164,12 @@ def sign_congruence(p1: PolarizedRep, p2: PolarizedRep) -> dict:
     iso, m = is_isomorphic(red1, red2)
     if not iso:
         raise ValueError("reductions are not isomorphic")
-    b1 = Mat(p1.witness.a % q, q)
-    b2 = Mat(p2.witness.a % q, q)
-    lhs = (Mat(m.inverse().a.T % q, q) @ b1).inverse() @ b2 @ m
-    s = int(lhs.a[0, 0])
-    if lhs != Mat(np.eye(r1.dim, dtype=np.int64) * s, q):
+    b1 = p1.witness.a % q
+    b2 = p2.witness.a % q
+    mtb1 = m.inverse().a.T @ b1 % q  # M^{-T} B_1
+    lhs = Mat(mtb1, q).inverse().a @ b2 % q @ m.a % q
+    s = int(lhs[0, 0])
+    if not np.array_equal(lhs, np.eye(r1.dim, dtype=np.int64) * s):
         raise AssertionError("Schur matrix is not scalar")
     report["schur_scalar"] = s
     report["sign1"] = p1.symmetry
@@ -308,7 +309,7 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
         if level == n - 1:
             break
         # absorb the coboundary level and move one lattice step deeper
-        x = solve_mod(data.coboundaries.T, data.gen_vector(phi), q).particular
+        x = solve_mod(data.coboundaries.T, data.gen_vector(phi), q)
         if x is None:
             raise AssertionError("coboundary did not solve")
         corr = x.reshape(d1, d2)

@@ -109,7 +109,7 @@ def test_criterion_02_lambda_decomposition_literal_f20_q11():
     g = fx.group
     rho = fx.rep("rho")
     ind = induce(rho)
-    wedge_imgs = np.stack([exterior_square(Mat(m, 11)).a for m in ind.images])
+    wedge_imgs = exterior_square(ind.images, 11)
     wedge = Rep(g, "G", wedge_imgs, 11, validate=False)
     one = trivial_character(g, "G", 11)
     sgn = coset_sign_character(g, 11)
@@ -131,7 +131,7 @@ def test_criterion_02_lambda_decomposition_realized():
     ind = induce(fx.rep("rho"))
     asm = tensor_induce(fx.rep("rho"), -1)
     # exact isomorphism As^- + line + line inside the wedge square
-    wedge_imgs = np.stack([exterior_square(Mat(m, 11)).a for m in ind.images])
+    wedge_imgs = exterior_square(ind.images, 11)
     wedge = Rep(fx.group, "G", wedge_imgs, 11, validate=False)
     one = trivial_character(fx.group, "G", 11)
     sgn = coset_sign_character(fx.group, 11)
@@ -158,7 +158,8 @@ def _right_inverse(rows, q):
     from asaikit.exactalg import solve_mod
 
     sol = solve_mod(rows, np.eye(rows.shape[0], dtype=np.int64), q)
-    return sol.particular % q
+    assert sol is not None
+    return sol
 
 
 # -- 3 -----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -86,17 +87,31 @@ def test_selmer_file_beside_the_fixtures_and_its_override(tmp_path, monkeypatch)
     """NAME.selmer.json in a --fixtures directory replaces the shipped one
     (full local condition, class inside), and --selmer overrides both."""
     monkeypatch.delenv(cli.FIXTURES_ENV, raising=False)
-    fix = ribet_fixture()
-    fix.save(tmp_path / "ribet_q7_d6.json")
-    g = fix.group
-    v_sub = sorted(h for h in g.H if g.elements[h][1] == 0)
-    (tmp_path / "ribet_q7_d6.selmer.json").write_text(
-        json.dumps([{"subgroup": v_sub, "local_condition": "zero"}]))
+    ribet_fixture().save(tmp_path / "ribet_q7_d6.json")
+    _zero_selmer_condition(tmp_path / "ribet_q7_d6.selmer.json")
     report = tmp_path / "p.json"
     assert run(["pipeline", "--fixtures", str(tmp_path), "--report", str(report)]) == 0
     assert json.loads(report.read_text())["selmer_membership"] is False
     assert run(["pipeline", "--fixtures", str(tmp_path), "--report", str(report),
                 "--selmer", str(DATA_DIR / "ribet_q7_d6.selmer.json")]) == 0
+    assert json.loads(report.read_text())["selmer_membership"] is True
+
+
+def _zero_selmer_condition(path):
+    """A Selmer file with a zero local condition on V for ribet_q7_d6."""
+    g = ribet_fixture().group
+    v_sub = sorted(h for h in g.H if g.elements[h][1] == 0)
+    path.write_text(json.dumps([{"subgroup": v_sub, "local_condition": "zero"}]))
+
+
+def test_empty_fixtures_env_counts_as_unset(tmp_path, monkeypatch):
+    """An empty ASAI_KIT_FIXTURES neither names a fixture directory nor
+    makes the current directory one for the Selmer file."""
+    _zero_selmer_condition(tmp_path / "ribet_q7_d6.selmer.json")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.FIXTURES_ENV, "")
+    report = tmp_path / "p.json"
+    assert run(["pipeline", "--report", str(report)]) == 0
     assert json.loads(report.read_text())["selmer_membership"] is True
 
 
@@ -219,11 +234,54 @@ def test_lfunc_missing_coefficient(tmp_path):
     assert run(["lfunc", "--coeffs", str(csv), "--N", "10",
                 "--report", str(report)]) == 1
     obj = json.loads(report.read_text())
-    assert "c(3 O_K)" in obj["error"]
+    assert obj == {"command": "lfunc", "ok": False,
+                   "error": "missing diagonal coefficient c(3 O_K) below N=10"}
 
 
 def test_lfunc_needs_input():
-    assert run(["lfunc"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["lfunc"])
+    assert exc.value.code == 2
+
+
+def test_lfunc_primes_and_coeffs_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["lfunc", "--primes", "3..7",
+             "--coeffs", str(DATA_DIR / "sample_coefficients.csv")])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_report_through_a_symlink_writes_its_target(tmp_path):
+    real = tmp_path / "real.json"
+    real.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    assert run(["lfunc", "--primes", "3..5", "--report", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads(real.read_text())["command"] == "lfunc"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_report_mode_follows_the_umask(umask, tmp_path):
+    old = os.umask(umask)
+    try:
+        report = tmp_path / "r.json"
+        for _ in range(2):  # created, then replaced
+            assert run(["lfunc", "--primes", "3..5", "--report", str(report)]) == 0
+            assert report.stat().st_mode & 0o777 == 0o666 & ~umask
+    finally:
+        os.umask(old)
+
+
+def test_report_under_a_regular_file_is_exit_2(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    with pytest.raises(SystemExit) as exc:
+        run(["lfunc", "--primes", "3..5", "--report", str(tmp_path / "afile" / "x.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cannot write the report" in err
+    assert "Traceback" not in err
 
 
 def test_pipeline_fixture_without_lattice(tmp_path):
@@ -265,7 +323,10 @@ def test_bad_input_ends_in_refusal_report(case, tmp_path, capsys):
             [{"subgroup": list(range(7)), "local_condition": [[1, 0, 0]]}]))
     report = tmp_path / "r.json"
     assert run(argv + ["--report", str(report)]) == 1
-    assert json.loads(report.read_text())["ok"] is False
+    obj = json.loads(report.read_text())
+    assert obj["ok"] is False
+    if case.startswith("coeffs-"):
+        assert obj["command"] == "lfunc"
     assert "Traceback" not in capsys.readouterr().err
 
 

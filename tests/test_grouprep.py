@@ -222,7 +222,7 @@ def test_wedge_lines_m40(m40):
     rho = m40.rep("rho")
     g = m40.group
     ind = induce(rho)
-    wedge_imgs = np.stack([exterior_square(Mat(m, 11)).a for m in ind.images])
+    wedge_imgs = exterior_square(ind.images, 11)
     from asaikit.grouprep import Rep
 
     wedge = Rep(g, "G", wedge_imgs, 11, validate=False)
@@ -246,7 +246,7 @@ def test_wedge_lines_absent_f20_q11(f20):
     rho = f20.rep("rho")
     g = f20.group
     ind = induce(rho)
-    wedge_imgs = np.stack([exterior_square(Mat(m, 11)).a for m in ind.images])
+    wedge_imgs = exterior_square(ind.images, 11)
     from asaikit.grouprep import Rep
 
     wedge = Rep(g, "G", wedge_imgs, 11, validate=False)
@@ -262,7 +262,7 @@ def test_wedge_lines_f20_q41(f20_41):
     g = f20_41.group
     eps = f20_41.rep("eps4")
     ind = induce(rho)
-    wedge_imgs = np.stack([exterior_square(Mat(m, 41)).a for m in ind.images])
+    wedge_imgs = exterior_square(ind.images, 41)
     from asaikit.grouprep import Rep
 
     wedge = Rep(g, "G", wedge_imgs, 41, validate=False)
@@ -295,11 +295,11 @@ def test_classify_pairing_sp4_recovery(m40):
     ind = induce(rho)
     one = trivial_character(m40.group, "G", 11)
     found = classify_pairing(ind, one)
-    b = found.basis[0][0]
+    b = found.basis[0][0].a
     for x in range(m40.group.n):
-        m = Mat(ind.arr(x), 11)
-        lhs = m.T @ b @ m
-        assert lhs == b.scale(one.value(x))
+        m = ind.arr(x)
+        lhs = m.T @ b % 11 @ m % 11
+        assert np.array_equal(lhs, b * one.value(x) % 11)
 
 
 def test_no_symplectic_pairing_on_f20_q11(f20):
@@ -621,16 +621,17 @@ def grid_contains_invertible(basis, rng=None):
         for a in range(q):
             for b in range(q):
                 if a or b:
-                    cand = basis[0].scale(a) + basis[1].scale(b)
+                    cand = Mat(a * basis[0].a + b * basis[1].a, mod)
                     if cand.is_invertible():
                         return cand
         return None
     rng = rng or np.random.default_rng(0)
     for _ in range(200):
         coeffs = rng.integers(0, mod, size=len(basis))
-        cand = Mat.zeros(basis[0].rows, basis[0].cols, mod)
+        cand = np.zeros_like(basis[0].a)
         for c, b in zip(coeffs, basis):
-            cand = cand + b.scale(int(c))
+            cand = (cand + b.a * int(c) % mod) % mod
+        cand = Mat(cand, mod)
         if cand.is_invertible():
             return cand
     return None
@@ -744,6 +745,25 @@ def test_seeded_tries_keep_the_witness_and_the_draws():
         assert witness == grid_contains_invertible(span, rng=theirs)
         assert (witness is None) == (span is not basis)
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_seeded_tries_reduce_each_term_past_int64():
+    """Over the prime 2^31 - 1 a 2 x 2 matrix passes the int64 product
+    check, but a sum of three scaled terms in one entry can pass 2^63: the
+    witness must be the span element reduced term by term."""
+    mod = 2**31 - 1
+    top = mod - 1
+    basis = [Mat(b, mod) for b in ([[top, top], [0, 0]], [[top, 0], [top, 0]],
+                                     [[top, 0], [0, 0]])]
+
+    def first_draw(seed):
+        return np.random.default_rng(seed).integers(0, mod, size=3)
+
+    seed = next(s for s in itertools.count()
+                if top * int(first_draw(s).sum()) >= 2**63 and first_draw(s)[:2].all())
+    witness = contains_invertible(basis, rng=np.random.default_rng(seed))
+    want = sum(int(c) * b.a.astype(object) for c, b in zip(first_draw(seed), basis)) % mod
+    assert witness is not None and witness.a.tolist() == want.tolist()
 
 
 def test_empty_and_single_generator_spans():
