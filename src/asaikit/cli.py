@@ -145,26 +145,31 @@ def cmd_lfunc(args) -> int:
         verify_lambda2,
     )
 
+    def refuse(error):
+        write_report(args.report, {"command": "lfunc", "error": error, "ok": False})
+        sys.stderr.write(f"lfunc: {error}\n")
+        return 1
+
     report = {"command": "lfunc", "seed": args.seed}
     if args.coeffs:
+        N = 50 if args.N is None else args.N
         try:
             tbl = ingest_coeffs(args.coeffs)
-            coeffs = asai_dirichlet(tbl, args.N)
+            coeffs = asai_dirichlet(tbl, N)
         except (OSError, ValueError, KeyError) as exc:
-            error = exc.args[0] if isinstance(exc, KeyError) else str(exc)
-            write_report(args.report, {"command": "lfunc", "error": error, "ok": False})
-            sys.stderr.write(f"lfunc: {error}\n")
-            return 1
-        report["dirichlet"] = {"N": args.N, "coefficients": coeffs}
+            return refuse(exc.args[0] if isinstance(exc, KeyError) else str(exc))
+        report["dirichlet"] = {"N": N, "coefficients": coeffs}
         report["ok"] = True
         write_report(args.report, report)
         return 0
     lo, hi = args.primes
+    primes = [p for p in range(max(lo, 2), hi + 1)
+              if all(p % d for d in range(2, int(p**0.5) + 1))]
+    if not primes:
+        return refuse(f"no prime in the range {lo}..{hi}")
     entries = []
     all_ok = True
-    for p in range(lo, hi + 1):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            continue
+    for p in primes:
         rng = np.random.default_rng((args.seed, p))
         sp = random_satake(rng, p=p)
         row = {"p": p, "split": sp.split, "factors": {}}
@@ -185,7 +190,14 @@ def cmd_lfunc(args) -> int:
 
 def parse_primes(text):
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a range A..B of integers, not {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: A > B")
+    return lo, hi
 
 
 def parse_seed(text):
@@ -225,13 +237,21 @@ def build_parser():
     source = l.add_mutually_exclusive_group(required=True)
     source.add_argument("--primes", type=parse_primes, metavar="A..B")
     source.add_argument("--coeffs", help="coefficient CSV (norm,label,coefficient)")
-    l.add_argument("--N", type=int, default=50)
-    l.add_argument("--verify-lambda2", action="store_true")
+    l.add_argument("--N", type=int, help="with --coeffs: coefficients 1..N (default 50)")
+    l.add_argument("--verify-lambda2", action="store_true",
+                   help="with --primes: check the wedge-square identity")
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "lfunc":
+        # each source's own flag is a usage error with the other source
+        if args.primes and args.N is not None:
+            ap.error("lfunc: argument --N: not allowed with argument --primes")
+        if args.coeffs and args.verify_lambda2:
+            ap.error("lfunc: argument --verify-lambda2: not allowed with argument --coeffs")
     if args.command == "verify-identities":
         return cmd_verify_identities(args)
     if args.command == "pipeline":

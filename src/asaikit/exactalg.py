@@ -160,20 +160,26 @@ def charpoly(rows):
         raise ValueError("characteristic polynomial of a non-square matrix")
     if n == 0:
         return [1]
+    mul = operator.mul
     poly = [1, -rows[0][0]]
     for r in range(1, n):
         # bordering the leading r x r block A by column c, row s, corner a:
-        # the Toeplitz column is 1, -a, -s c, -s A c, ..., -s A^(r-1) c
-        s = rows[r][:r]
-        v = [rows[i][r] for i in range(r)]
-        toeplitz = [1, -rows[r][r]]
-        for _ in range(r):
-            toeplitz.append(-sum(x * y for x, y in zip(s, v)))
-            v = [sum(rows[i][j] * v[j] for j in range(r)) for i in range(r)]
-        poly = [
-            sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1))
-            for i in range(r + 2)
-        ]
+        # the Toeplitz column is 1, -a, -s c, -s A c, ..., -s A^(r-1) c.
+        # map stops at the end of v, so full rows act as A's rows and as s.
+        block, s = rows[:r], rows[r]
+        v = [row[r] for row in block]
+        toeplitz = [1, -s[r], -sum(map(mul, v, s))]
+        for _ in range(r - 1):
+            v = [sum(map(mul, v, row)) for row in block]
+            toeplitz.append(-sum(map(mul, v, s)))
+        # the product with poly, truncated to degree r + 1 (poly[0] is 1)
+        new = toeplitz[:]
+        for j in range(1, r + 1):
+            c = poly[j]
+            if c:
+                for i in range(j, r + 2):
+                    new[i] += c * toeplitz[i - j]
+        poly = new
     return poly
 
 

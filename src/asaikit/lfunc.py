@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 from .exactalg import PolyX, charpoly, det, wedge_pairs, wedge_square
@@ -29,7 +30,7 @@ REP_TAGS = ("ind", "asai+", "asai-", "lambda2", "std", "sim", "zeta", "quadratic
 
 
 def mat(rows):
-    return tuple(tuple(x for x in r) for r in rows)
+    return tuple(map(tuple, rows))
 
 
 def eye(n):
@@ -37,10 +38,8 @@ def eye(n):
 
 
 def mmul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return mat(
-        [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in a)
 
 
 def mscale(a, s):
@@ -70,15 +69,6 @@ def blockdiag(a, b):
         for j in range(mb):
             out[na + i][ma + j] = b[i][j]
     return mat(out)
-
-
-def swap_flip(sign):
-    """The coset action x (x) y -> sign * y (x) x on a 2 (x) 2 space."""
-    s = [[0] * 4 for _ in range(4)]
-    for i in range(2):
-        for j in range(2):
-            s[j * 2 + i][i * 2 + j] = sign
-    return mat(s)
 
 
 def charpoly_reciprocal(m) -> PolyX:
@@ -170,10 +160,11 @@ def frobenius_matrix(sp: SatakeParam, tag: str):
                 [list(z[0]) + list(a[0]), list(z[1]) + list(a[1]),
                  [1, 0, 0, 0], [0, 1, 0, 0]]
             )
-        if tag == "asai+":
-            return mmul(kron(a, eye(2)), swap_flip(1))
-        if tag == "asai-":
-            return mmul(kron(a, eye(2)), swap_flip(-1))
+        if tag in ("asai+", "asai-"):
+            # x (x) y -> +- a y (x) x: kron(a, I) with its columns (i, j)
+            # and (j, i) swapped, times the sign
+            sign = 1 if tag == "asai+" else -1
+            return tuple(tuple(sign * r[c] for c in (0, 2, 1, 3)) for r in kron(a, eye(2)))
         if tag == "lambda2":
             return wedge_square(frobenius_matrix(sp, "ind"))
         if tag == "std":
@@ -256,20 +247,14 @@ _STD_BASIS = mat(
 
 def similitude_of(m):
     """mu with m^T J m = mu J, or None if m is not in the similitude group."""
-    mt = mat([[m[j][i] for j in range(4)] for i in range(4)])
-    w = mmul(mmul(mt, J4), m)
-    mu = None
-    for i in range(4):
-        for j in range(4):
-            if J4[i][j]:
-                r = w[i][j] * J4[i][j]  # J4 entries are +-1
-                if mu is None:
-                    mu = r
-                elif mu != r:
-                    return None
-            elif w[i][j]:
-                return None
-    return mu
+    return _similitude(wedge_square(m))
+
+
+def _similitude(w):
+    # on e_k ^ e_l (k < l), m^T J m is row e01 plus row e23 of w = Lambda^2(m)
+    r = [x + y for x, y in zip(w[_E01], w[_E23])]
+    mu = r[_E01]
+    return mu if r[_E23] == mu and not any(r[i] for i in _COMPLEMENT) else None
 
 
 def _exact_div(x, mu):
@@ -279,20 +264,13 @@ def _exact_div(x, mu):
 def std_map(m):
     """The 5-dim factor of Lambda^2(m) mu^{-1} after splitting the invariant
     line of the symplectic form; requires m in the similitude group of J."""
-    mu = similitude_of(m)
-    if mu is None or mu == 0:
-        raise ValueError("matrix does not preserve J up to similitude")
     w = wedge_square(m)
-    r01, r23 = w[_E01], w[_E23]
-    # In the basis (complement | e01 + e23), Lambda^2(m) must be block
-    # diagonal with mu on the line: these are its off-block entries and
-    # its (line, line) entry, times 2.
-    if (any(w[i][_E01] + w[i][_E23] or r01[i] + r23[i] for i in _COMPLEMENT)
-            or r01[_E01] + r01[_E23] - r23[_E01] - r23[_E23]
-            or r01[_E01] - r01[_E23] + r23[_E01] - r23[_E23]):
-        raise AssertionError("invariant line failed to split off")
-    if r01[_E01] + r01[_E23] + r23[_E01] + r23[_E23] != 2 * mu:
-        raise AssertionError("invariant line eigenvalue is not 1")
+    mu = _similitude(w)
+    if not mu:
+        raise ValueError("matrix does not preserve J up to similitude")
+    # m^T J m = mu J with mu != 0 also gives m J m^T = mu J: Lambda^2(m) maps
+    # e01 + e23 to mu (e01 + e23), so the line splits off with eigenvalue 1
+    r01 = w[_E01]
     rows = [[w[i][j] for j in _COMPLEMENT] + [w[i][_E01] - w[i][_E23]]
             for i in _COMPLEMENT]
     rows.append([r01[j] for j in _COMPLEMENT] + [r01[_E01] - r01[_E23]])

@@ -252,6 +252,31 @@ def test_lfunc_primes_and_coeffs_are_exclusive(capsys):
     assert "not allowed with" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--primes", "3..7", "--N", "7"], "argument --N: not allowed with"),
+    (["--coeffs", str(DATA_DIR / "sample_coefficients.csv"), "--verify-lambda2"],
+     "argument --verify-lambda2: not allowed with"),
+    (["--primes", "5..3"], "empty range '5..3'"),
+    (["--primes", "3"], "expected a range A..B"),
+    (["--primes", "a..7"], "expected a range A..B"),
+    (["--primes", "3..5..7"], "expected a range A..B"),
+], ids=["N-with-primes", "verify-lambda2-with-coeffs", "reversed-range",
+        "no-dots", "non-integer", "three-parts"])
+def test_lfunc_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["lfunc", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_lfunc_prime_free_range_ends_in_refusal_report(tmp_path, capsys):
+    report = tmp_path / "l.json"
+    assert run(["lfunc", "--primes", "24..28", "--report", str(report)]) == 1
+    assert json.loads(report.read_text()) == {
+        "command": "lfunc", "ok": False, "error": "no prime in the range 24..28"}
+    assert capsys.readouterr().err == "lfunc: no prime in the range 24..28\n"
+
+
 def test_report_through_a_symlink_writes_its_target(tmp_path):
     real = tmp_path / "real.json"
     real.write_text("old\n")

@@ -22,6 +22,7 @@ from asaikit.exactalg import (
     kernel_gens,
     polymul_stack,
     rref_mod,
+    wedge_square,
 )
 
 
@@ -82,6 +83,54 @@ def test_charpoly_matches_sympy(sympy, kind):
     for m in _matrices(kind):
         want = [_fraction(c) for c in _to_sympy(sympy, m).charpoly(x).all_coeffs()]
         assert [Fraction(c) for c in charpoly(m)] == want
+
+
+def _structured_matrices(kind):
+    """Seeded sparse matrices of every size n = 0..8: zero, identity,
+    block-diagonal, signed-permutation, strictly triangular (nilpotent),
+    Kronecker products kron(a, I) and wedge squares (of singular matrices
+    too).  Their characteristic polynomials have many zero coefficients, and
+    their Krylov vectors A^k c vanish early."""
+    rng = random.Random(f"{kind}-structured")
+    unit = 1 if kind == "int" else Fraction(1)
+
+    def dense(n):
+        return [[_entry(rng, kind) for _ in range(n)] for _ in range(n)]
+
+    out = []
+    for n in range(9):
+        out += [[[0 * unit] * n for _ in range(n)],
+                [[unit * (i == j) for j in range(n)] for i in range(n)]]
+        for _ in range(2):
+            k = rng.randint(0, n)
+            a, b = dense(k), dense(n - k)
+            out.append([r + [0] * (n - k) for r in a] + [[0] * k + r for r in b])
+            perm = rng.sample(range(n), n)
+            out.append([[rng.choice((-unit, unit)) if j == perm[i] else 0 for j in range(n)]
+                        for i in range(n)])
+            tri = [[_entry(rng, kind) if j > i else 0 for j in range(n)] for i in range(n)]
+            out += [tri, [list(r) for r in zip(*tri)]]
+    for d, k in ((1, 5), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2)):
+        a = dense(d)
+        out.append([[a[i][j] * (s == t) for j in range(d) for t in range(k)]
+                    for i in range(d) for s in range(k)])
+    for d in (2, 3, 4):
+        out += [wedge_square(dense(d)), wedge_square(dense(d)[:-1] + [[0] * d])]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_charpoly_matches_sympy_on_structured_matrices(sympy, kind):
+    x = sympy.Symbol("x")
+    sizes = set()
+    for m in _structured_matrices(kind):
+        want = [_fraction(c) for c in _to_sympy(sympy, m).charpoly(x).all_coeffs()]
+        got = charpoly(m)
+        assert [Fraction(c) for c in got] == want
+        if kind == "int":
+            assert all(type(c) is int for c in got)
+        sizes.add(len(m))
+    assert sizes == set(range(9))
 
 
 def _prime_field_matrices(sympy, p):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asaikit.exactalg import PolyX, wedge_square
+from asaikit.exactalg import PolyX, det, wedge_square
 from asaikit.lfunc import (
     J4,
     CoeffTable,
@@ -223,6 +223,50 @@ def test_std_map_matches_change_of_basis_oracle():
     # integral results come back as ints, so charpolys stay over the integers
     assert all(type(x) is int for m in unit + scaled[:1] for r in std_map(m) for x in r)
     assert any(isinstance(x, Fraction) for m in scaled for r in std_map(m) for x in r)
+
+
+def similitude_by_definition(m):
+    """Oracle: mu with m^T J4 m = mu J4 from the full 4x4 product, else None."""
+    w = mmul(mmul(tuple(zip(*m)), J4), m)
+    mu = w[0][1]
+    return mu if w == tuple(tuple(mu * x for x in r) for r in J4) else None
+
+
+def test_similitude_of_matches_the_definition():
+    rng = np.random.default_rng(31)
+    # random integer matrices: almost never similitudes
+    rand = [mat(rng.integers(-3, 4, size=(4, 4)).tolist()) for _ in range(300)]
+    got = [similitude_of(m) for m in rand]
+    assert got == [similitude_by_definition(m) for m in rand]
+    assert got.count(None) >= 290
+    # block sums diag(a, b) scale the two planes by det a and det b
+    for _ in range(100):
+        a, b = (mat(x) for x in rng.integers(-2, 3, size=(2, 2, 2)).tolist())
+        m = blockdiag(a, b)
+        want = det(a) if det(a) == det(b) else None
+        assert similitude_of(m) == similitude_by_definition(m) == want
+    # J-similitudes: the scaling diag(mu, 1, mu, 1) between transvections
+    for k in range(120):
+        mu = (-3, -1, 1, 2)[k % 4]
+        m = mat([[mu * (i == j) if i % 2 == 0 else int(i == j) for j in range(4)]
+                 for i in range(4)])
+        for _ in range(2):
+            m = mmul(mmul(random_transvection(rng), m), random_transvection(rng))
+        assert similitude_of(m) == similitude_by_definition(m) == mu
+        assert std_map(m) == std_map_by_change_of_basis(m)
+    # singular matrices with m^T J4 m = 0: rank one, or image in the
+    # Lagrangian span of e0 and e2, mixed by transvections
+    for k in range(60):
+        if k % 2:
+            u, v = rng.integers(-3, 4, size=(2, 4)).tolist()
+            m = mat([[x * y for y in v] for x in u])
+        else:
+            m = mat([r if i % 2 == 0 else [0] * 4
+                     for i, r in enumerate(rng.integers(-3, 4, size=(4, 4)).tolist())])
+        m = mmul(mmul(random_transvection(rng), m), random_transvection(rng))
+        assert similitude_of(m) == similitude_by_definition(m) == 0
+        with pytest.raises(ValueError, match="similitude"):
+            std_map(m)
 
 
 def test_std_decomposition_split_and_inert():

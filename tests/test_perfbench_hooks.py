@@ -1,6 +1,6 @@
 """The benchmark harness wraps asaikit functions by name (perfbench/spans.py)
 and its span hooks read attributes of what they return.  Installing and
-removing its tracer here, and one toy run of a workload with tracing off
+removing its tracer here, and toy runs of two workloads with tracing off
 and on, make a rename that would break benchmark runs fail the test suite."""
 
 import importlib
@@ -40,8 +40,8 @@ def test_tracer_installs_records_and_uninstalls(monkeypatch):
     assert {"grouprep.tensor_induce", "grouprep.rep_validate", "cohomology.h1"} <= names
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_toy_ribet_ladder_run_is_correct(trace, tmp_path):
+def _toy_run(workload, trace, tmp_path):
+    """One toy run of a workload: exit 0, every check passed, none failed."""
     # a copy of the harness beside a link to the sources, so that its
     # scratch files and span dumps stay out of the checkout
     bench = tmp_path / "perfbench"
@@ -49,9 +49,21 @@ def test_toy_ribet_ladder_run_is_correct(trace, tmp_path):
     for f in PERFBENCH.glob("*.py"):
         shutil.copy(f, bench)
     (tmp_path / "src").symlink_to(PERFBENCH.parent / "src", target_is_directory=True)
-    cmd = [sys.executable, str(bench / "run.py"), "--workload", "ribet-ladder",
+    cmd = [sys.executable, str(bench / "run.py"), "--workload", workload,
            "--size", "toy", "--seed", "1", "--seconds", "1", "--trace", str(trace)]
     run = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_toy_ribet_ladder_run_is_correct(trace, tmp_path):
+    _toy_run("ribet-ladder", trace, tmp_path)
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_toy_euler_dirichlet_run_is_correct(trace, tmp_path):
+    # its checks recompute every sampled Euler factor with perfbench's own
+    # charpoly oracle and both factorization identities
+    _toy_run("euler-dirichlet", trace, tmp_path)
