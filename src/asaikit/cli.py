@@ -141,8 +141,8 @@ def cmd_lfunc(args) -> int:
         asai_dirichlet,
         euler_factor,
         ingest_coeffs,
+        lambda2_identity,
         random_satake,
-        verify_lambda2,
     )
 
     def refuse(error):
@@ -172,11 +172,12 @@ def cmd_lfunc(args) -> int:
     for p in primes:
         rng = np.random.default_rng((args.seed, p))
         sp = random_satake(rng, p=p)
-        row = {"p": p, "split": sp.split, "factors": {}}
-        for tag in ("ind", "asai+", "asai-", "lambda2", "std", "sim"):
-            row["factors"][tag] = [int(c) for c in euler_factor(sp, tag).poly.coeffs]
+        factors = {tag: euler_factor(sp, tag).poly
+                   for tag in ("ind", "asai+", "asai-", "lambda2", "std", "sim")}
+        row = {"p": p, "split": sp.split,
+               "factors": {tag: list(f.coeffs) for tag, f in factors.items()}}
         if args.verify_lambda2:
-            ok, _ = verify_lambda2(sp, 1)
+            ok, _ = lambda2_identity(sp, factors["lambda2"], factors["asai-"])
             row["lambda2_ok"] = ok
             all_ok = all_ok and ok
         entries.append(row)

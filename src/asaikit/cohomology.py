@@ -165,9 +165,7 @@ class H1Data:
         keep = extend_basis(self.b1, self.z1, q)
         self.h1_reps = self.z1[keep] if keep else np.zeros((0, D), dtype=np.int64)
         self.dim = len(self.h1_reps)
-        self._coord_stack = np.vstack([self.b1, self.h1_reps]) if (
-            self.b1.size or self.h1_reps.size
-        ) else np.zeros((0, D), dtype=np.int64)
+        self._coord_stack = np.vstack([self.b1, self.h1_reps])
 
     def gen_vector(self, cocycle: Cocycle) -> np.ndarray:
         return cocycle.value(np.array(self.gens)).reshape(-1) % self.q
@@ -184,10 +182,6 @@ class H1Data:
     def class_coords(self, cocycle: Cocycle) -> np.ndarray:
         """Coordinates of [cocycle] in the H^1 representative basis."""
         x = self.gen_vector(cocycle)
-        if self._coord_stack.shape[0] == 0:
-            if np.any(x):
-                raise ValueError("vector not in Z^1 span")
-            return np.zeros(0, dtype=np.int64)
         sol = solve_mod(self._coord_stack.T, x, self.q)
         if sol is None:
             raise ValueError("cocycle is not in the computed Z^1")

@@ -198,8 +198,9 @@ def _cyclic_character(group, index, m, q, k=1):
     return make_character(group, "H", {index[(b, 0)]: pow(z, k * b, q) for b in range(m)}, q)
 
 
-def s3_fixture(q=7) -> Fixture:
+def s3_fixture() -> Fixture:
     """(S_3, C_3, chi_3) over F_7: the smallest index-2 example."""
+    q = 7
     group, index = semidirect_group(3, 1, (2,), (2,))
     return Fixture(
         "s3_c3_chi3_q7",
@@ -384,7 +385,7 @@ def ribet_v0_fixture(q=7, d=6) -> Fixture:
     )
 
 
-def coh294_fixture(q=7) -> Fixture:
+def coh294_fixture() -> Fixture:
     """Cohomology fixture: F_7^2 x| (C_3 x C_2) with a triangular 2-dim rho.
 
     rho((v, j, 0)) = [[2^j, v_1], [0, 1]]; det rho = t (delta -> 2) extends
@@ -393,7 +394,7 @@ def coh294_fixture(q=7) -> Fixture:
     H^1(H, Hom(rho^c, rho)) is nonzero: v_2 never enters rho, so homs from
     the second coordinate survive.
     """
-    d, alpha = 3, 2
+    q, d, alpha = 7, 3, 2
     group, index = semidirect_group(q, 2, (d, 2), (alpha, -1))
     rho = Rep(group, "H", {g: [[pow(alpha, j, q), v1], [0, 1]]
                            for ((v1, _), j, e), g in index.items() if e == 0}, q)

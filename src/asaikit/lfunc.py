@@ -4,8 +4,12 @@ and similitude representations; reciprocal-characteristic-polynomial Euler
 factors; the wedge-square factorization identity; and Dirichlet series
 assembly for the diagonal coefficient table.
 
-All arithmetic is exact: integer matrices, Fractions where a similitude
-must be divided out, integer Dirichlet coefficients.  Conventions: a split
+All arithmetic is exact: integer matrices, integer Euler factors and
+integer Dirichlet coefficients.  The identities are checked on the integer
+factors themselves: twisting a matrix by a scalar c multiplies the X^k
+coefficient of det(I - M X) by c^k, so no scaled matrix is built.  Fraction
+remains only in `std_map`'s division by the similitude and in
+`charpoly_reciprocal`'s normalization of its output.  Conventions: a split
 prime carries a pair (a, b) of 2x2 matrices; an inert prime carries only a,
 the Frobenius acting through the nontrivial coset as x + y -> a y + x on
 the induced space and x (x) y -> +- a y (x) x on the tensor-induced one.
@@ -14,12 +18,13 @@ the induced space and x (x) y -> +- a y (x) x on the tensor-induced one.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
 
-from .exactalg import PolyX, charpoly, det, wedge_pairs, wedge_square
+from .exactalg import PolyX, charpoly, det, wedge_square
 
 REP_TAGS = ("ind", "asai+", "asai-", "lambda2", "std", "sim", "zeta", "quadratic-char")
 
@@ -40,10 +45,6 @@ def eye(n):
 def mmul(a, b):
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in a)
-
-
-def mscale(a, s):
-    return mat([[x * s for x in r] for r in a])
 
 
 def kron(a, b):
@@ -81,6 +82,20 @@ def charpoly_reciprocal(m) -> PolyX:
             c = int(c)
         norm.append(c)
     return PolyX(norm)
+
+
+def _twist(poly, num, den=1):
+    """det(I - (num/den) M X) from poly = det(I - M X): the X^k coefficient
+    times (num/den)^k, which must stay integral."""
+    if den in (1, -1):  # 1/den = den
+        return PolyX([c * (num * den) ** k for k, c in enumerate(poly.coeffs)])
+    out = []
+    for k, c in enumerate(poly.coeffs):
+        q, r = divmod(c * num**k, den**k)
+        if r:
+            raise ValueError("non-integral Euler factor coefficient")
+        out.append(q)
+    return PolyX(out)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +170,7 @@ def frobenius_matrix(sp: SatakeParam, tag: str):
             return std_map(blockdiag(a, b))
     else:
         if tag == "ind":
-            z = [[0, 0], [0, 0]]
-            return mat(
-                [list(z[0]) + list(a[0]), list(z[1]) + list(a[1]),
-                 [1, 0, 0, 0], [0, 1, 0, 0]]
-            )
+            return ((0, 0, *a[0]), (0, 0, *a[1]), (1, 0, 0, 0), (0, 1, 0, 0))
         if tag in ("asai+", "asai-"):
             # x (x) y -> +- a y (x) x: kron(a, I) with its columns (i, j)
             # and (j, i) swapped, times the sign
@@ -207,13 +218,15 @@ def verify_lambda2(sp: SatakeParam, chi: int = 1):
     """
     if chi not in (1, -1):
         raise ValueError("chi must be a local value +1 or -1")
-    # chi^{-1} = chi for chi = +-1: integer scaling keeps charpoly over ints
-    lam = mscale(frobenius_matrix(sp, "lambda2"), chi)
-    lhs = charpoly_reciprocal(lam)
-    asai = mscale(frobenius_matrix(sp, "asai-"), chi)
-    zeta = PolyX([1, -1])
-    quad = PolyX([1, -sp.chi_quadratic])
-    rhs = zeta * quad * charpoly_reciprocal(asai)
+    return lambda2_identity(sp, charpoly_reciprocal(frobenius_matrix(sp, "lambda2")),
+                            charpoly_reciprocal(frobenius_matrix(sp, "asai-")), chi)
+
+
+def lambda2_identity(sp: SatakeParam, lam: PolyX, asai_minus: PolyX, chi: int = 1):
+    """`verify_lambda2` on the untwisted factors lam = det(I - Lambda^2(ind) X)
+    and asai_minus = det(I - asai^- X) of sp, each twisted by chi^{-1}."""
+    lhs = _twist(lam, 1, chi)
+    rhs = PolyX([1, -1]) * PolyX([1, -sp.chi_quadratic]) * _twist(asai_minus, 1, chi)
     ok = lhs == rhs
     report = {
         "p": sp.p,
@@ -233,16 +246,10 @@ J4 = mat([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
 # e02, e03, e12, e13, e01 - e23, in which std_map writes its matrix.
 _E01, _E23 = 0, 5
 _COMPLEMENT = (1, 2, 3, 4)
-_STD_BASIS = mat(
-    [
-        [0, 0, 0, 0, 1],
-        [1, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0],
-        [0, 0, 1, 0, 0],
-        [0, 0, 0, 1, 0],
-        [0, 0, 0, 0, -1],
-    ]
-)
+# the Gram matrix of (x, y) -> x ^ y / vol on that basis: e02 ^ e13 = -vol,
+# e03 ^ e12 = vol, (e01 - e23) ^ (e01 - e23) = -2 vol; other pairs share an index
+_STD_GRAM = ((0, 0, 0, -1, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (-1, 0, 0, 0, 0),
+             (0, 0, 0, 0, -2))
 
 
 def similitude_of(m):
@@ -281,14 +288,11 @@ def verify_std_decomposition(sp: SatakeParam):
     """char poly of std(ind-Frobenius) equals
        (1 - chi_K(p) X) * det(I - asai^+ sim^{-1} chi_K(p) X): the
     standard-representation factorization, exactly."""
-    f = frobenius_matrix(sp, "ind")
-    s = std_map(f)
-    lhs = charpoly_reciprocal(s)
+    lhs = charpoly_reciprocal(std_map(frobenius_matrix(sp, "ind")))
     mu = sp.similitude()
     cq = sp.chi_quadratic
-    scale = cq * mu if mu in (1, -1) else Fraction(cq, mu)
-    asai = mscale(frobenius_matrix(sp, "asai+"), scale)
-    rhs = PolyX([1, -cq]) * charpoly_reciprocal(asai)
+    asai = charpoly_reciprocal(frobenius_matrix(sp, "asai+"))
+    rhs = PolyX([1, -cq]) * _twist(asai, cq, mu)
     ok = lhs == rhs
     return ok, {"p": sp.p, "split": sp.split, "lhs": list(lhs.coeffs),
                 "rhs": list(rhs.coeffs), "ok": ok}
@@ -297,38 +301,7 @@ def verify_std_decomposition(sp: SatakeParam):
 def std_in_so5(m):
     """Check std(m) preserves the induced symmetric form with determinant 1."""
     s = std_map(m)
-    gram = _wedge_pairing_gram()
-    st = mat([[s[j][i] for j in range(5)] for i in range(5)])
-    if mmul(mmul(st, gram), s) != gram:
-        return False
-    return det(s) == 1
-
-
-def _wedge_pairing_gram():
-    """Gram matrix of (x, y) -> x ^ y / vol on the 5-dim complement."""
-    basis = [[_STD_BASIS[i][j] for i in range(6)] for j in range(5)]
-
-    def pair(u, v):
-        total = 0
-        for i, (a, b) in enumerate(wedge_pairs(4)):
-            for j, (c, d) in enumerate(wedge_pairs(4)):
-                if {a, b} & {c, d}:
-                    continue
-                perm = (a, b, c, d)
-                total += u[i] * v[j] * _perm_sign(perm)
-        return total
-
-    return mat([[pair(u, v) for v in basis] for u in basis])
-
-
-def _perm_sign(perm):
-    sign = 1
-    lst = list(perm)
-    for i in range(len(lst)):
-        for j in range(i + 1, len(lst)):
-            if lst[i] > lst[j]:
-                sign = -sign
-    return sign
+    return mmul(mmul(tuple(zip(*s)), _STD_GRAM), s) == _STD_GRAM and det(s) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +313,8 @@ class CoeffTable:
     """Hecke coefficients indexed by (ideal norm, label); the diagonal
     entries c(m O_K) live at label "(m)" with norm m^2 (class number 1)."""
 
-    def __init__(self, rows, meta=None):
+    def __init__(self, rows):
         self.rows = {}
-        self.meta = meta or {}
         for norm, label, coeff in rows:
             key = (int(norm), str(label))
             if key in self.rows:
@@ -362,8 +334,6 @@ class CoeffTable:
         return m == 1 or (m * m, f"({m})") in self.rows
 
     def _check_diagonal_multiplicativity(self):
-        import math
-
         ms = sorted(
             int(label[1:-1])
             for (norm, label) in self.rows
@@ -451,36 +421,29 @@ def hecke_power_coefficients(m2, kmax):
 def synthetic_table(params: dict[int, SatakeParam], N: int) -> CoeffTable:
     """Multiplicative diagonal table c(m O_K), m <= N, built by the Hecke
     recursion at each prime of `params` (all primes <= N must appear)."""
-    import math
-
     coeffs = {1: 1}
-    for m in range(2, N + 1):
-        p = _least_prime_factor(m)
+    for n in range(2, N + 1):
+        p, k, m = _split_prime_power(n)
         if p not in params:
             raise KeyError(f"no Satake parameter for prime {p} <= {N}")
-        k = 0
-        mm = m
-        while mm % p == 0:
-            mm //= p
-            k += 1
         sp = params[p]
+        cpk = hecke_power_coefficients(sp.a, k)[k]
         if sp.split:
-            cpk = (hecke_power_coefficients(sp.a, k)[k]
-                   * hecke_power_coefficients(sp.b, k)[k])
-        else:
-            cpk = hecke_power_coefficients(sp.a, k)[k]
-        coeffs[m] = cpk * coeffs[mm]
+            cpk *= hecke_power_coefficients(sp.b, k)[k]
+        coeffs[n] = cpk * coeffs[m]
     rows = [(m * m, f"({m})", coeffs[m]) for m in range(2, N + 1)]
     return CoeffTable(rows)
 
 
-def _least_prime_factor(n):
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
+def _split_prime_power(n):
+    """(p, k, m) with n = p^k m, p the least prime factor of n > 1 and p
+    not dividing m."""
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return p, k, n
 
 
 def euler_product_coefficients(params: dict[int, SatakeParam], N: int) -> list[int]:
@@ -501,18 +464,10 @@ def euler_product_coefficients(params: dict[int, SatakeParam], N: int) -> list[i
         inv = _series_inverse(poly, kmax)
         local[p] = inv
     for n in range(2, N + 1):
-        c = 1
-        nn = n
-        while nn > 1:
-            p = _least_prime_factor(nn)
-            k = 0
-            while nn % p == 0:
-                nn //= p
-                k += 1
-            if p not in local:
-                raise KeyError(f"no Satake parameter for prime {p} <= {N}")
-            c *= local[p][k]
-        out[n] = c
+        p, k, m = _split_prime_power(n)
+        if p not in local:
+            raise KeyError(f"no Satake parameter for prime {p} <= {N}")
+        out[n] = local[p][k] * out[m]
     return out[1:]
 
 

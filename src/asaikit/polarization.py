@@ -382,8 +382,6 @@ def theorem_main_pipeline(
     iso, t = is_isomorphic(rb2, target)
     if not iso:
         raise PipelineError("rhobar2 is not rhobar1^{c vee} psi^{-1}")
-    if intertwiner_space(rb1, rb2):
-        raise PipelineError("rhobar1 and rhobar2 must be non-isomorphic")
     # Ribet descent
     rr = ribet_lattice(latt)
     if rr.split:

@@ -218,6 +218,17 @@ def test_lfunc_primes(tmp_path):
         assert row["factors"]["ind"][0] == 1
 
 
+def test_lfunc_verifies_lambda2_on_the_reported_factors(tmp_path, monkeypatch):
+    # six Euler factors per prime, 14 primes; the identity reuses two of them
+    import asaikit.lfunc as lfunc
+
+    real, calls = lfunc.charpoly_reciprocal, []
+    monkeypatch.setattr(lfunc, "charpoly_reciprocal", lambda m: calls.append(m) or real(m))
+    assert run(["lfunc", "--primes", "3..50", "--verify-lambda2",
+                "--report", str(tmp_path / "l.json")]) == 0
+    assert len(calls) == 84
+
+
 def test_lfunc_coeffs(tmp_path):
     report = tmp_path / "l.json"
     csv = DATA_DIR / "sample_coefficients.csv"

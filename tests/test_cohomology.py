@@ -5,6 +5,7 @@ import pytest
 
 from asaikit.cohomology import (
     Cocycle,
+    H1Data,
     SelmerStructure,
     as_twisted_module,
     coboundary,
@@ -55,6 +56,18 @@ def test_h1_cyclic_q_torsion():
     group, _ = semidirect_group(7, 1, (2,), (6,))
     mod = trivial_module(group, group.H, 1, 7)
     assert h1(mod).dim == 1
+
+
+def test_h1_of_the_trivial_subgroup_is_zero():
+    # B^1 = Z^1 = 0: the coordinate stack has no rows
+    group, _ = semidirect_group(7, 1, (2,), (6,))
+    mod = trivial_module(group, [group.one], 2, 7)
+    data = H1Data(mod)
+    assert data.dim == 0 and data.b1.shape == (0, 2)
+    zero = Cocycle(mod, np.zeros((1, 2)))
+    assert data.class_coords(zero).shape == (0,) and data.is_coboundary(zero)
+    with pytest.raises(ValueError, match="not in the computed Z\\^1"):
+        data.class_coords(Cocycle(mod, [[1, 0]], validate=False))
 
 
 def test_h1_coprime_order_vanishes():

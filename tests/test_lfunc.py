@@ -4,11 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asaikit.exactalg import PolyX, det, wedge_square
+from asaikit.exactalg import PolyX, det, wedge_pairs, wedge_square
 from asaikit.lfunc import (
     J4,
+    _STD_GRAM,
     CoeffTable,
     SatakeParam,
+    _twist,
     asai_dirichlet,
     blockdiag,
     charpoly_reciprocal,
@@ -276,6 +278,63 @@ def test_std_decomposition_split_and_inert():
         assert ok
         ok, _ = verify_std_decomposition(random_satake(rng, split=False))
         assert ok
+    # similitude -1: the asai factor is twisted by chi_K(p) / mu = -1
+    for _ in range(10):
+        ok, _ = verify_std_decomposition(random_satake(rng, split=True, twist=-1))
+        assert ok
+
+
+def test_std_decomposition_raises_at_similitude_p():
+    # split parameters of similitude p: the std factor is not integral
+    rng = np.random.default_rng(1)
+    for k in range(60):
+        p = (3, 5, 7)[k % 3]
+        a = mmul(random_sl2(rng), mat([[p, 0], [0, 1]]))
+        b = mmul(mat([[1, 0], [0, p]]), random_sl2(rng))
+        with pytest.raises(ValueError, match="non-integral Euler factor coefficient"):
+            verify_std_decomposition(SatakeParam(p, True, a, b))
+
+
+def test_twist_matches_the_scaled_matrix():
+    """det(I - (num/den) M X) from det(I - M X) equals the charpoly of the
+    scaled matrix where that is integral, and raises exactly where not."""
+    rng = np.random.default_rng(37)
+    equal = raised = 0
+    for _ in range(20):
+        m = mat(rng.integers(-4, 5, size=(4, 4)).tolist())
+        f = charpoly_reciprocal(m)
+        for num in (-3, -1, 1, 2, 5):
+            for den in (-2, -1, 1, 3):
+                scaled = mat([[Fraction(num, den) * x for x in r] for r in m])
+                try:
+                    want = charpoly_reciprocal(scaled)
+                except ValueError:
+                    with pytest.raises(ValueError, match="non-integral"):
+                        _twist(f, num, den)
+                    raised += 1
+                else:
+                    assert _twist(f, num, den) == want
+                    equal += 1
+    assert (equal, raised) == (240, 160)
+
+
+def _perm_sign(perm):
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def test_std_gram_is_the_wedge_pairing():
+    """Oracle: (x, y) -> x ^ y / vol on e02, e03, e12, e13, e01 - e23 (the
+    first five columns of _P6), summed over pairs of disjoint wedges."""
+    basis = list(zip(*_P6))[:5]
+    pairs = wedge_pairs(4)
+
+    def pair(u, v):
+        return sum(u[i] * v[j] * _perm_sign((a, b, c, d))
+                   for i, (a, b) in enumerate(pairs)
+                   for j, (c, d) in enumerate(pairs) if not {a, b} & {c, d})
+
+    assert [[pair(u, v) for v in basis] for u in basis] == [list(r) for r in _STD_GRAM]
 
 
 def test_std_lands_in_so5():

@@ -1,6 +1,6 @@
 """The benchmark harness wraps asaikit functions by name (perfbench/spans.py)
 and its span hooks read attributes of what they return.  Installing and
-removing its tracer here, and toy runs of two workloads with tracing off
+removing its tracer here, and toy runs of all three workloads with tracing off
 and on, make a rename that would break benchmark runs fail the test suite."""
 
 import importlib
@@ -60,6 +60,11 @@ def _toy_run(workload, trace, tmp_path):
 @pytest.mark.parametrize("trace", [0, 1])
 def test_toy_ribet_ladder_run_is_correct(trace, tmp_path):
     _toy_run("ribet-ladder", trace, tmp_path)
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_toy_identity_batteries_run_is_correct(trace, tmp_path):
+    _toy_run("identity-batteries", trace, tmp_path)
 
 
 @pytest.mark.parametrize("trace", [0, 1])
