@@ -84,18 +84,13 @@ def charpoly_reciprocal(m) -> PolyX:
     return PolyX(norm)
 
 
-def _twist(poly, num, den=1):
+def _twist(poly, num, den):
     """det(I - (num/den) M X) from poly = det(I - M X): the X^k coefficient
     times (num/den)^k, which must stay integral."""
-    if den in (1, -1):  # 1/den = den
-        return PolyX([c * (num * den) ** k for k, c in enumerate(poly.coeffs)])
-    out = []
-    for k, c in enumerate(poly.coeffs):
-        q, r = divmod(c * num**k, den**k)
-        if r:
-            raise ValueError("non-integral Euler factor coefficient")
-        out.append(q)
-    return PolyX(out)
+    out = [divmod(c * num**k, den**k) for k, c in enumerate(poly.coeffs)]
+    if any(r for _, r in out):
+        raise ValueError("non-integral Euler factor coefficient")
+    return PolyX([q for q, _ in out])
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +211,6 @@ def verify_lambda2(sp: SatakeParam, chi: int = 1):
     match the similitude of the parameter for the identity to hold.
     Returns (ok, report); never raises on mismatch.
     """
-    if chi not in (1, -1):
-        raise ValueError("chi must be a local value +1 or -1")
     return lambda2_identity(sp, charpoly_reciprocal(frobenius_matrix(sp, "lambda2")),
                             charpoly_reciprocal(frobenius_matrix(sp, "asai-")), chi)
 
@@ -225,6 +218,8 @@ def verify_lambda2(sp: SatakeParam, chi: int = 1):
 def lambda2_identity(sp: SatakeParam, lam: PolyX, asai_minus: PolyX, chi: int = 1):
     """`verify_lambda2` on the untwisted factors lam = det(I - Lambda^2(ind) X)
     and asai_minus = det(I - asai^- X) of sp, each twisted by chi^{-1}."""
+    if chi not in (1, -1):
+        raise ValueError("chi must be a local value +1 or -1")
     lhs = _twist(lam, 1, chi)
     rhs = PolyX([1, -1]) * PolyX([1, -sp.chi_quadratic]) * _twist(asai_minus, 1, chi)
     ok = lhs == rhs

@@ -19,6 +19,7 @@ from asaikit.lfunc import (
     eye,
     frobenius_matrix,
     ingest_coeffs,
+    lambda2_identity,
     mat,
     mmul,
     random_satake,
@@ -142,6 +143,17 @@ def test_lambda2_reports_mismatch():
     sp = random_satake(rng, split=True, twist=-1)
     ok, rep = verify_lambda2(sp, 1)
     assert not ok and rep["lhs"] != rep["rhs"]
+
+
+def test_lambda2_refuses_a_non_unit_chi():
+    sp = trivial_split()
+    lam = charpoly_reciprocal(frobenius_matrix(sp, "lambda2"))
+    am = charpoly_reciprocal(frobenius_matrix(sp, "asai-"))
+    for chi in (0, 2, -3):
+        with pytest.raises(ValueError, match="chi must be a local value"):
+            verify_lambda2(sp, chi)
+        with pytest.raises(ValueError, match="chi must be a local value"):
+            lambda2_identity(sp, lam, am, chi)
 
 
 def test_std_identity_and_scalar():
