@@ -34,7 +34,6 @@ from .grouprep import (
     coset_sign_character,
     dual_twist,
     induce,
-    is_isomorphic,
     isotypic_lines,
     power_character,
     tensor_induce,
@@ -48,34 +47,42 @@ def _record(name, case, passed, **details):
     return {"battery": name, "case": case, "passed": bool(passed), **details}
 
 
+def _pair_perm(d1, d2) -> np.ndarray:
+    """(i1, i2, j1, j2) -> (i1, j1, i2, j2): As(V1) (x) As(V2) onto As(V1 (x) V2)."""
+    return np.arange((d1 * d2) ** 2).reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3).reshape(-1)
+
+
+def prasad_identities(r1: Rep, r2: Rep, sgn: Rep):
+    """(name, lhs, rhs) per identity, rhs carried onto lhs's coordinates by
+    the canonical map, so lhs == rhs iff that map is an isomorphism."""
+    asp1 = tensor_induce(r1, +1)
+    prod = asp1.tensor(tensor_induce(r2, +1))
+    p = _pair_perm(r1.dim, r2.dim)
+    yield ("multiplicative", tensor_induce(r1.tensor(r2), +1),
+           Rep(prod.group, "G", prod.images[:, p][:, :, p], prod.mod, validate=False))
+    for s in (+1, -1):
+        yield ("duality", tensor_induce(dual_twist(r1, None), s),
+               dual_twist(tensor_induce(r1, s), None))
+    if r1.dim == 1:
+        yield "transfer", asp1, transfer_character(r1)
+    yield "minus = plus x sign", tensor_induce(r1, -1), asp1.twist(sgn)
+
+
 def prasad_battery(seed=0, count=20):
     """Tensor-induction identities on randomized small-group fixtures:
     multiplicativity in rho, duality, the transfer on characters, and the
-    minus = plus (x) sign twist."""
+    minus = plus (x) sign twist, each checked on its canonical map
+    (`prasad_identities`) with no isomorphism search: a passing record
+    certifies the isomorphism, a failing one that the canonical map is not
+    one.  The seeded rng draws only the cases, in order."""
     rng = np.random.default_rng(seed)
     out = []
-    for i in range(count):
+    for _ in range(count):
         group, r1, r2, q, label = random_battery_case(rng)
-        sgn = coset_sign_character(group, q)
-        asp1 = tensor_induce(r1, +1)
-        asp2 = tensor_induce(r2, +1)
-        prod = r1.tensor(r2)
-        ok1, _ = is_isomorphic(tensor_induce(prod, +1), asp1.tensor(asp2), rng=rng)
-        out.append(_record("prasad", f"{label} multiplicative", ok1))
-        okd = True
-        for s in (+1, -1):
-            lhs = tensor_induce(dual_twist(r1, None), s)
-            rhs = dual_twist(tensor_induce(r1, s), None)
-            okk, _ = is_isomorphic(lhs, rhs, rng=rng)
-            okd = okd and okk
-        out.append(_record("prasad", f"{label} duality", okd))
-        if r1.dim == 1:
-            out.append(
-                _record("prasad", f"{label} transfer",
-                        tensor_induce(r1, +1) == transfer_character(r1))
-            )
-        ok3, _ = is_isomorphic(tensor_induce(r1, -1), asp1.twist(sgn), rng=rng)
-        out.append(_record("prasad", f"{label} minus = plus x sign", ok3))
+        passed = {}
+        for name, lhs, rhs in prasad_identities(r1, r2, coset_sign_character(group, q)):
+            passed[name] = passed.get(name, True) and lhs == rhs
+        out.extend(_record("prasad", f"{label} {name}", ok) for name, ok in passed.items())
     return out
 
 

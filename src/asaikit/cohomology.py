@@ -257,9 +257,9 @@ def conjugate_hom_module(rho: Rep) -> Rep:
     return hom_module(rho, conjugate_rep(rho))
 
 
-def as_twisted_module(rho: Rep, twist: Rep, sign=+1) -> Rep:
-    """The tensor-induced module of rho twisted by a character of G."""
-    return tensor_induce(rho, sign).twist(twist)
+def as_twisted_module(rho: Rep, twist: Rep) -> Rep:
+    """The tensor-induced module As^+(rho) twisted by a character of G."""
+    return tensor_induce(rho, +1).twist(twist)
 
 
 def hom_to_as_matrix(n, mod):
@@ -275,8 +275,7 @@ def hom_to_as_matrix(n, mod):
     return np.kron(np.eye(n, dtype=np.int64), omega_inv) % mod
 
 
-def polarization_involution(cocycle: Cocycle, rho: Rep,
-                            eps_pow: Rep | None = None) -> Cocycle:
+def polarization_involution(cocycle: Cocycle, rho: Rep) -> Cocycle:
     """The involution on extension classes induced by g -> ctilde g^{-1}
     ctilde^{-1} twisted by the determinant-compatible character.
 
@@ -302,8 +301,7 @@ def polarization_involution(cocycle: Cocycle, rho: Rep,
     P = np.array([[0, 1], [mod - 1, 0]], dtype=np.int64)
     P_inv = Mat(P, mod).inverse().a
     rc = conjugate_rep(rho)
-    # without eps_pow the twist is pinned by the compatibility condition on H
-    eps = eps_pow if eps_pow is not None else rho.det_character()
+    eps = rho.det_character()  # pinned by the compatibility condition on H
     # fixture validity: P rho_perp P^{-1} = rho^c exactly
     els = np.array(rho.elements)
     perp = (rho.arr(g.inv[g.conj_ctilde(els)]).transpose(0, 2, 1)
@@ -323,10 +321,8 @@ def polarization_involution(cocycle: Cocycle, rho: Rep,
     return Cocycle(m, defn.reshape(len(xs), 4))
 
 
-def polarization_involution_matrix(h1d: H1Data, rho: Rep,
-                                   eps_pow: Rep | None = None) -> np.ndarray:
-    eps = eps_pow if eps_pow is not None else rho.det_character()
-    mat = h1d.map_matrix(lambda z: polarization_involution(z, rho, eps), h1d)
+def polarization_involution_matrix(h1d: H1Data, rho: Rep) -> np.ndarray:
+    mat = h1d.map_matrix(lambda z: polarization_involution(z, rho), h1d)
     sq = mat @ mat % h1d.q
     if not np.array_equal(sq, np.eye(h1d.dim, dtype=np.int64) % h1d.q):
         raise AssertionError("polarization involution does not square to one on H^1")

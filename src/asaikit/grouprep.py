@@ -405,7 +405,7 @@ def swap_matrix(n, mod) -> np.ndarray:
     return np.eye(n * n, dtype=np.int64)[_swap_perm(n)] % mod
 
 
-def tensor_induce(rho: Rep, sign: int, ctilde: int | None = None) -> Rep:
+def tensor_induce(rho: Rep, sign: int) -> Rep:
     """The two canonical extensions of rho (x) rho^c to G (sign = +1 or -1).
 
     On H the action is rho(h) (x) rho^c(h); the chosen coset representative
@@ -422,14 +422,11 @@ def tensor_induce(rho: Rep, sign: int, ctilde: int | None = None) -> Rep:
     q, _ = factor_prime_power(rho.mod)
     if q == 2:
         raise ValueError("odd modulus required")
-    ct = g.ctilde if ctilde is None else int(ctilde)
-    if g.in_H(ct):
-        raise ValueError("ctilde must lie outside H")
     d = rho.dim
     xs = np.arange(g.n)
     on_h = g.h_mask
-    left = np.where(on_h, xs, g.mul[xs, g.inv[ct]])
-    right = np.where(on_h, g.conj(ct, xs), g.mul[ct, xs])
+    left = np.where(on_h, xs, g.mul[xs, g.inv[g.ctilde]])
+    right = np.where(on_h, g.conj_ctilde(xs), g.mul[g.ctilde, xs])
     imgs = kron_stack(rho.arr(left), rho.arr(right), rho.mod)
     # M @ swap_matrix(d) permutes the columns of M
     imgs[~on_h] = sign * imgs[~on_h][:, :, _swap_perm(d)] % rho.mod
@@ -499,13 +496,13 @@ def contains_invertible(basis: list[Mat], rng=None):
 
     The candidates, each tested by its own `Mat.is_invertible`, are the
     basis itself, then for two generators the pencil b0 + c b1 (c = 1..q-1),
-    else 200 combinations with coefficients drawn from `rng` (default
-    seed 0), one `rng.integers(0, m, size=k)` draw per try, made lazily up
-    to the first hit.  A matrix over Z/q^n is invertible iff its reduction
-    mod q is, and once b0 and b1 are singular a b0 + b b1 with a a unit is
-    invertible iff b0 + (b/a) b1 is: so for at most two generators None
-    means that no element of the span is invertible.  For three or more it
-    means only that the tries missed.
+    else 200 combinations with coefficients drawn from `rng` (default seed
+    0; only tests pass one), one draw per try, made lazily up to the first
+    hit.  A matrix over Z/q^n is invertible iff its reduction mod q is,
+    and once b0 and b1 are singular a b0 + b b1 with a a unit is invertible
+    iff b0 + (b/a) b1 is: so for at most two generators None means that no
+    element of the span is invertible.  For three or more it means only
+    that the tries missed.
     """
     def combinations():
         if len(basis) < 2:
@@ -527,15 +524,14 @@ def contains_invertible(basis: list[Mat], rng=None):
                  if c.is_invertible()), None)
 
 
-def is_isomorphic(r1: Rep, r2: Rep, rng=None):
+def is_isomorphic(r1: Rep, r2: Rep):
     """(flag, witness): an invertible intertwiner M r1(g) = r2(g) M when flag
     is True, from `contains_invertible` over `intertwiner_space(r1, r2)`; the
-    package's one way to find an isomorphism.  `rng` draws the seeded tries
-    of a span of dimension 3 or more."""
+    package's one way to find an isomorphism with no known candidate map."""
     if r1.dim != r2.dim:
         return False, None
     basis = intertwiner_space(r1, r2)
-    w = contains_invertible(basis, rng=rng)
+    w = contains_invertible(basis)
     return (w is not None), w
 
 

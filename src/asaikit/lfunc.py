@@ -482,9 +482,9 @@ def _series_inverse(coeffs, kmax):
 # ---------------------------------------------------------------------------
 
 
-def random_sl2(rng, steps=6):
+def random_sl2(rng):
     m = eye(2)
-    for _ in range(steps):
+    for _ in range(6):
         r = int(rng.integers(-3, 4))
         if int(rng.integers(2)):
             e = mat([[1, r], [0, 1]])

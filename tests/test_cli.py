@@ -370,9 +370,9 @@ def test_bad_input_ends_in_refusal_report(case, tmp_path, capsys):
 # change that keeps the behaviour keeps these bytes.
 PINNED_REPORTS = {
     "verify-seed0": (["verify-identities", "--seed", "0"], 0,
-                     "df3b4d57e2e3e6040f5ff81b647f37a2cdda88e6528a8c6a3f6a3f5bb7a81e71"),
+                     "3de466c22dafb24091ba2f14ad879f884269f207ac7e8e0edcc66b99dee699fb"),
     "verify-seed7": (["verify-identities", "--seed", "7"], 0,
-                     "65e87f87639a80b1466acef689a40682e05b14ebdaf2a2667c32edc625e0cd4c"),
+                     "53581c8e3bbf66213217704e397fb0d975d78274979eb97b6e846c8f63b094ee"),
     "pipeline": (["pipeline"], 0,
                  "357b4959c96221d612063f72b75bf35d448ce859d722c941efedd7cfc323f2ea"),
     "pipeline-flip-psi": (["pipeline", "--flip-psi"], 0,

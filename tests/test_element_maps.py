@@ -22,6 +22,7 @@ from asaikit.cohomology import (
 from asaikit.exactalg import Mat, factor_prime_power, kernel_gens, kernel_mod, row_space_mod
 from asaikit.fixtures import ribet_fixture, shipped_fixture_builders
 from asaikit.grouprep import (
+    FiniteGroup,
     Rep,
     classify_pairing,
     conjugate_rep,
@@ -138,7 +139,7 @@ def conj_action_oracle(cocycle, ambient):
     return vals
 
 
-def polarization_oracle(cocycle, rho, eps_pow):
+def polarization_oracle(cocycle, rho):
     m = cocycle.module
     g = rho.group
     mod = rho.mod
@@ -147,7 +148,7 @@ def polarization_oracle(cocycle, rho, eps_pow):
     rc = conjugate_rep(rho)
     vals = np.zeros_like(cocycle.values)
     for x in m.elements:
-        eps = eps_pow.value(x) if eps_pow is not None else Mat(rho.arr(x), mod).det()
+        eps = Mat(rho.arr(x), mod).det()
         perp = (eps * rho.arr(g.inverse(g.conj_ctilde(x))).T) % mod
         assert np.array_equal((P @ perp @ P_inv) % mod, rc.arr(x))
         cgc = g.conj_ctilde(x)
@@ -279,7 +280,10 @@ def test_tensor_induce_matches_the_loop(shipped):
         for sign in (1, -1):
             assert np.array_equal(tensor_induce(rho, sign).images,
                                   tensor_induce_oracle(rho, sign, g.ctilde)), label
-        assert np.array_equal(tensor_induce(rho, -1, ctilde=alt).images,
+        # the same rep on the same table, with alt as the coset representative
+        g_alt = FiniteGroup(g.elements, g.mul, g.H, alt)
+        rho_alt = Rep(g_alt, "H", rho.images, rho.mod)
+        assert np.array_equal(tensor_induce(rho_alt, -1).images,
                               tensor_induce_oracle(rho, -1, alt)), label
 
 
@@ -357,10 +361,9 @@ def test_polarization_involution_matches_the_loop(shipped):
     data = h1(m)
     assert data.dim >= 1
     cocycles = data.representatives() + [coboundary(m, np.array([1, 5, 2, 3]))]
-    for eps_pow in (None, rho.det_character()):
-        for z in cocycles:
-            assert np.array_equal(polarization_involution(z, rho, eps_pow).values,
-                                  polarization_oracle(z, rho, eps_pow))
+    for z in cocycles:
+        assert np.array_equal(polarization_involution(z, rho).values,
+                              polarization_oracle(z, rho))
 
 
 # ---------------------------------------------------------------------------

@@ -157,10 +157,13 @@ def test_tensor_induce_ctilde_choices_isomorphic(f20, m40):
         a_plus = tensor_induce(rho, +1)
         a_minus = tensor_induce(rho, -1)
         for alt in g.coset_elements():
-            ok, _ = is_isomorphic(a_plus, tensor_induce(rho, +1, ctilde=alt))
-            assert ok
-            ok, _ = is_isomorphic(a_minus, tensor_induce(rho, -1, ctilde=alt))
-            assert ok
+            # the same rep on the same table, with alt as the coset representative
+            g_alt = FiniteGroup(g.elements, g.mul, g.H, alt)
+            rho_alt = Rep(g_alt, "H", rho.images, rho.mod)
+            for a_rep, sign in ((a_plus, +1), (a_minus, -1)):
+                ok, _ = is_isomorphic(Rep(g_alt, "G", a_rep.images, rho.mod),
+                                      tensor_induce(rho_alt, sign))
+                assert ok
 
 
 def test_restriction_of_tensor_induce(f20):
