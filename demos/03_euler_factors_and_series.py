@@ -1,9 +1,12 @@
 """Euler factors from Frobenius data, the wedge-square factorization, the
 standard-representation map, and the Dirichlet-series identity.
 
-Everything is an exact polynomial or integer computation: Euler factors are
-reciprocal characteristic polynomials det(I - M X) of explicit matrices,
-and the Dirichlet series identity is checked coefficient by coefficient.
+Everything is an exact polynomial or integer computation.  Euler factors
+are the reciprocal characteristic polynomials det(I - M X) of explicit
+Frobenius matrices M, computed in closed form from the trace and
+determinant of each 2x2 block; the factorization identities check them
+against the matrices' own characteristic polynomials, and the Dirichlet
+series identity is checked coefficient by coefficient.
 
 Run:  python3 demos/03_euler_factors_and_series.py
 """

@@ -4,6 +4,8 @@ acceptance suite.  Everything is deterministic given the seed."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .cohomology import (
@@ -41,6 +43,18 @@ from .grouprep import (
     trivial_character,
 )
 from .lfunc import random_satake, verify_lambda2, verify_std_decomposition
+
+
+# explicit, selmerres and shapiro share these two fixtures, which no battery
+# mutates: each is built once per process
+@functools.lru_cache(maxsize=None)
+def _coh294():
+    return coh294_fixture()
+
+
+@functools.lru_cache(maxsize=None)
+def _ribet():
+    return ribet_fixture()
 
 
 def _record(name, case, passed, **details):
@@ -165,7 +179,7 @@ def explicit_battery():
     the exact matrix identity conj = (-1)^(k-1) * perp, plus the
     convention-free consequence conj = (-1)^k on the fixture classes."""
     out = []
-    fx = coh294_fixture()
+    fx = _coh294()
     rho = fx.rep("rho")
     eps = fx.rep("eps")
     q = rho.mod
@@ -207,11 +221,11 @@ def selmerres_battery():
     landing isomorphically on the two eigenspaces."""
     out = []
     cases = []
-    rib = ribet_fixture()
+    rib = _ribet()
     psi = coset_sign_character(rib.group, 7)
     amb1 = as_twisted_module(rib.rep("chi"), psi)
     cases.append(("ribet-q7 tensor module", amb1))
-    fx = coh294_fixture()
+    fx = _coh294()
     eps = fx.rep("eps")
     amb2 = as_twisted_module(fx.rep("rho"), power_character(eps, -1))
     cases.append(("coh294 tensor module", amb2))
@@ -248,9 +262,9 @@ def selmerres_battery():
 
 def shapiro_battery():
     out = []
-    rib = ribet_fixture()
+    rib = _ribet()
     m1 = hom_module(rib.rep("chi"), rib.rep("chi_inv"))
-    fx = coh294_fixture()
+    fx = _coh294()
     m2 = conjugate_hom_module(fx.rep("rho"))
     for label, module in (("ribet-q7 hom module", m1), ("coh294 hom module", m2)):
         res = shapiro(module)

@@ -139,7 +139,9 @@ def cmd_pipeline(args) -> int:
 def cmd_lfunc(args) -> int:
     from .lfunc import (
         asai_dirichlet,
+        charpoly_reciprocal,
         euler_factor,
+        frobenius_matrix,
         ingest_coeffs,
         lambda2_identity,
         random_satake,
@@ -177,7 +179,10 @@ def cmd_lfunc(args) -> int:
         row = {"p": p, "split": sp.split,
                "factors": {tag: list(f.coeffs) for tag, f in factors.items()}}
         if args.verify_lambda2:
-            ok, _ = lambda2_identity(sp, factors["lambda2"], factors["asai-"])
+            # the identity's Lambda^2 side is the matrix factor, which the
+            # reported closed form must equal
+            lam = charpoly_reciprocal(frobenius_matrix(sp, "lambda2"))
+            ok = lam == factors["lambda2"] and lambda2_identity(sp, lam, factors["asai-"])[0]
             row["lambda2_ok"] = ok
             all_ok = all_ok and ok
         entries.append(row)

@@ -1,11 +1,15 @@
 """Satake-parameter arithmetic: the matrix-level maps sending a Frobenius
 datum into the induced, tensor-induced (plus/minus), wedge-square, standard
-and similitude representations; reciprocal-characteristic-polynomial Euler
-factors; the wedge-square factorization identity; and Dirichlet series
-assembly for the diagonal coefficient table.
+and similitude representations; their Euler factors; the wedge-square and
+standard factorization identities; and Dirichlet series assembly for the
+diagonal coefficient table.
 
 All arithmetic is exact: integer matrices, integer Euler factors and
-integer Dirichlet coefficients.  The identities are checked on the integer
+integer Dirichlet coefficients.  `euler_factor` returns each factor in
+closed form from the trace and determinant of each 2x2 block, with no
+matrix built; the identities check those closed forms against the
+Frobenius matrices, each identity taking one side from
+`charpoly_reciprocal` of a matrix.  They are checked on the integer
 factors themselves: twisting a matrix by a scalar c multiplies the X^k
 coefficient of det(I - M X) by c^k, so no scaled matrix is built.  Fraction
 remains only in `std_map`'s division by the similitude and in
@@ -21,7 +25,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 from pathlib import Path
 
 from .exactalg import PolyX, charpoly, det, wedge_square
@@ -98,12 +102,29 @@ def _twist(poly, num, den):
 # ---------------------------------------------------------------------------
 
 
+def _trace_det(m):
+    """(tr m, det m) of a 2x2 matrix."""
+    (w, x), (y, z) = m
+    return w + z, w * z - x * y
+
+
+def _int_2x2(m, name):
+    try:
+        rows = tuple(tuple(index(x) for x in r) for r in m)
+    except TypeError:
+        rows = None
+    if rows is None or len(rows) != 2 or any(len(r) != 2 for r in rows):
+        raise ValueError(f"{name} must be a 2x2 matrix with integer entries")
+    return rows
+
+
 @dataclass(frozen=True)
 class SatakeParam:
     """A Frobenius conjugacy-class datum at a rational prime p.
 
     split: a and b are the two 2x2 components; inert: only a is used.
-    Matrices must be invertible (exact integers)."""
+    Matrices must be invertible 2x2 with integer entries (anything
+    `operator.index` accepts, stored as int)."""
 
     p: int
     split: bool
@@ -111,15 +132,15 @@ class SatakeParam:
     b: tuple | None = None
 
     def __post_init__(self):
-        a = mat(self.a)
+        a = _int_2x2(self.a, "a")
         object.__setattr__(self, "a", a)
-        if det(a) == 0:
+        if _trace_det(a)[1] == 0:
             raise ValueError("a must be invertible")
         if self.split:
             if self.b is None:
                 raise ValueError("a split parameter needs both matrices")
-            b = mat(self.b)
-            if det(b) == 0:
+            b = _int_2x2(self.b, "b")
+            if _trace_det(b)[1] == 0:
                 raise ValueError("b must be invertible")
             object.__setattr__(self, "b", b)
         else:
@@ -132,12 +153,12 @@ class SatakeParam:
         return 1 if self.split else -1
 
     def similitude(self):
+        da = _trace_det(self.a)[1]
         if self.split:
-            da, db = det(self.a), det(self.b)
-            if da != db:
+            if da != _trace_det(self.b)[1]:
                 raise ValueError("split similitude needs det a = det b")
             return da
-        if det(self.a) != 1:
+        if da != 1:
             raise ValueError("inert similitude needs det a = 1")
         return 1
 
@@ -193,8 +214,63 @@ class EulerFactor:
         return list(self.poly.coeffs)
 
 
+_NOT_GSP4 = "matrix does not preserve J up to similitude"
+
+
 def euler_factor(sp: SatakeParam, tag: str) -> EulerFactor:
-    return EulerFactor(charpoly_reciprocal(frobenius_matrix(sp, tag)), tag)
+    """det(I - frobenius_matrix(sp, tag) X) in closed form from t = tr a,
+    d = det a (and t' = tr b, d' = det b at a split prime), with no matrix.
+
+    With P = 1 - t X + d X^2, P' = 1 - t' X + d' X^2 and the Rankin-Selberg
+    factor RS = 1 - t t' X + (t^2 d' + t'^2 d - 2 d d') X^2 - t t' d d' X^3
+    + d^2 d'^2 X^4 of a (x) b (Jacquet, *Automorphic forms on GL(2) II*,
+    LNM 278, 1972):
+
+    - split: ind = P P'; asai+- = RS; lambda2 = (1 - d X)(1 - d' X) RS;
+      std = (1 - X) RS(X / d), defined only when d = d' (the similitude);
+    - inert: ind = 1 - t X^2 + d X^4; asai+- = (1 -+ t X + d X^2)(1 - d X^2)
+      (Asai, Math. Ann. 226, 1977); lambda2 = (1 + t X + d X^2)(1 - d X^2)^2;
+      std = (1 + X)(1 - X^2)(1 + t X + X^2), defined only when d = 1;
+    - sim, zeta, quadratic-char: 1 - mu X, 1 - X and 1 - chi_K(p) X.
+
+    std refuses, as `std_map` does, a parameter whose ind matrix is not a
+    similitude of J, and a twist RS(X / d) that is not integral.  The
+    identities (`verify_lambda2`, `verify_std_decomposition`) check these
+    forms against the Frobenius matrices.
+    """
+    if tag not in REP_TAGS:
+        raise ValueError(f"unknown representation tag {tag!r}")
+    if tag == "zeta":
+        return EulerFactor(PolyX([1, -1]), tag)
+    if tag == "quadratic-char":
+        return EulerFactor(PolyX([1, -sp.chi_quadratic]), tag)
+    if tag == "sim":
+        return EulerFactor(PolyX([1, -sp.similitude()]), tag)
+    t, d = _trace_det(sp.a)
+    if sp.split:
+        t2, d2 = _trace_det(sp.b)
+        if tag == "ind":
+            return EulerFactor(PolyX([1, -t, d]) * PolyX([1, -t2, d2]), tag)
+        rs = PolyX([1, -t * t2, t * t * d2 + t2 * t2 * d - 2 * d * d2,
+                    -t * t2 * d * d2, d * d * d2 * d2])
+        if tag in ("asai+", "asai-"):
+            return EulerFactor(rs, tag)
+        if tag == "lambda2":
+            return EulerFactor(PolyX([1, -d]) * PolyX([1, -d2]) * rs, tag)
+        if d != d2:
+            raise ValueError(_NOT_GSP4)
+        return EulerFactor(PolyX([1, -1]) * _twist(rs, 1, d), tag)
+    if tag == "ind":
+        return EulerFactor(PolyX([1, 0, -t, 0, d]), tag)
+    line = PolyX([1, 0, -d])
+    if tag in ("asai+", "asai-"):
+        sign = 1 if tag == "asai+" else -1
+        return EulerFactor(PolyX([1, -sign * t, d]) * line, tag)
+    if tag == "lambda2":
+        return EulerFactor(PolyX([1, t, d]) * line * line, tag)
+    if d != 1:
+        raise ValueError(_NOT_GSP4)
+    return EulerFactor(PolyX([1, 1]) * PolyX([1, 0, -1]) * PolyX([1, t, 1]), tag)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +284,13 @@ def verify_lambda2(sp: SatakeParam, chi: int = 1):
           = (1 - X)(1 - chi_K(p) X) det(I - chi^{-1} asai^- X).
 
     chi is the local value (+-1) of the twisting character at p; it must
-    match the similitude of the parameter for the identity to hold.
-    Returns (ok, report); never raises on mismatch.
+    match the similitude of the parameter for the identity to hold.  The
+    left side comes from the Lambda^2(ind) matrix, the asai^- factor from
+    `euler_factor`'s closed form.  Returns (ok, report); never raises on
+    mismatch.
     """
     return lambda2_identity(sp, charpoly_reciprocal(frobenius_matrix(sp, "lambda2")),
-                            charpoly_reciprocal(frobenius_matrix(sp, "asai-")), chi)
+                            euler_factor(sp, "asai-").poly, chi)
 
 
 def lambda2_identity(sp: SatakeParam, lam: PolyX, asai_minus: PolyX, chi: int = 1):
@@ -269,7 +347,7 @@ def std_map(m):
     w = wedge_square(m)
     mu = _similitude(w)
     if not mu:
-        raise ValueError("matrix does not preserve J up to similitude")
+        raise ValueError(_NOT_GSP4)
     # m^T J m = mu J with mu != 0 also gives m J m^T = mu J: Lambda^2(m) maps
     # e01 + e23 to mu (e01 + e23), so the line splits off with eigenvalue 1
     r01 = w[_E01]
@@ -282,11 +360,12 @@ def std_map(m):
 def verify_std_decomposition(sp: SatakeParam):
     """char poly of std(ind-Frobenius) equals
        (1 - chi_K(p) X) * det(I - asai^+ sim^{-1} chi_K(p) X): the
-    standard-representation factorization, exactly."""
+    standard-representation factorization, exactly, with the left side from
+    the `std_map` matrix and the asai^+ factor from `euler_factor`."""
     lhs = charpoly_reciprocal(std_map(frobenius_matrix(sp, "ind")))
     mu = sp.similitude()
     cq = sp.chi_quadratic
-    asai = charpoly_reciprocal(frobenius_matrix(sp, "asai+"))
+    asai = euler_factor(sp, "asai+").poly
     rhs = PolyX([1, -cq]) * _twist(asai, cq, mu)
     ok = lhs == rhs
     return ok, {"p": sp.p, "split": sp.split, "lhs": list(lhs.coeffs),
@@ -405,8 +484,7 @@ def asai_dirichlet(tbl: CoeffTable, N: int) -> list[int]:
 def hecke_power_coefficients(m2, kmax):
     """c(p^k) for k = 0..kmax from a 2x2 matrix via the trace recursion
     s_k = t s_{k-1} - d s_{k-2} (s_k = trace Sym^k)."""
-    t = m2[0][0] + m2[1][1]
-    d = det(m2)
+    t, d = _trace_det(m2)
     s = [1, t]
     for _ in range(2, kmax + 1):
         s.append(t * s[-1] - d * s[-2])
@@ -455,7 +533,7 @@ def euler_product_coefficients(params: dict[int, SatakeParam], N: int) -> list[i
         while pk <= N:
             kmax += 1
             pk *= p
-        poly = charpoly_reciprocal(frobenius_matrix(sp, "asai+")).coeffs
+        poly = euler_factor(sp, "asai+").poly.coeffs
         inv = _series_inverse(poly, kmax)
         local[p] = inv
     for n in range(2, N + 1):

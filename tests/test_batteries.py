@@ -1,8 +1,10 @@
 """The Prasad battery checks each tensor-induction identity on its canonical
 map.  `is_isomorphic` (a Hom-space kernel plus a witness search) is the
-oracle here; the battery itself never searches."""
+oracle here; the battery itself never searches.  The batteries share their
+fixtures, built once per process."""
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 import asaikit.batteries as batteries
 from asaikit import cli, grouprep
 from asaikit.batteries import prasad_battery, prasad_identities
-from asaikit.fixtures import f20_fixture, random_battery_case
+from asaikit.fixtures import coh294_fixture, f20_fixture, random_battery_case, ribet_fixture
 from asaikit.grouprep import coset_sign_character, is_isomorphic, tensor_induce
 
 ORACLE_SEEDS = (0, 1, 2, 3, 7)
@@ -88,3 +90,24 @@ def test_transposed_pair_permutation_fails_multiplicative(monkeypatch):
     monkeypatch.setattr(batteries, "_pair_perm", transposed)
     bad = failing(prasad_battery(0))
     assert bad and all(" dim2 " in c and c.endswith(" multiplicative") for c in bad)
+
+
+def test_verify_identities_builds_each_fixture_once(monkeypatch, tmp_path):
+    builds = Counter()
+    for name in ("coh294_fixture", "ribet_fixture", "m40_fixture", "f20_fixture"):
+        real = getattr(batteries, name)
+        monkeypatch.setattr(batteries, name, lambda *args, name=name, real=real:
+                            builds.update([(name, args)]) or real(*args))
+    batteries._coh294.cache_clear()
+    batteries._ribet.cache_clear()
+    report = tmp_path / "r.json"
+    assert cli.main(["verify-identities", "--seed", "0", "--report", str(report)]) == 0
+    assert builds == {("coh294_fixture", ()): 1, ("ribet_fixture", ()): 1,
+                      ("m40_fixture", ()): 1, ("f20_fixture", (41,)): 1,
+                      ("f20_fixture", (11,)): 1}
+
+
+def test_shared_fixtures_survive_a_full_run():
+    batteries.run_batteries(seed=0)
+    assert batteries._coh294().to_json() == coh294_fixture().to_json()
+    assert batteries._ribet().to_json() == ribet_fixture().to_json()

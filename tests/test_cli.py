@@ -219,14 +219,15 @@ def test_lfunc_primes(tmp_path):
 
 
 def test_lfunc_verifies_lambda2_on_the_reported_factors(tmp_path, monkeypatch):
-    # six Euler factors per prime, 14 primes; the identity reuses two of them
+    # 14 primes: the six Euler factors come in closed form, and the identity
+    # takes one matrix side per prime, its Lambda^2 factor
     import asaikit.lfunc as lfunc
 
     real, calls = lfunc.charpoly_reciprocal, []
     monkeypatch.setattr(lfunc, "charpoly_reciprocal", lambda m: calls.append(m) or real(m))
     assert run(["lfunc", "--primes", "3..50", "--verify-lambda2",
                 "--report", str(tmp_path / "l.json")]) == 0
-    assert len(calls) == 84
+    assert len(calls) == 14
 
 
 def test_lfunc_coeffs(tmp_path):

@@ -1,14 +1,20 @@
 import io
+import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import asaikit.lfunc as lfunc
+from asaikit import cli
 from asaikit.exactalg import PolyX, det, wedge_pairs, wedge_square
 from asaikit.lfunc import (
     J4,
     _STD_GRAM,
+    REP_TAGS,
     CoeffTable,
+    EulerFactor,
     SatakeParam,
     _twist,
     asai_dirichlet,
@@ -54,9 +60,34 @@ def test_satake_validation():
         SatakeParam(5, True, mat([[1, 1], [1, 1]]), eye(2))  # singular
 
 
+@pytest.mark.parametrize("a", [
+    eye(3),                                  # 3x3
+    ((1, 0, 0), (0, 1, 0)),                  # non-square
+    ((1.5, 0), (0, 2)),                      # float, once truncated to ((1, 0), (0, 2))
+    ((Fraction(1, 2), 0), (0, 2)),
+    ((Fraction(2), 0), (0, 1)),
+    (1, 2),
+])
+def test_satake_refuses_a_non_2x2_or_non_integer_matrix(a):
+    with pytest.raises(ValueError, match="a must be a 2x2 matrix with integer entries"):
+        SatakeParam(7, False, a)
+    with pytest.raises(ValueError, match="a must be a 2x2 matrix with integer entries"):
+        SatakeParam(5, True, a, eye(2))
+    with pytest.raises(ValueError, match="b must be a 2x2 matrix with integer entries"):
+        SatakeParam(5, True, eye(2), a)
+
+
+def test_satake_normalizes_integer_entries():
+    sp = SatakeParam(5, True, np.array([[2, 1], [1, 1]]), [[True, 0], [0, 1]])
+    assert sp.a == ((2, 1), (1, 1)) and sp.b == ((1, 0), (0, 1))
+    assert all(type(x) is int for m in (sp.a, sp.b) for r in m for x in r)
+
+
 def test_unknown_tag_rejected():
     with pytest.raises(ValueError, match="tag"):
         frobenius_matrix(trivial_split(), "spin4")
+    with pytest.raises(ValueError, match="tag"):
+        euler_factor(trivial_split(), "spin4")
 
 
 def test_trivial_asai_factors():
@@ -367,6 +398,114 @@ def test_asai_minus_is_plus_at_split_twisted_at_inert():
     minus = euler_factor(sp, "asai-").poly
     flipped = PolyX([c * (-1) ** i for i, c in enumerate(minus.coeffs)])
     assert plus == flipped
+
+
+# ---------------------------------------------------------------------------
+# closed-form Euler factors against the Frobenius matrices
+# ---------------------------------------------------------------------------
+
+
+def sweep_params():
+    """Every kind of parameter the closed forms distinguish: random ones
+    (split and inert, twist +-1), split ones of similitude p, inert ones with
+    det a != 1 and split ones with det a != det b."""
+    rng = np.random.default_rng(41)
+    out = [random_satake(rng, split=i % 2 == 0, twist=(1, -1)[i % 4 // 2])
+           for i in range(120)]
+    for k in range(60):
+        p = (3, 5, 7)[k % 3]
+        out.append(SatakeParam(p, True, mmul(random_sl2(rng), mat([[p, 0], [0, 1]])),
+                               mmul(mat([[1, 0], [0, p]]), random_sl2(rng))))
+    for k in range(20):
+        scale = mat([[(-1, 2, 3, -5)[k % 4], 0], [0, 1]])
+        out.append(SatakeParam(11, False, mmul(random_sl2(rng), scale)))
+    for k in range(20):
+        out.append(SatakeParam(13, True, mmul(random_sl2(rng), mat([[2, 0], [0, 1]])),
+                               random_sl2(rng)))
+    return out
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_closed_forms_match_the_frobenius_matrices():
+    refusals = Counter()
+    for sp in sweep_params():
+        for tag in REP_TAGS:
+            closed = outcome(lambda: euler_factor(sp, tag).poly)
+            matrix = outcome(lambda: charpoly_reciprocal(frobenius_matrix(sp, tag)))
+            assert closed == matrix, (sp, tag)
+            if isinstance(closed, tuple):
+                refusals[tag, closed[1]] += 1
+    # std at similitude p (59 of the 60 std factors are not integral), std
+    # at det a != 1 (inert) or det a != det b (split), and sim at both
+    assert refusals == {
+        ("std", "non-integral Euler factor coefficient"): 59,
+        ("std", "matrix does not preserve J up to similitude"): 40,
+        ("sim", "inert similitude needs det a = 1"): 20,
+        ("sim", "split similitude needs det a = det b"): 20,
+    }
+
+
+def test_euler_factor_builds_no_matrix(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("euler_factor built a matrix")
+
+    for name in ("charpoly", "charpoly_reciprocal", "frobenius_matrix", "std_map",
+                 "wedge_square", "kron", "blockdiag"):
+        monkeypatch.setattr(lfunc, name, forbidden)
+    rng = np.random.default_rng(43)
+    for split in (True, False):
+        sp = random_satake(rng, split=split)
+        assert all(euler_factor(sp, tag).poly.coeffs[0] == 1 for tag in REP_TAGS)
+
+
+def plant_wrong(monkeypatch, wrong_tag):
+    """Make euler_factor's closed form for wrong_tag off by one in its top
+    coefficient."""
+    honest = lfunc.euler_factor
+
+    def planted(sp, tag):
+        f = honest(sp, tag)
+        if tag != wrong_tag:
+            return f
+        coeffs = list(f.poly.coeffs)
+        coeffs[-1] += 1
+        return EulerFactor(PolyX(coeffs), tag)
+
+    monkeypatch.setattr(lfunc, "euler_factor", planted)
+
+
+def lfunc_cli_lambda2(tmp_path):
+    report = tmp_path / "l.json"
+    code = cli.main(["lfunc", "--primes", "3..50", "--verify-lambda2",
+                     "--report", str(report)])
+    rows = json.loads(report.read_text())["primes"]
+    return code, [row["lambda2_ok"] for row in rows]
+
+
+def test_a_wrong_closed_lambda2_fails_the_lfunc_check(monkeypatch, tmp_path):
+    assert lfunc_cli_lambda2(tmp_path) == (0, [True] * 14)
+    plant_wrong(monkeypatch, "lambda2")
+    assert lfunc_cli_lambda2(tmp_path) == (1, [False] * 14)
+
+
+@pytest.mark.parametrize("wrong_tag", ["asai+", "asai-"])
+def test_a_wrong_closed_asai_fails_its_identity(monkeypatch, tmp_path, wrong_tag):
+    plant_wrong(monkeypatch, wrong_tag)
+    rng = np.random.default_rng(47)
+    params = [random_satake(rng, split=split) for split in (True, False) * 5]
+    lam = [verify_lambda2(sp, 1)[0] for sp in params]
+    std = [verify_std_decomposition(sp)[0] for sp in params]
+    code, cli_ok = lfunc_cli_lambda2(tmp_path)
+    if wrong_tag == "asai-":
+        assert not any(lam) and all(std) and code == 1 and not any(cli_ok)
+    else:
+        assert all(lam) and not any(std) and code == 0 and all(cli_ok)
 
 
 # ---------------------------------------------------------------------------
