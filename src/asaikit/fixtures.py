@@ -24,8 +24,10 @@ and a Python product; no shipped group uses it.
 
 Fixtures are built here, from their builders only; JSON (`Fixture.save`,
 `Fixture.load`) is the format for user-supplied fixtures.  Every fixture is
-validated when built or loaded: group axioms, subgroup index, and each
-representation, checked on generators (Light's test), exactly.
+validated when built or loaded, exactly: the group axioms (a loaded table by
+Light's test, a built one by `semidirect_group`'s certificate), the subgroup
+index, and each representation, checked on generators (Light's test).
+The builders make their image stacks from the elements' coordinate arrays.
 """
 
 from __future__ import annotations
@@ -158,8 +160,24 @@ def semidirect_group(m, k, orders, scalars):
     numbered with a_r outermost and v innermost.  The table is the closed
     form (v, a) (v', a') = (v + s(a) v', a + a'), evaluated on coordinate
     arrays; m need not be prime.
+
+    The argument check is the certificate that this is a group: each scalar
+    has order dividing its factor's order mod m, so s is a homomorphism
+    A -> (Z/m)^x and V x|_s A is a group.  The group gets its identity
+    (index 0) and inverses (v, a)^-1 = (-s(-a) v, -a) in closed form and is
+    not put through Light's test.
     """
-    orders = tuple(orders)
+    try:
+        orders, scalars = tuple(orders), tuple(scalars)
+    except TypeError:
+        raise ValueError("the orders and the scalars must be lists of integers") from None
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+               for x in (m, k, *orders, *scalars)):
+        raise ValueError("m, k, the orders and the scalars must be integers")
+    if m < 2 or k < 1:
+        raise ValueError("need m >= 2 and k >= 1")
+    if not orders or min(orders) < 1:
+        raise ValueError("the orders must be a nonempty list of positive integers")
     if orders[-1] % 2:
         raise ValueError("the last order must be even for an index-2 subgroup")
     if any(pow(s, d, m) != 1 for s, d in zip(scalars, orders, strict=True)):
@@ -181,9 +199,14 @@ def semidirect_group(m, k, orders, scalars):
     mul = np.empty((na, nv, na, nv), dtype=np.int64)
     np.add(v_add[:, scaled].transpose(1, 0, 2)[:, :, None], nv * a_sum[:, None, :, None],
            out=mul)
+    # (v, a)^-1 = (-s(-a) v, -a), s(-a) = s(a)^-1 as s is a homomorphism
+    a_neg = np.tensordot(a_stride, -ac % np.array(orders)[:, None], 1)
+    v_neg = np.tensordot(v_stride, -scale[a_neg][:, None] * vc[:, None, :] % m, 1)
+    inv = (v_neg + nv * a_neg[:, None]).reshape(-1)
     labels = [(v, *a) for a in a_labels for v in v_labels]
     H = np.flatnonzero(np.repeat(ac[-1] % 2 == 0, nv))
-    group = FiniteGroup(labels, mul.reshape(na * nv, na * nv), H, nv * a_stride[-1])
+    group = FiniteGroup(labels, mul.reshape(na * nv, na * nv), H, nv * a_stride[-1],
+                        closed_form=(0, inv))
     return group, {lab: i for i, lab in enumerate(labels)}
 
 
@@ -192,21 +215,27 @@ def semidirect_group(m, k, orders, scalars):
 # ---------------------------------------------------------------------------
 
 
-def _cyclic_character(group, index, m, q, k=1):
+def _powers(z, exponents, mod):
+    """z^e mod m for each integer e of `exponents` (z^-1 to the -e for a
+    negative e) as an int64 array, a table for coordinate arrays to index."""
+    return np.array([pow(z, int(e), mod) for e in exponents], dtype=np.int64)
+
+
+def _cyclic_character(group, m, q, k=1):
     """(b, 0) -> z^(k b) on H = C_m of C_m x| C_2, z of order m in F_q."""
-    z = element_of_order(m, q)
-    return make_character(group, "H", {index[(b, 0)]: pow(z, k * b, q) for b in range(m)}, q)
+    _, b = np.unravel_index(np.array(group.H), (2, m))
+    return make_character(group, "H", _powers(element_of_order(m, q), k * b, q), q)
 
 
 def s3_fixture() -> Fixture:
     """(S_3, C_3, chi_3) over F_7: the smallest index-2 example."""
     q = 7
-    group, index = semidirect_group(3, 1, (2,), (2,))
+    group, _ = semidirect_group(3, 1, (2,), (2,))
     return Fixture(
         "s3_c3_chi3_q7",
         group,
-        {"chi3": _cyclic_character(group, index, 3, q),
-         "chi3_inv": _cyclic_character(group, index, 3, q, -1)},
+        {"chi3": _cyclic_character(group, 3, q),
+         "chi3_inv": _cyclic_character(group, 3, q, -1)},
         {"q": q, "kind": "dihedral", "m": 3},
     )
 
@@ -255,9 +284,8 @@ def f20_fixture(q=11) -> Fixture:
     meta = {"q": q, "kind": "metacyclic", "p": 5, "d": 4}
     if (q - 1) % 4 == 0:
         i4 = element_of_order(4, q)
-        eps = make_character(
-            group, "G", {index[(b, j)]: pow(i4, j, q) for b in range(5) for j in range(4)}, q
-        )
+        j, _ = np.unravel_index(np.arange(group.n), (4, 5))
+        eps = make_character(group, "G", _powers(i4, range(4), q)[j], q)
         reps["eps4"] = eps
         meta["eps4_order"] = 4
     return Fixture(f"f20_d5_rho_q{q}", group, reps, meta)
@@ -286,15 +314,15 @@ def m40_fixture(q=11) -> Fixture:
 
 def c15_fixture(q=31) -> Fixture:
     """C_15 x| C_2 (involution x -> 4x) with an order-15 character."""
-    group, index = semidirect_group(15, 1, (2,), (4,))
-    chi = _cyclic_character(group, index, 15, q)
-    chi2 = _cyclic_character(group, index, 15, q, 2)
+    group, _ = semidirect_group(15, 1, (2,), (4,))
+    chi = _cyclic_character(group, 15, q)
+    chi2 = _cyclic_character(group, 15, q, 2)
     return Fixture(
         f"c15_q{q}", group, {"chi": chi, "chi_2": chi2}, {"q": q, "kind": "abelian_inv"}
     )
 
 
-def _ribet_reps(group, index, q, d, chi_val, modn, corner):
+def _ribet_reps(group, q, d, chi_val, modn, corner):
     """chi, chi_inv and the lattice rep on V x| (C_d x C_2), V = Z/q^j.
 
     chi(delta) = chi_val mod q on H, and over Z/modn
@@ -303,18 +331,17 @@ def _ribet_reps(group, index, q, d, chi_val, modn, corner):
 
     with w the Teichmueller lift of chi_val.
     """
+    e, j, v = np.unravel_index(np.arange(group.n), (2, d, group.n // (2 * d)))
+    on_h = e == 0
     z = chi_val % q
-    chi, chi_inv = (
-        make_character(group, "H", {g: pow(z, k * j, q)
-                                    for (_, j, e), g in index.items() if e == 0}, q)
-        for k in (1, -1)
-    )
+    chi, chi_inv = (make_character(group, "H", _powers(z, k * np.arange(d), q)[j[on_h]], q)
+                    for k in (1, -1))
     w = _lift_root_of_unity(chi_val, d, q, modn)
-    wi = inverse_mod(w, modn)
+    c = _powers(inverse_mod(w, modn), range(d), modn)[j] * (1 - 2 * e)  # |c| < modn
     imgs = np.zeros((group.n, 2, 2), dtype=np.int64)
-    for (v, j, e), g in index.items():
-        c = pow(wi, j, modn) * (-1) ** e
-        imgs[g] = [[pow(w, j, modn), corner * v * c % modn], [0, c % modn]]
+    imgs[:, 0, 0] = _powers(w, range(d), modn)[j]
+    imgs[:, 0, 1] = corner % modn * v % modn * c % modn
+    imgs[:, 1, 1] = c % modn
     return {"chi": chi, "chi_inv": chi_inv, "lattice": Rep(group, "G", imgs, modn)}
 
 
@@ -343,8 +370,8 @@ def ribet_fixture(q=7, d=6, alpha=2, chi_val=3, deform=1, precision=2,
         raise ValueError("the planted level must satisfy 1 <= level < precision")
     n_v = q ** (precision - level)
     w = _lift_root_of_unity(chi_val, d, q, n_v)
-    group, index = semidirect_group(n_v, 1, (d, 2), (w * w % n_v, -1))
-    reps = _ribet_reps(group, index, q, d, chi_val, q**precision, q**level * deform)
+    group, _ = semidirect_group(n_v, 1, (d, 2), (w * w % n_v, -1))
+    reps = _ribet_reps(group, q, d, chi_val, q**precision, q**level * deform)
     suffix = "" if deform else "_split"
     if precision != 2:
         suffix += f"_prec{precision}"
@@ -376,11 +403,11 @@ def ribet_v0_fixture(q=7, d=6) -> Fixture:
     """
     m2 = q * q
     w = _lift_root_of_unity(element_of_order(d, q), d, q, m2)
-    group, index = semidirect_group(m2, 1, (d, 2), (w * w % m2, -1))
+    group, _ = semidirect_group(m2, 1, (d, 2), (w * w % m2, -1))
     return Fixture(
         f"ribet_v0_q{q}",
         group,
-        _ribet_reps(group, index, q, d, w, m2, 1),
+        _ribet_reps(group, q, d, w, m2, 1),
         {"q": q, "d": d, "kind": "pipeline_v0"},
     )
 
@@ -395,11 +422,16 @@ def coh294_fixture() -> Fixture:
     the second coordinate survive.
     """
     q, d, alpha = 7, 3, 2
-    group, index = semidirect_group(q, 2, (d, 2), (alpha, -1))
-    rho = Rep(group, "H", {g: [[pow(alpha, j, q), v1], [0, 1]]
-                           for ((v1, _), j, e), g in index.items() if e == 0}, q)
-    eps = make_character(group, "G", {g: pow(alpha, j, q) * (q - 1) ** e % q
-                                      for (_, j, e), g in index.items()}, q)
+    group, _ = semidirect_group(q, 2, (d, 2), (alpha, -1))
+    e, j, v1, _ = np.unravel_index(np.arange(group.n), (2, d, q, q))
+    on_h = e == 0
+    alpha_j = _powers(alpha, range(d), q)[j]
+    imgs = np.zeros((on_h.sum(), 2, 2), dtype=np.int64)
+    imgs[:, 0, 0] = alpha_j[on_h]
+    imgs[:, 0, 1] = v1[on_h]
+    imgs[:, 1, 1] = 1
+    rho = Rep(group, "H", imgs, q)
+    eps = make_character(group, "G", alpha_j * (q - 1) ** e % q, q)
     return Fixture(
         "coh294_q7",
         group,
@@ -467,8 +499,8 @@ def random_battery_case(rng):
     else:
         m, a, q = ABELIAN_TABLE[int(rng.integers(len(ABELIAN_TABLE)))]
         name = f"C{m}x|C2"
-    group, index = _battery_group(m, 1, (2,), (a,))
+    group, _ = _battery_group(m, 1, (2,), (a,))
     a1 = int(rng.integers(1, m))
     a2 = int(rng.integers(1, m))
-    chi1, chi2 = (_cyclic_character(group, index, m, q, k) for k in (a1, a2))
+    chi1, chi2 = (_cyclic_character(group, m, q, k) for k in (a1, a2))
     return group, chi1, chi2, q, f"{name} chars a={a1},{a2} q={q}"

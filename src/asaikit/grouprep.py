@@ -5,11 +5,13 @@ The group is stored by its full multiplication table (fixtures are small).
 Every map over group elements -- conjugation by ctilde, rho^c, the dual,
 induction, tensor induction -- is one gather through the index arrays
 (`mul`, `inv`, `Rep.pos`, the H mask) plus a batched product over the image
-stack, reduced mod m between factors.  The group axioms and every
-representation are checked on generators (Light's test), exactly: the
-elements c with (x y) c = x (y c) for all x, y -- or with
+stack, reduced mod m between factors.  The associativity of a dense table
+and every representation are checked on generators (Light's test),
+exactly: the elements c with (x y) c = x (y c) for all x, y -- or with
 rho(x c) = rho(x) rho(c) for all x -- are closed under products, so
-checking them on a generating set checks them on the whole group.  The two
+checking them on a generating set checks them on the whole group.  A table
+computed from a closed-form group law (`fixtures.semidirect_group`) comes
+with a proof of associativity instead, and its identity and inverses.  The two
 canonical extensions of rho (x) rho^c from the index-2 subgroup H to G are
 ``tensor_induce(rho, +1)`` and ``tensor_induce(rho, -1)``; they differ by
 the sign of the action on the nontrivial coset.
@@ -40,11 +42,23 @@ from .exactalg import (
 )
 
 
+# rows per block of Light's test on a dense table
+_LIGHT_BLOCK = 64
+
+
 class FiniteGroup:
     """A finite group: indexed elements, multiplication table, index-2
-    subgroup H, and a chosen coset representative ctilde outside H."""
+    subgroup H, and a chosen coset representative ctilde outside H.
 
-    def __init__(self, elements, mul, H, ctilde, validate=True):
+    A dense table (user JSON, say) gets its identity and inverses by a scan
+    of the table and its associativity by Light's test.  A table computed
+    from a closed-form group law passes `closed_form=(one, inv)`, its
+    identity and inverse array: its constructor has proved the law
+    associative, so `validate` skips Light's test and checks the rest in
+    O(n |S|) gathers, S a generating set.
+    """
+
+    def __init__(self, elements, mul, H, ctilde, validate=True, closed_form=None):
         self.elements = list(elements)
         self.mul = np.asarray(mul, dtype=np.int64)
         self.mul.flags.writeable = False
@@ -54,8 +68,15 @@ class FiniteGroup:
         self.H = tuple(sorted({int(h) for h in H}))
         self.H_set = frozenset(self.H)
         self.ctilde = int(ctilde)
-        self.one = self._find_identity()
-        self.inv = self._find_inverses()
+        self._associativity_proved = closed_form is not None
+        if self._associativity_proved:
+            one, inv = closed_form
+            self.one = int(one)
+            self.inv = np.array(inv, dtype=np.int64)
+            self.inv.flags.writeable = False
+        else:
+            self.one = self._find_identity()
+            self.inv = self._find_inverses()
         self._gens: dict[frozenset, tuple[int, ...]] = {}
         if validate:
             self.validate()
@@ -80,28 +101,49 @@ class FiniteGroup:
         inv.flags.writeable = False
         return inv
 
+    def _light_test(self):
+        """(x y) s = x (y s) for all x, y and each generator s, in blocks of
+        rows x, so that no temporary has more than _LIGHT_BLOCK n entries."""
+        for s in self.generators():
+            col = self.mul[:, s]
+            for start in range(0, self.n, _LIGHT_BLOCK):
+                rows = self.mul[start:start + _LIGHT_BLOCK]
+                if not np.array_equal(col[rows], rows[:, col]):
+                    raise ValueError("multiplication table is not associative")
+
     def validate(self):
         n = self.n
-        if self.mul.min() < 0 or self.mul.max() >= n:
-            raise ValueError("multiplication table has entries outside the group")
-        # associativity by Light's test: (x y) s = x (y s) for all x, y and
-        # each generator s (the identity is two-sided, found above)
-        for s in self.generators():
-            if not np.array_equal(self.mul[self.mul, s], self.mul[:, self.mul[:, s]]):
-                raise ValueError("multiplication table is not associative")
+        xs = np.arange(n)
+        if not self._associativity_proved:
+            if self.mul.min() < 0 or self.mul.max() >= n:
+                raise ValueError("multiplication table has entries outside the group")
+            self._light_test()
+        # O(n |S|) from here on; a scan has already found the identity and
+        # inverses of a dense table, these gathers check supplied ones
+        if not (0 <= self.one < n and np.array_equal(self.mul[self.one], xs)
+                and np.array_equal(self.mul[:, self.one], xs)):
+            raise ValueError("multiplication table has no identity")
+        if self.inv.shape != (n,) or self.inv.min() < 0 or self.inv.max() >= n:
+            raise ValueError("inverses lie outside the group")
+        bad = (self.mul[xs, self.inv] != self.one) | (self.mul[self.inv, xs] != self.one)
+        if bad.any():
+            raise ValueError(f"element {int(np.argmax(bad))} has no two-sided inverse")
+        # the closure of G's generators S reads every product x s and checks
+        # that it lies in the group
+        self.generators()
         if 2 * len(self.H) != n:
             raise ValueError("H does not have index 2")
         if self.H[0] < 0 or self.H[-1] >= n:
             raise ValueError("H has elements outside the group")
-        hs = self.H_set
-        if self.one not in hs:
+        if self.one not in self.H_set:
             raise ValueError("H does not contain the identity")
-        harr = np.array(self.H)
-        if not self.h_mask[self.mul[np.ix_(harr, harr)]].all():
-            raise ValueError("H is not closed under multiplication")
-        if not self.h_mask[self.inv[harr]].all():
-            raise ValueError("H is not closed under inverses")
-        if self.ctilde in hs or not (0 <= self.ctilde < n):
+        # in a finite group a subset is a subgroup iff the closure of its
+        # greedy generators stays inside it
+        try:
+            self.generators(self.H)
+        except ValueError:
+            raise ValueError("H is not closed under multiplication") from None
+        if self.ctilde in self.H_set or not (0 <= self.ctilde < n):
             raise ValueError("ctilde must lie outside H")
 
     # -- basic operations ------------------------------------------------------
@@ -139,18 +181,28 @@ class FiniteGroup:
             k += 1
         return k
 
-    def closure(self, gens):
-        seen = set(gens) | {self.one}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in gens:
-                    c = self.op(a, b)
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-            frontier = nxt
+    def closure(self, gens, seen=None):
+        """Boolean mask of the closure of gens, 1 and the mask `seen` under
+        right multiplication by gens: in a group, the subgroup they
+        generate.  One gather per breadth-first layer; a `seen` that is
+        already closed under some of gens saves the layers that rebuild it."""
+        gens = np.asarray(gens, dtype=np.int64)
+        seen = np.zeros(self.n, dtype=bool) if seen is None else seen.copy()
+        seen[gens] = True
+        seen[self.one] = True
+        frontier = np.flatnonzero(seen)
+        slot = np.empty(self.n, dtype=np.int64)
+        while frontier.size and gens.size:
+            prods = self.mul[frontier[:, None], gens].reshape(-1)
+            if prods.min() < 0 or prods.max() >= self.n:
+                raise ValueError("multiplication table has entries outside the group")
+            fresh = prods[~seen[prods]]
+            # one copy of each new element: the position whose write to the
+            # element's slot lands (a plain np.unique imports numpy.ma, 1 MB)
+            at = np.arange(fresh.size)
+            slot[fresh] = at
+            frontier = fresh[slot[fresh] == at]
+            seen[frontier] = True
         return seen
 
     def generators(self, subset=None) -> tuple[int, ...]:
@@ -160,15 +212,19 @@ class FiniteGroup:
         key = frozenset(range(self.n) if subset is None else subset)
         if key in self._gens:
             return self._gens[key]
+        if key and (min(key) < 0 or max(key) >= self.n):
+            raise ValueError("subset is not a subgroup")
+        inside = np.zeros(self.n, dtype=bool)
+        inside[list(key)] = True
         gens: list[int] = []
-        have = {self.one}
+        have = self.closure(gens)
         for g in sorted(key):
-            if g not in have:
+            if not have[g]:
                 gens.append(g)
-                have = self.closure(gens)
-                if have == key:
+                have = self.closure(gens, have)
+                if (have & ~inside).any() or have.sum() == len(key):
                     break
-        if have != key:
+        if not np.array_equal(have, inside):
             raise ValueError("subset is not a subgroup")
         self._gens[key] = tuple(gens) or (self.one,)
         return self._gens[key]

@@ -122,23 +122,47 @@ def test_semidirect_group_matches_the_label_closure(family, args, m, k, orders, 
     assert np.array_equal(got.mul, want.mul)
     assert got.H == want.H and got.ctilde == want.ctilde
     assert index == want_index
+    # the closed-form identity and inverses are the dense table's scans
+    assert got.one == want.one == 0
+    assert np.array_equal(got.inv, want.inv)
 
 
-@pytest.mark.parametrize("k, orders, scalars, match", [
-    (1, (3,), (2,), "last order must be even"),
-    (1, (4,), (3,), "order dividing"),  # 3 has order 6 mod 7
-    (2, (6, 2), (3, 2), "order dividing"),  # 2 has order 3 mod 7
-    (1, (6, 2), (3,), None),  # one scalar per factor
-])
-def test_semidirect_group_rejects_bad_arguments(k, orders, scalars, match):
+BAD_SEMIDIRECT_ARGUMENTS = [  # (m, k, orders, scalars, match)
+    (7, 1, (3,), (2,), "last order must be even"),
+    (7, 1, (4,), (3,), "order dividing"),  # 3 has order 6 mod 7
+    (7, 2, (6, 2), (3, 2), "order dividing"),  # 2 has order 3 mod 7
+    (7, 1, (6, 2), (3,), None),  # one scalar per factor
+    (7, 1, (0,), (1,), "positive"),
+    (7, 1, (-2,), (1,), "positive"),
+    (7, 1, (), (), "nonempty"),
+    (7, 1, 2, (1,), "lists of integers"),
+    (7, 1, (2.0,), (1,), "integers"),
+    (7, 1, (2,), (1.0,), "integers"),
+    (7, 1, (True, 2), (1, 1), "integers"),
+    (7.0, 1, (2,), (1,), "integers"),
+    (0, 1, (2,), (1,), "m >= 2"),
+    (1, 1, (2,), (1,), "m >= 2"),
+    (-7, 1, (2,), (1,), "m >= 2"),
+    (7, 0, (2,), (1,), "k >= 1"),
+]
+
+
+# the first four ids are the ones these cases had before m became a parameter
+@pytest.mark.parametrize(
+    "m, k, orders, scalars, match", BAD_SEMIDIRECT_ARGUMENTS,
+    ids=["1-orders0-scalars0-last order must be even", "1-orders1-scalars1-order dividing",
+         "2-orders2-scalars2-order dividing", "1-orders3-scalars3-None",
+         *(f"m={c[0]!r}-k={c[1]}-orders={c[2]!r}-scalars={c[3]!r}"
+           for c in BAD_SEMIDIRECT_ARGUMENTS[4:])])
+def test_semidirect_group_rejects_bad_arguments(m, k, orders, scalars, match):
     with pytest.raises(ValueError, match=match):
-        semidirect_group(7, k, orders, scalars)
+        semidirect_group(m, k, orders, scalars)
 
 
 def test_semidirect_group_allocates_one_table(monkeypatch):
     # the table is the only array of |G|^2 entries built; the (|A|, |V|, |V|)
     # V-part is 1/|A| of it (|A| = 8 here)
-    monkeypatch.setattr(fixtures, "FiniteGroup", lambda *args: args)
+    monkeypatch.setattr(fixtures, "FiniteGroup", lambda *args, **kwargs: args)
     tracemalloc.start()
     try:
         (_, mul, _, _), _ = semidirect_group(101, 1, (4, 2), (100, -1))
@@ -147,3 +171,52 @@ def test_semidirect_group_allocates_one_table(monkeypatch):
         tracemalloc.stop()
     assert mul.shape == (808, 808)
     assert peak < 1.5 * mul.nbytes
+
+
+def test_top_rung_build_allocates_about_one_table():
+    # group, checks and reps of the top ribet-ladder rung: the table is the
+    # only array of |G|^2 entries, and no check gathers another one
+    tracemalloc.start()
+    try:
+        fix = ribet_fixture(101, d=4, alpha=100, chi_val=10, precision=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fix.group.n == 808
+    assert peak < 1.5 * fix.group.mul.nbytes
+
+
+# generators() as it has always chosen them, for G and H: every H^1
+# coordinate and every pin depends on these tuples
+GENERATORS = {
+    "s3_c3_chi3_q7": ((1, 3), (1,)),
+    "f20_d5_rho_q11": ((1, 5), (1, 10)),
+    "f20_d5_rho_q41": ((1, 5), (1, 10)),
+    "m40_q11": ((1, 5), (1, 10)),
+    "c15_q31": ((1, 15), (1,)),
+    "ribet_q7_d6": ((1, 7, 42), (1, 7)),
+    "ribet_q7_d6_split": ((1, 7, 42), (1, 7)),
+    "coh294_q7": ((1, 7, 49, 147), (1, 7, 49)),
+    "ribet_v0_q7": ((1, 49, 294), (1, 49)),
+    "ribet_q13_d4_prec3": ((1, 13, 52), (1, 13)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_generators_are_unchanged(name):
+    g = BUILDERS[name]().group
+    assert (g.generators(), g.generators(g.H)) == GENERATORS[name]
+
+
+def test_scale_rung_of_order_3208_runs_the_pipeline():
+    fix = ribet_fixture(401, d=4, alpha=400, chi_val=20, precision=3)
+    g = fix.group
+    assert g.n == 3208
+    g.validate()
+    for r in fix.reps.values():
+        r.validate()
+    lattice = fix.rep("lattice")
+    latt = LatticeRep(lattice, fix.rep("chi"), fix.rep("chi_inv"))
+    # psi is the coset sign, odd: -1 at ctilde
+    report = theorem_main_pipeline(latt, coset_sign_character(g, lattice.mod))
+    assert report.eigenvalue_law_holds

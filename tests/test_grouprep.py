@@ -5,6 +5,7 @@ import pytest
 
 from asaikit.exactalg import Mat, exterior_square
 from asaikit.grouprep import (
+    _LIGHT_BLOCK,
     FiniteGroup,
     Rep,
     classify_pairing,
@@ -524,6 +525,55 @@ def test_an_element_with_two_right_inverses_is_rejected():
     table = [[0, 1, 2], [1, 0, 0], [2, 0, 1]]
     with pytest.raises(ValueError, match="^element 1 has no two-sided inverse$"):
         FiniteGroup(range(3), table, [0], 1, validate=False)
+
+
+def test_light_test_rejects_a_wrong_entry_past_its_first_block():
+    # ribet_q7_d6's table taken as a dense table, wrong at one entry (x, y)
+    # of its last row.  y is no generator, so the generators stay the same
+    # and the first block of rows reads neither row x nor column y: only a
+    # later block can see the wrong entry.
+    g = ribet_fixture().group
+    x = g.n - 1
+    assert x >= _LIGHT_BLOCK
+    y = next(y for y in range(g.n)
+             if y != g.one and y not in g.generators() and g.mul[x, y] != g.one)
+    mul = g.mul.copy()
+    mul[x, y] = next(z for z in range(g.n) if z not in (g.one, mul[x, y]))
+    cand = FiniteGroup(g.elements, mul, g.H, g.ctilde, validate=False)
+    assert cand.generators() == g.generators()
+    assert verdict(full_table_group_validate, cand) == "multiplication table is not associative"
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(g.elements, mul, g.H, g.ctilde)
+
+
+def scalar_closure(g, gens):
+    """The former FiniteGroup.closure: a breadth-first search, one scalar
+    product at a time."""
+    seen = set(gens) | {g.one}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in gens:
+                c = g.op(a, b)
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return seen
+
+
+def test_layered_closure_matches_the_scalar_search(s3, f20, m40):
+    rng = np.random.default_rng(5)
+    groups = [fx.group for fx in (s3, f20, m40)] + [ribet_fixture().group]
+    groups += [FiniteGroup(range(len(t)), t, H, 1, validate=False)
+               for t, H in ((LOOP5, [0]), (LOOP6, [0, 2, 5]))]
+    for g in groups:
+        cases = [[], [g.one], [g.ctilde], list(g.generators()), list(g.generators(g.H))]
+        cases += [rng.choice(g.n, size=k, replace=False).tolist()
+                  for k in (1, 2, 3) for _ in range(5)]
+        for gens in cases:
+            assert set(np.flatnonzero(g.closure(gens)).tolist()) == scalar_closure(g, gens)
 
 
 def _wrong_at_a_non_generator(r, rng):
