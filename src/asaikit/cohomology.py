@@ -48,13 +48,12 @@ class Cocycle:
 
     def validate(self):
         m = self.module
-        gens = list(m.gens)
+        gens = np.array(m.gens)
         # phi(x s) = phi(x) + x.phi(s) for every x and generator s
-        prod_pos = m.pos[m.group.mul[np.ix_(m.elements, gens)]]
         rhs = self.values[:, None, :] + np.einsum(
             "aij,bj->abi", m.images, self.values[m.pos[gens]]
         )
-        if not np.array_equal(self.values[prod_pos], rhs % m.mod):
+        if not np.array_equal(self.values[m.dom.gen_pos], rhs % m.mod):
             raise ValueError("cocycle identity fails")
 
     def value(self, g):
@@ -97,12 +96,14 @@ class H1Data:
     from phi(s) by repeated squaring.  The walk is breadth-first from the
     identity over the jumps, one batched step per layer, through the first
     (frontier element, jump) pair in row-major order that reaches each new
-    element: phi(a t) = phi(a) + a.phi(t).  `depth` counts its layers,
-    about the sum of log2(ord s) rather than the diameter of the Cayley
-    graph.  Off Z^1, `expand` depends on that spanning tree; on Z^1 it is
-    the cocycle itself.  Z^1 is the kernel of the consistency system over
-    all (element, generator) pairs, which does not depend on the tree, B^1
-    the image of the coboundary map, and the H^1 representatives extend
+    element: phi(a t) = phi(a) + a.phi(t).  The walk and the products x s
+    depend on the group and the domain alone; they come from the domain's
+    `grouprep.Domain`, computed once per domain.  `depth` counts the walk's
+    layers, about the sum of log2(ord s) rather than the diameter of the
+    Cayley graph.  Off Z^1, `expand` depends on that spanning tree; on Z^1
+    it is the cocycle itself.  Z^1 is the kernel of the consistency system
+    over all (element, generator) pairs, which does not depend on the tree,
+    B^1 the image of the coboundary map, and the H^1 representatives extend
     B^1 to Z^1.
     """
 
@@ -113,47 +114,28 @@ class H1Data:
             raise ValueError("H^1 is computed over a prime field F_q")
         self.module = m
         self.q = q
-        g = m.group
         self.gens = m.gens
         gens = np.array(m.gens)
         N, k, d = len(m.elements), len(gens), m.dim
         D = k * d
-        # the jumps s^(2^j) for 2^j < N, generator-major: phi(s) = e_s, and
+        jump, keep, layers = m.dom.walk
+        # the jumps' values, generator-major: phi(s) = e_s, and
         # phi(t^2) = phi(t) + t.phi(t), each product a sum of d residue products
-        J = (N - 1).bit_length()
-        jump = np.empty((k, J), dtype=np.int64)
-        jval = np.empty((k, J, d, D), dtype=np.int64)
-        t, v = gens, np.eye(D, dtype=np.int64).reshape(k, d, D)
-        for j in range(J):
+        jval = np.empty((k, jump.shape[1], d, D), dtype=np.int64)
+        v = np.eye(D, dtype=np.int64).reshape(k, d, D)
+        for j in range(jump.shape[1]):
             if j:
-                t, v = g.mul[t, t], (v + m.arr(t) @ v % q) % q
-            jump[:, j], jval[:, j] = t, v
-        keep = jump != g.one  # once t = 1 every later square is 1 too
-        jump, jval = jump[keep], jval[keep]
-        J = len(jump)
+                v = (v + m.arr(jump[:, j - 1]) @ v % q) % q
+            jval[:, j] = v
+        jval = jval[keep]
         expand = np.zeros((N, d, D), dtype=np.int64)
-        seen = np.zeros(g.n, dtype=bool)
-        seen[g.one] = True
-        frontier = np.array([g.one])
-        self.depth = 0
-        while True:
-            prods = g.mul[np.ix_(frontier, jump)].reshape(-1)
-            fresh = np.flatnonzero(~seen[prods])
-            if not fresh.size:
-                break
-            _, first = np.unique(prods[fresh], return_index=True)
-            edge = np.sort(fresh[first])  # discovery order
-            a, new = frontier[edge // J], prods[edge]
-            # phi(a t) = phi(a) + a.phi(t)
-            expand[m.pos[new]] = (expand[m.pos[a]] + m.arr(a) @ jval[edge % J] % q) % q
-            seen[new] = True
-            frontier = new
-            self.depth += 1
-        if not np.array_equal(np.flatnonzero(seen), m.elements):
-            raise AssertionError("the jump walk does not reach every element of the domain")
+        for a, new, t in layers:
+            # phi(a t) = phi(a) + a.phi(t), at positions in the domain
+            expand[new] = (expand[a] + m.images[a] @ jval[t] % q) % q
+        self.depth = len(layers)
         self.expand = expand
         # consistency rows: phi(x s) - phi(x) - x.phi(s) = 0 for all x, gens s
-        sys = self.expand[m.pos[g.mul[np.ix_(m.elements, gens)]]]
+        sys = self.expand[m.dom.gen_pos]
         sys -= self.expand[:, None]
         sys.reshape(N, k, d, k, d)[:, np.arange(k), :, np.arange(k), :] -= m.images[None]
         sys %= q
@@ -226,7 +208,7 @@ def conj_action(cocycle: Cocycle, ambient: Rep) -> Cocycle:
     g = m.group
     if ambient.domain != "G":
         raise ValueError("ambient module must be defined over the whole group")
-    els = np.array(m.elements)
+    els = m.dom.array
     if (ambient.group is not g or ambient.mod != m.mod
             or not np.array_equal(ambient.arr(els), m.images)):
         raise ValueError("ambient action does not restrict to the cocycle's module")
@@ -247,7 +229,7 @@ def hom_module(rho: Rep, sigma: Rep) -> Rep:
     """Hom(sigma, rho) with action g.X = rho(g) X sigma(g)^{-1} (vec row-major)."""
     if rho.group is not sigma.group or rho.domain != sigma.domain or rho.mod != sigma.mod:
         raise ValueError("mismatched representations")
-    s_inv_t = sigma.arr(rho.group.inv[np.array(rho.elements)]).transpose(0, 2, 1)
+    s_inv_t = sigma.arr(rho.group.inv[rho.dom.array]).transpose(0, 2, 1)
     imgs = kron_stack(rho.images, s_inv_t, rho.mod)
     return Rep(rho.group, rho.domain, imgs, rho.mod, validate=False)
 
@@ -303,12 +285,12 @@ def polarization_involution(cocycle: Cocycle, rho: Rep) -> Cocycle:
     rc = conjugate_rep(rho)
     eps = rho.det_character()  # pinned by the compatibility condition on H
     # fixture validity: P rho_perp P^{-1} = rho^c exactly
-    els = np.array(rho.elements)
+    els = rho.dom.array
     perp = (rho.arr(g.inv[g.conj_ctilde(els)]).transpose(0, 2, 1)
             * eps.value(els)[:, None, None] % mod)
     if not np.array_equal(P @ perp % mod @ P_inv % mod, rc.images):
         raise ValueError("P rho_perp P^{-1} = rho^c fails: invalid fixture")
-    xs = np.array(m.elements)
+    xs = m.dom.array
     cginvc = g.conj_ctilde(g.inv[xs])
     phi_cgc = cocycle.value(g.conj_ctilde(xs)).reshape(-1, 2, 2)
     phi_cginvc = cocycle.value(cginvc).reshape(-1, 2, 2)
@@ -364,7 +346,7 @@ def shapiro(module: Rep) -> ShapiroResult:
     d = module.dim
 
     def down(z: Cocycle) -> Cocycle:
-        return Cocycle(module, z.value(np.array(module.elements))[:, :d])
+        return Cocycle(module, z.value(module.dom.array)[:, :d])
 
     mat = h1_G.map_matrix(down, h1_H)
     if h1_G.dim != h1_H.dim:

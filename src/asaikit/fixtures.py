@@ -23,7 +23,9 @@ scalars)`.  The families, as (m, k, orders, scalars):
 and a Python product; no shipped group uses it.
 
 Fixtures are built here, from their builders only; JSON (`Fixture.save`,
-`Fixture.load`) is the format for user-supplied fixtures.  Every fixture is
+`Fixture.load`) is the format for user-supplied fixtures.  A built group
+keeps its closed-form law and no table; `Fixture.to_json` writes the dense
+table, built from the law as it is written.  Every fixture is
 validated when built or loaded, exactly: the group axioms (a loaded table by
 Light's test, a built one by `semidirect_group`'s certificate), the subgroup
 index, and each representation, checked on generators (Light's test).
@@ -157,9 +159,9 @@ def semidirect_group(m, k, orders, scalars):
 
     H is {last A-coordinate even} and ctilde = (0, 0, ..., 1).  The labels
     are (v, a_0, ..., a_r), v an int when k = 1 and a k-tuple otherwise,
-    numbered with a_r outermost and v innermost.  The table is the closed
-    form (v, a) (v', a') = (v + s(a) v', a + a'), evaluated on coordinate
-    arrays; m need not be prime.
+    numbered with a_r outermost and v innermost.  The group is its closed
+    form (v, a) (v', a') = (v + s(a) v', a + a'), evaluated on index arrays
+    (`_semidirect_law`); it keeps no n x n table.  m need not be prime.
 
     The argument check is the certificate that this is a group: each scalar
     has order dividing its factor's order mod m, so s is a homomorphism
@@ -184,30 +186,49 @@ def semidirect_group(m, k, orders, scalars):
         raise ValueError("each scalar must have order dividing its factor's order mod m")
     a_labels = [a[::-1] for a in itertools.product(*map(range, orders[::-1]))]
     v_labels = list(range(m)) if k == 1 else list(itertools.product(range(m), repeat=k))
-    na, nv = len(a_labels), m**k
+    nv = m**k
     ac = np.array(a_labels).T  # (len(orders), na): A-coordinates per A-index
     vc = np.indices((m,) * k).reshape(k, nv)  # (k, nv): V-coordinates per V-index
     a_stride = np.cumprod((1,) + orders[:-1])
     v_stride = m ** np.arange(k - 1, -1, -1)
     scale = np.array([math.prod(pow(s, e, m) for s, e in zip(scalars, a)) % m
                       for a in a_labels])
-    # indices of a + a' (na, na), v + w (nv, nv) and s(a) v' (na, nv)
+    # indices of a + a' (na, na), s(a) v' (na, nv) and -a (na,)
     a_sum = np.tensordot(a_stride, (ac[:, :, None] + ac[:, None, :])
                          % np.array(orders)[:, None, None], 1)
-    v_add = np.tensordot(v_stride, (vc[:, :, None] + vc[:, None, :]) % m, 1)
     scaled = np.tensordot(v_stride, scale[:, None] * vc[:, None, :] % m, 1)
-    mul = np.empty((na, nv, na, nv), dtype=np.int64)
-    np.add(v_add[:, scaled].transpose(1, 0, 2)[:, :, None], nv * a_sum[:, None, :, None],
-           out=mul)
-    # (v, a)^-1 = (-s(-a) v, -a), s(-a) = s(a)^-1 as s is a homomorphism
     a_neg = np.tensordot(a_stride, -ac % np.array(orders)[:, None], 1)
+    # (v, a)^-1 = (-s(-a) v, -a), s(-a) = s(a)^-1 as s is a homomorphism
     v_neg = np.tensordot(v_stride, -scale[a_neg][:, None] * vc[:, None, :] % m, 1)
     inv = (v_neg + nv * a_neg[:, None]).reshape(-1)
     labels = [(v, *a) for a in a_labels for v in v_labels]
     H = np.flatnonzero(np.repeat(ac[-1] % 2 == 0, nv))
-    group = FiniteGroup(labels, mul.reshape(na * nv, na * nv), H, nv * a_stride[-1],
-                        closed_form=(0, inv))
+    law = _semidirect_law(m, v_stride, scaled, a_sum)
+    group = FiniteGroup(labels, None, H, nv * a_stride[-1], closed_form=(0, inv, law))
     return group, {lab: i for i, lab in enumerate(labels)}
+
+
+def _semidirect_law(m, v_stride, scaled, a_sum):
+    """(v, a) (v', a') = (v + s(a) v', a + a') on element indices
+    x = v + |V| a, from per-element coordinate arrays, the (|A|, |V|) table
+    of s(a) v' and the (|A|, |A|) table of a + a': O(n) memory."""
+    na, nv = scaled.shape
+    a_of, v_of = np.divmod(np.arange(na * nv), nv)
+    s_of = scaled[:, 1][a_of] if len(v_stride) == 1 else None  # s(a) when V = Z/m
+    scaled = scaled.reshape(-1)  # at |V| a + v': the index of s(a) v'
+    a_row = na * a_of
+    a_next = (nv * a_sum).reshape(-1)  # at |A| a + a': |V| times the index of a + a'
+
+    def law(x, y):
+        vx, vy = v_of[x], v_of[y]
+        if s_of is not None:
+            v = (vx + s_of[x] * vy) % m
+        else:  # v + s(a) v' coordinatewise mod m
+            w = scaled[x - vx + vy]
+            v = sum((vx // st + w // st) % m * st for st in v_stride)
+        return v + a_next[a_row[x] + a_of[y]]
+
+    return law
 
 
 # ---------------------------------------------------------------------------

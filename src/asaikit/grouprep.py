@@ -1,18 +1,25 @@
 """Finite groups with a distinguished index-2 subgroup and their matrix
 representations over F_q / Z/q^n.
 
-The group is stored by its full multiplication table (fixtures are small).
-Every map over group elements -- conjugation by ctilde, rho^c, the dual,
-induction, tensor induction -- is one gather through the index arrays
-(`mul`, `inv`, `Rep.pos`, the H mask) plus a batched product over the image
-stack, reduced mod m between factors.  The associativity of a dense table
-and every representation are checked on generators (Light's test),
-exactly: the elements c with (x y) c = x (y c) for all x, y -- or with
-rho(x c) = rho(x) rho(c) for all x -- are closed under products, so
-checking them on a generating set checks them on the whole group.  A table
-computed from a closed-form group law (`fixtures.semidirect_group`) comes
-with a proof of associativity instead, and its identity and inverses.  The two
-canonical extensions of rho (x) rho^c from the index-2 subgroup H to G are
+A group is its product on index arrays, `FiniteGroup.prod(a, b)`.  A dense
+table (a user's JSON fixture) answers it by a gather; a group with a
+closed-form law (`fixtures.semidirect_group`, so every shipped group)
+evaluates the law on per-element coordinate arrays and stores no n x n
+array.  Every map over group elements -- conjugation by ctilde, rho^c, the
+dual, induction, tensor induction -- is one product or gather through index
+arrays (`prod`, `inv`, the maps by ctilde, `Rep.pos`, the H mask) plus a
+batched product over the image stack, reduced mod m between factors.  The
+index work that depends on the group and one subgroup alone -- its
+generators, the products x s with them, the jump walk of H^1 -- is done
+once per (group, subgroup), in `Domain`.
+
+The associativity of a dense table and every representation are checked on
+generators (Light's test), exactly: the elements c with (x y) c = x (y c)
+for all x, y -- or with rho(x c) = rho(x) rho(c) for all x -- are closed
+under products, so checking them on a generating set checks them on the
+whole group.  A closed-form law comes with a proof of associativity
+instead, and its identity and inverses.  The two canonical extensions of
+rho (x) rho^c from the index-2 subgroup H to G are
 ``tensor_induce(rho, +1)`` and ``tensor_induce(rho, -1)``; they differ by
 the sign of the action on the nontrivial coset.
 
@@ -46,38 +53,50 @@ from .exactalg import (
 _LIGHT_BLOCK = 64
 
 
-class FiniteGroup:
-    """A finite group: indexed elements, multiplication table, index-2
-    subgroup H, and a chosen coset representative ctilde outside H.
+def _read_only(a) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    A dense table (user JSON, say) gets its identity and inverses by a scan
-    of the table and its associativity by Light's test.  A table computed
-    from a closed-form group law passes `closed_form=(one, inv)`, its
-    identity and inverse array: its constructor has proved the law
-    associative, so `validate` skips Light's test and checks the rest in
-    O(n |S|) gathers, S a generating set.
+
+class FiniteGroup:
+    """A finite group: indexed elements, a product on index arrays, an
+    index-2 subgroup H, and a chosen coset representative ctilde outside H.
+
+    `prod(a, b)` multiplies index arrays (or ints) broadcast together.  A
+    dense table (user JSON, say) answers it by the gather `mul[a, b]`, gets
+    its identity and inverses by a scan of the table and its associativity
+    by Light's test.  A group with a closed-form law passes `mul=None` and
+    `closed_form=(one, inv, law)`: its identity, its inverse array and the
+    law, a function of two index arrays.  Its constructor has proved the
+    law associative, so `validate` skips Light's test and checks the rest
+    in O(n |S|) products, S a generating set, and the group holds no n x n
+    array.  `mul` reads as the dense table of every group; for a
+    closed-form one it is built from the law on each access, for
+    serialization and tests.
     """
 
     def __init__(self, elements, mul, H, ctilde, validate=True, closed_form=None):
         self.elements = list(elements)
-        self.mul = np.asarray(mul, dtype=np.int64)
-        self.mul.flags.writeable = False
         self.n = len(self.elements)
-        if self.mul.shape != (self.n, self.n):
-            raise ValueError("multiplication table has the wrong shape")
+        if closed_form is None:
+            table = _read_only(np.asarray(mul, dtype=np.int64))
+            if table.shape != (self.n, self.n):
+                raise ValueError("multiplication table has the wrong shape")
+            self._table = table
+            self._law = lambda a, b: table[a, b]
+            self.one = self._find_identity()
+            self.inv = self._find_inverses()
+        else:
+            one, inv, self._law = closed_form
+            self._table = None
+            self.one = int(one)
+            self.inv = _read_only(np.array(inv, dtype=np.int64))
         self.H = tuple(sorted({int(h) for h in H}))
         self.H_set = frozenset(self.H)
         self.ctilde = int(ctilde)
-        self._associativity_proved = closed_form is not None
-        if self._associativity_proved:
-            one, inv = closed_form
-            self.one = int(one)
-            self.inv = np.array(inv, dtype=np.int64)
-            self.inv.flags.writeable = False
-        else:
-            self.one = self._find_identity()
-            self.inv = self._find_inverses()
-        self._gens: dict[frozenset, tuple[int, ...]] = {}
+        self._domains: dict = {}
+        # closures of greedy generator prefixes, shared by every subgroup's run
+        self._closures: dict[tuple[int, ...], np.ndarray] = {}
         if validate:
             self.validate()
 
@@ -86,50 +105,50 @@ class FiniteGroup:
     def _find_identity(self):
         idx = np.arange(self.n)
         for e in range(self.n):
-            if np.array_equal(self.mul[e], idx) and np.array_equal(self.mul[:, e], idx):
+            row, col = self._table[e], self._table[:, e]
+            if np.array_equal(row, idx) and np.array_equal(col, idx):
                 return e
         raise ValueError("multiplication table has no identity")
 
     def _find_inverses(self):
         # g needs exactly one right inverse j, and j g = 1 as well
-        is_one = self.mul == self.one
+        is_one = self._table == self.one
         inv = is_one.argmax(axis=1)
         ok = (is_one.sum(axis=1) == 1) & is_one[inv, np.arange(self.n)]
         if not ok.all():
             g = int(np.argmin(ok))
             raise ValueError(f"element {g} has no two-sided inverse")
-        inv.flags.writeable = False
-        return inv
+        return _read_only(inv)
 
     def _light_test(self):
         """(x y) s = x (y s) for all x, y and each generator s, in blocks of
         rows x, so that no temporary has more than _LIGHT_BLOCK n entries."""
         for s in self.generators():
-            col = self.mul[:, s]
+            col = self._table[:, s]
             for start in range(0, self.n, _LIGHT_BLOCK):
-                rows = self.mul[start:start + _LIGHT_BLOCK]
+                rows = self._table[start:start + _LIGHT_BLOCK]
                 if not np.array_equal(col[rows], rows[:, col]):
                     raise ValueError("multiplication table is not associative")
 
     def validate(self):
         n = self.n
         xs = np.arange(n)
-        if not self._associativity_proved:
-            if self.mul.min() < 0 or self.mul.max() >= n:
+        if self._table is not None:
+            if self._table.min() < 0 or self._table.max() >= n:
                 raise ValueError("multiplication table has entries outside the group")
             self._light_test()
-        # O(n |S|) from here on; a scan has already found the identity and
-        # inverses of a dense table, these gathers check supplied ones
-        if not (0 <= self.one < n and np.array_equal(self.mul[self.one], xs)
-                and np.array_equal(self.mul[:, self.one], xs)):
+        # O(n |S|) products from here on; a scan has already found the
+        # identity and inverses of a dense table, these check supplied ones.
+        # The product is associative (proved, or by Light's test), and an
+        # associative product with a left identity and left inverses is a
+        # group's: its identity and inverses are two-sided.
+        if not (0 <= self.one < n and (self.prod(self.one, xs) == xs).all()):
             raise ValueError("multiplication table has no identity")
         if self.inv.shape != (n,) or self.inv.min() < 0 or self.inv.max() >= n:
             raise ValueError("inverses lie outside the group")
-        bad = (self.mul[xs, self.inv] != self.one) | (self.mul[self.inv, xs] != self.one)
+        bad = self.prod(self.inv, xs) != self.one
         if bad.any():
             raise ValueError(f"element {int(np.argmax(bad))} has no two-sided inverse")
-        # the closure of G's generators S reads every product x s and checks
-        # that it lies in the group
         self.generators()
         if 2 * len(self.H) != n:
             raise ValueError("H does not have index 2")
@@ -140,7 +159,7 @@ class FiniteGroup:
         # in a finite group a subset is a subgroup iff the closure of its
         # greedy generators stays inside it
         try:
-            self.generators(self.H)
+            self.generators("H")
         except ValueError:
             raise ValueError("H is not closed under multiplication") from None
         if self.ctilde in self.H_set or not (0 <= self.ctilde < n):
@@ -148,22 +167,45 @@ class FiniteGroup:
 
     # -- basic operations ------------------------------------------------------
 
+    def prod(self, a, b):
+        """a b, elementwise on index arrays (or ints) broadcast together."""
+        return self._law(a, b)
+
+    @property
+    def mul(self) -> np.ndarray:
+        """The dense table, mul[a, b] = a b: a dense group's own, else built
+        from the law on each access (n^2 entries, never kept)."""
+        return self._table if self._table is not None else self._dense_table()
+
+    def _dense_table(self) -> np.ndarray:
+        xs = np.arange(self.n)
+        return _read_only(self.prod(xs[:, None], xs))
+
     def op(self, g, h):
-        return int(self.mul[g, h])
+        return int(self.prod(g, h))
 
     def inverse(self, g):
         return int(self.inv[g])
 
     def conj(self, c, g):
         """c g c^{-1}, elementwise on an index array g."""
-        x = self.mul[self.mul[c, g], self.inv[c]]
+        x = self.prod(self.prod(c, g), self.inv[c])
         return int(x) if np.ndim(x) == 0 else x
 
-    def conj_ctilde(self, g):
-        return self.conj(self.ctilde, g)
+    @functools.cached_property
+    def ctilde_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """x ctilde^{-1}, ctilde x and ctilde x ctilde^{-1} over all x, as
+        index arrays: induction, tensor induction and rho^c read these."""
+        xs = np.arange(self.n)
+        c_inv = self.inv[self.ctilde]
+        left = self.prod(self.ctilde, xs)
+        return (_read_only(self.prod(xs, c_inv)), _read_only(left),
+                _read_only(self.prod(left, c_inv)))
 
-    def in_H(self, g):
-        return g in self.H_set
+    def conj_ctilde(self, g):
+        """ctilde g ctilde^{-1}, elementwise on an index array g."""
+        x = self.ctilde_maps[2][g]
+        return int(x) if np.ndim(x) == 0 else x
 
     @functools.cached_property
     def h_mask(self) -> np.ndarray:
@@ -171,21 +213,15 @@ class FiniteGroup:
         so `validate` has range-checked H by then)."""
         mask = np.zeros(self.n, dtype=bool)
         mask[list(self.H)] = True
-        mask.flags.writeable = False
-        return mask
-
-    def order_of(self, g):
-        k, x = 1, g
-        while x != self.one:
-            x = self.op(x, g)
-            k += 1
-        return k
+        return _read_only(mask)
 
     def closure(self, gens, seen=None):
         """Boolean mask of the closure of gens, 1 and the mask `seen` under
         right multiplication by gens: in a group, the subgroup they
-        generate.  One gather per breadth-first layer; a `seen` that is
-        already closed under some of gens saves the layers that rebuild it."""
+        generate.  One product per breadth-first layer; a `seen` that is
+        already closed under some of gens saves the layers that rebuild it.
+        The products must lie in the group: `validate` scans a dense table's
+        range before its first closure."""
         gens = np.asarray(gens, dtype=np.int64)
         seen = np.zeros(self.n, dtype=bool) if seen is None else seen.copy()
         seen[gens] = True
@@ -193,9 +229,7 @@ class FiniteGroup:
         frontier = np.flatnonzero(seen)
         slot = np.empty(self.n, dtype=np.int64)
         while frontier.size and gens.size:
-            prods = self.mul[frontier[:, None], gens].reshape(-1)
-            if prods.min() < 0 or prods.max() >= self.n:
-                raise ValueError("multiplication table has entries outside the group")
+            prods = self.prod(frontier[:, None], gens).reshape(-1)
             fresh = prods[~seen[prods]]
             # one copy of each new element: the position whose write to the
             # element's slot lands (a plain np.unique imports numpy.ma, 1 MB)
@@ -205,32 +239,158 @@ class FiniteGroup:
             seen[frontier] = True
         return seen
 
+    def _cyclic_closure(self, g):
+        """Mask of the powers of g, by doubling: g^L .. g^(2L-1) are
+        g^0 .. g^(L-1) times g^L, until 1 recurs; about log2(ord g)
+        products where a search takes ord g layers.  The closure under g
+        after it adds nothing in a group; on a dense table it keeps the
+        mask closed under g whatever the table."""
+        powers, t = np.array([self.one]), g
+        while powers.size < self.n:
+            new = self.prod(powers, t)
+            hit = np.flatnonzero(new == self.one)
+            powers = np.concatenate([powers, new[:hit[0]] if hit.size else new])
+            if hit.size:
+                break
+            t = self.prod(t, t)
+        seen = np.zeros(self.n, dtype=bool)
+        seen[powers] = True
+        return self.closure([g], seen)
+
+    def _prefix_closure(self, gens: tuple[int, ...]) -> np.ndarray:
+        """The closure of a greedy generator prefix, memoized, from the
+        closure of the prefix one shorter."""
+        if gens not in self._closures:
+            if not gens:
+                mask = np.zeros(self.n, dtype=bool)
+                mask[self.one] = True
+            elif len(gens) == 1:
+                mask = self._cyclic_closure(gens[0])
+            else:
+                mask = self.closure(gens, self._prefix_closure(gens[:-1]))
+            self._closures[gens] = _read_only(mask)
+        return self._closures[gens]
+
+    def _greedy_generators(self, inside) -> tuple[int, ...]:
+        """The greedy generating set of the subset with mask `inside`: its
+        least element outside the closure so far, until the closure is the
+        subset; ValueError once the closure leaves it.  Runs on different
+        subsets share the closures of their common prefixes."""
+        gens: tuple[int, ...] = ()
+        have = self._prefix_closure(gens)
+        while not (have & ~inside).any():
+            rest = inside & ~have
+            if not rest.any():
+                return gens or (self.one,)
+            gens += (int(rest.argmax()),)
+            have = self._prefix_closure(gens)
+        raise ValueError("subset is not a subgroup")
+
+    def domain_key(self, subset):
+        """"G", "H" or the sorted element tuple of a subset of G: the key of
+        its `Domain`.  ValueError for elements outside the group."""
+        if isinstance(subset, str):
+            if subset not in ("G", "H"):
+                raise ValueError("domain must be 'G', 'H' or a list of elements")
+            return subset
+        if isinstance(subset, tuple) and subset in self._domains:
+            return subset  # already a key
+        els = tuple(sorted({int(e) for e in subset}))
+        if els and not (0 <= els[0] and els[-1] < self.n):
+            raise ValueError("domain has elements outside the group")
+        return "G" if len(els) == self.n else "H" if els == self.H else els
+
+    def domain(self, key) -> "Domain":
+        """The memoized `Domain` of a key from `domain_key`."""
+        if key not in self._domains:
+            self._domains[key] = Domain(self, key)
+        return self._domains[key]
+
     def generators(self, subset=None) -> tuple[int, ...]:
         """Small generating set of the subgroup `subset` (default: G), greedy;
-        (one,) for the trivial subgroup.  Memoized per subset: the table is
-        read-only."""
-        key = frozenset(range(self.n) if subset is None else subset)
-        if key in self._gens:
-            return self._gens[key]
-        if key and (min(key) < 0 or max(key) >= self.n):
-            raise ValueError("subset is not a subgroup")
-        inside = np.zeros(self.n, dtype=bool)
-        inside[list(key)] = True
-        gens: list[int] = []
-        have = self.closure(gens)
-        for g in sorted(key):
-            if not have[g]:
-                gens.append(g)
-                have = self.closure(gens, have)
-                if (have & ~inside).any() or have.sum() == len(key):
-                    break
-        if not np.array_equal(have, inside):
-            raise ValueError("subset is not a subgroup")
-        self._gens[key] = tuple(gens) or (self.one,)
-        return self._gens[key]
+        (one,) for the trivial subgroup.  Memoized per subset, in its
+        `Domain`."""
+        try:
+            key = self.domain_key("G" if subset is None else subset)
+        except ValueError:
+            raise ValueError("subset is not a subgroup") from None
+        return self.domain(key).gens
 
-    def coset_elements(self):
-        return np.flatnonzero(~self.h_mask).tolist()
+
+class Domain:
+    """A subset of G that representations live on -- G, H or a sorted
+    element tuple -- with the index work on it that depends on the group
+    alone, done once per group: element positions, greedy generators, the
+    positions of the products x s with them, and the jump walk of H^1.
+    Every `Rep` on the subset shares it."""
+
+    def __init__(self, group: FiniteGroup, key):
+        self.group = group
+        n = group.n
+        if key == "G":
+            self.elements = tuple(range(n))
+            self.array = np.arange(n)
+        else:
+            self.elements = group.H if key == "H" else key
+            self.array = np.array(self.elements, dtype=np.int64)
+        _read_only(self.array)
+        pos = np.full(n, -1, dtype=np.int64)
+        pos[self.array] = np.arange(self.array.size)
+        self.pos = _read_only(pos)
+
+    @functools.cached_property
+    def gens(self) -> tuple[int, ...]:
+        """Greedy generators; ValueError if the subset is not a subgroup."""
+        return self.group._greedy_generators(self.pos >= 0)
+
+    @functools.cached_property
+    def gen_pos(self) -> np.ndarray:
+        """(N, k): the position of x s in the subgroup, for each element x
+        and generator s."""
+        prods = self.group.prod(self.array[:, None], np.array(self.gens))
+        return _read_only(self.pos[prods])
+
+    @functools.cached_property
+    def walk(self):
+        """(jump, keep, layers): the jump walk that `cohomology.H1Data`
+        expands cocycles along.
+
+        jump[i, j] = s_i^(2^j) for each generator s_i and 2^j < N, keep
+        marks the jumps other than 1, and layer by layer the walk is
+        breadth-first from the identity over the kept jumps (generator-
+        major), through the first (frontier element, jump) pair in
+        row-major order that reaches each new element a t.  A layer is
+        (positions of a, positions of a t, kept-jump index of t)."""
+        g = self.group
+        gens = np.array(self.gens)
+        N = len(self.elements)
+        J = (N - 1).bit_length()
+        jump = np.empty((len(gens), J), dtype=np.int64)
+        t = gens
+        for j in range(J):
+            if j:
+                t = g.prod(t, t)
+            jump[:, j] = t
+        keep = jump != g.one  # once t = 1 every later square is 1 too
+        jumps = jump[keep]
+        seen = np.zeros(g.n, dtype=bool)
+        seen[g.one] = True
+        frontier = np.array([g.one])
+        layers = []
+        while True:
+            prods = g.prod(frontier[:, None], jumps).reshape(-1)
+            fresh = np.flatnonzero(~seen[prods])
+            if not fresh.size:
+                break
+            _, first = np.unique(prods[fresh], return_index=True)
+            edge = np.sort(fresh[first])  # discovery order
+            a, new = frontier[edge // len(jumps)], prods[edge]
+            layers.append((self.pos[a], self.pos[new], edge % len(jumps)))
+            seen[new] = True
+            frontier = new
+        if not np.array_equal(np.flatnonzero(seen), self.array):
+            raise AssertionError("the jump walk does not reach every element of the domain")
+        return _read_only(jump), _read_only(keep), tuple(layers)
 
 
 class Rep:
@@ -247,29 +407,21 @@ class Rep:
         validate_modulus(mod)
         self.group = group
         self.mod = int(mod)
-        if isinstance(domain, str):
-            if domain not in ("G", "H"):
-                raise ValueError("domain must be 'G', 'H' or a list of elements")
-            els = tuple(range(group.n)) if domain == "G" else group.H
-        else:
-            els = tuple(sorted({int(e) for e in domain}))
-            if els and not (0 <= els[0] and els[-1] < group.n):
-                raise ValueError("domain has elements outside the group")
-        self.elements = els
-        self.domain = "G" if len(els) == group.n else "H" if els == group.H else els
-        pos = np.full(group.n, -1, dtype=np.int64)
-        pos[list(els)] = np.arange(len(els))
-        self.pos = pos
+        self.domain = group.domain_key(domain)
+        self.dom = group.domain(self.domain)
+        self.elements = self.dom.elements
+        self.pos = self.dom.pos
         if isinstance(images, dict):
             dim = len(next(iter(images.values())))
-            arr = np.zeros((len(els), dim, dim), dtype=np.int64)
+            arr = np.zeros((len(self.elements), dim, dim), dtype=np.int64)
             for g, m in images.items():
-                if not 0 <= g < group.n or pos[g] < 0:
+                if not 0 <= g < group.n or self.pos[g] < 0:
                     raise ValueError(f"element {g} is not in the domain")
-                arr[pos[g]] = m
+                arr[self.pos[g]] = m
         else:
             arr = np.asarray(images, dtype=np.int64)
-        if arr.ndim != 3 or arr.shape[0] != len(els) or arr.shape[1] != arr.shape[2]:
+        if (arr.ndim != 3 or arr.shape[0] != len(self.elements)
+                or arr.shape[1] != arr.shape[2]):
             raise ValueError("images must be one square matrix per domain element")
         self.images = np.mod(arr, self.mod)
         self.images.flags.writeable = False
@@ -285,21 +437,20 @@ class Rep:
         if not np.array_equal(self.arr(g.one), np.eye(self.dim, dtype=np.int64)):
             raise ValueError("identity does not map to the identity matrix")
         try:
-            gens = list(self.gens)
+            gens = np.array(self.gens)
         except ValueError:
             raise ValueError("domain is not closed under multiplication") from None
         # rho(x s) = rho(x) rho(s) for every x and generator s (Light's test)
-        prod_pos = self.pos[g.mul[np.ix_(self.elements, gens)]]
         lhs = np.einsum(
             "aij,bjk->abik", self.images, self.images[self.pos[gens]]
         ) % self.mod
-        if not np.array_equal(lhs, self.images[prod_pos]):
+        if not np.array_equal(lhs, self.images[self.dom.gen_pos]):
             raise ValueError("images do not respect the multiplication table")
 
     @functools.cached_property
     def gens(self) -> tuple[int, ...]:
         """Generators of the domain; ValueError if it is not a subgroup."""
-        return self.group.generators(self.elements)
+        return self.group.generators(self.domain)
 
     # -- access ---------------------------------------------------------------
 
@@ -338,7 +489,8 @@ class Rep:
     def restrict(self, elements) -> "Rep":
         """The validated restriction to a subgroup of the domain."""
         els = sorted({int(e) for e in elements})
-        if any(not 0 <= e < self.group.n or self.pos[e] < 0 for e in els):
+        if els and not (0 <= els[0] and els[-1] < self.group.n
+                        and (self.pos[els] >= 0).all()):
             raise ValueError("restriction target is not inside the domain")
         return Rep(self.group, els, self.images[self.pos[els]], self.mod)
 
@@ -356,7 +508,7 @@ class Rep:
         """rho tensor chi for a character chi on the same (or larger) domain."""
         if chi.dim != 1:
             raise ValueError("twist by a character only")
-        vals = chi.value(np.array(self.elements))
+        vals = chi.value(self.dom.array)
         imgs = (self.images * vals[:, None, None]) % self.mod
         return Rep(self.group, self.domain, imgs, self.mod, validate=False)
 
@@ -414,7 +566,7 @@ def conjugate_rep(rho: Rep) -> Rep:
     if rho.domain == "G":
         warnings.warn("conjugating a representation of the whole group: "
                       "the result is isomorphic to the input", stacklevel=2)
-    imgs = rho.arr(g.conj_ctilde(np.array(rho.elements)))
+    imgs = rho.arr(g.conj_ctilde(rho.dom.array))
     return Rep(g, rho.domain, imgs, rho.mod, validate=False)
 
 
@@ -423,7 +575,7 @@ def dual_twist(rho: Rep, psi: Rep | None) -> Rep:
     if psi is not None and psi.mod != rho.mod:
         raise ValueError("modulus mismatch")
     g = rho.group
-    els = np.array(rho.elements)
+    els = rho.dom.array
     imgs = rho.arr(g.inv[els]).transpose(0, 2, 1)
     if psi is not None:
         imgs = imgs * psi.value(els)[:, None, None]
@@ -440,13 +592,13 @@ def induce(rho: Rep) -> Rep:
         raise ValueError("induce expects a representation of H")
     g = rho.group
     d = rho.dim
-    xs = np.arange(g.n)
-    h, o = xs[g.h_mask], xs[~g.h_mask]
+    on_h = g.h_mask
+    right_inv, left, conj = g.ctilde_maps
     imgs = np.zeros((g.n, 2 * d, 2 * d), dtype=np.int64)
-    imgs[h, :d, :d] = rho.arr(h)
-    imgs[h, d:, d:] = rho.arr(g.conj_ctilde(h))
-    imgs[o, :d, d:] = rho.arr(g.mul[o, g.inv[g.ctilde]])
-    imgs[o, d:, :d] = rho.arr(g.mul[g.ctilde, o])
+    imgs[on_h, :d, :d] = rho.images
+    imgs[on_h, d:, d:] = rho.arr(conj[on_h])
+    imgs[~on_h, :d, d:] = rho.arr(right_inv[~on_h])
+    imgs[~on_h, d:, :d] = rho.arr(left[~on_h])
     return Rep(g, "G", imgs, rho.mod)
 
 
@@ -479,11 +631,10 @@ def tensor_induce(rho: Rep, sign: int) -> Rep:
     if q == 2:
         raise ValueError("odd modulus required")
     d = rho.dim
-    xs = np.arange(g.n)
     on_h = g.h_mask
-    left = np.where(on_h, xs, g.mul[xs, g.inv[g.ctilde]])
-    right = np.where(on_h, g.conj_ctilde(xs), g.mul[g.ctilde, xs])
-    imgs = kron_stack(rho.arr(left), rho.arr(right), rho.mod)
+    right_inv, left, conj = g.ctilde_maps
+    imgs = kron_stack(rho.arr(np.where(on_h, np.arange(g.n), right_inv)),
+                      rho.arr(np.where(on_h, conj, left)), rho.mod)
     # M @ swap_matrix(d) permutes the columns of M
     imgs[~on_h] = sign * imgs[~on_h][:, :, _swap_perm(d)] % rho.mod
     return Rep(g, "G", imgs, rho.mod)  # validate=True: table failure = bug
@@ -496,7 +647,7 @@ def transfer_character(chi: Rep) -> Rep:
     g = chi.group
     xs = np.arange(g.n)
     on_h = g.h_mask
-    first = chi.value(np.where(on_h, xs, g.mul[xs, xs]))
+    first = chi.value(np.where(on_h, xs, g.prod(xs, xs)))
     second = chi.value(g.conj_ctilde(np.where(on_h, xs, g.one)))
     vals = np.where(on_h, first * second % chi.mod, first)
     return Rep(g, "G", vals.reshape(-1, 1, 1), chi.mod)

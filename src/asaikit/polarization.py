@@ -66,7 +66,7 @@ def _witness_system(rep: Rep, psi: Rep, conjugate: bool) -> np.ndarray:
     g = rep.group
     src = rep
     if conjugate:  # R^c by its gather: conjugate_rep warns on a rep of all of G
-        imgs = rep.arr(g.conj_ctilde(np.array(rep.elements)))
+        imgs = rep.arr(g.conj_ctilde(rep.dom.array))
         src = Rep(g, rep.domain, imgs, rep.mod, validate=False)
     return hom_system(src.twist(psi), rep.dual())
 
@@ -154,7 +154,7 @@ def sign_congruence(p1: PolarizedRep, p2: PolarizedRep) -> dict:
         raise ValueError("mismatched representations")
     q, n = factor_prime_power(r1.mod)
     report = {"q": q, "modulus": r1.mod}
-    els = np.array(r1.elements)
+    els = r1.dom.array
     if np.any((p1.psi.value(els) - p2.psi.value(els)) % q):
         raise ValueError("polarization characters disagree mod q")
     red1, red2 = r1.reduce(q), r2.reduce(q)
@@ -217,7 +217,7 @@ class LatticeRep:
             raise ValueError("residual summands must be non-isomorphic")
         # Brauer-Nesbitt style check of the semisimplification on H
         self.rep_H = self.rep.restrict_to_H()
-        els = np.array(self.rhobar1.elements)
+        els = self.rhobar1.dom.array
         p1, p2, lhs = (charpoly_stack(r.arr(els), q)
                        for r in (self.rhobar1, self.rhobar2, self.rep_H))
         if not np.array_equal(lhs, polymul_stack(p1, p2, q)):
@@ -291,7 +291,7 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
     d1, d2 = rb1.dim, rb2.dim
     v = _mod_q_triangularization(latt)
     imgs = v.inverse().a @ rep.images % mod @ v.a % mod
-    rb2_inv = rb2.arr(rep.group.inv[np.array(rep.elements)])
+    rb2_inv = rb2.arr(rep.group.inv[rep.dom.array])
     hmod = hom_module(rb1, rb2)  # Hom(rb2, rb1), action rb1 . X . rb2^{-1}
     data = h1(hmod)
     level = 0

@@ -249,7 +249,7 @@ def test_conj_action_preserves_coboundaries(rib):
     assert data.is_coboundary(out)
     for fix in (f20_fixture(11), f20_fixture(41), m40_fixture()):
         g = fix.group
-        assert g.order_of(g.ctilde) in (4, 8)
+        assert g.closure([g.ctilde]).sum() in (4, 8)  # the order of ctilde
         rho = fix.rep("rho")
         ambient = as_twisted_module(rho, coset_sign_character(g, rho.mod))
         m = ambient.restrict_to_H()

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from asaikit import fixtures
 from asaikit.fixtures import (
     group_from_labels,
     ribet_fixture,
@@ -13,8 +12,8 @@ from asaikit.fixtures import (
     semidirect_group,
     shipped_fixture_builders,
 )
-from asaikit.grouprep import coset_sign_character
-from asaikit.polarization import LatticeRep, theorem_main_pipeline
+from asaikit.grouprep import FiniteGroup, Rep, coset_sign_character
+from asaikit.polarization import LatticeRep, ribet_lattice, theorem_main_pipeline
 
 # sha256 of json.dumps(fixture.to_json(), sort_keys=True): elements, table, H,
 # ctilde, every rep image and the metadata.  A builder change that alters any
@@ -159,31 +158,73 @@ def test_semidirect_group_rejects_bad_arguments(m, k, orders, scalars, match):
         semidirect_group(m, k, orders, scalars)
 
 
-def test_semidirect_group_allocates_one_table(monkeypatch):
-    # the table is the only array of |G|^2 entries built; the (|A|, |V|, |V|)
-    # V-part is 1/|A| of it (|A| = 8 here)
-    monkeypatch.setattr(fixtures, "FiniteGroup", lambda *args, **kwargs: args)
-    tracemalloc.start()
-    try:
-        (_, mul, _, _), _ = semidirect_group(101, 1, (4, 2), (100, -1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert mul.shape == (808, 808)
-    assert peak < 1.5 * mul.nbytes
+def test_prod_matches_the_label_closure_table():
+    # the closed-form product against the oracle's dense table, on scalars,
+    # on 1-d arrays and on an (n, 1) x (1, k) broadcast
+    rng = np.random.default_rng(19)
+    for family, args, m, k, orders, scalars in EQUIVALENT_GROUPS:
+        want = ORACLES[family](*args)[0].mul
+        got, _ = semidirect_group(m, k, orders, scalars)
+        n = got.n
+        for x, y in rng.integers(0, n, size=(20, 2)):
+            assert got.prod(int(x), int(y)) == want[x, y]
+        x, y = rng.integers(0, n, size=(2, 3 * n))
+        assert np.array_equal(got.prod(x, y), want[x, y])
+        cols = rng.integers(0, n, size=5)
+        xs = np.arange(n)[:, None]
+        assert np.array_equal(got.prod(xs, cols[None, :]), want[xs, cols[None, :]])
 
 
-def test_top_rung_build_allocates_about_one_table():
-    # group, checks and reps of the top ribet-ladder rung: the table is the
-    # only array of |G|^2 entries, and no check gathers another one
+def _build_peak(build):
     tracemalloc.start()
     try:
-        fix = ribet_fixture(101, d=4, alpha=100, chi_val=10, precision=3)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fix.group.n == 808
-    assert peak < 1.5 * fix.group.mul.nbytes
+
+
+# a table of the group would take n^2 8 bytes; a quarter of it bounds every build
+@pytest.mark.parametrize("q", [101, 401])
+def test_semidirect_group_allocates_no_table(q):
+    (group, _), peak = _build_peak(lambda: semidirect_group(q, 1, (4, 2), (q - 1, -1)))
+    assert group.n == 8 * q
+    assert peak < 0.25 * group.n**2 * 8
+
+
+@pytest.mark.parametrize("q, c", [(101, 10), (401, 20)])
+def test_ladder_rung_build_allocates_no_table(q, c):
+    # group, checks and reps of the ribet-ladder rungs of order 808 and 3208
+    fix, peak = _build_peak(lambda: ribet_fixture(q, d=4, alpha=q - 1, chi_val=c,
+                                                  precision=3))
+    assert fix.group.n == 8 * q
+    assert peak < 0.25 * fix.group.n**2 * 8
+
+
+def test_pipeline_and_descents_build_no_table(monkeypatch):
+    # the top ribet-ladder rung end to end -- build, pipeline and 4
+    # conjugated descents -- with the dense-table builder disabled
+    def no_table(self):
+        raise AssertionError("a dense table was built")
+
+    monkeypatch.setattr(FiniteGroup, "_dense_table", no_table)
+    with pytest.raises(AssertionError, match="dense table"):
+        semidirect_group(7, 1, (2,), (6,))[0].mul
+    fix = ribet_fixture(101, d=4, alpha=100, chi_val=10, precision=3)
+    lattice = fix.rep("lattice")
+    mod = lattice.mod
+    latt = LatticeRep(lattice, fix.rep("chi"), fix.rep("chi_inv"))
+    report = theorem_main_pipeline(latt, coset_sign_character(fix.group, mod))
+    assert report.eigenvalue_law_holds and report.level == 2
+    rng = np.random.default_rng(4)
+    for _ in range(4):
+        a, b = (int(x) for x in rng.integers(0, mod, size=2))
+        u = np.array([[1 + a * b, a], [b, 1]], dtype=np.int64) % mod  # det 1
+        u_inv = np.array([[1, -a], [-b, 1 + a * b]], dtype=np.int64) % mod
+        imgs = u_inv @ lattice.images % mod @ u % mod
+        conj = Rep(fix.group, "G", imgs, mod, validate=False)
+        descent = ribet_lattice(LatticeRep(conj, fix.rep("chi"), fix.rep("chi_inv")))
+        assert not descent.split and descent.level == 2
 
 
 # generators() as it has always chosen them, for G and H: every H^1
@@ -208,6 +249,29 @@ def test_generators_are_unchanged(name):
     assert (g.generators(), g.generators(g.H)) == GENERATORS[name]
 
 
+def test_generator_runs_share_closures_and_double_cyclic_ones():
+    # G's and H's greedy runs on the 3208-element rung: the first generator
+    # has order 401, which a layer-by-layer search closes in 401 products
+    # per run; by doubling it takes about log2(401), and H's run reuses G's
+    # closures of the common prefix
+    g = ribet_fixture(401, d=4, alpha=400, chi_val=20, precision=3).group
+    calls = []
+
+    def law(x, y):
+        calls.append(1)
+        return g.prod(x, y)
+
+    fresh = FiniteGroup(g.elements, None, g.H, g.ctilde, validate=False,
+                        closed_form=(g.one, g.inv, law))
+    assert fresh.generators() == g.generators() == (1, 401, 1604)
+    runs_g = len(calls)
+    assert fresh.generators(g.H) == g.generators(g.H) == (1, 401)
+    assert len(calls) == runs_g < 40
+    # every Rep on the same subgroup shares one Domain
+    assert fresh.domain("H") is Rep(fresh, g.H, np.ones((len(g.H), 1, 1)), 7,
+                                    validate=False).dom
+
+
 def test_scale_rung_of_order_3208_runs_the_pipeline():
     fix = ribet_fixture(401, d=4, alpha=400, chi_val=20, precision=3)
     g = fix.group
@@ -220,3 +284,22 @@ def test_scale_rung_of_order_3208_runs_the_pipeline():
     # psi is the coset sign, odd: -1 at ctilde
     report = theorem_main_pipeline(latt, coset_sign_character(g, lattice.mod))
     assert report.eigenvalue_law_holds
+
+
+def test_scale_rung_of_order_119904_runs_the_pipeline():
+    # 585^2 = -1 mod 1249: the rung of ROADMAP's scale ladder past 10^5
+    def run():
+        fix = ribet_fixture(1249, d=48, alpha=1248, chi_val=585, precision=3)
+        g = fix.group
+        assert g.n == 119904
+        g.validate()
+        for r in fix.reps.values():
+            r.validate()
+        lattice = fix.rep("lattice")
+        latt = LatticeRep(lattice, fix.rep("chi"), fix.rep("chi_inv"))
+        return theorem_main_pipeline(latt, coset_sign_character(g, lattice.mod)).to_json()
+
+    report, peak = _build_peak(run)
+    assert report["eigenvalue_law_holds"]
+    assert report["lattice_level"] == 2 and report["h1_dim"] == 1
+    assert peak < 300e6

@@ -54,7 +54,7 @@ def m40():
 def test_s3_fixture_valid(s3):
     g = s3.group
     assert g.n == 6 and len(g.H) == 3
-    assert g.order_of(g.ctilde) == 2
+    assert g.ctilde != g.one == g.op(g.ctilde, g.ctilde)
 
 
 def test_conjugate_character_inverts(s3):
@@ -157,7 +157,7 @@ def test_tensor_induce_ctilde_choices_isomorphic(f20, m40):
         g = fx.group
         a_plus = tensor_induce(rho, +1)
         a_minus = tensor_induce(rho, -1)
-        for alt in g.coset_elements():
+        for alt in np.flatnonzero(~g.h_mask).tolist():
             # the same rep on the same table, with alt as the coset representative
             g_alt = FiniteGroup(g.elements, g.mul, g.H, alt)
             rho_alt = Rep(g_alt, "H", rho.images, rho.mod)
@@ -525,6 +525,29 @@ def test_an_element_with_two_right_inverses_is_rejected():
     table = [[0, 1, 2], [1, 0, 0], [2, 0, 1]]
     with pytest.raises(ValueError, match="^element 1 has no two-sided inverse$"):
         FiniteGroup(range(3), table, [0], 1, validate=False)
+
+
+def test_closed_form_group_rejects_a_wrong_identity_or_inverse():
+    # validate checks a supplied identity and inverse array on the left
+    # only: with the law associative, that makes them two-sided
+    g = ribet_fixture().group
+
+    def rebuild(one, inv):
+        return FiniteGroup(g.elements, None, g.H, g.ctilde, closed_form=(one, inv, g.prod))
+
+    assert rebuild(g.one, g.inv).generators() == g.generators()
+    for one in (1, g.ctilde, g.n, -1):
+        with pytest.raises(ValueError, match="^multiplication table has no identity$"):
+            rebuild(one, g.inv)
+    rng = np.random.default_rng(3)
+    for x in rng.choice(g.n, size=20, replace=False).tolist():
+        inv = g.inv.copy()
+        inv[x] = (inv[x] + int(rng.integers(1, g.n))) % g.n
+        with pytest.raises(ValueError, match=f"^element {x} has no two-sided inverse$"):
+            rebuild(g.one, inv)
+        inv[x] = g.n
+        with pytest.raises(ValueError, match="^inverses lie outside the group$"):
+            rebuild(g.one, inv)
 
 
 def test_light_test_rejects_a_wrong_entry_past_its_first_block():
