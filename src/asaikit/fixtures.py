@@ -214,18 +214,15 @@ def _semidirect_law(m, v_stride, scaled, a_sum):
     of s(a) v' and the (|A|, |A|) table of a + a': O(n) memory."""
     na, nv = scaled.shape
     a_of, v_of = np.divmod(np.arange(na * nv), nv)
-    s_of = scaled[:, 1][a_of] if len(v_stride) == 1 else None  # s(a) when V = Z/m
     scaled = scaled.reshape(-1)  # at |V| a + v': the index of s(a) v'
     a_row = na * a_of
     a_next = (nv * a_sum).reshape(-1)  # at |A| a + a': |V| times the index of a + a'
 
     def law(x, y):
         vx, vy = v_of[x], v_of[y]
-        if s_of is not None:
-            v = (vx + s_of[x] * vy) % m
-        else:  # v + s(a) v' coordinatewise mod m
-            w = scaled[x - vx + vy]
-            v = sum((vx // st + w // st) % m * st for st in v_stride)
+        w = scaled[x - vx + vy]  # s(a) v'
+        # v + s(a) v', coordinatewise mod m
+        v = sum((vx // st + w // st) % m * st for st in v_stride)
         return v + a_next[a_row[x] + a_of[y]]
 
     return law

@@ -95,6 +95,8 @@ class FiniteGroup:
         self.H_set = frozenset(self.H)
         self.ctilde = int(ctilde)
         self._domains: dict = {}
+        # a law cannot leave the group; a dense table is scanned once
+        self._in_range = self._table is None
         # closures of greedy generator prefixes, shared by every subgroup's run
         self._closures: dict[tuple[int, ...], np.ndarray] = {}
         if validate:
@@ -133,9 +135,8 @@ class FiniteGroup:
     def validate(self):
         n = self.n
         xs = np.arange(n)
+        self._check_range()
         if self._table is not None:
-            if self._table.min() < 0 or self._table.max() >= n:
-                raise ValueError("multiplication table has entries outside the group")
             self._light_test()
         # O(n |S|) products from here on; a scan has already found the
         # identity and inverses of a dense table, these check supplied ones.
@@ -164,6 +165,14 @@ class FiniteGroup:
             raise ValueError("H is not closed under multiplication") from None
         if self.ctilde in self.H_set or not (0 <= self.ctilde < n):
             raise ValueError("ctilde must lie outside H")
+
+    def _check_range(self):
+        """ValueError unless the table's entries lie in the group: one scan
+        of a dense table, before `validate` or the first closure reads it."""
+        if not self._in_range:
+            if self._table.min() < 0 or self._table.max() >= self.n:
+                raise ValueError("multiplication table has entries outside the group")
+            self._in_range = True
 
     # -- basic operations ------------------------------------------------------
 
@@ -220,8 +229,8 @@ class FiniteGroup:
         right multiplication by gens: in a group, the subgroup they
         generate.  One product per breadth-first layer; a `seen` that is
         already closed under some of gens saves the layers that rebuild it.
-        The products must lie in the group: `validate` scans a dense table's
-        range before its first closure."""
+        ValueError if a dense table has entries outside the group."""
+        self._check_range()
         gens = np.asarray(gens, dtype=np.int64)
         seen = np.zeros(self.n, dtype=bool) if seen is None else seen.copy()
         seen[gens] = True
@@ -239,24 +248,6 @@ class FiniteGroup:
             seen[frontier] = True
         return seen
 
-    def _cyclic_closure(self, g):
-        """Mask of the powers of g, by doubling: g^L .. g^(2L-1) are
-        g^0 .. g^(L-1) times g^L, until 1 recurs; about log2(ord g)
-        products where a search takes ord g layers.  The closure under g
-        after it adds nothing in a group; on a dense table it keeps the
-        mask closed under g whatever the table."""
-        powers, t = np.array([self.one]), g
-        while powers.size < self.n:
-            new = self.prod(powers, t)
-            hit = np.flatnonzero(new == self.one)
-            powers = np.concatenate([powers, new[:hit[0]] if hit.size else new])
-            if hit.size:
-                break
-            t = self.prod(t, t)
-        seen = np.zeros(self.n, dtype=bool)
-        seen[powers] = True
-        return self.closure([g], seen)
-
     def _prefix_closure(self, gens: tuple[int, ...]) -> np.ndarray:
         """The closure of a greedy generator prefix, memoized, from the
         closure of the prefix one shorter."""
@@ -264,8 +255,6 @@ class FiniteGroup:
             if not gens:
                 mask = np.zeros(self.n, dtype=bool)
                 mask[self.one] = True
-            elif len(gens) == 1:
-                mask = self._cyclic_closure(gens[0])
             else:
                 mask = self.closure(gens, self._prefix_closure(gens[:-1]))
             self._closures[gens] = _read_only(mask)

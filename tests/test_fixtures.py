@@ -249,11 +249,9 @@ def test_generators_are_unchanged(name):
     assert (g.generators(), g.generators(g.H)) == GENERATORS[name]
 
 
-def test_generator_runs_share_closures_and_double_cyclic_ones():
-    # G's and H's greedy runs on the 3208-element rung: the first generator
-    # has order 401, which a layer-by-layer search closes in 401 products
-    # per run; by doubling it takes about log2(401), and H's run reuses G's
-    # closures of the common prefix
+def test_generator_runs_share_closures():
+    # G's and H's greedy runs on the 3208-element rung: H's generators are a
+    # prefix of G's, so H's run reuses G's closures and makes no product
     g = ribet_fixture(401, d=4, alpha=400, chi_val=20, precision=3).group
     calls = []
 
@@ -266,7 +264,7 @@ def test_generator_runs_share_closures_and_double_cyclic_ones():
     assert fresh.generators() == g.generators() == (1, 401, 1604)
     runs_g = len(calls)
     assert fresh.generators(g.H) == g.generators(g.H) == (1, 401)
-    assert len(calls) == runs_g < 40
+    assert len(calls) == runs_g
     # every Rep on the same subgroup shares one Domain
     assert fresh.domain("H") is Rep(fresh, g.H, np.ones((len(g.H), 1, 1)), 7,
                                     validate=False).dom

@@ -527,6 +527,22 @@ def test_an_element_with_two_right_inverses_is_rejected():
         FiniteGroup(range(3), table, [0], 1, validate=False)
 
 
+@pytest.mark.parametrize("entry", [-1, 6])
+def test_unvalidated_table_with_an_entry_outside_the_group_has_no_generators(s3, entry):
+    # S_3's table with 1 * 1 = 2 replaced by an index outside the group (the
+    # identity and inverses stay found): built unchecked, its first closure
+    # scans the range
+    s = s3.group
+    mul = s.mul.copy()
+    assert (s.one, s.inverse(1), mul[1, 1]) == (0, 2, 2)
+    mul[1, 1] = entry
+    g = FiniteGroup(s.elements, mul, s.H, s.ctilde, validate=False)
+    with pytest.raises(ValueError, match="^multiplication table has entries outside the group$"):
+        g.generators()
+    with pytest.raises(ValueError, match="^multiplication table has entries outside the group$"):
+        g.closure([1])
+
+
 def test_closed_form_group_rejects_a_wrong_identity_or_inverse():
     # validate checks a supplied identity and inverse array on the left
     # only: with the law associative, that makes them two-sided
