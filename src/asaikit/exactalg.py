@@ -424,60 +424,34 @@ def extend_basis(inner, vectors, p):
 
 
 class PolyX:
-    """Univariate polynomial in X over exact integers (optionally mod m)."""
+    """Univariate polynomial in X with integer coefficients, constant term
+    first: the Euler factors of `lfunc`.  The package's one modular
+    polynomial product is `polymul_stack`."""
 
-    __slots__ = ("coeffs", "mod")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, mod=None):
+    def __init__(self, coeffs):
         cs = [int(x) for x in coeffs]
-        if mod is not None:
-            cs = [x % mod for x in cs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-        self.mod = mod
 
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs != (0,) else -1
 
     def __eq__(self, other):
-        return isinstance(other, PolyX) and self.coeffs == other.coeffs and self.mod == other.mod
+        return isinstance(other, PolyX) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.coeffs, self.mod))
-
-    def _wrap(self, cs):
-        return PolyX(cs, self.mod)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return self._wrap([x + y for x, y in zip(a, b)])
-
-    def __neg__(self):
-        return self._wrap([-x for x in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
+        return hash(self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self._wrap([other * x for x in self.coeffs])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, x in enumerate(self.coeffs):
             if x:
                 for j, y in enumerate(other.coeffs):
                     out[i + j] += x * y
-        return self._wrap(out)
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        if self.mod is not None:
-            acc %= self.mod
-        return acc
+        return PolyX(out)
 
     def __repr__(self):
         terms = []
@@ -491,11 +465,3 @@ class PolyX:
             else:
                 terms.append(f"{c}*X^{i}" if c != 1 else f"X^{i}")
         return " + ".join(terms) if terms else "0"
-
-    @staticmethod
-    def x(mod=None):
-        return PolyX([0, 1], mod)
-
-    @staticmethod
-    def one(mod=None):
-        return PolyX([1], mod)

@@ -29,7 +29,8 @@ table, built from the law as it is written.  Every fixture is
 validated when built or loaded, exactly: the group axioms (a loaded table by
 Light's test, a built one by `semidirect_group`'s certificate), the subgroup
 index, and each representation, checked on generators (Light's test).
-The builders make their image stacks from the elements' coordinate arrays.
+The builders make their image stacks from the elements' coordinate arrays,
+read off the element indices; no builder looks a label up.
 """
 
 from __future__ import annotations
@@ -157,11 +158,14 @@ def semidirect_group(m, k, orders, scalars):
     """V x| A with V = (Z/m)^k and A = C_{orders[0]} x ... x C_{orders[-1]},
     a in A acting on V by the scalar s(a) = prod scalars[i]^{a_i} mod m.
 
-    H is {last A-coordinate even} and ctilde = (0, 0, ..., 1).  The labels
-    are (v, a_0, ..., a_r), v an int when k = 1 and a k-tuple otherwise,
-    numbered with a_r outermost and v innermost.  The group is its closed
-    form (v, a) (v', a') = (v + s(a) v', a + a'), evaluated on index arrays
-    (`_semidirect_law`); it keeps no n x n table.  m need not be prime.
+    Returns the `FiniteGroup` alone.  H is {last A-coordinate even} and
+    ctilde = (0, 0, ..., 1).  The labels are (v, a_0, ..., a_r), v an int
+    when k = 1 and a k-tuple otherwise, numbered with a_r outermost and v
+    innermost: np.unravel_index(x, orders[::-1] + (m,) * k) gives the
+    coordinates (a_r, ..., a_0, v) of an element index x.  The group is its
+    closed form (v, a) (v', a') = (v + s(a) v', a + a'), evaluated on index
+    arrays (`_semidirect_law`); it keeps no n x n table.  m need not be
+    prime.
 
     The argument check is the certificate that this is a group: each scalar
     has order dividing its factor's order mod m, so s is a homomorphism
@@ -204,8 +208,7 @@ def semidirect_group(m, k, orders, scalars):
     labels = [(v, *a) for a in a_labels for v in v_labels]
     H = np.flatnonzero(np.repeat(ac[-1] % 2 == 0, nv))
     law = _semidirect_law(m, v_stride, scaled, a_sum)
-    group = FiniteGroup(labels, None, H, nv * a_stride[-1], closed_form=(0, inv, law))
-    return group, {lab: i for i, lab in enumerate(labels)}
+    return FiniteGroup(labels, None, H, nv * a_stride[-1], closed_form=(0, inv, law))
 
 
 def _semidirect_law(m, v_stride, scaled, a_sum):
@@ -248,7 +251,7 @@ def _cyclic_character(group, m, q, k=1):
 def s3_fixture() -> Fixture:
     """(S_3, C_3, chi_3) over F_7: the smallest index-2 example."""
     q = 7
-    group, _ = semidirect_group(3, 1, (2,), (2,))
+    group = semidirect_group(3, 1, (2,), (2,))
     return Fixture(
         "s3_c3_chi3_q7",
         group,
@@ -258,22 +261,19 @@ def s3_fixture() -> Fixture:
     )
 
 
-def _metacyclic_2dim_rep(group, index, p, d, q, j_char=1, antisym_u=False, mod=None):
-    """rho(r) = diag(z^j, z^-j), rho(u) = [[0,1],[+-1,0]] on H < C_p x| C_d."""
+def _metacyclic_2dim_rep(group, p, q, j_char=1, antisym_u=False, mod=None):
+    """rho(r) = diag(z^j, z^-j), rho(u) = [[0,1],[+-1,0]] on H < C_p x| C_d:
+    (b, a) -> diag(z^(j b), z^(-j b)) u^(a/2) from H's coordinate arrays."""
     mod = mod or q
     z = _lift_root_of_unity(element_of_order(p, q), p, q, mod)
-    zi = inverse_mod(z, mod)
     low = (mod - 1) if antisym_u else 1
     one = np.eye(2, dtype=np.int64)
     u = np.array([[0, 1], [low, 0]], dtype=np.int64)
-    u_pows = [one, u, low * one % mod, low * u % mod]  # u^2 = low I, low^2 = 1
-    imgs = {}
-    for b in range(p):
-        k = (b * j_char) % p
-        r_k = np.diag([pow(z, k, mod), pow(zi, k, mod)])
-        for jj in range(0, d, 2):
-            imgs[index[(b, jj)]] = r_k @ u_pows[(jj // 2) % 4] % mod
-    return Rep(group, "H", imgs, mod)
+    u_pows = np.array([one, u, low * one % mod, low * u % mod])  # u^2 = low I, low^2 = 1
+    a, b = np.divmod(np.array(group.H), p)
+    # diag(x, y) M scales M's rows by x and y
+    rows = np.stack([_powers(z, e * j_char * b, mod) for e in (1, -1)], axis=1)
+    return Rep(group, "H", rows[:, :, None] * u_pows[a // 2 % 4] % mod, mod)
 
 
 def _lift_root_of_unity(z, order, q, mod):
@@ -296,8 +296,8 @@ def f20_fixture(q=11) -> Fixture:
     splits off two lines whose characters take 4th-root values at ctilde;
     over F_11 no such lines exist (X^2 + 1 is irreducible).
     """
-    group, index = semidirect_group(5, 1, (4,), (2,))
-    rho = _metacyclic_2dim_rep(group, index, 5, 4, q)
+    group = semidirect_group(5, 1, (4,), (2,))
+    rho = _metacyclic_2dim_rep(group, 5, q)
     reps = {"rho": rho}
     meta = {"q": q, "kind": "metacyclic", "p": 5, "d": 4}
     if (q - 1) % 4 == 0:
@@ -319,9 +319,9 @@ def m40_fixture(q=11) -> Fixture:
     one odd antisymmetric pairing -- the exact analogue of the two
     symplectic structures on a tensor-induced representation.
     """
-    group, index = semidirect_group(5, 1, (8,), (2,))
-    rho = _metacyclic_2dim_rep(group, index, 5, 8, q, antisym_u=True)
-    rho_lift = _metacyclic_2dim_rep(group, index, 5, 8, q, antisym_u=True, mod=q * q)
+    group = semidirect_group(5, 1, (8,), (2,))
+    rho = _metacyclic_2dim_rep(group, 5, q, antisym_u=True)
+    rho_lift = _metacyclic_2dim_rep(group, 5, q, antisym_u=True, mod=q * q)
     return Fixture(
         f"m40_q{q}",
         group,
@@ -332,7 +332,7 @@ def m40_fixture(q=11) -> Fixture:
 
 def c15_fixture(q=31) -> Fixture:
     """C_15 x| C_2 (involution x -> 4x) with an order-15 character."""
-    group, _ = semidirect_group(15, 1, (2,), (4,))
+    group = semidirect_group(15, 1, (2,), (4,))
     chi = _cyclic_character(group, 15, q)
     chi2 = _cyclic_character(group, 15, q, 2)
     return Fixture(
@@ -388,7 +388,7 @@ def ribet_fixture(q=7, d=6, alpha=2, chi_val=3, deform=1, precision=2,
         raise ValueError("the planted level must satisfy 1 <= level < precision")
     n_v = q ** (precision - level)
     w = _lift_root_of_unity(chi_val, d, q, n_v)
-    group, _ = semidirect_group(n_v, 1, (d, 2), (w * w % n_v, -1))
+    group = semidirect_group(n_v, 1, (d, 2), (w * w % n_v, -1))
     reps = _ribet_reps(group, q, d, chi_val, q**precision, q**level * deform)
     suffix = "" if deform else "_split"
     if precision != 2:
@@ -421,7 +421,7 @@ def ribet_v0_fixture(q=7, d=6) -> Fixture:
     """
     m2 = q * q
     w = _lift_root_of_unity(element_of_order(d, q), d, q, m2)
-    group, _ = semidirect_group(m2, 1, (d, 2), (w * w % m2, -1))
+    group = semidirect_group(m2, 1, (d, 2), (w * w % m2, -1))
     return Fixture(
         f"ribet_v0_q{q}",
         group,
@@ -440,7 +440,7 @@ def coh294_fixture() -> Fixture:
     the second coordinate survive.
     """
     q, d, alpha = 7, 3, 2
-    group, _ = semidirect_group(q, 2, (d, 2), (alpha, -1))
+    group = semidirect_group(q, 2, (d, 2), (alpha, -1))
     e, j, v1, _ = np.unravel_index(np.arange(group.n), (2, d, q, q))
     on_h = e == 0
     alpha_j = _powers(alpha, range(d), q)[j]
@@ -504,12 +504,12 @@ def random_battery_case(rng):
     kind = rng.choice(["dihedral", "metacyclic", "abelian"], p=[0.4, 0.4, 0.2])
     if kind == "metacyclic":
         p, d, a, q = METACYCLIC_TABLE[int(rng.integers(len(METACYCLIC_TABLE)))]
-        group, index = _battery_group(p, 1, (d,), (a,))
+        group = _battery_group(p, 1, (d,), (a,))
         j1 = int(rng.integers(1, (p - 1) // 2 + 1))
         j2 = int(rng.integers(1, (p - 1) // 2 + 1))
         anti = d == 8
-        r1 = _metacyclic_2dim_rep(group, index, p, d, q, j_char=j1, antisym_u=anti)
-        r2 = _metacyclic_2dim_rep(group, index, p, d, q, j_char=j2, antisym_u=anti)
+        r1 = _metacyclic_2dim_rep(group, p, q, j_char=j1, antisym_u=anti)
+        r2 = _metacyclic_2dim_rep(group, p, q, j_char=j2, antisym_u=anti)
         return group, r1, r2, q, f"C{p}x|C{d} dim2 j={j1},{j2} q={q}"
     if kind == "dihedral":
         m, q = DIHEDRAL_TABLE[int(rng.integers(len(DIHEDRAL_TABLE)))]
@@ -517,7 +517,7 @@ def random_battery_case(rng):
     else:
         m, a, q = ABELIAN_TABLE[int(rng.integers(len(ABELIAN_TABLE)))]
         name = f"C{m}x|C2"
-    group, _ = _battery_group(m, 1, (2,), (a,))
+    group = _battery_group(m, 1, (2,), (a,))
     a1 = int(rng.integers(1, m))
     a2 = int(rng.integers(1, m))
     chi1, chi2 = (_cyclic_character(group, m, q, k) for k in (a1, a2))

@@ -2,16 +2,16 @@
 representations over F_q / Z/q^n.
 
 A group is its product on index arrays, `FiniteGroup.prod(a, b)`.  A dense
-table (a user's JSON fixture) answers it by a gather; a group with a
-closed-form law (`fixtures.semidirect_group`, so every shipped group)
-evaluates the law on per-element coordinate arrays and stores no n x n
-array.  Every map over group elements -- conjugation by ctilde, rho^c, the
-dual, induction, tensor induction -- is one product or gather through index
-arrays (`prod`, `inv`, the maps by ctilde, `Rep.pos`, the H mask) plus a
-batched product over the image stack, reduced mod m between factors.  The
-index work that depends on the group and one subgroup alone -- its
-generators, the products x s with them, the jump walk of H^1 -- is done
-once per (group, subgroup), in `Domain`.
+table (a user's JSON fixture, range-checked when built) answers it by a
+gather; a group with a closed-form law (`fixtures.semidirect_group`, so
+every shipped group) evaluates the law on per-element coordinate arrays and
+stores no n x n array.  Every map over group elements -- conjugation by
+ctilde, rho^c, the dual, induction, tensor induction -- is one product or
+gather through index arrays (`prod`, `inv`, the maps by ctilde, `Rep.pos`,
+the H mask) plus a batched product over the image stack, reduced mod m
+between factors.  The index work that depends on the group and one subgroup
+alone -- its generators, the products x s with them, the jump walk of H^1 --
+is done once per (group, subgroup), in `Domain`.
 
 The associativity of a dense table and every representation are checked on
 generators (Light's test), exactly: the elements c with (x y) c = x (y c)
@@ -63,7 +63,8 @@ class FiniteGroup:
     index-2 subgroup H, and a chosen coset representative ctilde outside H.
 
     `prod(a, b)` multiplies index arrays (or ints) broadcast together.  A
-    dense table (user JSON, say) answers it by the gather `mul[a, b]`, gets
+    dense table (user JSON, say) answers it by the gather `mul[a, b]`, has
+    its shape and range checked on construction (even unvalidated), gets
     its identity and inverses by a scan of the table and its associativity
     by Light's test.  A group with a closed-form law passes `mul=None` and
     `closed_form=(one, inv, law)`: its identity, its inverse array and the
@@ -82,6 +83,8 @@ class FiniteGroup:
             table = _read_only(np.asarray(mul, dtype=np.int64))
             if table.shape != (self.n, self.n):
                 raise ValueError("multiplication table has the wrong shape")
+            if table.size and (table.min() < 0 or table.max() >= self.n):
+                raise ValueError("multiplication table has entries outside the group")
             self._table = table
             self._law = lambda a, b: table[a, b]
             self.one = self._find_identity()
@@ -95,8 +98,6 @@ class FiniteGroup:
         self.H_set = frozenset(self.H)
         self.ctilde = int(ctilde)
         self._domains: dict = {}
-        # a law cannot leave the group; a dense table is scanned once
-        self._in_range = self._table is None
         # closures of greedy generator prefixes, shared by every subgroup's run
         self._closures: dict[tuple[int, ...], np.ndarray] = {}
         if validate:
@@ -135,7 +136,6 @@ class FiniteGroup:
     def validate(self):
         n = self.n
         xs = np.arange(n)
-        self._check_range()
         if self._table is not None:
             self._light_test()
         # O(n |S|) products from here on; a scan has already found the
@@ -165,14 +165,6 @@ class FiniteGroup:
             raise ValueError("H is not closed under multiplication") from None
         if self.ctilde in self.H_set or not (0 <= self.ctilde < n):
             raise ValueError("ctilde must lie outside H")
-
-    def _check_range(self):
-        """ValueError unless the table's entries lie in the group: one scan
-        of a dense table, before `validate` or the first closure reads it."""
-        if not self._in_range:
-            if self._table.min() < 0 or self._table.max() >= self.n:
-                raise ValueError("multiplication table has entries outside the group")
-            self._in_range = True
 
     # -- basic operations ------------------------------------------------------
 
@@ -228,9 +220,7 @@ class FiniteGroup:
         """Boolean mask of the closure of gens, 1 and the mask `seen` under
         right multiplication by gens: in a group, the subgroup they
         generate.  One product per breadth-first layer; a `seen` that is
-        already closed under some of gens saves the layers that rebuild it.
-        ValueError if a dense table has entries outside the group."""
-        self._check_range()
+        already closed under some of gens saves the layers that rebuild it."""
         gens = np.asarray(gens, dtype=np.int64)
         seen = np.zeros(self.n, dtype=bool) if seen is None else seen.copy()
         seen[gens] = True
@@ -388,8 +378,9 @@ class Rep:
     group, say).  It is also the coefficient module of H^1.
 
     `domain` is "G" or "H" for those two subgroups and the sorted element
-    tuple otherwise; images are stored densely per element of `elements`
-    and are checked on construction, on generators (Light's test), exactly.
+    tuple otherwise; images are given and stored as one stack, a matrix per
+    element of `elements` in that order, and are checked on construction,
+    on generators (Light's test), exactly.
     """
 
     def __init__(self, group: FiniteGroup, domain, images, mod, validate=True):
@@ -400,15 +391,7 @@ class Rep:
         self.dom = group.domain(self.domain)
         self.elements = self.dom.elements
         self.pos = self.dom.pos
-        if isinstance(images, dict):
-            dim = len(next(iter(images.values())))
-            arr = np.zeros((len(self.elements), dim, dim), dtype=np.int64)
-            for g, m in images.items():
-                if not 0 <= g < group.n or self.pos[g] < 0:
-                    raise ValueError(f"element {g} is not in the domain")
-                arr[self.pos[g]] = m
-        else:
-            arr = np.asarray(images, dtype=np.int64)
+        arr = np.asarray(images, dtype=np.int64)
         if (arr.ndim != 3 or arr.shape[0] != len(self.elements)
                 or arr.shape[1] != arr.shape[2]):
             raise ValueError("images must be one square matrix per domain element")
@@ -436,10 +419,10 @@ class Rep:
         if not np.array_equal(lhs, self.images[self.dom.gen_pos]):
             raise ValueError("images do not respect the multiplication table")
 
-    @functools.cached_property
+    @property
     def gens(self) -> tuple[int, ...]:
         """Generators of the domain; ValueError if it is not a subgroup."""
-        return self.group.generators(self.domain)
+        return self.dom.gens
 
     # -- access ---------------------------------------------------------------
 
@@ -476,16 +459,18 @@ class Rep:
     # -- derived reps -----------------------------------------------------------
 
     def restrict(self, elements) -> "Rep":
-        """The validated restriction to a subgroup of the domain."""
-        els = sorted({int(e) for e in elements})
-        if els and not (0 <= els[0] and els[-1] < self.group.n
-                        and (self.pos[els] >= 0).all()):
-            raise ValueError("restriction target is not inside the domain")
-        return Rep(self.group, els, self.images[self.pos[els]], self.mod)
+        """The validated restriction to a subgroup of the domain: "H" or a
+        list of elements, normalized once to its memoized `Domain`."""
+        try:
+            key = self.group.domain_key(elements)
+            at = self.index(self.group.domain(key).array)
+        except (ValueError, KeyError):
+            raise ValueError("restriction target is not inside the domain") from None
+        return Rep(self.group, key, self.images[at], self.mod)
 
     def restrict_to_H(self) -> "Rep":
         """The validated restriction to H."""
-        return self if self.domain == "H" else self.restrict(self.group.H)
+        return self if self.domain == "H" else self.restrict("H")
 
     def reduce(self, q) -> "Rep":
         """The reduction modulo q, a prime power dividing the modulus."""
@@ -497,6 +482,8 @@ class Rep:
         """rho tensor chi for a character chi on the same (or larger) domain."""
         if chi.dim != 1:
             raise ValueError("twist by a character only")
+        if chi.mod != self.mod:
+            raise ValueError("modulus mismatch")
         vals = chi.value(self.dom.array)
         imgs = (self.images * vals[:, None, None]) % self.mod
         return Rep(self.group, self.domain, imgs, self.mod, validate=False)
@@ -526,9 +513,7 @@ def kron_stack(a, b, mod) -> np.ndarray:
 
 
 def make_character(group: FiniteGroup, domain: str, values, mod) -> Rep:
-    """Character from a dict {element: value} or per-domain-element array."""
-    if isinstance(values, dict):
-        return Rep(group, domain, {g: [[v]] for g, v in values.items()}, mod)
+    """Character from its values, one per domain element in domain order."""
     return Rep(group, domain, np.asarray(values, dtype=np.int64).reshape(-1, 1, 1), mod)
 
 

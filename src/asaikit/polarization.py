@@ -365,10 +365,14 @@ def theorem_main_pipeline(
     descends to the untwisted tensor-induced module.  The class is carried
     there by the `is_isomorphic` witness of rb2 = rb1^{c vee} psi^{-1}, and
     the sign is that of `polarize(rep|_H, psi)`; both searches are seeded,
-    so a fixed input gives a fixed report.
+    so a fixed input gives a fixed report.  psi must be a character of G
+    over the lattice's modulus Z/q^n, else PipelineError.
     """
     g = latt.rep.group
     q = latt.q
+    if (psi.group is not g or psi.domain != "G" or psi.dim != 1
+            or psi.mod != latt.rep.mod):
+        raise PipelineError("psi must be a character of G over the lattice's modulus")
     psic = int(psi.value(g.ctilde))
     psic_sign = 1 if psic % q == 1 else (-1 if (psic + 1) % q == 0 else None)
     if psic_sign is None:

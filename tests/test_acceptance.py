@@ -426,9 +426,9 @@ def test_criterion_10_sign_congruences():
     c15 = c15_fixture()
     q, mod = 31, 961
     zl = _lift_root_of_unity(element_of_order(15, q), 15, q, mod)
-    idx = {lab: i for i, lab in enumerate(c15.group.elements)}
+    # H is the labels (b, 0), b = 0..14; chi_l(b, 0) = zl^b
     chi_l = make_character(
-        c15.group, "H", {idx[(b, 0)]: pow(zl, b, mod) for b in range(15)}, mod
+        c15.group, "H", [pow(zl, c15.group.elements[h][0], mod) for h in c15.group.H], mod
     )
     ind15 = _induce(chi_l)
     det_inv = Rep(

@@ -53,14 +53,14 @@ def trivial_module(group, elements, dim, mod):
 
 def test_h1_cyclic_q_torsion():
     # H^1(C_7, trivial F_7) = Hom(C_7, F_7) is one-dimensional
-    group, _ = semidirect_group(7, 1, (2,), (6,))
+    group = semidirect_group(7, 1, (2,), (6,))
     mod = trivial_module(group, group.H, 1, 7)
     assert h1(mod).dim == 1
 
 
 def test_h1_of_the_trivial_subgroup_is_zero():
     # B^1 = Z^1 = 0: the coordinate stack has no rows
-    group, _ = semidirect_group(7, 1, (2,), (6,))
+    group = semidirect_group(7, 1, (2,), (6,))
     mod = trivial_module(group, [group.one], 2, 7)
     data = H1Data(mod)
     assert data.dim == 0 and data.b1.shape == (0, 2)
@@ -72,7 +72,7 @@ def test_h1_of_the_trivial_subgroup_is_zero():
 
 def test_h1_coprime_order_vanishes():
     # H^1(C_5, trivial F_7) = 0
-    group, _ = semidirect_group(5, 1, (2,), (4,))
+    group = semidirect_group(5, 1, (2,), (4,))
     mod = trivial_module(group, group.H, 1, 7)
     assert h1(mod).dim == 0
 

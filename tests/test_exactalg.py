@@ -257,10 +257,9 @@ def test_kernel_mod_field():
 
 
 def test_polyx():
-    x = PolyX.x()
-    p = (PolyX.one() - x) * (PolyX.one() + x)
-    assert p == PolyX([1, 0, -1])
-    assert p.degree() == 2
-    assert p(2) == -3
-    q = PolyX([1, 1], 7) * PolyX([1, 6], 7)
-    assert q == PolyX([1, 0, 6], 7)
+    p = PolyX([1, -1]) * PolyX([1, 1])
+    assert p == PolyX([1, 0, -1, 0, 0]) and p.coeffs == (1, 0, -1)
+    assert hash(p) == hash(PolyX([1, 0, -1]))
+    assert p.degree() == 2 and PolyX([0, 0]).degree() == -1
+    assert repr(p) == "1 + -1*X^2"
+    assert repr(PolyX([0, 1, 3])) == "X + 3*X^2" and repr(PolyX([])) == "0"

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from asaikit.fixtures import (
+    METACYCLIC_TABLE,
+    _lift_root_of_unity,
+    _metacyclic_2dim_rep,
+    element_of_order,
     group_from_labels,
+    m40_fixture,
     ribet_fixture,
     ribet_v0_fixture,
     semidirect_group,
@@ -114,13 +119,12 @@ ORACLES = {"metacyclic": metacyclic_oracle, "affine": affine_oracle, "plane": pl
 @pytest.mark.parametrize("family, args, m, k, orders, scalars", EQUIVALENT_GROUPS,
                          ids=[f"{c[0]}{c[1]}" for c in EQUIVALENT_GROUPS])
 def test_semidirect_group_matches_the_label_closure(family, args, m, k, orders, scalars):
-    want, want_index = ORACLES[family](*args)
-    got, index = semidirect_group(m, k, orders, scalars)
+    want, _ = ORACLES[family](*args)
+    got = semidirect_group(m, k, orders, scalars)
     # repr also tells a Python int label from a numpy one
     assert [repr(e) for e in got.elements] == [repr(e) for e in want.elements]
     assert np.array_equal(got.mul, want.mul)
     assert got.H == want.H and got.ctilde == want.ctilde
-    assert index == want_index
     # the closed-form identity and inverses are the dense table's scans
     assert got.one == want.one == 0
     assert np.array_equal(got.inv, want.inv)
@@ -164,7 +168,7 @@ def test_prod_matches_the_label_closure_table():
     rng = np.random.default_rng(19)
     for family, args, m, k, orders, scalars in EQUIVALENT_GROUPS:
         want = ORACLES[family](*args)[0].mul
-        got, _ = semidirect_group(m, k, orders, scalars)
+        got = semidirect_group(m, k, orders, scalars)
         n = got.n
         for x, y in rng.integers(0, n, size=(20, 2)):
             assert got.prod(int(x), int(y)) == want[x, y]
@@ -173,6 +177,48 @@ def test_prod_matches_the_label_closure_table():
         cols = rng.integers(0, n, size=5)
         xs = np.arange(n)[:, None]
         assert np.array_equal(got.prod(xs, cols[None, :]), want[xs, cols[None, :]])
+
+
+def label_metacyclic_images(group, p, d, q, j_char, antisym_u, mod):
+    """The label-by-label build that `_metacyclic_2dim_rep` replaced:
+    (b, a) -> diag(z^(j b), z^(-j b)) u^(a/2) looked up by label, u^(a/2)
+    by repeated products."""
+    index = {lab: i for i, lab in enumerate(group.elements)}
+    z = _lift_root_of_unity(element_of_order(p, q), p, q, mod)
+    zi = pow(z, -1, mod)
+    u = np.array([[0, 1], [mod - 1 if antisym_u else 1, 0]], dtype=np.int64)
+    imgs = np.zeros((len(group.H), 2, 2), dtype=np.int64)
+    for b in range(p):
+        k = b * j_char % p
+        r = np.diag([pow(z, k, mod), pow(zi, k, mod)])
+        for a in range(0, d, 2):
+            imgs[group.H.index(index[(b, a)])] = r
+            r = r @ u % mod
+    return imgs
+
+
+def test_metacyclic_rep_matches_the_label_build():
+    # every METACYCLIC_TABLE group, every character exponent j and both
+    # signs of u^2; where the images are no representation (u^2 = -1 on a
+    # u of order 2) both refuse
+    cases = [(p, d, a, q, j, anti, q) for p, d, a, q in METACYCLIC_TABLE
+             for j in range(p) for anti in (False, True)]
+    cases.append((5, 8, 2, 11, 1, True, 121))  # m40's rho_lift over Z/q^2
+    for p, d, a, q, j, anti, mod in cases:
+        group = semidirect_group(p, 1, (d,), (a,))
+        want = label_metacyclic_images(group, p, d, q, j, anti, mod)
+        try:
+            Rep(group, "H", want, mod)
+        except ValueError:
+            with pytest.raises(ValueError, match="respect the multiplication table"):
+                _metacyclic_2dim_rep(group, p, q, j_char=j, antisym_u=anti, mod=mod)
+            assert d == 4 and anti
+            continue
+        got = _metacyclic_2dim_rep(group, p, q, j_char=j, antisym_u=anti, mod=mod)
+        assert np.array_equal(got.images, want)
+    lift = m40_fixture().rep("rho_lift")
+    assert np.array_equal(lift.images,
+                          label_metacyclic_images(lift.group, 5, 8, 11, 1, True, 121))
 
 
 def _build_peak(build):
@@ -187,7 +233,7 @@ def _build_peak(build):
 # a table of the group would take n^2 8 bytes; a quarter of it bounds every build
 @pytest.mark.parametrize("q", [101, 401])
 def test_semidirect_group_allocates_no_table(q):
-    (group, _), peak = _build_peak(lambda: semidirect_group(q, 1, (4, 2), (q - 1, -1)))
+    group, peak = _build_peak(lambda: semidirect_group(q, 1, (4, 2), (q - 1, -1)))
     assert group.n == 8 * q
     assert peak < 0.25 * group.n**2 * 8
 
@@ -209,7 +255,7 @@ def test_pipeline_and_descents_build_no_table(monkeypatch):
 
     monkeypatch.setattr(FiniteGroup, "_dense_table", no_table)
     with pytest.raises(AssertionError, match="dense table"):
-        semidirect_group(7, 1, (2,), (6,))[0].mul
+        semidirect_group(7, 1, (2,), (6,)).mul
     fix = ribet_fixture(101, d=4, alpha=100, chi_val=10, precision=3)
     lattice = fix.rep("lattice")
     mod = lattice.mod

@@ -17,7 +17,6 @@ from asaikit.grouprep import (
     intertwiner_space,
     is_isomorphic,
     isotypic_lines,
-    make_character,
     tensor_induce,
     transfer_character,
     trivial_character,
@@ -360,9 +359,9 @@ def test_tensor_induce_minus_sign_past_int64_products():
     permutation times -1, As^- is As^+ twisted by the coset sign."""
     from asaikit.fixtures import _metacyclic_2dim_rep, semidirect_group
 
-    group, index = semidirect_group(5, 1, (8,), (2,))
+    group = semidirect_group(5, 1, (8,), (2,))
     mod = 11**7
-    rho = _metacyclic_2dim_rep(group, index, 5, 8, 11, antisym_u=True, mod=mod)
+    rho = _metacyclic_2dim_rep(group, 5, 11, antisym_u=True, mod=mod)
     plus_twisted = tensor_induce(rho, +1).twist(coset_sign_character(group, mod))
     assert tensor_induce(rho, -1) == plus_twisted
 
@@ -385,13 +384,13 @@ def test_tensor_induce_plain_swap_at_involution_2dim():
     q = 11
     z5 = element_of_order(5, q)
     zi = pow(z5, -1, q)
-    imgs = {}
+    imgs = np.zeros((len(group.H), 2, 2), dtype=np.int64)
     for b in range(5):
         for e in range(2):
             m = np.diag([pow(z5, b, q), pow(zi, b, q)]).astype(np.int64)
             if e:
                 m = m @ np.array([[0, 1], [1, 0]], dtype=np.int64) % q
-            imgs[index[((b, e), 0)]] = m
+            imgs[group.H.index(index[((b, e), 0)])] = m
     rho = Rep(group, "H", imgs, q)
     asp = tensor_induce(rho, +1)
     swap = swap_matrix(2, q)
@@ -426,11 +425,24 @@ def test_restrict_rejects_non_subgroups_and_foreign_elements(s3):
 
 def test_rep_rejects_images_that_do_not_match_the_domain(s3):
     g = s3.group
-    with pytest.raises(ValueError, match="not in the domain"):
-        make_character(g, "H", {g.one: 1, g.ctilde: 1}, 7)
     with pytest.raises(ValueError, match="per domain element"):
         Rep(g, [g.one, g.ctilde], np.ones((len(g.H), 1, 1), dtype=np.int64), 7,
             validate=False)
+
+
+def test_twist_refuses_a_character_over_another_modulus():
+    # the mod-49 lattice twisted by the coset sign over F_7 read the sign's
+    # residue 6 as 6 mod 49
+    fx = ribet_fixture()
+    lattice = fx.rep("lattice")
+    assert lattice.mod == 49
+    with pytest.raises(ValueError, match="^modulus mismatch$"):
+        lattice.twist(coset_sign_character(fx.group, 7))
+    with pytest.raises(ValueError, match="^modulus mismatch$"):
+        fx.rep("chi").twist(coset_sign_character(fx.group, 49))
+    sgn = coset_sign_character(fx.group, 49)
+    assert np.array_equal(lattice.twist(sgn).images,
+                          lattice.images * sgn.images % 49)
 
 
 def test_rep_rejects_int64_overflow_even_unvalidated(s3):
@@ -529,18 +541,17 @@ def test_an_element_with_two_right_inverses_is_rejected():
 
 @pytest.mark.parametrize("entry", [-1, 6])
 def test_unvalidated_table_with_an_entry_outside_the_group_has_no_generators(s3, entry):
-    # S_3's table with 1 * 1 = 2 replaced by an index outside the group (the
-    # identity and inverses stay found): built unchecked, its first closure
-    # scans the range
+    # S_3's table with 1 * 1 = 2 replaced by -1 or n = 6, an index outside
+    # the group: construction scans the range, even unvalidated, so no
+    # closure ever reads the entry
     s = s3.group
     mul = s.mul.copy()
-    assert (s.one, s.inverse(1), mul[1, 1]) == (0, 2, 2)
+    assert (s.n, s.one, s.inverse(1), mul[1, 1]) == (6, 0, 2, 2)
     mul[1, 1] = entry
-    g = FiniteGroup(s.elements, mul, s.H, s.ctilde, validate=False)
-    with pytest.raises(ValueError, match="^multiplication table has entries outside the group$"):
-        g.generators()
-    with pytest.raises(ValueError, match="^multiplication table has entries outside the group$"):
-        g.closure([1])
+    for validate in (False, True):
+        with pytest.raises(ValueError,
+                           match="^multiplication table has entries outside the group$"):
+            FiniteGroup(s.elements, mul, s.H, s.ctilde, validate=validate)
 
 
 def test_closed_form_group_rejects_a_wrong_identity_or_inverse():

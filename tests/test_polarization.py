@@ -290,9 +290,9 @@ def test_sign_congruence_c15_family():
     from asaikit.fixtures import _lift_root_of_unity
 
     zl = _lift_root_of_unity(z, 15, q, mod)
-    idx = {lab: i for i, lab in enumerate(g.elements)}
+    # H is the labels (b, 0), b = 0..14; chi_l(b, 0) = zl^b
     chi_l = make_character(
-        g, "H", {idx[(b, 0)]: pow(zl, b, mod) for b in range(15)}, mod
+        g, "H", [pow(zl, g.elements[h][0], mod) for h in g.H], mod
     )
     ind = induce(chi_l)
     det_inv = Rep(
@@ -506,6 +506,20 @@ def test_pipeline_rejects_even_psi_by_default(rib):
     triv = trivial_character(g, "G", 49)
     with pytest.raises(PipelineError, match="-1"):
         theorem_main_pipeline(make_lattice(rib), triv)
+
+
+def test_pipeline_rejects_psi_that_is_not_a_character_of_g_over_the_lattice_modulus(
+        rib, rib_split):
+    # a psi over F_7 for the mod-49 lattice, a psi on H only and a psi of
+    # another group object: none is refused later for the right reason (the
+    # F_7 one ran to a report, its residues read mod 49)
+    g = rib.group
+    latt = make_lattice(rib)
+    for psi in (coset_sign_character(g, 7), coset_sign_character(g, 49).restrict_to_H(),
+                coset_sign_character(rib_split.group, 49)):
+        with pytest.raises(PipelineError, match="^psi must be a character of G over the "
+                                                "lattice's modulus$"):
+            theorem_main_pipeline(latt, psi)
 
 
 def test_pipeline_split_input(rib_split):
