@@ -73,9 +73,17 @@ class Cocycle:
                        validate=False)
 
     def restrict(self, submodule: Rep) -> "Cocycle":
-        idx = self.module.pos[list(submodule.elements)]
+        """phi on a subgroup, with coefficients in `submodule`: the
+        restriction of the cocycle's module there, over the same group and
+        modulus (as `conj_action` requires of its ambient module)."""
+        m = self.module
+        if submodule.group is not m.group or submodule.mod != m.mod:
+            raise ValueError("restriction needs the same group and modulus")
+        idx = m.pos[submodule.dom.array]
         if idx.min() < 0:
             raise ValueError("restriction target is not inside the cocycle's domain")
+        if not np.array_equal(submodule.images, m.images[idx]):
+            raise ValueError("submodule is not the restriction of the cocycle's module")
         return Cocycle(submodule, self.values[idx], validate=False)
 
 

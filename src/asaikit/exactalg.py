@@ -12,10 +12,10 @@ Gauss-Jordan elimination.  `rref_mod`, `row_space_mod`, `kernel_mod`,
 generators come with their annihilators (one of annihilator q^n per
 non-pivot column, one of annihilator q^v per pivot of valuation v > 0) and
 their cyclic spans form a direct sum.
-The package's one determinant (Bareiss) and characteristic polynomial
-(Berkowitz) work on nested sequences of int or Fraction entries;
-`charpoly_stack` runs the same Berkowitz recurrence over a stack of
-matrices mod m at once.
+One division-free Berkowitz recurrence over Z gives the characteristic
+polynomial `charpoly` of a nested sequence of integers and, read off its
+constant term, the determinant `det`; `charpoly_stack` runs the same
+recurrence over a stack of matrices mod m at once.
 
 Conventions fixed once for the whole package:
   * Kronecker products order pairs row-major: (i, j) -> i*cols(b) + j.
@@ -24,7 +24,6 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
-from fractions import Fraction
 import functools
 import operator
 
@@ -101,7 +100,7 @@ class Mat:
         return f"Mat(mod={self.mod},\n{self.a})"
 
     def det(self):
-        """Determinant, computed fraction-free over Z then reduced."""
+        """Determinant, computed division-free over Z then reduced."""
         return det(self.a.tolist()) % self.mod
 
     def is_invertible(self):
@@ -117,41 +116,18 @@ class Mat:
 
 
 def det(rows):
-    """Exact determinant of an int or Fraction matrix (Bareiss, O(n^3)).
-
-    Every division in Bareiss elimination is exact, so int matrices stay in
-    Z; a matrix with any Fraction entry is computed over Q throughout.
-    """
+    """Exact determinant: (-1)^n times the constant term of `charpoly`,
+    so division-free like it."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    m = [list(r) for r in rows]
-    if any(isinstance(x, Fraction) for r in m for x in r):
-        m = [[Fraction(x) for x in r] for r in m]
-        div = operator.truediv
-    else:
-        div = operator.floordiv
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1] if n else 1
+    return (-1) ** n * charpoly(rows)[n]
 
 
 def charpoly(rows):
     """Coefficients [1, c_1, ..., c_n] of det(X I - a) = X^n + c_1 X^(n-1)
-    + ... + c_n, for an int or Fraction matrix (Berkowitz, division-free).
+    + ... + c_n, for an integer matrix (Berkowitz: division-free, so any
+    exact entries work).
 
     Read lowest degree first, the same list is det(I - a X).
     """
@@ -431,7 +407,7 @@ class PolyX:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [int(x) for x in coeffs]
+        cs = [operator.index(x) for x in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

@@ -413,9 +413,7 @@ class Rep:
         except ValueError:
             raise ValueError("domain is not closed under multiplication") from None
         # rho(x s) = rho(x) rho(s) for every x and generator s (Light's test)
-        lhs = np.einsum(
-            "aij,bjk->abik", self.images, self.images[self.pos[gens]]
-        ) % self.mod
+        lhs = self.images[:, None] @ self.images[self.pos[gens]][None] % self.mod
         if not np.array_equal(lhs, self.images[self.dom.gen_pos]):
             raise ValueError("images do not respect the multiplication table")
 
@@ -482,8 +480,7 @@ class Rep:
         """rho tensor chi for a character chi on the same (or larger) domain."""
         if chi.dim != 1:
             raise ValueError("twist by a character only")
-        if chi.mod != self.mod:
-            raise ValueError("modulus mismatch")
+        _check_same_group_and_modulus(self, chi)
         vals = chi.value(self.dom.array)
         imgs = (self.images * vals[:, None, None]) % self.mod
         return Rep(self.group, self.domain, imgs, self.mod, validate=False)
@@ -492,8 +489,9 @@ class Rep:
         return dual_twist(self, None)
 
     def tensor(self, other: "Rep") -> "Rep":
-        if self.domain != other.domain or self.mod != other.mod:
-            raise ValueError("tensor needs matching domain and modulus")
+        _check_same_group_and_modulus(self, other)
+        if self.domain != other.domain:
+            raise ValueError("tensor needs matching domains")
         imgs = kron_stack(self.images, other.images, self.mod)
         return Rep(self.group, self.domain, imgs, self.mod, validate=False)
 
@@ -503,6 +501,13 @@ class Rep:
         vals = (-1) ** self.dim * c % self.mod
         return Rep(self.group, self.domain, vals.reshape(-1, 1, 1), self.mod,
                    validate=False)
+
+
+def _check_same_group_and_modulus(rho: Rep, other: Rep):
+    if other.group is not rho.group:
+        raise ValueError("group mismatch")
+    if other.mod != rho.mod:
+        raise ValueError("modulus mismatch")
 
 
 def kron_stack(a, b, mod) -> np.ndarray:
@@ -546,8 +551,8 @@ def conjugate_rep(rho: Rep) -> Rep:
 
 def dual_twist(rho: Rep, psi: Rep | None) -> Rep:
     """g -> psi(g) * (rho(g)^{-1})^T; psi=None gives the plain dual."""
-    if psi is not None and psi.mod != rho.mod:
-        raise ValueError("modulus mismatch")
+    if psi is not None:
+        _check_same_group_and_modulus(rho, psi)
     g = rho.group
     els = rho.dom.array
     imgs = rho.arr(g.inv[els]).transpose(0, 2, 1)

@@ -11,12 +11,15 @@ matrix built; the identities check those closed forms against the
 Frobenius matrices, each identity taking one side from
 `charpoly_reciprocal` of a matrix.  They are checked on the integer
 factors themselves: twisting a matrix by a scalar c multiplies the X^k
-coefficient of det(I - M X) by c^k, so no scaled matrix is built.  Fraction
-remains only in `std_map`'s division by the similitude and in
-`charpoly_reciprocal`'s normalization of its output.  Conventions: a split
-prime carries a pair (a, b) of 2x2 matrices; an inert prime carries only a,
-the Frobenius acting through the nontrivial coset as x + y -> a y + x on
-the induced space and x (x) y -> +- a y (x) x on the tensor-induced one.
+coefficient of det(I - M X) by c^k, so no scaled matrix is built: the std
+identity takes the charpoly of the integer block mu std and twists it by
+1/mu, and `std_map` refuses a matrix that is not integral.  One
+division-free Berkowitz over Z gives every charpoly and det.
+
+Conventions: a split prime carries a pair (a, b) of 2x2 matrices; an inert
+prime carries only a, the Frobenius acting through the nontrivial coset as
+x + y -> a y + x on the induced space and x (x) y -> +- a y (x) x on the
+tensor-induced one.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index, mul
 from pathlib import Path
 
@@ -34,7 +36,7 @@ REP_TAGS = ("ind", "asai+", "asai-", "lambda2", "std", "sim", "zeta", "quadratic
 
 
 # ---------------------------------------------------------------------------
-# small exact matrix helpers (tuples of tuples, int or Fraction entries)
+# small exact matrix helpers (tuples of tuples of ints)
 # ---------------------------------------------------------------------------
 
 
@@ -77,15 +79,8 @@ def blockdiag(a, b):
 
 
 def charpoly_reciprocal(m) -> PolyX:
-    """det(I - m X) as an exact polynomial (integer if entries are)."""
-    norm = []
-    for c in charpoly(m):
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError("non-integral Euler factor coefficient")
-            c = int(c)
-        norm.append(c)
-    return PolyX(norm)
+    """det(I - m X) of an integer matrix."""
+    return PolyX(charpoly(m))
 
 
 def _twist(poly, num, den):
@@ -337,33 +332,40 @@ def _similitude(w):
     return mu if r[_E23] == mu and not any(r[i] for i in _COMPLEMENT) else None
 
 
-def _exact_div(x, mu):
-    return x // mu if x % mu == 0 else Fraction(x, mu)
-
-
-def std_map(m):
-    """The 5-dim factor of Lambda^2(m) mu^{-1} after splitting the invariant
-    line of the symplectic form; requires m in the similitude group of J."""
+def _std_block(m):
+    """(B, mu): the similitude mu of m and the integer 5x5 block B of
+    Lambda^2(m) on the complement of the J-line, so B = mu std(m)."""
     w = wedge_square(m)
     mu = _similitude(w)
     if not mu:
         raise ValueError(_NOT_GSP4)
     # m^T J m = mu J with mu != 0 also gives m J m^T = mu J: Lambda^2(m) maps
-    # e01 + e23 to mu (e01 + e23), so the line splits off with eigenvalue 1
+    # e01 + e23 to mu (e01 + e23), so the line splits off with eigenvalue mu
     r01 = w[_E01]
     rows = [[w[i][j] for j in _COMPLEMENT] + [w[i][_E01] - w[i][_E23]]
             for i in _COMPLEMENT]
     rows.append([r01[j] for j in _COMPLEMENT] + [r01[_E01] - r01[_E23]])
-    return mat([[_exact_div(x, mu) for x in r] for r in rows])
+    return mat(rows), mu
+
+
+def std_map(m):
+    """The 5-dim factor of Lambda^2(m) mu^{-1} after splitting the invariant
+    line of the symplectic form; requires m in the similitude group of J and
+    an integral result."""
+    block, mu = _std_block(m)
+    if any(x % mu for r in block for x in r):
+        raise ValueError("std matrix is not integral")
+    return mat([[x // mu for x in r] for r in block])
 
 
 def verify_std_decomposition(sp: SatakeParam):
     """char poly of std(ind-Frobenius) equals
        (1 - chi_K(p) X) * det(I - asai^+ sim^{-1} chi_K(p) X): the
     standard-representation factorization, exactly, with the left side from
-    the `std_map` matrix and the asai^+ factor from `euler_factor`."""
-    lhs = charpoly_reciprocal(std_map(frobenius_matrix(sp, "ind")))
-    mu = sp.similitude()
+    the charpoly of the integer block mu std twisted by 1/mu, and the asai^+
+    factor from `euler_factor`."""
+    block, mu = _std_block(frobenius_matrix(sp, "ind"))
+    lhs = _twist(charpoly_reciprocal(block), 1, mu)  # mu = sp.similitude()
     cq = sp.chi_quadratic
     asai = euler_factor(sp, "asai+").poly
     rhs = PolyX([1, -cq]) * _twist(asai, cq, mu)
@@ -373,9 +375,11 @@ def verify_std_decomposition(sp: SatakeParam):
 
 
 def std_in_so5(m):
-    """Check std(m) preserves the induced symmetric form with determinant 1."""
-    s = std_map(m)
-    return mmul(mmul(tuple(zip(*s)), _STD_GRAM), s) == _STD_GRAM and det(s) == 1
+    """Check std(m) preserves the induced symmetric form with determinant 1,
+    in integers: B^T G B = mu^2 G and det B = mu^5 for B = mu std(m)."""
+    b, mu = _std_block(m)
+    gram = mat([[mu * mu * x for x in r] for r in _STD_GRAM])
+    return mmul(mmul(tuple(zip(*b)), _STD_GRAM), b) == gram and det(b) == mu**5
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,23 @@ def test_cocycle_restrict_rejects_a_foreign_subgroup():
         z.restrict(dec)
 
 
+def test_cocycle_restrict_refuses_a_module_that_is_not_the_restriction(rib):
+    chi = rib.rep("chi")
+    ambient = as_twisted_module(chi, coset_sign_character(rib.group, 7))
+    z = h1(ambient).representative(0)
+    on_h = ambient.restrict("H")
+    z.restrict(on_h).validate()
+    # the same elements with other matrices: phi's values are no cocycle there
+    twisted = on_h.twist(power_character(chi, 2))
+    with pytest.raises(ValueError, match="cocycle identity fails"):
+        Cocycle(twisted, z.value(twisted.dom.array))
+    with pytest.raises(ValueError, match="not the restriction of the cocycle's module"):
+        z.restrict(twisted)
+    for foreign in (ribet_fixture().rep("chi"), coset_sign_character(rib.group, 49)):
+        with pytest.raises(ValueError, match="same group and modulus"):
+            z.restrict(foreign)
+
+
 def test_cocycle_identity_enforced(rib):
     chi = rib.rep("chi")
     m = hom_module(chi, rib.rep("chi_inv"))

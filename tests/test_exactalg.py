@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -263,3 +265,10 @@ def test_polyx():
     assert p.degree() == 2 and PolyX([0, 0]).degree() == -1
     assert repr(p) == "1 + -1*X^2"
     assert repr(PolyX([0, 1, 3])) == "X + 3*X^2" and repr(PolyX([])) == "0"
+    assert PolyX(np.array([2, 0, 0])).coeffs == (2,)
+
+
+@pytest.mark.parametrize("coeffs", [[1, Fraction(1, 2)], [2.7], [Fraction(4, 2)]])
+def test_polyx_refuses_a_non_integer_coefficient(coeffs):
+    with pytest.raises(TypeError):
+        PolyX(coeffs)

@@ -445,6 +445,19 @@ def test_twist_refuses_a_character_over_another_modulus():
                           lattice.images * sgn.images % 49)
 
 
+@pytest.mark.parametrize("op", ["twist", "tensor", "dual_twist"])
+def test_rep_operations_refuse_a_rep_of_another_group(s3, op):
+    # another S3 of the same order, whose index arrays fit this one's
+    other = s3_fixture().group
+    assert other is not s3.group and other.n == s3.group.n
+    chi = s3.rep("chi3")
+    foreign = trivial_character(other, "H", 7)
+    apply = {"twist": chi.twist, "tensor": chi.tensor,
+             "dual_twist": lambda psi: dual_twist(chi, psi)}[op]
+    with pytest.raises(ValueError, match="^group mismatch$"):
+        apply(foreign)
+
+
 def test_rep_rejects_int64_overflow_even_unvalidated(s3):
     p = 3037000493  # prime, (p-1)^2 < 2^63 <= 2 (p-1)^2
     eye = np.broadcast_to(np.eye(2, dtype=np.int64), (s3.group.n, 2, 2))

@@ -8,7 +8,7 @@ import pytest
 
 import asaikit.lfunc as lfunc
 from asaikit import cli
-from asaikit.exactalg import PolyX, det, wedge_pairs, wedge_square
+from asaikit.exactalg import PolyX, charpoly, det, wedge_pairs, wedge_square
 from asaikit.lfunc import (
     J4,
     _STD_GRAM,
@@ -231,6 +231,8 @@ def std_map_by_change_of_basis(m):
     [complement | J-line], check the line splits off with eigenvalue 1 and
     read off the 5x5 block."""
     mu = similitude_of(m)
+    if not mu:
+        raise ValueError("matrix does not preserve J up to similitude")
     w = [[Fraction(x, mu) for x in r] for r in wedge_square(m)]
     conj = mmul(mmul(_inverse(_P6), w), _P6)
     assert all(conj[i][5] == 0 and conj[5][i] == 0 for i in range(5))
@@ -263,11 +265,22 @@ def test_std_map_matches_change_of_basis_oracle():
         elif k % 3 == 2:
             m = mmul(random_transvection(rng), m)
         scaled.append(m)
-    for m in unit + scaled:
-        assert std_map(m) == std_map_by_change_of_basis(m)
+    refused = sum(not std_map_matches_oracle(m) for m in unit + scaled)
     # integral results come back as ints, so charpolys stay over the integers
     assert all(type(x) is int for m in unit + scaled[:1] for r in std_map(m) for x in r)
-    assert any(isinstance(x, Fraction) for m in scaled for r in std_map(m) for x in r)
+    assert 0 < refused < len(scaled)
+
+
+def std_map_matches_oracle(m):
+    """std_map(m) equals the change-of-basis oracle where that is integral
+    (True) and refuses exactly where it is not (False)."""
+    want = std_map_by_change_of_basis(m)
+    if all(x.denominator == 1 for r in want for x in r):
+        assert std_map(m) == want
+        return True
+    with pytest.raises(ValueError, match="std matrix is not integral"):
+        std_map(m)
+    return False
 
 
 def similitude_by_definition(m):
@@ -298,7 +311,7 @@ def test_similitude_of_matches_the_definition():
         for _ in range(2):
             m = mmul(mmul(random_transvection(rng), m), random_transvection(rng))
         assert similitude_of(m) == similitude_by_definition(m) == mu
-        assert std_map(m) == std_map_by_change_of_basis(m)
+        std_map_matches_oracle(m)
     # singular matrices with m^T J4 m = 0: rank one, or image in the
     # Lagrangian span of e0 and e2, mixed by transvections
     for k in range(60):
@@ -338,6 +351,15 @@ def test_std_decomposition_raises_at_similitude_p():
             verify_std_decomposition(SatakeParam(p, True, a, b))
 
 
+def charpoly_over_q(m):
+    """Oracle: det(I - m X) of a matrix of Fraction entries by `charpoly`,
+    refused where a coefficient is not an integer."""
+    coeffs = [Fraction(c) for c in charpoly(m)]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValueError("non-integral Euler factor coefficient")
+    return PolyX([int(c) for c in coeffs])
+
+
 def test_twist_matches_the_scaled_matrix():
     """det(I - (num/den) M X) from det(I - M X) equals the charpoly of the
     scaled matrix where that is integral, and raises exactly where not."""
@@ -350,7 +372,7 @@ def test_twist_matches_the_scaled_matrix():
             for den in (-2, -1, 1, 3):
                 scaled = mat([[Fraction(num, den) * x for x in r] for r in m])
                 try:
-                    want = charpoly_reciprocal(scaled)
+                    want = charpoly_over_q(scaled)
                 except ValueError:
                     with pytest.raises(ValueError, match="non-integral"):
                         _twist(f, num, den)
@@ -387,6 +409,19 @@ def test_std_lands_in_so5():
         assert std_in_so5(frobenius_matrix(sp, "ind"))
         sp = random_satake(rng, split=False)
         assert std_in_so5(frobenius_matrix(sp, "ind"))
+    # similitudes -1 and p: the check runs on the integer block mu std,
+    # also where std itself is not integral
+    refused = 0
+    for k in range(30):
+        p = (3, 5, 7)[k % 3]
+        a = mmul(random_sl2(rng), mat([[p, 0], [0, 1]]))
+        b = mmul(mat([[1, 0], [0, p]]), random_sl2(rng))
+        scaled = mmul(random_transvection(rng), blockdiag(a, b))
+        flipped = frobenius_matrix(random_satake(rng, split=True, twist=-1), "ind")
+        assert similitude_of(scaled) == p and similitude_of(flipped) == -1
+        assert std_in_so5(scaled) and std_in_so5(flipped)
+        refused += outcome(std_map, scaled) == (ValueError, "std matrix is not integral")
+    assert refused > 0
 
 
 def test_asai_minus_is_plus_at_split_twisted_at_inert():
@@ -432,15 +467,29 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
+def matrix_factor(sp, tag):
+    """det(I - frobenius_matrix(sp, tag) X); std's matrix comes from the
+    change-of-basis oracle over Q, since `std_map` refuses a non-integral
+    matrix whose factor may still be integral."""
+    if tag == "std":
+        return charpoly_over_q(std_map_by_change_of_basis(frobenius_matrix(sp, "ind")))
+    return charpoly_reciprocal(frobenius_matrix(sp, tag))
+
+
 def test_closed_forms_match_the_frobenius_matrices():
     refusals = Counter()
+    integral_factor_of_a_refused_std = 0
     for sp in sweep_params():
         for tag in REP_TAGS:
             closed = outcome(lambda: euler_factor(sp, tag).poly)
-            matrix = outcome(lambda: charpoly_reciprocal(frobenius_matrix(sp, tag)))
+            matrix = outcome(lambda: matrix_factor(sp, tag))
             assert closed == matrix, (sp, tag)
             if isinstance(closed, tuple):
                 refusals[tag, closed[1]] += 1
+        std = outcome(lambda: frobenius_matrix(sp, "std"))
+        if std == (ValueError, "std matrix is not integral"):
+            factor = outcome(lambda: matrix_factor(sp, "std"))
+            integral_factor_of_a_refused_std += isinstance(factor, PolyX)
     # std at similitude p (59 of the 60 std factors are not integral), std
     # at det a != 1 (inert) or det a != det b (split), and sim at both
     assert refusals == {
@@ -449,6 +498,8 @@ def test_closed_forms_match_the_frobenius_matrices():
         ("sim", "inert similitude needs det a = 1"): 20,
         ("sim", "split similitude needs det a = det b"): 20,
     }
+    # the 60th: an integral std factor of a std matrix that is not integral
+    assert integral_factor_of_a_refused_std == 1
 
 
 def test_euler_factor_builds_no_matrix(monkeypatch):
