@@ -16,6 +16,12 @@ expanded from the generator values along each generator's repeated squares
 s^(2^j), with phi(t^2) = phi(t) + t.phi(t), as in binary powering; the walk
 takes about sum log2(ord s) batched layers instead of one per step of the
 Cayley graph.
+That all-pairs system defines Z^1 but is built whole only when it is
+small.  Otherwise its rows at a few probe elements are solved, every
+candidate is put through Light's test on every element and generator in
+one batched pass, and elements where one fails join the probe.  The
+probe's kernel is then Z^1, so over F_q its reduced echelon form, and the
+kernel basis read off it, are the full system's.
 """
 
 from __future__ import annotations
@@ -60,11 +66,19 @@ class Cocycle:
         """phi(g), or the stack of values on an index array g."""
         return self.values[self.module.index(g)]
 
+    def _same_module(self, other):
+        """ValueError unless `other` is on this cocycle's module: the same
+        group, domain, modulus and images."""
+        if other.module is not self.module and other.module != self.module:
+            raise ValueError("cocycles on different modules")
+
     def __add__(self, other):
+        self._same_module(other)
         return Cocycle(self.module, (self.values + other.values) % self.module.mod,
                        validate=False)
 
     def __sub__(self, other):
+        self._same_module(other)
         return Cocycle(self.module, (self.values - other.values) % self.module.mod,
                        validate=False)
 
@@ -94,6 +108,13 @@ def coboundary(module: Rep, x) -> Cocycle:
     return Cocycle(module, vals, validate=False)
 
 
+# H1Data solves a consistency system of at most this many entries whole
+# (below it the probe's check costs more than it saves)
+SMALL_SYSTEM = 4096
+# the number of elements whose consistency rows H1Data solves first
+PROBES = 4
+
+
 class H1Data:
     """Exact Z^1 / B^1 / H^1 data for a module, in generator coordinates.
 
@@ -113,6 +134,15 @@ class H1Data:
     over all (element, generator) pairs, which does not depend on the tree,
     B^1 the image of the coboundary map, and the H^1 representatives extend
     B^1 to Z^1.
+
+    A system of at most `SMALL_SYSTEM` entries, N (k d)^2, is solved whole.
+    A larger one is solved at `PROBES` elements spread over the domain, so
+    on PROBES k d rows; the kernel's rows are expanded to every element,
+    per generator block (k d residue products would overflow int64 where d
+    do not), and Light's test runs on every (element, generator) pair.  A
+    few elements where some candidate fails join the probe, which cuts the
+    kernel, so at most k d + 1 rounds run.  A kernel that passes is the
+    full system's: `z1` is the same canonical basis either way.
     """
 
     def __init__(self, module: Rep):
@@ -142,12 +172,7 @@ class H1Data:
             expand[new] = (expand[a] + m.images[a] @ jval[t] % q) % q
         self.depth = len(layers)
         self.expand = expand
-        # consistency rows: phi(x s) - phi(x) - x.phi(s) = 0 for all x, gens s
-        sys = self.expand[m.dom.gen_pos]
-        sys -= self.expand[:, None]
-        sys.reshape(N, k, d, k, d)[:, np.arange(k), :, np.arange(k), :] -= m.images[None]
-        sys %= q
-        self.z1 = kernel_mod(sys.reshape(N * k * d, D), q)  # gen-coordinate rows
+        self.z1 = self._solve_z1()  # gen-coordinate rows
         # row j: the coboundary of e_j in generator coordinates, s.e_j - e_j
         eye = np.eye(d, dtype=np.int64)
         self.coboundaries = (m.arr(gens) - eye).transpose(2, 0, 1).reshape(d, D) % q
@@ -157,11 +182,62 @@ class H1Data:
         self.dim = len(self.h1_reps)
         self._coord_stack = np.vstack([self.b1, self.h1_reps])
 
+    def _rows(self, at=slice(None)):
+        """The consistency rows phi(x s) - phi(x) - x.phi(s) at the element
+        positions `at` (all by default), for every generator s:
+        (P * k * d, k * d) for P positions."""
+        m, q = self.module, self.q
+        k, d = len(self.gens), m.dim
+        sys = self.expand[m.dom.gen_pos[at]] - self.expand[at][:, None]
+        P = len(sys)
+        idx = np.arange(k)
+        sys.reshape(P, k, d, k, d)[:, idx, :, idx, :] -= m.images[at][None]
+        sys %= q
+        return sys.reshape(P * k * d, k * d)
+
+    def _solve_z1(self):
+        """Z^1 in generator coordinates: `kernel_mod` of the consistency
+        rows at the probe elements, grown until Light's test passes."""
+        m, q = self.module, self.q
+        N, k, d = len(m.elements), len(self.gens), m.dim
+        if N * (k * d) ** 2 <= SMALL_SYSTEM:
+            return kernel_mod(self._rows(), q)
+        # a few positions spread over the domain, off its two ends
+        probe = (2 * np.arange(PROBES) + 1) * N // (2 * PROBES)
+        r = k * d + 1
+        while True:
+            z1 = kernel_mod(self._rows(probe), q)
+            if len(z1) >= r:
+                raise AssertionError("the probe's new rows did not cut Z^1 candidates")
+            r = len(z1)
+            # Light's test of every candidate: phi(x s) - phi(x) - x.phi(s)
+            # at every x and generator s
+            vals = self._values(z1)
+            at_gens = z1.reshape(r, k, d).transpose(1, 2, 0)
+            rows = vals[m.dom.gen_pos] - vals[:, None] - m.images[:, None] @ at_gens % q
+            bad = np.flatnonzero((rows % q).reshape(N, k * d * r).any(axis=1))
+            if not bad.size:
+                return z1
+            # none of them is in the probe, whose rows z1 solves: add a few,
+            # spread over them, and the next kernel is smaller
+            probe = np.concatenate([probe, bad[::-(-bad.size // PROBES)]])
+
+    def _values(self, x):
+        """(N, d, r): phi on every element for r generator-coordinate rows
+        x, summed per generator block so that each sum is of d residue
+        products, which int64 holds exactly."""
+        m, q = self.module, self.q
+        N, k, d = len(m.elements), len(self.gens), m.dim
+        blocks = self.expand.reshape(N * d, k, d).transpose(1, 0, 2)
+        at_gens = x.reshape(len(x), k, d).transpose(1, 2, 0)
+        return ((blocks @ at_gens % q).sum(axis=0) % q).reshape(N, d, len(x))
+
     def gen_vector(self, cocycle: Cocycle) -> np.ndarray:
         return cocycle.value(np.array(self.gens)).reshape(-1) % self.q
 
     def cocycle_from_gen_vector(self, x) -> Cocycle:
-        return Cocycle(self.module, self.expand @ np.asarray(x) % self.q)
+        x = np.mod(np.asarray(x, dtype=np.int64), self.q)
+        return Cocycle(self.module, self._values(x.reshape(1, -1))[:, :, 0])
 
     def representative(self, i) -> Cocycle:
         return self.cocycle_from_gen_vector(self.h1_reps[i])

@@ -184,6 +184,26 @@ def test_cocycle_restrict_refuses_a_module_that_is_not_the_restriction(rib):
             z.restrict(foreign)
 
 
+def test_cocycle_arithmetic_refuses_a_cocycle_on_another_module(rib):
+    chi = rib.rep("chi")
+    on_h = as_twisted_module(chi, coset_sign_character(rib.group, 7)).restrict("H")
+    z = h1(on_h).representative(0)
+    # the same group, domain and modulus with other images
+    twisted = on_h.twist(power_character(chi, 2))
+    dz = coboundary(twisted, np.arange(twisted.dim))
+    for combine in (Cocycle.__add__, Cocycle.__sub__):
+        for a, b in ((z, dz), (dz, z)):
+            with pytest.raises(ValueError, match="cocycles on different modules"):
+                combine(a, b)
+    with pytest.raises(ValueError, match="cocycles on different modules"):
+        z + coboundary(coset_sign_character(rib.group, 7), [1])
+    # an equal module that is another object is the same module
+    same = Rep(on_h.group, on_h.domain, on_h.images.copy(), on_h.mod)
+    w = coboundary(same, np.arange(same.dim))
+    (z + w).validate()
+    assert (z - w).module is on_h and np.array_equal((z + w - w).values, z.values)
+
+
 def test_cocycle_identity_enforced(rib):
     chi = rib.rep("chi")
     m = hom_module(chi, rib.rep("chi_inv"))

@@ -11,7 +11,9 @@ test compares the two, exactly, on the shipped fixtures.
 import numpy as np
 import pytest
 
+from asaikit import cohomology
 from asaikit.cohomology import (
+    as_twisted_module,
     coboundary,
     conj_action,
     conjugate_hom_module,
@@ -20,7 +22,7 @@ from asaikit.cohomology import (
     polarization_involution,
 )
 from asaikit.exactalg import Mat, factor_prime_power, kernel_gens, kernel_mod, row_space_mod
-from asaikit.fixtures import ribet_fixture, shipped_fixture_builders
+from asaikit.fixtures import ribet_fixture, semidirect_group, shipped_fixture_builders
 from asaikit.grouprep import (
     FiniteGroup,
     Rep,
@@ -32,6 +34,7 @@ from asaikit.grouprep import (
     induce,
     intertwiner_space,
     isotypic_lines,
+    make_character,
     power_character,
     swap_matrix,
     symmetry_rows,
@@ -317,6 +320,11 @@ def test_h1_expand_and_consistency_system_match_the_dict_bfs(shipped):
     modules.append(("coh294 decomposition", induce(rho).restrict([g.one, g.ctilde])))
     modules.append(("zero", Rep(g, g.H, np.zeros((len(g.H), 0, 0), dtype=np.int64),
                                 7, validate=False)))
+    # probed: N (k d)^2 is past the small-system cut-off, k d = 32 and 4
+    modules.append(("coh294 induced hom", induce(conjugate_hom_module(rho))))
+    rib = shipped["ribet_q7_d6"]
+    modules.append(("ribet-q7 tensor module", as_twisted_module(
+        rib.rep("chi"), coset_sign_character(rib.group, 7))))
     for label, m in modules:
         data = h1(m)
         expand, sys = expand_oracle(m, data.gens)
@@ -333,6 +341,61 @@ def test_h1_expand_and_consistency_system_match_the_dict_bfs(shipped):
         for x in m.elements:
             assert np.array_equal(data.expand[m.pos[x]], jumped[x]), (label, x)
         assert data.depth == depth, label
+
+
+@pytest.fixture
+def kernel_shapes(monkeypatch):
+    """The shapes of the matrices H1Data hands to kernel_mod."""
+    shapes = []
+
+    def counted(a, p):
+        shapes.append(np.shape(a))
+        return kernel_mod(a, p)
+
+    monkeypatch.setattr(cohomology, "kernel_mod", counted)
+    return shapes
+
+
+def test_h1_probe_check_is_exact_at_the_largest_prime(monkeypatch, kernel_shapes):
+    q = 3037000493  # prime, (q-1)^2 < 2^63 <= 2 (q-1)^2: one product per sum
+    j = q - pow(2, (q - 1) // 4, q)  # 2 is not a square mod q = 5 mod 8
+    assert j * j % q == q - 1
+    # C_4^3 with x = 16 a1 + 4 a0 + v, and chi = j^(v + a0) (-1)^a1 on it
+    g = semidirect_group(4, 1, (4, 4), (1, 1))
+    chi = make_character(g, "G", [pow(j, x % 4 + x // 4 % 4, q) * (-1) ** (x // 16) % q
+                                  for x in range(g.n)], q)
+    monkeypatch.setattr(cohomology, "SMALL_SYSTEM", 0)  # probe this small system too
+    data = h1(chi)
+    _, sys = expand_oracle(chi, data.gens)
+    assert len(data.gens) * chi.dim == 3
+    # Z^1 = B^1, phi(s) = (chi(s) - 1) x: one basis row, (c, c, 1) with
+    # c = (j - 1) / -2, and at four elements expand @ z1.T leaves int64
+    assert np.array_equal(data.z1, kernel_mod(sys, q)) and len(data.z1) == 1
+    assert data.z1[0, 0] > 2**30
+    assert len(kernel_shapes) == 1  # one probe round: no true cocycle failed the check
+    assert data.is_coboundary(data.cocycle_from_gen_vector(data.z1[0]))
+
+
+def test_h1_probe_miss_takes_another_round(kernel_shapes):
+    # C_80 acting trivially on F_7^8: the walk gives phi(s^j) = j phi(s), j < 80,
+    # so the one nonzero consistency row block, -80 phi(s), is at s^79, the
+    # last element, which the first probe skips
+    g = semidirect_group(80, 1, (2,), (1,))
+    m = Rep(g, "H", np.broadcast_to(np.eye(8, dtype=np.int64), (80, 8, 8)), 7)
+    assert 80 * 8**2 > cohomology.SMALL_SYSTEM
+    data = h1(m)
+    assert len(kernel_shapes) == 2 and kernel_shapes[0][0] < kernel_shapes[1][0]
+    _, sys = expand_oracle(m, data.gens)
+    assert data.z1.shape == (0, 8) and np.array_equal(data.z1, kernel_mod(sys, 7))
+
+
+def test_h1_does_not_build_the_full_consistency_system(shipped, kernel_shapes):
+    m = induce(conjugate_hom_module(shipped["coh294_q7"].rep("rho")))
+    data = h1(m)
+    N, kd = len(m.elements), len(data.gens) * m.dim
+    assert (N, kd) == (294, 32)
+    # the full system has N k d = 9408 rows
+    assert kernel_shapes and max(rows for rows, _ in kernel_shapes) <= 8 * kd
 
 
 def test_conj_action_matches_the_loop(shipped):
