@@ -22,7 +22,7 @@ from .cohomology import (
     restriction_matrix,
     shapiro,
 )
-from .exactalg import Mat, exterior_square, row_space_mod, rref_mod
+from .exactalg import Mat, exterior_square, row_space_mod
 from .fixtures import (
     coh294_fixture,
     f20_fixture,
@@ -235,25 +235,17 @@ def selmerres_battery():
         data_H = h1(res_h)
         data_G = h1(ambient)
         data_Gt = h1(ambient.twist(coset_sign_character(ambient.group, q)))
-        ok_dims = data_H.dim == data_G.dim + data_Gt.dim
+        ok = data_H.dim == data_G.dim + data_Gt.dim
         cmat = conj_action_matrix(data_H, ambient)
         plus, minus = eigenspace_split(data_H, cmat)
-        res = restriction_matrix(data_G, data_H)
-        res_t = restriction_matrix(data_Gt, data_H)
-
-        def image_equals(mat_, dim_src, space):
-            im = row_space_mod(mat_.T, q) if dim_src else np.zeros((0, data_H.dim), dtype=np.int64)
-            sp = row_space_mod(space, q) if len(space) else np.zeros((0, data_H.dim), dtype=np.int64)
-            return im.shape == sp.shape and np.array_equal(im, sp)
-
-        ok_plus = image_equals(res, data_G.dim, plus)
-        ok_minus = image_equals(res_t, data_Gt.dim, minus)
-        inj = (not data_G.dim or len(rref_mod(res.T, q)[1]) == data_G.dim) and (
-            not data_Gt.dim or len(rref_mod(res_t.T, q)[1]) == data_Gt.dim
-        )
+        # restriction maps each H^1(G, .) injectively onto its eigenspace:
+        # the image, a row space, has the source's dimension and is that space
+        for src, space in ((data_G, plus), (data_Gt, minus)):
+            im = row_space_mod(restriction_matrix(src, data_H).T, q)
+            ok &= len(im) == src.dim and np.array_equal(im, row_space_mod(space, q))
         out.append(
             _record(
-                "selmerres", label, ok_dims and ok_plus and ok_minus and inj,
+                "selmerres", label, ok,
                 dims=[int(data_H.dim), int(data_G.dim), int(data_Gt.dim)],
             )
         )

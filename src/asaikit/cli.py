@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -166,7 +167,7 @@ def cmd_lfunc(args) -> int:
         return 0
     lo, hi = args.primes
     primes = [p for p in range(max(lo, 2), hi + 1)
-              if all(p % d for d in range(2, int(p**0.5) + 1))]
+              if all(p % d for d in range(2, math.isqrt(p) + 1))]
     if not primes:
         return refuse(f"no prime in the range {lo}..{hi}")
     entries = []

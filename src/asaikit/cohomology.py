@@ -8,7 +8,8 @@ are stored on every element of their domain, and the defining identity
 phi(gh) = phi(g) + g.phi(h) is checked on construction, on generators
 (Light's test), exactly: the h for which it holds for every g are closed
 under products, and every element, 1 included, is a non-empty word in
-the generators, so phi(1) = 0 follows.
+the generators, so phi(1) = 0 follows.  `_defect` is the one place that
+identity is written; the cocycle check and H^1's rows and probe call it.
 H^1 is computed by parametrizing cocycles by their values on a generating
 set: the cocycle identity across all (element, generator) pairs is a finite
 exact linear system whose kernel is Z^1.  The values on every element are
@@ -36,8 +37,9 @@ from .exactalg import (
     row_space_mod,
     rref_mod,
     solve_mod,
+    validate_modulus,
 )
-from .grouprep import Rep, conjugate_rep, induce, kron_stack, tensor_induce
+from .grouprep import Rep, conjugate_rep, dual_twist, induce, tensor_induce
 
 
 class Cocycle:
@@ -54,31 +56,21 @@ class Cocycle:
 
     def validate(self):
         m = self.module
-        gens = np.array(m.gens)
-        # phi(x s) = phi(x) + x.phi(s) for every x and generator s
-        rhs = self.values[:, None, :] + np.einsum(
-            "aij,bj->abi", m.images, self.values[m.pos[gens]]
-        )
-        if not np.array_equal(self.values[m.dom.gen_pos], rhs % m.mod):
+        vals = self.values[:, :, None]
+        if _defect(m, vals, vals[m.pos[np.array(m.gens)]]).any():
             raise ValueError("cocycle identity fails")
 
     def value(self, g):
         """phi(g), or the stack of values on an index array g."""
         return self.values[self.module.index(g)]
 
-    def _same_module(self, other):
-        """ValueError unless `other` is on this cocycle's module: the same
-        group, domain, modulus and images."""
-        if other.module is not self.module and other.module != self.module:
-            raise ValueError("cocycles on different modules")
-
     def __add__(self, other):
-        self._same_module(other)
+        _same_module(self.module, other)
         return Cocycle(self.module, (self.values + other.values) % self.module.mod,
                        validate=False)
 
     def __sub__(self, other):
-        self._same_module(other)
+        _same_module(self.module, other)
         return Cocycle(self.module, (self.values - other.values) % self.module.mod,
                        validate=False)
 
@@ -99,6 +91,25 @@ class Cocycle:
         if not np.array_equal(submodule.images, m.images[idx]):
             raise ValueError("submodule is not the restriction of the cocycle's module")
         return Cocycle(submodule, self.values[idx], validate=False)
+
+
+def _same_module(module: Rep, cocycle: Cocycle):
+    """ValueError unless `cocycle` is on `module`: the same group, domain,
+    modulus and images."""
+    if cocycle.module is not module and cocycle.module != module:
+        raise ValueError("cocycles on different modules")
+
+
+def _defect(module: Rep, vals, at_gens, at=slice(None)):
+    """phi(x s) - phi(x) - x.phi(s) mod m at the element positions `at` (all
+    by default) and every generator s, for r value columns at once: `vals`
+    (N, d, r) holds phi on every element and `at_gens` (k, d, r) on the
+    generators.  Returns (P, k, d, r) for P positions.  This is the one place
+    the cocycle identity is written; each x.phi(s) is a sum of d residue
+    products, reduced before the sums, so int64 holds it exactly."""
+    m = module.mod
+    xs = module.images[at][:, None] @ at_gens % m
+    return (vals[module.dom.gen_pos[at]] - vals[at][:, None] - xs) % m
 
 
 def coboundary(module: Rep, x) -> Cocycle:
@@ -131,18 +142,18 @@ class H1Data:
     layers, about the sum of log2(ord s) rather than the diameter of the
     Cayley graph.  Off Z^1, `expand` depends on that spanning tree; on Z^1
     it is the cocycle itself.  Z^1 is the kernel of the consistency system
-    over all (element, generator) pairs, which does not depend on the tree,
-    B^1 the image of the coboundary map, and the H^1 representatives extend
-    B^1 to Z^1.
+    over all (element, generator) pairs, the `_defect` of `expand`, which
+    does not depend on the tree, B^1 the image of the coboundary map, and
+    the H^1 representatives extend B^1 to Z^1.
 
     A system of at most `SMALL_SYSTEM` entries, N (k d)^2, is solved whole.
     A larger one is solved at `PROBES` elements spread over the domain, so
     on PROBES k d rows; the kernel's rows are expanded to every element,
     per generator block (k d residue products would overflow int64 where d
-    do not), and Light's test runs on every (element, generator) pair.  A
-    few elements where some candidate fails join the probe, which cuts the
-    kernel, so at most k d + 1 rounds run.  A kernel that passes is the
-    full system's: `z1` is the same canonical basis either way.
+    do not), and Light's test, `_defect` again, runs on every (element,
+    generator) pair.  A few elements where some candidate fails join the
+    probe, which cuts the kernel, so at most k d + 1 rounds run.  A kernel
+    that passes is the full system's: `z1` is the same basis either way.
     """
 
     def __init__(self, module: Rep):
@@ -183,17 +194,16 @@ class H1Data:
         self._coord_stack = np.vstack([self.b1, self.h1_reps])
 
     def _rows(self, at=slice(None)):
-        """The consistency rows phi(x s) - phi(x) - x.phi(s) at the element
-        positions `at` (all by default), for every generator s:
+        """The consistency rows at the element positions `at` (all by
+        default), for every generator: the `_defect` of `expand`, whose
+        generator blocks are the unit vectors (given here, since on the
+        trivial subgroup `expand` is 0 at its generator 1).
         (P * k * d, k * d) for P positions."""
-        m, q = self.module, self.q
-        k, d = len(self.gens), m.dim
-        sys = self.expand[m.dom.gen_pos[at]] - self.expand[at][:, None]
-        P = len(sys)
-        idx = np.arange(k)
-        sys.reshape(P, k, d, k, d)[:, idx, :, idx, :] -= m.images[at][None]
-        sys %= q
-        return sys.reshape(P * k * d, k * d)
+        m, k = self.module, len(self.gens)
+        D = k * m.dim
+        units = np.eye(D, dtype=np.int64).reshape(k, m.dim, D)
+        rows = _defect(m, self.expand, units, at)
+        return rows.reshape(len(rows) * D, D)
 
     def _solve_z1(self):
         """Z^1 in generator coordinates: `kernel_mod` of the consistency
@@ -210,12 +220,10 @@ class H1Data:
             if len(z1) >= r:
                 raise AssertionError("the probe's new rows did not cut Z^1 candidates")
             r = len(z1)
-            # Light's test of every candidate: phi(x s) - phi(x) - x.phi(s)
-            # at every x and generator s
-            vals = self._values(z1)
+            # Light's test of every candidate at every x and generator s
             at_gens = z1.reshape(r, k, d).transpose(1, 2, 0)
-            rows = vals[m.dom.gen_pos] - vals[:, None] - m.images[:, None] @ at_gens % q
-            bad = np.flatnonzero((rows % q).reshape(N, k * d * r).any(axis=1))
+            defect = _defect(m, self._values(z1), at_gens)
+            bad = np.flatnonzero(defect.any(axis=(1, 2, 3)))
             if not bad.size:
                 return z1
             # none of them is in the probe, whose rows z1 solves: add a few,
@@ -246,7 +254,9 @@ class H1Data:
         return [self.representative(i) for i in range(self.dim)]
 
     def class_coords(self, cocycle: Cocycle) -> np.ndarray:
-        """Coordinates of [cocycle] in the H^1 representative basis."""
+        """Coordinates of [cocycle] in the H^1 representative basis;
+        ValueError for a cocycle on another module."""
+        _same_module(self.module, cocycle)
         x = self.gen_vector(cocycle)
         sol = solve_mod(self._coord_stack.T, x, self.q)
         if sol is None:
@@ -301,21 +311,22 @@ def conj_action(cocycle: Cocycle, ambient: Rep) -> Cocycle:
     return Cocycle(m, vals)
 
 
-def conj_action_matrix(h1d: H1Data, ambient: Rep) -> np.ndarray:
-    mat = h1d.map_matrix(lambda z: conj_action(z, ambient), h1d)
-    sq = mat @ mat % h1d.q
-    if not np.array_equal(sq, np.eye(h1d.dim, dtype=np.int64) % h1d.q):
-        raise AssertionError("conjugation action does not square to one on H^1")
+def _involution_matrix(h1d: H1Data, func, name) -> np.ndarray:
+    """The matrix of `func` on H^1, which must square to one there."""
+    mat = h1d.map_matrix(func, h1d)
+    if not np.array_equal(mat @ mat % h1d.q, np.eye(h1d.dim, dtype=np.int64)):
+        raise AssertionError(f"{name} does not square to one on H^1")
     return mat
+
+
+def conj_action_matrix(h1d: H1Data, ambient: Rep) -> np.ndarray:
+    return _involution_matrix(h1d, lambda z: conj_action(z, ambient),
+                              "conjugation action")
 
 
 def hom_module(rho: Rep, sigma: Rep) -> Rep:
     """Hom(sigma, rho) with action g.X = rho(g) X sigma(g)^{-1} (vec row-major)."""
-    if rho.group is not sigma.group or rho.domain != sigma.domain or rho.mod != sigma.mod:
-        raise ValueError("mismatched representations")
-    s_inv_t = sigma.arr(rho.group.inv[rho.dom.array]).transpose(0, 2, 1)
-    imgs = kron_stack(rho.images, s_inv_t, rho.mod)
-    return Rep(rho.group, rho.domain, imgs, rho.mod, validate=False)
+    return rho.tensor(sigma.dual())
 
 
 def conjugate_hom_module(rho: Rep) -> Rep:
@@ -369,9 +380,7 @@ def polarization_involution(cocycle: Cocycle, rho: Rep) -> Cocycle:
     rc = conjugate_rep(rho)
     eps = rho.det_character()  # pinned by the compatibility condition on H
     # fixture validity: P rho_perp P^{-1} = rho^c exactly
-    els = rho.dom.array
-    perp = (rho.arr(g.inv[g.conj_ctilde(els)]).transpose(0, 2, 1)
-            * eps.value(els)[:, None, None] % mod)
+    perp = dual_twist(rc, eps).images
     if not np.array_equal(P @ perp % mod @ P_inv % mod, rc.images):
         raise ValueError("P rho_perp P^{-1} = rho^c fails: invalid fixture")
     xs = m.dom.array
@@ -388,11 +397,8 @@ def polarization_involution(cocycle: Cocycle, rho: Rep) -> Cocycle:
 
 
 def polarization_involution_matrix(h1d: H1Data, rho: Rep) -> np.ndarray:
-    mat = h1d.map_matrix(lambda z: polarization_involution(z, rho), h1d)
-    sq = mat @ mat % h1d.q
-    if not np.array_equal(sq, np.eye(h1d.dim, dtype=np.int64) % h1d.q):
-        raise AssertionError("polarization involution does not square to one on H^1")
-    return mat
+    return _involution_matrix(h1d, lambda z: polarization_involution(z, rho),
+                              "polarization involution")
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +408,7 @@ def polarization_involution_matrix(h1d: H1Data, rho: Rep) -> np.ndarray:
 
 def eigenspace_split(h1d: H1Data, involution: np.ndarray):
     """H^1 = H^+ + H^- via the projectors (1 +- i)/2; rejects q = 2."""
-    q = h1d.q
-    if q == 2:
-        raise ValueError("eigenspace splitting needs an odd prime modulus")
+    q, _ = validate_modulus(h1d.q)
     eye = np.eye(h1d.dim, dtype=np.int64)
     plus = kernel_mod((involution - eye) % q, q)
     minus = kernel_mod((involution + eye) % q, q)

@@ -606,9 +606,6 @@ def tensor_induce(rho: Rep, sign: int) -> Rep:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     g = rho.group
-    q, _ = factor_prime_power(rho.mod)
-    if q == 2:
-        raise ValueError("odd modulus required")
     d = rho.dim
     on_h = g.h_mask
     right_inv, left, conj = g.ctilde_maps

@@ -463,7 +463,7 @@ def _is_int(s):
     s = s.strip()
     if s.startswith(("-", "+")):
         s = s[1:]
-    return s.isdigit()
+    return s.isdecimal()  # exactly the digits int() parses ("²" is a digit)
 
 
 def asai_dirichlet(tbl: CoeffTable, N: int) -> list[int]:

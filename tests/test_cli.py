@@ -250,6 +250,17 @@ def test_lfunc_missing_coefficient(tmp_path):
                    "error": "missing diagonal coefficient c(3 O_K) below N=10"}
 
 
+def test_lfunc_refuses_a_superscript_digit_by_its_row(tmp_path, capsys):
+    csv = tmp_path / "c.csv"
+    csv.write_text("norm,label,coefficient\n4,(2),\u00b2\n")
+    report = tmp_path / "l.json"
+    assert run(["lfunc", "--coeffs", str(csv), "--report", str(report)]) == 1
+    assert json.loads(report.read_text()) == {
+        "command": "lfunc", "ok": False,
+        "error": "non-integer entry in row ['4', '(2)', '\u00b2']"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_lfunc_needs_input():
     with pytest.raises(SystemExit) as exc:
         run(["lfunc"])

@@ -24,6 +24,7 @@ from asaikit.cohomology import (
 )
 from asaikit.exactalg import Mat, row_space_mod, rref_mod
 from asaikit.fixtures import (
+    c15_fixture,
     coh294_fixture,
     f20_fixture,
     m40_fixture,
@@ -204,6 +205,21 @@ def test_cocycle_arithmetic_refuses_a_cocycle_on_another_module(rib):
     assert (z - w).module is on_h and np.array_equal((z + w - w).values, z.values)
 
 
+def test_h1_class_coords_refuse_a_cocycle_on_another_module(rib):
+    chi = rib.rep("chi")
+    m = hom_module(chi, rib.rep("chi_inv"))
+    data = h1(m)
+    # the same group, domain and modulus with other images
+    other = coboundary(m.twist(power_character(chi, 2)), [1])
+    for ask in (data.class_coords, data.is_coboundary):
+        with pytest.raises(ValueError, match="cocycles on different modules"):
+            ask(other)
+    with pytest.raises(ValueError, match="cocycles on different modules"):
+        data.classes_equal(coboundary(m, [1]), other)
+    same = Rep(m.group, m.domain, m.images.copy(), m.mod)
+    assert data.is_coboundary(coboundary(m, [1])) and data.is_coboundary(coboundary(same, [1]))
+
+
 def test_cocycle_identity_enforced(rib):
     chi = rib.rep("chi")
     m = hom_module(chi, rib.rep("chi_inv"))
@@ -353,6 +369,20 @@ def test_polarization_involution_rejects_order4_coset(monkeypatch=None):
     cb = coboundary(m, np.array([1, 2, 3, 4]))
     with pytest.raises(ValueError, match="scalar"):
         polarization_involution(cb, rho)
+
+
+def test_polarization_involution_rejects_a_rho_without_a_polarization():
+    # rho = diag(chi, 1) on H has det rho = chi != chi^c, so no
+    # P rho_perp P^{-1} equals rho^c
+    fx = c15_fixture()
+    chi = fx.rep("chi")
+    imgs = np.zeros((len(chi.elements), 2, 2), dtype=np.int64)
+    imgs[:, 0, 0], imgs[:, 1, 1] = chi.images[:, 0, 0], 1
+    rho = Rep(fx.group, "H", imgs, chi.mod)
+    m = conjugate_hom_module(rho)
+    zero = Cocycle(m, np.zeros((len(m.elements), 4), dtype=np.int64))
+    with pytest.raises(ValueError, match="invalid fixture"):
+        polarization_involution(zero, rho)
 
 
 def conj_matrix_on_hom(data, rho, ambient):

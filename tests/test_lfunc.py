@@ -625,6 +625,16 @@ def test_ingest_rejects_non_integer():
         ingest_coeffs(io.StringIO(text))
 
 
+@pytest.mark.parametrize("row", ["4,(2),²", "²,(2),1"],
+                         ids=["superscript-coefficient", "superscript-norm"])
+def test_ingest_names_the_row_of_a_digit_int_does_not_parse(row):
+    # "²" is a digit to str.isdigit, and int() refuses it
+    text = "norm,label,coefficient\n" + row + "\n"
+    with pytest.raises(ValueError) as exc:
+        ingest_coeffs(io.StringIO(text))
+    assert str(exc.value) == f"non-integer entry in row {row.split(',')!r}"
+
+
 def test_ingest_rejects_multiplicativity_violation():
     text = "norm,label,coefficient\n4,(2),1\n9,(3),1\n36,(6),5\n"
     with pytest.raises(ValueError, match="multiplicativity"):
