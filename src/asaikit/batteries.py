@@ -68,18 +68,18 @@ def _pair_perm(d1, d2) -> np.ndarray:
 
 def prasad_identities(r1: Rep, r2: Rep, sgn: Rep):
     """(name, lhs, rhs) per identity, rhs carried onto lhs's coordinates by
-    the canonical map, so lhs == rhs iff that map is an isomorphism."""
-    asp1 = tensor_induce(r1, +1)
-    prod = asp1.tensor(tensor_induce(r2, +1))
+    the canonical map, so lhs == rhs iff that map is an isomorphism.  The
+    two tensor inductions of r1 are built once and shared."""
+    as1 = {s: tensor_induce(r1, s) for s in (+1, -1)}
+    prod = as1[+1].tensor(tensor_induce(r2, +1))
     p = _pair_perm(r1.dim, r2.dim)
     yield ("multiplicative", tensor_induce(r1.tensor(r2), +1),
            Rep(prod.group, "G", prod.images[:, p][:, :, p], prod.mod, validate=False))
     for s in (+1, -1):
-        yield ("duality", tensor_induce(dual_twist(r1, None), s),
-               dual_twist(tensor_induce(r1, s), None))
+        yield "duality", tensor_induce(dual_twist(r1, None), s), dual_twist(as1[s], None)
     if r1.dim == 1:
-        yield "transfer", asp1, transfer_character(r1)
-    yield "minus = plus x sign", tensor_induce(r1, -1), asp1.twist(sgn)
+        yield "transfer", as1[+1], transfer_character(r1)
+    yield "minus = plus x sign", as1[-1], as1[+1].twist(sgn)
 
 
 def prasad_battery(seed=0, count=20):

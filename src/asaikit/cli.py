@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -144,6 +143,7 @@ def cmd_lfunc(args) -> int:
         euler_factor,
         frobenius_matrix,
         ingest_coeffs,
+        is_prime,
         lambda2_identity,
         random_satake,
     )
@@ -166,8 +166,7 @@ def cmd_lfunc(args) -> int:
         write_report(args.report, report)
         return 0
     lo, hi = args.primes
-    primes = [p for p in range(max(lo, 2), hi + 1)
-              if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    primes = [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
     if not primes:
         return refuse(f"no prime in the range {lo}..{hi}")
     entries = []

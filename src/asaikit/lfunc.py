@@ -103,6 +103,11 @@ def _trace_det(m):
     return w + z, w * z - x * y
 
 
+def is_prime(n):
+    """Exact trial division up to isqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def _int_2x2(m, name):
     try:
         rows = tuple(tuple(index(x) for x in r) for r in m)
@@ -117,9 +122,10 @@ def _int_2x2(m, name):
 class SatakeParam:
     """A Frobenius conjugacy-class datum at a rational prime p.
 
-    split: a and b are the two 2x2 components; inert: only a is used.
-    Matrices must be invertible 2x2 with integer entries (anything
-    `operator.index` accepts, stored as int)."""
+    p must be a prime (checked by trial division).  split: a and b are the
+    two 2x2 components; inert: only a is used.  Matrices must be invertible
+    2x2 with integer entries (anything `operator.index` accepts, stored as
+    int)."""
 
     p: int
     split: bool
@@ -127,6 +133,13 @@ class SatakeParam:
     b: tuple | None = None
 
     def __post_init__(self):
+        try:
+            p = index(self.p)
+        except TypeError:
+            p = 0
+        if not is_prime(p):
+            raise ValueError(f"p must be a prime, got {self.p!r}")
+        object.__setattr__(self, "p", p)
         a = _int_2x2(self.a, "a")
         object.__setattr__(self, "a", a)
         if _trace_det(a)[1] == 0:
@@ -498,6 +511,7 @@ def hecke_power_coefficients(m2, kmax):
 def synthetic_table(params: dict[int, SatakeParam], N: int) -> CoeffTable:
     """Multiplicative diagonal table c(m O_K), m <= N, built by the Hecke
     recursion at each prime of `params` (all primes <= N must appear)."""
+    _check_keys(params)
     coeffs = {1: 1}
     for n in range(2, N + 1):
         p, k, m = _split_prime_power(n)
@@ -510,6 +524,13 @@ def synthetic_table(params: dict[int, SatakeParam], N: int) -> CoeffTable:
         coeffs[n] = cpk * coeffs[m]
     rows = [(m * m, f"({m})", coeffs[m]) for m in range(2, N + 1)]
     return CoeffTable(rows)
+
+
+def _check_keys(params):
+    """Refuse a parameter filed under a key other than its own prime."""
+    for key, sp in params.items():
+        if key != sp.p:
+            raise ValueError(f"parameter for p={sp.p} filed under key {key!r}")
 
 
 def _split_prime_power(n):
@@ -526,6 +547,7 @@ def _split_prime_power(n):
 def euler_product_coefficients(params: dict[int, SatakeParam], N: int) -> list[int]:
     """Dirichlet coefficients of prod_p det(I - asai^+(Frob_p) p^{-s})^{-1}
     up to N: the local-factor power series assembled multiplicatively."""
+    _check_keys(params)
     out = [0] * (N + 1)
     out[1] = 1
     local = {}
@@ -565,20 +587,31 @@ def _series_inverse(coeffs, kmax):
 
 
 def random_sl2(rng):
-    m = eye(2)
+    """A random element of SL2(Z): the product, left to right, of six
+    elementary factors [[1, r], [0, 1]] (upper) or [[1, 0], [r, 1]] (lower).
+
+    The draw contract: per factor, first r = rng.integers(-3, 4) (uniform on
+    [-3, 3]), then the coin rng.integers(2), 1 for upper and 0 for lower;
+    12 scalar calls in this fixed order.  Every seeded battery and
+    `lfunc --primes` depends on that order.  The product is kept as four
+    ints: an upper factor is a column operation on the second column, a
+    lower one on the first."""
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(6):
         r = int(rng.integers(-3, 4))
         if int(rng.integers(2)):
-            e = mat([[1, r], [0, 1]])
+            b, d = b + a * r, d + c * r
         else:
-            e = mat([[1, 0], [r, 1]])
-        m = mmul(m, e)
-    return m
+            a, c = a + b * r, c + d * r
+    return (a, b), (c, d)
 
 
 def random_satake(rng, p=None, split=None, twist=1):
     """A random parameter with the central-character normalization: split
-    parameters have det a = det b = twist (+-1); inert ones det a = 1."""
+    parameters have det a = det b = twist (+-1, anything else is refused);
+    inert ones det a = 1, and a twist of -1 leaves them as they are."""
+    if twist not in (1, -1):
+        raise ValueError(f"twist must be +1 or -1, got {twist!r}")
     if p is None:
         p = int(rng.choice([3, 5, 7, 11, 13, 17, 19, 23]))
     if split is None:
@@ -588,7 +621,6 @@ def random_satake(rng, p=None, split=None, twist=1):
     a = random_sl2(rng)
     b = random_sl2(rng)
     if twist == -1:
-        flip = mat([[1, 0], [0, -1]])
-        a = mmul(a, flip)
-        b = mmul(b, flip)
+        # times diag(1, -1): the second column negated
+        a, b = (((w, -x), (y, -z)) for (w, x), (y, z) in (a, b))
     return SatakeParam(p, True, a, b)

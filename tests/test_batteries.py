@@ -69,6 +69,14 @@ def test_verify_identities_searches_no_hom_space(monkeypatch, tmp_path):
     assert (len(spaces), len(tries)) == (1, 1)
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_prasad_battery_builds_six_tensor_inductions_per_case(monkeypatch, seed):
+    # r1 (+ and -), r2 (+), r1 (x) r2 (+) and dual(r1) (+ and -): each once
+    calls = count_calls(monkeypatch, "tensor_induce")
+    prasad_battery(seed)
+    assert len(calls) == 6 * 20
+
+
 def failing(records):
     return [r["case"] for r in records if not r["passed"]]
 

@@ -1,13 +1,15 @@
 import io
 import json
+import signal
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import asaikit.lfunc as lfunc
-from asaikit import cli
+from asaikit import batteries, cli
 from asaikit.exactalg import PolyX, charpoly, det, wedge_pairs, wedge_square
 from asaikit.lfunc import (
     J4,
@@ -81,6 +83,19 @@ def test_satake_normalizes_integer_entries():
     sp = SatakeParam(5, True, np.array([[2, 1], [1, 1]]), [[True, 0], [0, 1]])
     assert sp.a == ((2, 1), (1, 1)) and sp.b == ((1, 0), (0, 1))
     assert all(type(x) is int for m in (sp.a, sp.b) for r in m for x in r)
+
+
+@pytest.mark.parametrize("p", [1, 0, -7, 4, 9, 25, 91, 7.0, True, "7"])
+def test_satake_refuses_a_p_that_is_not_a_prime(p):
+    with pytest.raises(ValueError, match="p must be a prime"):
+        SatakeParam(p, False, eye(2))
+    with pytest.raises(ValueError, match="p must be a prime"):
+        SatakeParam(p, True, eye(2), eye(2))
+
+
+def test_satake_stores_p_as_int():
+    sp = SatakeParam(np.int64(97), False, eye(2))
+    assert sp.p == 97 and type(sp.p) is int
 
 
 def test_unknown_tag_rejected():
@@ -436,6 +451,86 @@ def test_asai_minus_is_plus_at_split_twisted_at_inert():
 
 
 # ---------------------------------------------------------------------------
+# the draw contract of random_sl2 / random_satake
+# ---------------------------------------------------------------------------
+
+
+def oracle_sl2(rng):
+    """random_sl2 as a product of six elementary tuple matrices."""
+    m = eye(2)
+    for _ in range(6):
+        r = int(rng.integers(-3, 4))
+        if int(rng.integers(2)):
+            e = mat([[1, r], [0, 1]])
+        else:
+            e = mat([[1, 0], [r, 1]])
+        m = mmul(m, e)
+    return m
+
+
+def oracle_satake(rng, p=None, split=None, twist=1):
+    """random_satake with the twist applied as a product by diag(1, -1)."""
+    if p is None:
+        p = int(rng.choice([3, 5, 7, 11, 13, 17, 19, 23]))
+    if split is None:
+        split = bool(rng.integers(2))
+    if not split:
+        return SatakeParam(p, False, oracle_sl2(rng))
+    a = oracle_sl2(rng)
+    b = oracle_sl2(rng)
+    if twist == -1:
+        flip = mat([[1, 0], [0, -1]])
+        a = mmul(a, flip)
+        b = mmul(b, flip)
+    return SatakeParam(p, True, a, b)
+
+
+def test_random_sl2_is_the_product_of_its_factors():
+    for seed in range(50):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(4):
+            m = random_sl2(new)
+            assert m == oracle_sl2(old) and det(m) == 1
+            assert all(type(x) is int for r in m for x in r)
+        assert new.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("split", [True, False, None])
+@pytest.mark.parametrize("twist", [1, -1])
+@pytest.mark.parametrize("p", [7, None])
+def test_random_satake_keeps_the_draw_stream(split, twist, p):
+    for seed in range(50):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert random_satake(new, p=p, split=split, twist=twist) == oracle_satake(
+                old, p=p, split=split, twist=twist)
+        assert new.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_euler_battery_draws_the_oracle_sequence(monkeypatch, seed):
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(random_satake(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(batteries, "random_satake", recording)
+    assert all(r["passed"] for r in batteries.euler_battery(seed))
+    rng = np.random.default_rng(seed)
+    want = [oracle_satake(rng, split=i % 2 == 0) for i in range(200)]
+    want += [oracle_satake(rng, split=i % 2 == 0) for i in range(100)]
+    assert drawn == want
+
+
+@pytest.mark.parametrize("twist", [0, 2, -2, None])
+def test_random_satake_refuses_a_twist_other_than_plus_minus_one(twist):
+    for split in (True, False, None):
+        with pytest.raises(ValueError, match="twist must be"):
+            random_satake(np.random.default_rng(0), split=split, twist=twist)
+
+
+# ---------------------------------------------------------------------------
 # closed-form Euler factors against the Frobenius matrices
 # ---------------------------------------------------------------------------
 
@@ -592,6 +687,31 @@ def test_synthetic_table_matches_euler_product():
     lhs = asai_dirichlet(tbl, 100)
     rhs = euler_product_coefficients(params, 100)
     assert lhs == rhs
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("key, p", [(1, 3), (5, 7)])
+def test_a_parameter_under_another_key_is_refused(key, p):
+    rng = np.random.default_rng(5)
+    params = {q: random_satake(rng, p=q) for q in primes_upto(20)}
+    params[key] = random_satake(rng, p=p)
+    with time_limit(5):  # a prime-power loop over key 1 would never end
+        for build in (euler_product_coefficients, synthetic_table):
+            with pytest.raises(ValueError, match=f"p={p} filed under key {key}"):
+                build(params, 20)
 
 
 def test_ingest_roundtrip_and_partial_sums():
