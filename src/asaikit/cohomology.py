@@ -32,7 +32,6 @@ import numpy as np
 from .exactalg import (
     Mat,
     extend_basis,
-    factor_prime_power,
     kernel_mod,
     row_space_mod,
     rref_mod,
@@ -158,11 +157,10 @@ class H1Data:
 
     def __init__(self, module: Rep):
         m = module
-        q, n = factor_prime_power(m.mod)
-        if n != 1:
+        if m.precision != 1:
             raise ValueError("H^1 is computed over a prime field F_q")
         self.module = m
-        self.q = q
+        self.q = q = m.q
         self.gens = m.gens
         gens = np.array(m.gens)
         N, k, d = len(m.elements), len(gens), m.dim

@@ -76,13 +76,13 @@ def inverse_mod(a, m):
 
 
 class Mat:
-    """Immutable matrix over Z/m backed by a reduced, read-only int64 array.
-    Arithmetic is done on the arrays."""
+    """Immutable matrix over Z/m, m = q^n, backed by a reduced, read-only
+    int64 array.  Arithmetic is done on the arrays."""
 
-    __slots__ = ("a", "mod")
+    __slots__ = ("a", "mod", "q")
 
     def __init__(self, entries, mod):
-        validate_modulus(mod)
+        self.q, _ = validate_modulus(mod)
         a = np.asarray(entries, dtype=np.int64)
         if a.ndim != 2:
             raise ValueError("matrix entries must be 2-dimensional")
@@ -104,8 +104,7 @@ class Mat:
         return det(self.a.tolist()) % self.mod
 
     def is_invertible(self):
-        q, _ = factor_prime_power(self.mod)
-        return det(self.a.tolist()) % q != 0
+        return det(self.a.tolist()) % self.q != 0
 
     def inverse(self):
         eye = np.eye(self.a.shape[0], dtype=np.int64)

@@ -18,8 +18,12 @@ generators (Light's test), exactly: the elements c with (x y) c = x (y c)
 for all x, y -- or with rho(x c) = rho(x) rho(c) for all x -- are closed
 under products, so checking them on a generating set checks them on the
 whole group.  A closed-form law comes with a proof of associativity
-instead, and its identity and inverses.  The two canonical extensions of
-rho (x) rho^c from the index-2 subgroup H to G are
+instead, and its identity and inverses.  A rep is checked where it enters
+(a builder, a JSON load, `make_character`, a caller's `Rep(...)`); a rep
+derived from checked ones is a representation by construction and is not
+checked again, and a restriction only checks that its target is a
+subgroup.  A `Rep` stores its ring Z/q^n as `q` and `precision`.  The two
+canonical extensions of rho (x) rho^c from the index-2 subgroup H to G are
 ``tensor_induce(rho, +1)`` and ``tensor_induce(rho, -1)``; they differ by
 the sign of the action on the nontrivial coset.
 
@@ -41,7 +45,6 @@ from .exactalg import (
     Mat,
     charpoly_stack,
     check_int64_products,
-    factor_prime_power,
     kernel_gens,
     kernel_mod,
     row_space_mod,
@@ -322,6 +325,15 @@ class Domain:
         """Greedy generators; ValueError if the subset is not a subgroup."""
         return self.group._greedy_generators(self.pos >= 0)
 
+    def subgroup_gens(self) -> np.ndarray:
+        """The generators; ValueError unless the subset is a subgroup."""
+        if self.pos[self.group.one] < 0:
+            raise ValueError("domain does not contain the identity")
+        try:
+            return np.array(self.gens)
+        except ValueError:
+            raise ValueError("domain is not closed under multiplication") from None
+
     @functools.cached_property
     def gen_pos(self) -> np.ndarray:
         """(N, k): the position of x s in the subgroup, for each element x
@@ -380,11 +392,11 @@ class Rep:
     `domain` is "G" or "H" for those two subgroups and the sorted element
     tuple otherwise; images are given and stored as one stack, a matrix per
     element of `elements` in that order, and are checked on construction,
-    on generators (Light's test), exactly.
+    on generators (Light's test), exactly.  The modulus is q^precision.
     """
 
     def __init__(self, group: FiniteGroup, domain, images, mod, validate=True):
-        validate_modulus(mod)
+        self.q, self.precision = validate_modulus(mod)
         self.group = group
         self.mod = int(mod)
         self.domain = group.domain_key(domain)
@@ -403,15 +415,11 @@ class Rep:
             self.validate()
 
     def validate(self):
-        g = self.group
-        if self.pos[g.one] < 0:
-            raise ValueError("domain does not contain the identity")
-        if not np.array_equal(self.arr(g.one), np.eye(self.dim, dtype=np.int64)):
+        one = self.group.one
+        if self.pos[one] >= 0 and not np.array_equal(
+                self.arr(one), np.eye(self.dim, dtype=np.int64)):
             raise ValueError("identity does not map to the identity matrix")
-        try:
-            gens = np.array(self.gens)
-        except ValueError:
-            raise ValueError("domain is not closed under multiplication") from None
+        gens = self.dom.subgroup_gens()
         # rho(x s) = rho(x) rho(s) for every x and generator s (Light's test)
         lhs = self.images[:, None] @ self.images[self.pos[gens]][None] % self.mod
         if not np.array_equal(lhs, self.images[self.dom.gen_pos]):
@@ -457,17 +465,20 @@ class Rep:
     # -- derived reps -----------------------------------------------------------
 
     def restrict(self, elements) -> "Rep":
-        """The validated restriction to a subgroup of the domain: "H" or a
-        list of elements, normalized once to its memoized `Domain`."""
+        """The restriction to a subgroup of the domain: "H" or a list of
+        elements, normalized once to its memoized `Domain`.  ValueError
+        unless the target is a subgroup inside the domain."""
         try:
             key = self.group.domain_key(elements)
-            at = self.index(self.group.domain(key).array)
+            dom = self.group.domain(key)
+            at = self.index(dom.array)
         except (ValueError, KeyError):
             raise ValueError("restriction target is not inside the domain") from None
-        return Rep(self.group, key, self.images[at], self.mod)
+        dom.subgroup_gens()
+        return Rep(self.group, key, self.images[at], self.mod, validate=False)
 
     def restrict_to_H(self) -> "Rep":
-        """The validated restriction to H."""
+        """The restriction to H."""
         return self if self.domain == "H" else self.restrict("H")
 
     def reduce(self, q) -> "Rep":
@@ -578,7 +589,7 @@ def induce(rho: Rep) -> Rep:
     imgs[on_h, d:, d:] = rho.arr(conj[on_h])
     imgs[~on_h, :d, d:] = rho.arr(right_inv[~on_h])
     imgs[~on_h, d:, :d] = rho.arr(left[~on_h])
-    return Rep(g, "G", imgs, rho.mod)
+    return Rep(g, "G", imgs, rho.mod, validate=False)
 
 
 def _swap_perm(n) -> np.ndarray:
@@ -598,8 +609,7 @@ def tensor_induce(rho: Rep, sign: int) -> Rep:
     On H the action is rho(h) (x) rho^c(h); the chosen coset representative
     sends x (x) y to +- y (x) rho(ctilde^2) x.  Off H the image is
     rho(g ctilde^{-1}) (x) rho(ctilde g) followed by the swap, applied as a
-    column permutation times the sign.  The result is validated on
-    construction, on generators (Light's test), exactly.
+    column permutation times the sign.
     """
     if rho.domain != "H":
         raise ValueError("tensor induction expects a representation of H")
@@ -613,7 +623,7 @@ def tensor_induce(rho: Rep, sign: int) -> Rep:
                       rho.arr(np.where(on_h, conj, left)), rho.mod)
     # M @ swap_matrix(d) permutes the columns of M
     imgs[~on_h] = sign * imgs[~on_h][:, :, _swap_perm(d)] % rho.mod
-    return Rep(g, "G", imgs, rho.mod)  # validate=True: table failure = bug
+    return Rep(g, "G", imgs, rho.mod, validate=False)
 
 
 def transfer_character(chi: Rep) -> Rep:
@@ -626,7 +636,7 @@ def transfer_character(chi: Rep) -> Rep:
     first = chi.value(np.where(on_h, xs, g.prod(xs, xs)))
     second = chi.value(g.conj_ctilde(np.where(on_h, xs, g.one)))
     vals = np.where(on_h, first * second % chi.mod, first)
-    return Rep(g, "G", vals.reshape(-1, 1, 1), chi.mod)
+    return Rep(g, "G", vals.reshape(-1, 1, 1), chi.mod, validate=False)
 
 
 def hom_system(r1: Rep, r2: Rep) -> np.ndarray:
@@ -692,7 +702,7 @@ def contains_invertible(basis: list[Mat], rng=None):
             return
         mod = basis[0].mod
         if len(basis) == 2:
-            q, _ = factor_prime_power(mod)
+            q = basis[0].q
             b0, b1 = basis[0].a, basis[1].a
             # c b1 is reduced before the sum: b0 + c b1 can pass 2^63 at large q
             yield from (Mat(b0 + c * b1 % mod, mod) for c in range(1, q))
@@ -756,8 +766,8 @@ def classify_pairing(rho: Rep, mu: Rep) -> PairingClassification:
     """
     if mu.dim != 1:
         raise ValueError("mu must be a character")
-    q, n = factor_prime_power(rho.mod)
-    if n > 1:
+    q = rho.q
+    if rho.precision > 1:
         raise NotImplementedError("pairing classification is over F_q")
     d = rho.dim
     sys = hom_system(rho, dual_twist(rho, mu))

@@ -547,6 +547,8 @@ def _split_prime_power(n):
 def euler_product_coefficients(params: dict[int, SatakeParam], N: int) -> list[int]:
     """Dirichlet coefficients of prod_p det(I - asai^+(Frob_p) p^{-s})^{-1}
     up to N: the local-factor power series assembled multiplicatively."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     _check_keys(params)
     out = [0] * (N + 1)
     out[1] = 1

@@ -32,7 +32,6 @@ from .exactalg import (
     Mat,
     charpoly_stack,
     extend_basis,
-    factor_prime_power,
     kernel_gens,
     polymul_stack,
     rref_mod,
@@ -89,6 +88,8 @@ class PolarizedRep:
 
     def __post_init__(self):
         w = self.witness
+        if w.mod != self.rep.mod:
+            raise ValueError("witness modulus does not match the representation's")
         if not w.is_invertible():
             raise ValueError("witness is not invertible")
         a = w.a
@@ -152,7 +153,7 @@ def sign_congruence(p1: PolarizedRep, p2: PolarizedRep) -> dict:
     r1, r2 = p1.rep, p2.rep
     if r1.mod != r2.mod or r1.dim != r2.dim:
         raise ValueError("mismatched representations")
-    q, n = factor_prime_power(r1.mod)
+    q = r1.q
     report = {"q": q, "modulus": r1.mod}
     els = r1.dom.array
     if np.any((p1.psi.value(els) - p2.psi.value(els)) % q):
@@ -203,8 +204,8 @@ class LatticeRep:
     rep_H: Rep = field(init=False, repr=False, compare=False)  # rep on H
 
     def __post_init__(self):
-        q, n = factor_prime_power(self.rep.mod)
-        if n < 2:
+        q = self.rep.q
+        if self.rep.precision < 2:
             raise ValueError("lattice representations need modulus q^n, n >= 2")
         if self.rhobar1.mod != q or self.rhobar2.mod != q:
             raise ValueError("residual data must live over F_q")
@@ -223,14 +224,6 @@ class LatticeRep:
         if not np.array_equal(lhs, polymul_stack(p1, p2, q)):
             raise ValueError("mod-q semisimplification does not match")
 
-    @property
-    def q(self):
-        return factor_prime_power(self.rep.mod)[0]
-
-    @property
-    def precision(self):
-        return factor_prime_power(self.rep.mod)[1]
-
 
 @dataclass
 class RibetResult:
@@ -244,7 +237,7 @@ class RibetResult:
 def _mod_q_triangularization(latt: LatticeRep):
     """Basis V over Z/q^n whose conjugate reduces to [[rb1, *], [0, rb2]]."""
     rep = latt.rep_H
-    q = latt.q
+    q = latt.rep.q
     mod = rep.mod
     red = rep.reduce(q)
     rb1, rb2 = latt.rhobar1, latt.rhobar2
@@ -285,7 +278,7 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
     extract the extension class, descending the lattice chain while the
     class vanishes; termination is bounded by the precision n."""
     rep = latt.rep_H
-    q, n = factor_prime_power(rep.mod)
+    q, n = rep.q, rep.precision
     mod = rep.mod
     rb1, rb2 = latt.rhobar1, latt.rhobar2
     d1, d2 = rb1.dim, rb2.dim
@@ -354,7 +347,6 @@ def theorem_main_pipeline(
     latt: LatticeRep,
     psi: Rep,
     selmer: SelmerStructure | None = None,
-    k_parity: int | None = None,
     require_odd_psi: bool = True,
 ) -> PipelineReport:
     """Run the whole construction: Ribet descent, class extraction, the
@@ -369,7 +361,7 @@ def theorem_main_pipeline(
     over the lattice's modulus Z/q^n, else PipelineError.
     """
     g = latt.rep.group
-    q = latt.q
+    q = latt.rep.q
     if (psi.group is not g or psi.domain != "G" or psi.dim != 1
             or psi.mod != latt.rep.mod):
         raise PipelineError("psi must be a character of G over the lattice's modulus")
@@ -418,11 +410,6 @@ def theorem_main_pipeline(
         in_sel = not extend_basis(sel, coords.reshape(1, -1), q)
     details = {"psi_at_ctilde": -1 if psic_sign == -1 else 1,
                "h1_dim": int(data_as.dim)}
-    if k_parity is not None:
-        if k_parity not in (1, -1):
-            raise PipelineError("k_parity must be +1 or -1")
-        details["parity_matches_k"] = eig == k_parity
-        law = law and eig == k_parity
     return PipelineReport(
         sign=sign,
         eigenvalue=eig,

@@ -408,3 +408,18 @@ def test_report_bytes_are_pinned(case, tmp_path, monkeypatch):
     report = tmp_path / "r.json"
     assert run(argv + ["--report", str(report)]) == code
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+def test_selmer_subgroup_that_is_not_a_subgroup_ends_in_refusal_report(tmp_path, capsys):
+    # {0, 1} holds the identity of ribet_q7_d6 but not the powers of 1
+    sfile = tmp_path / "s.json"
+    sfile.write_text(json.dumps([{"subgroup": [0, 1], "local_condition": "zero"}]))
+    report = tmp_path / "r.json"
+    assert run(["pipeline", "--selmer", str(sfile), "--report", str(report)]) == 1
+    assert report.read_text() == (
+        '{"class":null,"command":"pipeline",'
+        '"error":"domain is not closed under multiplication",'
+        '"fixture":"ribet_q7_d6","ok":false}\n')
+    err = capsys.readouterr().err
+    assert "pipeline: domain is not closed under multiplication" in err
+    assert "Traceback" not in err

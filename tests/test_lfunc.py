@@ -666,6 +666,14 @@ def test_asai_dirichlet_normalization():
     assert asai_dirichlet(tbl, 1) == [1]
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_euler_product_coefficients_refuses_N_below_1(N):
+    params = {2: random_satake(np.random.default_rng(3), p=2)}
+    with pytest.raises(ValueError, match=f"^N must be >= 1, got {N}$"):
+        euler_product_coefficients(params, N)
+    assert euler_product_coefficients(params, 1) == [1]
+
+
 def test_asai_dirichlet_pure_zeta():
     rows = [(m * m, f"({m})", 0) for m in range(2, 26)]
     tbl = CoeffTable(rows)
