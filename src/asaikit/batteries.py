@@ -192,7 +192,7 @@ def explicit_battery():
         ambient = as_twisted_module(rho, power_character(eps, 1 - k))
 
         def conj_on_hom(z):
-            as_coc = Cocycle(ambient.restrict(z.module.elements),
+            as_coc = Cocycle(ambient.restrict(z.module.domain),
                              (z.values @ theta.T) % q)
             outc = conj_action(as_coc, ambient)
             return Cocycle(z.module, (outc.values @ theta_inv.T) % q)
@@ -231,7 +231,7 @@ def selmerres_battery():
     cases.append(("coh294 tensor module", amb2))
     for label, ambient in cases:
         q = ambient.mod
-        res_h = ambient.restrict([h for h in ambient.group.H])
+        res_h = ambient.restrict_to_H()
         data_H = h1(res_h)
         data_G = h1(ambient)
         data_Gt = h1(ambient.twist(coset_sign_character(ambient.group, q)))

@@ -25,9 +25,21 @@ Conventions fixed once for the whole package:
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 import numpy as np
+
+
+def split_prime_power(n):
+    """(p, k, m) with n = p^k m for an integer n > 1, p the least prime
+    factor of n and p not dividing m: the package's one trial division."""
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return p, k, n
 
 
 @functools.lru_cache(maxsize=None)
@@ -35,19 +47,10 @@ def factor_prime_power(m):
     """Return (q, n) with m = q**n for a prime q, or raise ValueError."""
     if m < 2:
         raise ValueError(f"modulus {m} is not a prime power")
-    for q in range(2, m + 1):
-        if q * q > m and m > 1:
-            q = m  # remaining m is prime
-        if m % q == 0:
-            n = 0
-            mm = m
-            while mm % q == 0:
-                mm //= q
-                n += 1
-            if mm != 1:
-                raise ValueError(f"modulus {m} is not a prime power")
-            return q, n
-    raise ValueError(f"modulus {m} is not a prime power")
+    q, n, rest = split_prime_power(m)
+    if rest != 1:
+        raise ValueError(f"modulus {m} is not a prime power")
+    return q, n
 
 
 def validate_modulus(m):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from operator import index, mul
 from pathlib import Path
 
-from .exactalg import PolyX, charpoly, det, wedge_square
+from .exactalg import PolyX, charpoly, det, split_prime_power, wedge_square
 
 REP_TAGS = ("ind", "asai+", "asai-", "lambda2", "std", "sim", "zeta", "quadratic-char")
 
@@ -104,8 +104,8 @@ def _trace_det(m):
 
 
 def is_prime(n):
-    """Exact trial division up to isqrt(n)."""
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Exact trial division up to isqrt(n): n is its own least prime factor."""
+    return n >= 2 and split_prime_power(n)[0] == n
 
 
 def _int_2x2(m, name):
@@ -511,10 +511,12 @@ def hecke_power_coefficients(m2, kmax):
 def synthetic_table(params: dict[int, SatakeParam], N: int) -> CoeffTable:
     """Multiplicative diagonal table c(m O_K), m <= N, built by the Hecke
     recursion at each prime of `params` (all primes <= N must appear)."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     _check_keys(params)
     coeffs = {1: 1}
     for n in range(2, N + 1):
-        p, k, m = _split_prime_power(n)
+        p, k, m = split_prime_power(n)
         if p not in params:
             raise KeyError(f"no Satake parameter for prime {p} <= {N}")
         sp = params[p]
@@ -531,17 +533,6 @@ def _check_keys(params):
     for key, sp in params.items():
         if key != sp.p:
             raise ValueError(f"parameter for p={sp.p} filed under key {key!r}")
-
-
-def _split_prime_power(n):
-    """(p, k, m) with n = p^k m, p the least prime factor of n > 1 and p
-    not dividing m."""
-    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return p, k, n
 
 
 def euler_product_coefficients(params: dict[int, SatakeParam], N: int) -> list[int]:
@@ -565,7 +556,7 @@ def euler_product_coefficients(params: dict[int, SatakeParam], N: int) -> list[i
         inv = _series_inverse(poly, kmax)
         local[p] = inv
     for n in range(2, N + 1):
-        p, k, m = _split_prime_power(n)
+        p, k, m = split_prime_power(n)
         if p not in local:
             raise KeyError(f"no Satake parameter for prime {p} <= {N}")
         out[n] = local[p][k] * out[m]

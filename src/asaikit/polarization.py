@@ -87,6 +87,8 @@ class PolarizedRep:
     conjugate: bool = True
 
     def __post_init__(self):
+        if type(self.symmetry) is not int or self.symmetry not in (1, -1):
+            raise ValueError(f"symmetry must be +1 or -1, got {self.symmetry!r}")
         w = self.witness
         if w.mod != self.rep.mod:
             raise ValueError("witness modulus does not match the representation's")
@@ -294,8 +296,9 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
         if np.any(shoulders % scale):
             raise AssertionError("shoulder valuation dropped below the level")
         bvals = (shoulders // scale) % q
-        # phi(g) = b(g) rb2(g)^{-1}
-        phi = Cocycle(hmod, (bvals @ rb2_inv % q).reshape(len(imgs), d1 * d2))
+        # phi(g) = b(g) rb2(g)^{-1}, a cocycle as (AB)_12 = A11 B12 + A12 B22
+        phi = Cocycle(hmod, (bvals @ rb2_inv % q).reshape(len(imgs), d1 * d2),
+                      validate=False)
         if not data.is_coboundary(phi):
             conj = Rep(rep.group, "H", imgs, mod, validate=False)
             return RibetResult(conj, phi, False, level, data)
@@ -387,11 +390,11 @@ def theorem_main_pipeline(
     sign = bc_sign(pol)
     # transport the class into the tensor-induced ambient module
     ambient = as_twisted_module(rb1, psi.reduce(q))
-    res_amb = ambient.restrict(rr.cocycle.module.elements)
+    res_amb = ambient.restrict(rr.cocycle.module.domain)
     tinv = t.inverse().a
     conv = np.kron(np.eye(rb1.dim, dtype=np.int64), tinv.T) % q
     as_vals = (rr.cocycle.values @ conv.T) % q
-    as_coc = Cocycle(res_amb, as_vals)
+    as_coc = Cocycle(res_amb, as_vals, validate=False)  # t is an exact intertwiner
     data_as = h1(res_amb)
     coords = data_as.class_coords(as_coc)
     out = conj_action(as_coc, ambient)

@@ -8,13 +8,16 @@ from asaikit.exactalg import (
     PolyX,
     echelon_mod,
     exterior_square,
+    factor_prime_power,
     kernel_gens,
     kernel_mod,
     solve_mod,
+    split_prime_power,
     validate_modulus,
     wedge_square,
 )
 from asaikit.grouprep import kron_stack
+from asaikit.lfunc import is_prime
 
 
 def rand_mat(rng, r, c, mod):
@@ -272,3 +275,38 @@ def test_polyx():
 def test_polyx_refuses_a_non_integer_coefficient(coeffs):
     with pytest.raises(TypeError):
         PolyX(coeffs)
+
+
+def factorization_oracle(n):
+    """{p: k} for n > 1, dividing out every d = 2, 3, ... in turn, with no
+    square-root bound."""
+    out, d = {}, 2
+    while n > 1:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    return out
+
+
+def test_trial_division_matches_brute_force_factorization():
+    for n in range(2, 3001):
+        f = factorization_oracle(n)
+        p = min(f)
+        assert split_prime_power(n) == (p, f[p], n // p ** f[p])
+        if len(f) == 1:
+            assert factor_prime_power(n) == (p, f[p])
+        else:
+            with pytest.raises(ValueError, match=f"modulus {n} is not a prime power"):
+                factor_prime_power(n)
+        assert is_prime(n) == (f == {n: 1})
+    for n in (-7, -1, 0, 1):
+        with pytest.raises(ValueError, match="not a prime power"):
+            factor_prime_power(n)
+        assert not is_prime(n)
+
+
+def test_is_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert ([n for n in range(-5, 3001) if is_prime(n)]
+            == [n for n in range(-5, 3001) if sympy.isprime(n)])

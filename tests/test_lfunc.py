@@ -674,6 +674,14 @@ def test_euler_product_coefficients_refuses_N_below_1(N):
     assert euler_product_coefficients(params, 1) == [1]
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_synthetic_table_refuses_N_below_1(N):
+    params = {2: random_satake(np.random.default_rng(3), p=2)}
+    with pytest.raises(ValueError, match=f"^N must be >= 1, got {N}$"):
+        synthetic_table(params, N)
+    assert synthetic_table(params, 1).to_rows() == []
+
+
 def test_asai_dirichlet_pure_zeta():
     rows = [(m * m, f"({m})", 0) for m in range(2, 26)]
     tbl = CoeffTable(rows)

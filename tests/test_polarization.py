@@ -603,3 +603,12 @@ def test_reduce_is_the_residual_representation(rib):
     red.validate()  # the reduction is again a representation
     with pytest.raises(ValueError, match="divide"):
         lat.reduce(5)
+
+
+@pytest.mark.parametrize("symmetry", [2, 0, -2, True, 1.0])
+def test_polarized_rep_refuses_a_symmetry_other_than_plus_or_minus_one(rib, symmetry):
+    psi = coset_sign_character(rib.group, 49)
+    r = rib.rep("lattice").restrict_to_H()
+    w = polarize(r, psi).witness  # a valid symmetric witness
+    with pytest.raises(ValueError, match=f"symmetry must be \\+1 or -1, got {symmetry!r}"):
+        PolarizedRep(r, psi, w, symmetry)
