@@ -61,6 +61,14 @@ def write_report(path, obj):
         raise SystemExit(2) from None
 
 
+def refuse(path, head, error) -> int:
+    """Write the refusal report, `head` (the command and its own fields)
+    with the error and "ok": false, and one stderr line; exit code 1."""
+    write_report(path, {**head, "error": error, "ok": False})
+    sys.stderr.write(f"{head['command']}: {error}\n")
+    return 1
+
+
 def cmd_verify_identities(args) -> int:
     from .batteries import BATTERIES, run_batteries
 
@@ -94,23 +102,16 @@ def cmd_pipeline(args) -> int:
 
     name = args.fixture_name or "ribet_q7_d6"
     base = args.fixtures or os.environ.get(FIXTURES_ENV) or None
-
-    def refuse(error):
-        write_report(
-            args.report,
-            {"command": "pipeline", "fixture": name, "error": error,
-             "class": None, "ok": False},
-        )
-        sys.stderr.write(f"pipeline: {error}\n")
-        return 1
+    head = {"command": "pipeline", "fixture": name, "class": None}
 
     try:
         fix = load_shipped(name, base)
     except Exception as exc:
-        return refuse(f"fixture load failed: {exc}")
+        return refuse(args.report, head, f"fixture load failed: {exc}")
     missing = [r for r in ("lattice", "chi", "chi_inv") if r not in fix.reps]
     if missing:
-        return refuse(f"fixture {name!r} lacks the representations {', '.join(missing)}")
+        return refuse(args.report, head,
+                      f"fixture {name!r} lacks the representations {', '.join(missing)}")
     mod2 = fix.rep("lattice").mod
     if args.flip_psi:
         psi = trivial_character(fix.group, "G", mod2)
@@ -129,7 +130,7 @@ def cmd_pipeline(args) -> int:
             latt, psi, selmer=selmer, require_odd_psi=not args.flip_psi
         )
     except (OSError, ValueError, PipelineError) as exc:
-        return refuse(str(exc))
+        return refuse(args.report, head, str(exc))
     obj = {"command": "pipeline", "fixture": name, "ok": rep.eigenvalue_law_holds}
     obj.update(rep.to_json())
     write_report(args.report, obj)
@@ -148,11 +149,6 @@ def cmd_lfunc(args) -> int:
         random_satake,
     )
 
-    def refuse(error):
-        write_report(args.report, {"command": "lfunc", "error": error, "ok": False})
-        sys.stderr.write(f"lfunc: {error}\n")
-        return 1
-
     report = {"command": "lfunc", "seed": args.seed}
     if args.coeffs:
         N = 50 if args.N is None else args.N
@@ -160,7 +156,8 @@ def cmd_lfunc(args) -> int:
             tbl = ingest_coeffs(args.coeffs)
             coeffs = asai_dirichlet(tbl, N)
         except (OSError, ValueError, KeyError) as exc:
-            return refuse(exc.args[0] if isinstance(exc, KeyError) else str(exc))
+            return refuse(args.report, {"command": "lfunc"},
+                          exc.args[0] if isinstance(exc, KeyError) else str(exc))
         report["dirichlet"] = {"N": N, "coefficients": coeffs}
         report["ok"] = True
         write_report(args.report, report)
@@ -168,7 +165,8 @@ def cmd_lfunc(args) -> int:
     lo, hi = args.primes
     primes = [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
     if not primes:
-        return refuse(f"no prime in the range {lo}..{hi}")
+        return refuse(args.report, {"command": "lfunc"},
+                      f"no prime in the range {lo}..{hi}")
     entries = []
     all_ok = True
     for p in primes:

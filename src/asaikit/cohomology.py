@@ -41,7 +41,7 @@ from .exactalg import (
     solve_mod,
     validate_modulus,
 )
-from .grouprep import Rep, conjugate_rep, dual_twist, induce, tensor_induce
+from .grouprep import Rep, as_index, conjugate_rep, dual_twist, induce, tensor_induce
 
 
 class Cocycle:
@@ -447,62 +447,58 @@ def restriction_matrix(h1_big: H1Data, h1_small: H1Data) -> np.ndarray:
 
 
 class SelmerStructure:
-    """A family of (decomposition subgroup, local condition) pairs.
-
-    Local conditions are subspaces of H^1(D, M|D), given as 'full', 'zero',
-    or a list of coordinate vectors in the computed H^1(D) basis.
-    """
+    """(decomposition subgroup, local condition) pairs, checked where made:
+    a subgroup is a list or tuple of integer element indices, a local
+    condition (a subspace of H^1(D, M|D)) 'full', 'zero' or a list of such
+    integer vectors in the computed H^1(D) basis.  Anything else, a bool,
+    float or str entry included, is a ValueError; `selmer_subgroup` checks
+    the vectors' length, dim H^1(D)."""
 
     def __init__(self, conditions):
-        self.conditions = list(conditions)
+        self.conditions = []
+        for sub, cond in conditions:
+            sub = _indices(sub, "subgroup")
+            if not (isinstance(cond, str) and cond in ("full", "zero")):
+                if not isinstance(cond, (list, tuple)):
+                    raise ValueError(f"local condition {cond!r} is neither 'full', "
+                                     "'zero' nor a list of integer vectors")
+                cond = [list(_indices(v, "local condition vector")) for v in cond]
+            self.conditions.append((sub, cond))
 
     @staticmethod
     def from_json(obj) -> "SelmerStructure":
         if not isinstance(obj, list):
             raise ValueError("a Selmer structure is a JSON list of local conditions")
         try:
-            conds = [(c["subgroup"], c["local_condition"]) for c in obj]
+            return SelmerStructure([(c["subgroup"], c["local_condition"]) for c in obj])
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed local condition: {exc!r}") from exc
-        for sub, cond in conds:
-            if not _is_int_list(sub):
-                raise ValueError(f"subgroup {sub!r} is not a list of element indices")
-            if not (isinstance(cond, str) or type(cond) is list
-                    and all(map(_is_int_list, cond))):
-                raise ValueError(f"local condition {cond!r} is neither a name nor a "
-                                 "list of integer vectors")
-        return SelmerStructure((tuple(sub), cond) for sub, cond in conds)
 
     def to_json(self):
-        out = []
-        for sub, cond in self.conditions:
-            enc = cond if isinstance(cond, str) else [
-                [int(x) for x in v] for v in cond
-            ]
-            out.append({"subgroup": list(sub), "local_condition": enc})
-        return out
+        return [{"subgroup": list(sub), "local_condition": cond}
+                for sub, cond in self.conditions]
 
 
-def _is_int_list(x) -> bool:
-    """A JSON list of ints (a bool, float or str entry makes it False)."""
-    return type(x) is list and all(type(v) is int for v in x)
+def _indices(x, what) -> tuple[int, ...]:
+    """A list or tuple of integers as a tuple of ints; ValueError otherwise."""
+    try:
+        if isinstance(x, (list, tuple)):
+            return tuple(map(as_index, x))
+    except ValueError:
+        pass
+    raise ValueError(f"{what} {x!r} is not a list of integers")
 
 
 def _local_subspace(cond, dim, q) -> np.ndarray:
-    """Rows spanning a local condition: "zero", or a list of vectors of
-    length dim H^1(D) (reduced mod q)."""
+    """Rows spanning a checked local condition, "zero" or integer vectors
+    (reduced mod q as Python ints); ValueError unless each has length dim."""
     if cond == "zero":
         return np.zeros((0, dim), dtype=np.int64)
-    seq = (list, tuple)
-    if isinstance(cond, seq) and all(
-        isinstance(v, seq) and len(v) == dim
-        and all(isinstance(x, (int, np.integer)) for x in v)
-        for v in cond
-    ):
-        rows = [[int(x) % q for x in v] for v in cond]
-        return np.array(rows, dtype=np.int64).reshape(len(cond), dim)
-    raise ValueError(f"local condition {cond!r} is not 'full', 'zero' or a list "
-                     f"of vectors of length dim H^1(D) = {dim}")
+    if any(len(v) != dim for v in cond):
+        raise ValueError(f"local condition {cond!r} needs vectors of length "
+                         f"dim H^1(D) = {dim}")
+    rows = [[x % q for x in v] for v in cond]
+    return np.array(rows, dtype=np.int64).reshape(len(cond), dim)
 
 
 def selmer_subgroup(h1d: H1Data, structure: SelmerStructure) -> np.ndarray:

@@ -61,6 +61,13 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
+def as_index(x) -> int:
+    """x as an int; ValueError unless a Python or numpy integer, not a bool."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    raise ValueError(f"{x!r} is not an integer")
+
+
 class FiniteGroup:
     """A finite group: indexed elements, a product on index arrays, an
     index-2 subgroup H, and a chosen coset representative ctilde outside H.
@@ -219,38 +226,45 @@ class FiniteGroup:
         mask[list(self.H)] = True
         return _read_only(mask)
 
+    def _search(self, frontier, steps, seen):
+        """The one breadth-first search: from `frontier` by right products
+        with `steps`, marking the mask `seen`.  Yields each layer as (a, a t,
+        index of t), each unseen a t once, through its least (row-major)
+        (frontier element, step) pair: np.minimum.at keeps it in linear time
+        and in any write order, with no sort and no numpy.ma import."""
+        first = np.empty(self.n, dtype=np.int64)
+        while frontier.size and steps.size:
+            prods = self.prod(frontier[:, None], steps).reshape(-1)
+            fresh = np.flatnonzero(~seen[prods])
+            if not fresh.size:
+                return
+            new = prods[fresh]
+            first[new] = prods.size
+            np.minimum.at(first, new, fresh)
+            keep = first[new] == fresh
+            fresh, new = fresh[keep], new[keep]
+            seen[new] = True
+            yield frontier[fresh // steps.size], new, fresh % steps.size
+            frontier = new
+
     def closure(self, gens, seen=None):
         """Boolean mask of the closure of gens, 1 and the mask `seen` under
-        right multiplication by gens: in a group, the subgroup they
-        generate.  One product per breadth-first layer; a `seen` that is
-        already closed under some of gens saves the layers that rebuild it."""
+        right products with gens (the subgroup they generate), by `_search`;
+        a `seen` closed under some of gens saves the layers that rebuild it."""
         gens = np.asarray(gens, dtype=np.int64)
         seen = np.zeros(self.n, dtype=bool) if seen is None else seen.copy()
         seen[gens] = True
         seen[self.one] = True
-        frontier = np.flatnonzero(seen)
-        slot = np.empty(self.n, dtype=np.int64)
-        while frontier.size and gens.size:
-            prods = self.prod(frontier[:, None], gens).reshape(-1)
-            fresh = prods[~seen[prods]]
-            # one copy of each new element: the position whose write to the
-            # element's slot lands (a plain np.unique imports numpy.ma, 1 MB)
-            at = np.arange(fresh.size)
-            slot[fresh] = at
-            frontier = fresh[slot[fresh] == at]
-            seen[frontier] = True
+        for _ in self._search(np.flatnonzero(seen), gens, seen):
+            pass
         return seen
 
     def _prefix_closure(self, gens: tuple[int, ...]) -> np.ndarray:
         """The closure of a greedy generator prefix, memoized, from the
         closure of the prefix one shorter."""
         if gens not in self._closures:
-            if not gens:
-                mask = np.zeros(self.n, dtype=bool)
-                mask[self.one] = True
-            else:
-                mask = self.closure(gens, self._prefix_closure(gens[:-1]))
-            self._closures[gens] = _read_only(mask)
+            seen = self._prefix_closure(gens[:-1]) if gens else None
+            self._closures[gens] = _read_only(self.closure(gens, seen))
         return self._closures[gens]
 
     def _greedy_generators(self, inside) -> tuple[int, ...]:
@@ -270,14 +284,15 @@ class FiniteGroup:
 
     def domain_key(self, subset):
         """"G", "H" or the sorted element tuple of a subset of G: the key of
-        its `Domain`.  ValueError for elements outside the group."""
+        its `Domain`.  ValueError for an element that is not an integer
+        (7.5 or "7" is refused, not truncated) or lies outside the group."""
         if isinstance(subset, str):
             if subset not in ("G", "H"):
                 raise ValueError("domain must be 'G', 'H' or a list of elements")
             return subset
         if isinstance(subset, tuple) and subset in self._domains:
-            return subset  # already a key
-        els = tuple(sorted({int(e) for e in subset}))
+            return self._domains[subset].elements  # a key, or equal to one
+        els = tuple(sorted({as_index(e) for e in subset}))
         if els and not (0 <= els[0] and els[-1] < self.n):
             raise ValueError("domain has elements outside the group")
         return "G" if len(els) == self.n else "H" if els == self.H else els
@@ -347,11 +362,11 @@ class Domain:
         expands cocycles along.
 
         jump[i, j] = s_i^(2^j) for each generator s_i and 2^j < N, keep
-        marks the jumps other than 1, and layer by layer the walk is
-        breadth-first from the identity over the kept jumps (generator-
-        major), through the first (frontier element, jump) pair in
-        row-major order that reaches each new element a t.  A layer is
-        (positions of a, positions of a t, kept-jump index of t)."""
+        marks the jumps other than 1.  The layers are the group's one
+        search, `FiniteGroup._search`, from the identity over the kept jumps
+        (generator-major), in positions: (a, a t, kept-jump index of t),
+        each a t through its first (frontier element, jump) pair in
+        row-major order."""
         g = self.group
         gens = np.array(self.gens)
         N = len(self.elements)
@@ -364,24 +379,12 @@ class Domain:
             jump[:, j] = t
         keep = jump != g.one  # once t = 1 every later square is 1 too
         jumps = jump[keep]
-        seen = np.zeros(g.n, dtype=bool)
-        seen[g.one] = True
-        frontier = np.array([g.one])
-        layers = []
-        while True:
-            prods = g.prod(frontier[:, None], jumps).reshape(-1)
-            fresh = np.flatnonzero(~seen[prods])
-            if not fresh.size:
-                break
-            _, first = np.unique(prods[fresh], return_index=True)
-            edge = np.sort(fresh[first])  # discovery order
-            a, new = frontier[edge // len(jumps)], prods[edge]
-            layers.append((self.pos[a], self.pos[new], edge % len(jumps)))
-            seen[new] = True
-            frontier = new
+        seen = np.arange(g.n) == g.one
+        layers = tuple((self.pos[a], self.pos[new], t)
+                       for a, new, t in g._search(np.array([g.one]), jumps, seen))
         if not np.array_equal(np.flatnonzero(seen), self.array):
             raise AssertionError("the jump walk does not reach every element of the domain")
-        return _read_only(jump), _read_only(keep), tuple(layers)
+        return _read_only(jump), _read_only(keep), layers
 
 
 class Rep:
@@ -533,9 +536,11 @@ def make_character(group: FiniteGroup, domain: str, values, mod) -> Rep:
     return Rep(group, domain, np.asarray(values, dtype=np.int64).reshape(-1, 1, 1), mod)
 
 
-def trivial_character(group: FiniteGroup, domain: str, mod) -> Rep:
-    size = group.n if domain == "G" else len(group.H)
-    return Rep(group, domain, np.ones((size, 1, 1), dtype=np.int64), mod, validate=False)
+def trivial_character(group: FiniteGroup, domain, mod) -> Rep:
+    """The trivial character on a domain: "G", "H" or a list of elements."""
+    key = group.domain_key(domain)
+    ones = np.ones((len(group.domain(key).elements), 1, 1), dtype=np.int64)
+    return Rep(group, key, ones, mod, validate=False)
 
 
 def coset_sign_character(group: FiniteGroup, mod) -> Rep:

@@ -104,8 +104,8 @@ class PolarizedRep:
         self.rep.validate()
         self.psi.validate()
         sys = _witness_system(self.rep, self.psi, self.conjugate)
-        # a length-d^2 dot product, exact in Python ints at any modulus
-        if np.any(sys.astype(object) @ a.reshape(-1).astype(object) % w.mod):
+        # products reduced before the row sum: int64 holds d^2 residues
+        if np.any((sys * a.reshape(-1) % w.mod).sum(axis=1) % w.mod):
             raise ValueError("polarization witness identity fails")
 
 

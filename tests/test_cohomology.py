@@ -353,7 +353,7 @@ def test_polarization_involution_g294(coh294):
     z = data.representative(0)
     zz = polarization_involution(polarization_involution(z, rho), rho)
     assert data.classes_equal(z, zz)
-    # and the two formulas agreeing is asserted inside the call itself
+    # the two formulas' agreement is asserted by test_element_maps.polarization_oracle
     mat = polarization_involution_matrix(data, rho)
     assert mat.shape == (data.dim, data.dim)
 

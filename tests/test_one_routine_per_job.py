@@ -1,0 +1,179 @@
+"""Each job has one routine: the breadth-first search under `closure` and
+`Domain.walk`, the integer test of element indices and Selmer structures
+(made where a structure is made), the CLI's refusal report, and int64
+residue arithmetic with no object-dtype array."""
+
+import ast
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import asaikit
+from asaikit import cli
+from asaikit.cohomology import SelmerStructure, h1, hom_module, selmer_subgroup
+from asaikit.exactalg import Mat
+from asaikit.fixtures import m40_fixture, ribet_fixture, s3_fixture
+from asaikit.grouprep import coset_sign_character, trivial_character
+from asaikit.polarization import PolarizedRep, polarize
+
+SRC = Path(asaikit.__file__).parent
+
+
+@pytest.fixture(scope="module")
+def rib():
+    return ribet_fixture()
+
+
+def _delta(g):
+    """The C_d part of ribet_q7_d6's H: the six elements (0, a)."""
+    return [h for h in g.H if g.elements[h][0] == 0]
+
+
+def scalar_layers(g, frontier, steps, seen):
+    """Oracle: breadth-first layers element by element, each new a t taken
+    at the first (frontier element, step) pair in row-major order."""
+    seen = set(seen)
+    layers = []
+    while frontier:
+        layer = []
+        for a in frontier:
+            for i, t in enumerate(steps):
+                x = g.op(a, t)
+                if x not in seen:
+                    seen.add(x)
+                    layer.append((a, x, i))
+        if not layer:
+            break
+        layers.append(tuple(map(list, zip(*layer))))
+        frontier = [x for _, x, _ in layer]
+    return layers
+
+
+def test_search_layers_match_the_scalar_search(rib):
+    rng = np.random.default_rng(3)
+    for g in (s3_fixture().group, m40_fixture().group, rib.group):
+        for k in (1, 2, 3):
+            steps = rng.choice(g.n, size=k, replace=False)
+            seen = np.arange(g.n) == g.one
+            got = [tuple(map(list, layer))
+                   for layer in g._search(np.array([g.one]), steps, seen)]
+            want = scalar_layers(g, [g.one], steps.tolist(), [g.one])
+            assert got == want
+            reached = {g.one} | {x for _, new, _ in want for x in new}
+            assert set(np.flatnonzero(seen).tolist()) == reached
+            assert np.array_equal(g.closure(steps), seen)
+
+
+def test_element_indices_are_refused_not_truncated(rib):
+    g = rib.group
+    lattice = rib.rep("lattice")
+    delta = _delta(g)
+    assert delta == [0, 7, 14, 21, 28, 35]
+    for bad in ([0, 7.5, 14, 21, 28, 35], ["0", "7", "14", "21", "28", "35"],
+                [0, True, 14, 21, 28, 35]):
+        with pytest.raises(ValueError, match="not inside the domain"):
+            lattice.restrict(bad)
+    with pytest.raises(ValueError, match="not a subgroup"):
+        g.generators([0.0, 7.9, 14.2, 21, 28, 35])
+    with pytest.raises(ValueError, match="not an integer"):
+        g.domain_key((0, 7.0, 14, 21, 28, 35))
+    # numpy integers are integers
+    assert lattice.restrict(np.array(delta)).elements == tuple(delta)
+    assert g.generators(np.array(delta)) == g.generators(delta)
+
+
+def test_trivial_character_on_a_named_subgroup(rib):
+    g = rib.group
+    delta = _delta(g)
+    one = trivial_character(g, delta, 7)
+    one.validate()
+    assert one.elements == tuple(delta)
+    assert one.value(np.array(delta)).tolist() == [1] * len(delta)
+    assert trivial_character(g, "H", 7) == trivial_character(g, list(g.H), 7)
+
+
+@pytest.mark.parametrize("conditions", [
+    [((0, 1), "bogus")],
+    [((0, 1.5), "zero")],
+    [((0, 1), [[True]])],
+    [((0, 7.5, 14, 21, 28, 35), "zero")],
+    [((0, 1), [[1.0]])],
+    [((0, 1), ["01"])],
+    [((0, 1), 5)],
+    [("01", "zero")],
+], ids=["bogus-name", "float-element", "bool-entry", "float-delta", "float-entry",
+        "str-vector", "int-condition", "str-subgroup"])
+def test_selmer_structure_is_checked_at_construction(conditions):
+    with pytest.raises(ValueError):
+        SelmerStructure(conditions)
+
+
+def test_selmer_structure_takes_lists_tuples_and_numpy_integers(rib):
+    g = rib.group
+    data = h1(hom_module(rib.rep("chi"), rib.rep("chi_inv")))
+    delta = _delta(g)
+    as_lists = SelmerStructure([(delta, "zero"), (list(range(7)), [[1]])])
+    as_tuples = SelmerStructure([(tuple(np.array(delta)), "zero"),
+                                 (tuple(range(7)), ((np.int64(8),),))])
+    assert as_tuples.to_json() == [
+        {"subgroup": delta, "local_condition": "zero"},
+        {"subgroup": list(range(7)), "local_condition": [[8]]},
+    ]
+    assert json.loads(json.dumps(as_tuples.to_json())) == as_tuples.to_json()
+    # 8 = 1 mod 7: the same local condition
+    assert np.array_equal(selmer_subgroup(data, as_lists), selmer_subgroup(data, as_tuples))
+
+
+def test_refusal_reports_share_one_writer(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert cli.refuse(str(report), {"command": "pipeline", "fixture": "x", "class": None},
+                      "bad input") == 1
+    assert report.read_text() == ('{"class":null,"command":"pipeline","error":"bad input",'
+                                  '"fixture":"x","ok":false}\n')
+    assert capsys.readouterr().err == "pipeline: bad input\n"
+    assert cli.main(["lfunc", "--primes", "24..28", "--report", str(report)]) == 1
+    assert json.loads(report.read_text()) == {
+        "command": "lfunc", "error": "no prime in the range 24..28", "ok": False}
+    assert capsys.readouterr().err == "lfunc: no prime in the range 24..28\n"
+
+
+def object_dtype_hits(path):
+    """Lines of `.astype(object)` or `dtype=object` in one source file."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "astype" and node.args
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id == "object"):
+                hits.append(node.lineno)
+            hits += [node.lineno for kw in node.keywords if kw.arg == "dtype"
+                     and isinstance(kw.value, ast.Name) and kw.value.id == "object"]
+    return hits
+
+
+def test_the_package_has_no_object_arrays():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert {p.name: object_dtype_hits(p) for p in files if object_dtype_hits(p)} == {}
+
+
+def test_the_object_guard_sees_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("a = x.astype(object)\nb = np.array(y, dtype=object)\n"
+                    "c = x.astype(np.int64)\nd = np.zeros(3, dtype=int)\n")
+    assert object_dtype_hits(path) == [1, 2]
+
+
+def test_witness_check_is_exact_near_the_int64_bound():
+    # mod 1249^3, about 1.9e9: a product of two residues is near 2^62
+    q = 1249
+    fix = ribet_fixture(q, d=4, alpha=585 * 585 % q, chi_val=585, precision=3)
+    r = fix.rep("lattice").restrict_to_H()
+    m = r.mod
+    psi = coset_sign_character(fix.group, m)
+    a = polarize(r, psi).witness.a
+    PolarizedRep(r, psi, Mat(a * (m - 2) % m, m), 1)
+    with pytest.raises(ValueError, match="witness identity fails"):
+        PolarizedRep(r, psi, Mat(np.array([[m - 1, 1], [1, 0]]), m), 1)
