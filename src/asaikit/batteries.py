@@ -275,23 +275,15 @@ def euler_battery(seed=0, count=200):
     seeded random Satake parameters, split and inert."""
     rng = np.random.default_rng(seed)
     out = []
-    fails = 0
-    for i in range(count):
-        split = i % 2 == 0
-        sp = random_satake(rng, split=split)
-        ok, rep = verify_lambda2(sp, 1)
-        if not ok:
-            fails += 1
-            out.append(_record("euler", f"lambda2 #{i}", False, **rep))
-    out.append(_record("euler", f"lambda2 battery ({count} params)", fails == 0))
-    fails = 0
-    for i in range(count // 2):
-        sp = random_satake(rng, split=i % 2 == 0)
-        ok, rep = verify_std_decomposition(sp)
-        if not ok:
-            fails += 1
-            out.append(_record("euler", f"std #{i}", False, **rep))
-    out.append(_record("euler", f"std battery ({count // 2} params)", fails == 0))
+    for name, check, draws in (("lambda2", lambda sp: verify_lambda2(sp, 1), count),
+                               ("std", verify_std_decomposition, count // 2)):
+        fails = 0
+        for i in range(draws):
+            ok, rep = check(random_satake(rng, split=i % 2 == 0))
+            if not ok:
+                fails += 1
+                out.append(_record("euler", f"{name} #{i}", False, **rep))
+        out.append(_record("euler", f"{name} battery ({draws} params)", fails == 0))
     return out
 
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from .exactalg import (
     Mat,
+    as_index,
     extend_basis,
     kernel_mod,
     row_space_mod,
@@ -41,7 +42,7 @@ from .exactalg import (
     solve_mod,
     validate_modulus,
 )
-from .grouprep import Rep, as_index, conjugate_rep, dual_twist, induce, tensor_induce
+from .grouprep import Rep, conjugate_rep, dual_twist, induce, tensor_induce
 
 
 class Cocycle:

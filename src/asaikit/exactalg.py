@@ -53,11 +53,21 @@ def factor_prime_power(m):
     return q, n
 
 
+def as_index(x) -> int:
+    """x as an int; ValueError unless a Python or numpy integer, not a bool:
+    the package's one integer test."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    raise ValueError(f"{x!r} is not an integer")
+
+
 def validate_modulus(m):
     """Check m = q**n with q an odd prime, 3 <= m and (m-1)^2 < 2^63, so
-    that a product of two residues fits in int64; return (q, n)."""
+    that a product of two residues fits in int64; return (q, n).  A
+    non-integer modulus (7.5, 7.0, "7") is refused, not truncated."""
+    m = as_index(m)
     check_int64_products(1, m)
-    q, n = factor_prime_power(int(m))
+    q, n = factor_prime_power(m)
     if q == 2:
         raise ValueError("even moduli are rejected: the modulus must be a power of an odd prime")
     return q, n

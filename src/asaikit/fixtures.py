@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exactalg import inverse_mod
+from .exactalg import as_index, inverse_mod
 from .grouprep import FiniteGroup, Rep, make_character
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -177,9 +177,10 @@ def semidirect_group(m, k, orders, scalars):
         orders, scalars = tuple(orders), tuple(scalars)
     except TypeError:
         raise ValueError("the orders and the scalars must be lists of integers") from None
-    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-               for x in (m, k, *orders, *scalars)):
-        raise ValueError("m, k, the orders and the scalars must be integers")
+    try:
+        m, k, *_ = map(as_index, (m, k, *orders, *scalars))
+    except ValueError:
+        raise ValueError("m, k, the orders and the scalars must be integers") from None
     if m < 2 or k < 1:
         raise ValueError("need m >= 2 and k >= 1")
     if not orders or min(orders) < 1:

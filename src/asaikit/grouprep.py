@@ -43,6 +43,7 @@ import numpy as np
 
 from .exactalg import (
     Mat,
+    as_index,
     charpoly_stack,
     check_int64_products,
     kernel_gens,
@@ -59,13 +60,6 @@ _LIGHT_BLOCK = 64
 def _read_only(a) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def as_index(x) -> int:
-    """x as an int; ValueError unless a Python or numpy integer, not a bool."""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return int(x)
-    raise ValueError(f"{x!r} is not an integer")
 
 
 class FiniteGroup:
@@ -500,7 +494,9 @@ class Rep:
         return Rep(self.group, self.domain, imgs, self.mod, validate=False)
 
     def dual(self) -> "Rep":
-        return dual_twist(self, None)
+        """g -> (rho(g)^{-1})^T = rho(g^{-1})^T."""
+        imgs = self.arr(self.group.inv[self.dom.array]).transpose(0, 2, 1)
+        return Rep(self.group, self.domain, imgs, self.mod, validate=False)
 
     def tensor(self, other: "Rep") -> "Rep":
         _check_same_group_and_modulus(self, other)
@@ -537,8 +533,10 @@ def make_character(group: FiniteGroup, domain: str, values, mod) -> Rep:
 
 
 def trivial_character(group: FiniteGroup, domain, mod) -> Rep:
-    """The trivial character on a domain: "G", "H" or a list of elements."""
+    """The trivial character on a domain: "G", "H" or a list of elements;
+    ValueError unless the domain is a subgroup."""
     key = group.domain_key(domain)
+    group.domain(key).subgroup_gens()
     ones = np.ones((len(group.domain(key).elements), 1, 1), dtype=np.int64)
     return Rep(group, key, ones, mod, validate=False)
 
@@ -566,15 +564,9 @@ def conjugate_rep(rho: Rep) -> Rep:
 
 
 def dual_twist(rho: Rep, psi: Rep | None) -> Rep:
-    """g -> psi(g) * (rho(g)^{-1})^T; psi=None gives the plain dual."""
-    if psi is not None:
-        _check_same_group_and_modulus(rho, psi)
-    g = rho.group
-    els = rho.dom.array
-    imgs = rho.arr(g.inv[els]).transpose(0, 2, 1)
-    if psi is not None:
-        imgs = imgs * psi.value(els)[:, None, None]
-    return Rep(g, rho.domain, imgs % rho.mod, rho.mod, validate=False)
+    """g -> psi(g) * (rho(g)^{-1})^T: the dual, then the twist by psi;
+    psi=None gives the plain dual."""
+    return rho.dual() if psi is None else rho.dual().twist(psi)
 
 
 def induce(rho: Rep) -> Rep:

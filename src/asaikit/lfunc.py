@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from operator import index, mul
 from pathlib import Path
 
-from .exactalg import PolyX, charpoly, det, split_prime_power, wedge_square
+from .exactalg import PolyX, as_index, charpoly, det, split_prime_power, wedge_square
 
 REP_TAGS = ("ind", "asai+", "asai-", "lambda2", "std", "sim", "zeta", "quadratic-char")
 
@@ -182,29 +182,20 @@ def frobenius_matrix(sp: SatakeParam, tag: str):
         return mat([[sp.chi_quadratic]])
     if tag == "sim":
         return mat([[sp.similitude()]])
+    if tag == "lambda2":
+        return wedge_square(frobenius_matrix(sp, "ind"))
+    if tag == "std":
+        return std_map(frobenius_matrix(sp, "ind"))
     if sp.split:
-        b = sp.b
         if tag == "ind":
-            return blockdiag(a, b)
-        if tag in ("asai+", "asai-"):
-            return kron(a, b)
-        if tag == "lambda2":
-            return wedge_square(blockdiag(a, b))
-        if tag == "std":
-            return std_map(blockdiag(a, b))
-    else:
-        if tag == "ind":
-            return ((0, 0, *a[0]), (0, 0, *a[1]), (1, 0, 0, 0), (0, 1, 0, 0))
-        if tag in ("asai+", "asai-"):
-            # x (x) y -> +- a y (x) x: kron(a, I) with its columns (i, j)
-            # and (j, i) swapped, times the sign
-            sign = 1 if tag == "asai+" else -1
-            return tuple(tuple(sign * r[c] for c in (0, 2, 1, 3)) for r in kron(a, eye(2)))
-        if tag == "lambda2":
-            return wedge_square(frobenius_matrix(sp, "ind"))
-        if tag == "std":
-            return std_map(frobenius_matrix(sp, "ind"))
-    raise AssertionError("unreachable")
+            return blockdiag(a, sp.b)
+        return kron(a, sp.b)  # asai+ and asai-
+    if tag == "ind":
+        return ((0, 0, *a[0]), (0, 0, *a[1]), (1, 0, 0, 0), (0, 1, 0, 0))
+    # x (x) y -> +- a y (x) x: kron(a, I) with its columns (i, j) and (j, i)
+    # swapped, times the sign
+    sign = 1 if tag == "asai+" else -1
+    return tuple(tuple(sign * r[c] for c in (0, 2, 1, 3)) for r in kron(a, eye(2)))
 
 
 @dataclass(frozen=True)
@@ -407,10 +398,10 @@ class CoeffTable:
     def __init__(self, rows):
         self.rows = {}
         for norm, label, coeff in rows:
-            key = (int(norm), str(label))
+            key = (as_index(norm), str(label))
             if key in self.rows:
                 raise ValueError(f"duplicate coefficient row {key}")
-            self.rows[key] = int(coeff)
+            self.rows[key] = as_index(coeff)
         self._check_diagonal_multiplicativity()
 
     def diagonal(self, m) -> int:

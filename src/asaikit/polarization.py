@@ -95,10 +95,9 @@ class PolarizedRep:
         if not w.is_invertible():
             raise ValueError("witness is not invertible")
         a = w.a
-        if self.symmetry == 1 and not np.array_equal(a.T, a):
-            raise ValueError("witness is not symmetric")
-        if self.symmetry == -1 and not np.array_equal(a.T, -a % w.mod):
-            raise ValueError("witness is not antisymmetric")
+        if not np.array_equal(a.T, self.symmetry * a % w.mod):
+            raise ValueError("witness is not " + ("symmetric" if self.symmetry == 1
+                                                  else "antisymmetric"))
         # Both sides of the identity are homomorphisms in x once rep and psi
         # are, so agreement on the domain's generators is agreement on it.
         self.rep.validate()
@@ -123,18 +122,18 @@ def polarize(rep: Rep, psi: Rep, conjugate: bool = True) -> PolarizedRep:
     rows = _witness_system(rep, psi, conjugate)
     d = rep.dim
     found = {}
-    for label, anti in (("symmetric", False), ("antisymmetric", True)):
-        aug = np.vstack([rows, symmetry_rows(d, rep.mod, anti)])
+    for sign in (1, -1):
+        aug = np.vstack([rows, symmetry_rows(d, rep.mod, sign == -1)])
         cands = [Mat(v.reshape(d, d), rep.mod) for v, _ in kernel_gens(aug, rep.mod)]
         w = contains_invertible(cands)
         if w is not None:
-            found[label] = w
+            found[sign] = w
     if not found:
         raise ValueError("no invertible definite-symmetry witness: sign undefined")
     if len(found) == 2:
-        raise ValueError("both symmetric and antisymmetric witnesses exist")
-    label, w = next(iter(found.items()))
-    return PolarizedRep(rep, psi, w, 1 if label == "symmetric" else -1, conjugate)
+        raise ValueError("invertible witnesses of both signs exist")
+    sign, w = next(iter(found.items()))
+    return PolarizedRep(rep, psi, w, sign, conjugate)
 
 
 def bc_sign(p: PolarizedRep) -> int:
@@ -432,21 +431,15 @@ def theorem_main_pipeline(
 def criticality_dimensions(n: int, w: int = 1, i: int = 0) -> dict:
     """Dimension of the +-eigenspace of the signed swap on an n^2-space.
 
-    The involution sends e_a x e_b to (-1)^w (-1)^(w+1) e_b x e_a; its plus
-    eigenspace is the antisymmetric part, of dimension n(n-1)/2, which must
-    match the de Rham quotient count for criticality.
+    The involution sends e_a x e_b to (-1)^w (-1)^(w+1) e_b x e_a = -e_b x e_a
+    for every weight, so its trace is -n and its plus eigenspace, of
+    dimension (n^2 + trace)/2 = n(n-1)/2, is the antisymmetric part; that
+    must match the de Rham quotient count for criticality.
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
-    sign = (-1) ** w * (-1) ** (w + 1)  # = -1 for every weight
-    iota = np.zeros((n * n, n * n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            iota[b * n + a, a * n + b] = sign
-    eye = np.eye(n * n, dtype=np.int64)
-    # iota - eye has 1x1 blocks [-2] and 2x2 blocks of +-1 entries, so its
-    # rank is the same over Q and over every F_p with p odd
-    betti_plus = n * n - len(rref_mod(iota - eye, 3)[1])
+    trace = -n  # e_a x e_a -> -e_a x e_a; e_a x e_b, a != b, leaves its line
+    betti_plus = (n * n + trace) // 2
     dr = n * (n - 1) // 2
     return {
         "betti_plus": betti_plus,
