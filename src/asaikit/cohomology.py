@@ -35,6 +35,7 @@ import numpy as np
 from .exactalg import (
     Mat,
     as_index,
+    as_index_array,
     extend_basis,
     kernel_mod,
     row_space_mod,
@@ -50,7 +51,7 @@ class Cocycle:
 
     def __init__(self, module: Rep, values, validate=True):
         self.module = module
-        self.values = np.mod(np.asarray(values, dtype=np.int64), module.mod)
+        self.values = np.mod(as_index_array(values), module.mod)
         if self.values.shape != (len(module.elements), module.dim):
             raise ValueError("cocycle values have the wrong shape")
         self.values.flags.writeable = False
@@ -78,8 +79,8 @@ class Cocycle:
                        validate=False)
 
     def scale(self, k):
-        return Cocycle(self.module, (self.values * int(k)) % self.module.mod,
-                       validate=False)
+        m = self.module.mod
+        return Cocycle(self.module, self.values * (as_index(k) % m) % m, validate=False)
 
     def restrict(self, submodule: Rep) -> "Cocycle":
         """phi on a subgroup, with coefficients in `submodule`: the
@@ -117,7 +118,7 @@ def _defect(module: Rep, vals, at_gens, at=slice(None)):
 
 def coboundary(module: Rep, x) -> Cocycle:
     """(dx)(g) = g.x - x."""
-    x = np.mod(np.asarray(x, dtype=np.int64), module.mod)
+    x = np.mod(as_index_array(x), module.mod)
     vals = (np.einsum("aij,j->ai", module.images, x) - x) % module.mod
     return Cocycle(module, vals, validate=False)
 
@@ -247,7 +248,7 @@ class H1Data:
 
     def cocycle_from_gen_vector(self, x) -> Cocycle:
         """The cocycle with generator values x, checked: x may lie off Z^1."""
-        x = np.mod(np.asarray(x, dtype=np.int64), self.q)
+        x = np.mod(as_index_array(x), self.q)
         return Cocycle(self.module, self._values(x.reshape(1, -1))[:, :, 0])
 
     def representative(self, i) -> Cocycle:

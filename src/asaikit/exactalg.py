@@ -61,6 +61,17 @@ def as_index(x) -> int:
     raise ValueError(f"{x!r} is not an integer")
 
 
+def as_index_array(x) -> np.ndarray:
+    """x as an int64 array; ValueError unless its dtype is a signed or
+    unsigned integer that casts to int64 safely, so a float, bool, object
+    or str array is refused, never truncated: the array twin of `as_index`.
+    An empty input (float64 to `np.asarray([])`) converts as int64."""
+    a = np.asarray(x)
+    if a.size and (a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.int64)):
+        raise ValueError(f"an array of dtype {a.dtype} is not an integer array")
+    return a.astype(np.int64, copy=False)
+
+
 def validate_modulus(m):
     """Check m = q**n with q an odd prime, 3 <= m and (m-1)^2 < 2^63, so
     that a product of two residues fits in int64; return (q, n).  A
@@ -96,7 +107,7 @@ class Mat:
 
     def __init__(self, entries, mod):
         self.q, _ = validate_modulus(mod)
-        a = np.asarray(entries, dtype=np.int64)
+        a = as_index_array(entries)
         if a.ndim != 2:
             raise ValueError("matrix entries must be 2-dimensional")
         check_int64_products(a.shape[1], mod)

@@ -44,6 +44,7 @@ import numpy as np
 from .exactalg import (
     Mat,
     as_index,
+    as_index_array,
     charpoly_stack,
     check_int64_products,
     kernel_gens,
@@ -84,7 +85,7 @@ class FiniteGroup:
         self.elements = list(elements)
         self.n = len(self.elements)
         if closed_form is None:
-            table = _read_only(np.asarray(mul, dtype=np.int64))
+            table = _read_only(as_index_array(mul))
             if table.shape != (self.n, self.n):
                 raise ValueError("multiplication table has the wrong shape")
             if table.size and (table.min() < 0 or table.max() >= self.n):
@@ -98,9 +99,9 @@ class FiniteGroup:
             self._table = None
             self.one = int(one)
             self.inv = _read_only(np.array(inv, dtype=np.int64))
-        self.H = tuple(sorted({int(h) for h in H}))
+        self.H = tuple(sorted({as_index(h) for h in H}))
         self.H_set = frozenset(self.H)
-        self.ctilde = int(ctilde)
+        self.ctilde = as_index(ctilde)
         self._domains: dict = {}
         # closures of greedy generator prefixes, shared by every subgroup's run
         self._closures: dict[tuple[int, ...], np.ndarray] = {}
@@ -245,7 +246,7 @@ class FiniteGroup:
         """Boolean mask of the closure of gens, 1 and the mask `seen` under
         right products with gens (the subgroup they generate), by `_search`;
         a `seen` closed under some of gens saves the layers that rebuild it."""
-        gens = np.asarray(gens, dtype=np.int64)
+        gens = as_index_array(gens)
         seen = np.zeros(self.n, dtype=bool) if seen is None else seen.copy()
         seen[gens] = True
         seen[self.one] = True
@@ -400,7 +401,7 @@ class Rep:
         self.dom = group.domain(self.domain)
         self.elements = self.dom.elements
         self.pos = self.dom.pos
-        arr = np.asarray(images, dtype=np.int64)
+        arr = as_index_array(images)
         if (arr.ndim != 3 or arr.shape[0] != len(self.elements)
                 or arr.shape[1] != arr.shape[2]):
             raise ValueError("images must be one square matrix per domain element")
@@ -529,7 +530,7 @@ def kron_stack(a, b, mod) -> np.ndarray:
 
 def make_character(group: FiniteGroup, domain: str, values, mod) -> Rep:
     """Character from its values, one per domain element in domain order."""
-    return Rep(group, domain, np.asarray(values, dtype=np.int64).reshape(-1, 1, 1), mod)
+    return Rep(group, domain, as_index_array(values).reshape(-1, 1, 1), mod)
 
 
 def trivial_character(group: FiniteGroup, domain, mod) -> Rep:

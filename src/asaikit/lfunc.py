@@ -489,34 +489,17 @@ def asai_dirichlet(tbl: CoeffTable, N: int) -> list[int]:
     return out[1:]
 
 
-def hecke_power_coefficients(m2, kmax):
-    """c(p^k) for k = 0..kmax from a 2x2 matrix via the trace recursion
-    s_k = t s_{k-1} - d s_{k-2} (s_k = trace Sym^k)."""
-    t, d = _trace_det(m2)
-    s = [1, t]
-    for _ in range(2, kmax + 1):
-        s.append(t * s[-1] - d * s[-2])
-    return s[: kmax + 1]
-
-
 def synthetic_table(params: dict[int, SatakeParam], N: int) -> CoeffTable:
-    """Multiplicative diagonal table c(m O_K), m <= N, built by the Hecke
-    recursion at each prime of `params` (all primes <= N must appear)."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    _check_keys(params)
-    coeffs = {1: 1}
-    for n in range(2, N + 1):
-        p, k, m = split_prime_power(n)
-        if p not in params:
-            raise KeyError(f"no Satake parameter for prime {p} <= {N}")
-        sp = params[p]
-        cpk = hecke_power_coefficients(sp.a, k)[k]
-        if sp.split:
-            cpk *= hecke_power_coefficients(sp.b, k)[k]
-        coeffs[n] = cpk * coeffs[m]
-    rows = [(m * m, f"({m})", coeffs[m]) for m in range(2, N + 1)]
-    return CoeffTable(rows)
+    """Multiplicative diagonal table c(m O_K), m <= N, with c(p^k) the X^k
+    coefficient of 1/det(I - aX), times that of 1/det(I - bX) at a split
+    prime: the Hecke recursion (all primes <= N must appear in `params`)."""
+    def hecke(sp, kmax):
+        blocks = (sp.a, sp.b) if sp.split else (sp.a,)
+        series = [_series_inverse((1, -t, d), kmax) for t, d in map(_trace_det, blocks)]
+        return [math.prod(c) for c in zip(*series)]
+
+    coeffs = _multiplicative(params, N, hecke)
+    return CoeffTable([(m * m, f"({m})", coeffs[m - 1]) for m in range(2, N + 1)])
 
 
 def _check_keys(params):
@@ -529,28 +512,31 @@ def _check_keys(params):
 def euler_product_coefficients(params: dict[int, SatakeParam], N: int) -> list[int]:
     """Dirichlet coefficients of prod_p det(I - asai^+(Frob_p) p^{-s})^{-1}
     up to N: the local-factor power series assembled multiplicatively."""
+    return _multiplicative(params, N, lambda sp, kmax: _series_inverse(
+        euler_factor(sp, "asai+").poly.coeffs, kmax))
+
+
+def _multiplicative(params, N, local):
+    """Coefficients (index 1..N) of the multiplicative series whose p^k-th
+    coefficient is local(sp, kmax)[k], kmax the largest k with p^k <= N;
+    every prime <= N must have a parameter in `params`."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     _check_keys(params)
-    out = [0] * (N + 1)
-    out[1] = 1
-    local = {}
+    series = {}
     for p, sp in params.items():
-        if p > N:
-            continue
-        kmax = 0
-        pk = p
+        kmax, pk = 0, p
         while pk <= N:
             kmax += 1
             pk *= p
-        poly = euler_factor(sp, "asai+").poly.coeffs
-        inv = _series_inverse(poly, kmax)
-        local[p] = inv
+        if kmax:
+            series[p] = local(sp, kmax)
+    out = [0, 1] + [0] * (N - 1)
     for n in range(2, N + 1):
         p, k, m = split_prime_power(n)
-        if p not in local:
+        if p not in series:
             raise KeyError(f"no Satake parameter for prime {p} <= {N}")
-        out[n] = local[p][k] * out[m]
+        out[n] = series[p][k] * out[m]
     return out[1:]
 
 

@@ -65,7 +65,7 @@ def test_h1_of_the_trivial_subgroup_is_zero():
     mod = trivial_module(group, [group.one], 2, 7)
     data = H1Data(mod)
     assert data.dim == 0 and data.b1.shape == (0, 2)
-    zero = Cocycle(mod, np.zeros((1, 2)))
+    zero = Cocycle(mod, np.zeros((1, 2), dtype=np.int64))
     assert data.class_coords(zero).shape == (0,) and data.is_coboundary(zero)
     with pytest.raises(ValueError, match="not in the computed Z\\^1"):
         data.class_coords(Cocycle(mod, [[1, 0]], validate=False))

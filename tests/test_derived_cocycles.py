@@ -257,7 +257,7 @@ def test_derivations_make_no_validate_call(monkeypatch):
     # the counter sees a check where one is made
     z = outputs[0]
     Cocycle(z.module, z.values)
-    h1(z.module).cocycle_from_gen_vector(np.zeros(len(z.module.gens) * z.module.dim))
+    h1(z.module).cocycle_from_gen_vector(np.zeros(len(z.module.gens) * z.module.dim, dtype=np.int64))
     assert len(calls) == 2
 
 

@@ -312,7 +312,7 @@ def test_generator_runs_share_closures():
     assert fresh.generators(g.H) == g.generators(g.H) == (1, 401)
     assert len(calls) == runs_g
     # every Rep on the same subgroup shares one Domain
-    assert fresh.domain("H") is Rep(fresh, g.H, np.ones((len(g.H), 1, 1)), 7,
+    assert fresh.domain("H") is Rep(fresh, g.H, np.ones((len(g.H), 1, 1), dtype=np.int64), 7,
                                     validate=False).dom
 
 

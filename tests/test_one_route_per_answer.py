@@ -2,7 +2,8 @@
 (the swap's rank is its oracle here), Lambda^2 and std read off the induced
 Frobenius, the dual twist as dual then twist, the witness symmetry as one
 transpose comparison, and one integer test, `exactalg.as_index`, for
-moduli, element indices, coefficient tables and group arguments."""
+moduli, element indices, coefficient tables and group arguments, with its
+array twin `as_index_array` for a caller's arrays."""
 
 import re
 from pathlib import Path
@@ -12,9 +13,11 @@ import pytest
 
 import asaikit
 from asaikit.batteries import euler_battery
-from asaikit.exactalg import Mat, as_index, kernel_mod, wedge_square
-from asaikit.fixtures import m40_fixture, ribet_fixture
+from asaikit.cohomology import Cocycle, coboundary, h1, hom_module
+from asaikit.exactalg import Mat, as_index, as_index_array, kernel_mod, wedge_square
+from asaikit.fixtures import m40_fixture, ribet_fixture, s3_fixture
 from asaikit.grouprep import (
+    FiniteGroup,
     Rep,
     coset_sign_character,
     dual_twist,
@@ -146,3 +149,80 @@ def test_as_index_is_the_one_integer_test():
     for bad in (7.0, "7", True, None):
         with pytest.raises(ValueError):
             as_index(bad)
+
+
+# -- refusals: the array twin, FiniteGroup's arguments, Cocycle.scale ----------
+
+
+@pytest.mark.parametrize("H, ctilde", [([0.0, 1.9, 2.2], 3), ([0, 1, 2], 3.7),
+                                       (["0", "1", "2"], 3), ([0, 1, 2], "3")], ids=repr)
+def test_finite_group_refuses_a_non_integer_subgroup_or_ctilde(H, ctilde):
+    g = s3_fixture().group
+    assert (g.H, g.ctilde) == ((0, 1, 2), 3)
+    with pytest.raises(ValueError, match="is not an integer"):
+        FiniteGroup(g.elements, g.mul, H, ctilde)
+
+
+def test_finite_group_refuses_a_float_table_and_float_generators():
+    g = s3_fixture().group
+    with pytest.raises(ValueError, match="is not an integer array"):
+        FiniteGroup(g.elements, g.mul + 0.5, g.H, g.ctilde)
+    with pytest.raises(ValueError, match="is not an integer array"):
+        g.closure([1.9])
+    assert np.array_equal(g.closure(np.array([1], dtype=np.uint8)), g.closure([1]))
+
+
+FLOAT_ARRAY_ENTRIES = {
+    "Rep": lambda g, triv: Rep(g, "G", np.full((g.n, 1, 1), 1.7), 7),
+    "make_character": lambda g, triv: make_character(g, "G", [1.0] * g.n, 7),
+    "Mat": lambda g, triv: Mat([[1.9, 0], [0, 1]], 7),
+    "Cocycle": lambda g, triv: Cocycle(triv, np.full((g.n, 1), 0.4)),
+    "coboundary": lambda g, triv: coboundary(triv, [2.9]),
+    "cocycle_from_gen_vector": lambda g, triv: h1(triv).cocycle_from_gen_vector(
+        [0.0] * len(h1(triv).gens)),
+}
+
+
+@pytest.mark.parametrize("entry", FLOAT_ARRAY_ENTRIES)
+def test_a_float_array_is_refused_not_truncated(entry):
+    g = s3_fixture().group
+    triv = trivial_character(g, "G", 7)
+    with pytest.raises(ValueError, match="dtype float64 is not an integer array"):
+        FLOAT_ARRAY_ENTRIES[entry](g, triv)
+
+
+@pytest.mark.parametrize("bad", [[1.0], [True], [2**64], ["1"], np.array([1], dtype=np.uint64)],
+                         ids=["float", "bool", "past-int64", "str", "uint64"])
+def test_as_index_array_refuses_a_dtype_that_is_not_int64_safe(bad):
+    with pytest.raises(ValueError, match="is not an integer array"):
+        as_index_array(bad)
+
+
+@pytest.mark.parametrize("good", [[3, -1], np.array([3, 255], dtype=np.uint8),
+                                  np.array([3, -1], dtype=np.int32), [], np.zeros((0, 2))],
+                         ids=["list", "uint8", "int32", "empty", "empty-float"])
+def test_as_index_array_converts_integers_and_empty_input_to_int64(good):
+    a = as_index_array(good)
+    assert a.dtype == np.int64 and np.array_equal(a, np.asarray(good))
+
+
+def test_an_empty_input_still_meets_the_shape_checks():
+    g = s3_fixture().group
+    with pytest.raises(ValueError, match="must be 2-dimensional"):
+        Mat([], 7)
+    with pytest.raises(ValueError, match="one square matrix per domain element"):
+        Rep(g, "G", [], 7)
+
+
+def test_cocycle_scale_refuses_a_non_integer_and_reduces_k_first(rib):
+    z = h1(hom_module(rib.rep("chi"), rib.rep("chi_inv"))).representative(0)
+    with pytest.raises(ValueError, match="2.5 is not an integer"):
+        z.scale(2.5)
+    big = z.module.mod * 2**59 + 2  # fits int64, but a value times it would wrap
+    assert np.array_equal(z.scale(np.int64(big)).values, z.scale(2).values)
+
+
+def test_only_exactalg_converts_a_callers_array_to_int64():
+    pattern = re.compile(r"np\.asarray\([^\n]*dtype=np\.int64")
+    for name in ("grouprep.py", "cohomology.py"):
+        assert not pattern.search((SRC / name).read_text()), name
