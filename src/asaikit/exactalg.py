@@ -65,11 +65,23 @@ def as_index_array(x) -> np.ndarray:
     """x as an int64 array; ValueError unless its dtype is a signed or
     unsigned integer that casts to int64 safely, so a float, bool, object
     or str array is refused, never truncated: the array twin of `as_index`.
-    An empty input (float64 to `np.asarray([])`) converts as int64."""
+    A Python sequence holding a bool is refused too, since numpy reads a
+    bool among ints as 0 or 1.  An empty input (float64 to `np.asarray([])`)
+    converts as int64."""
     a = np.asarray(x)
-    if a.size and (a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.int64)):
-        raise ValueError(f"an array of dtype {a.dtype} is not an integer array")
-    return a.astype(np.int64, copy=False)
+    if a.dtype != np.int64:
+        if a.size and (a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.int64)):
+            raise ValueError(f"an array of dtype {a.dtype} is not an integer array")
+        a = a.astype(np.int64)
+    if not isinstance(x, np.ndarray) and _holds_bool(x):
+        raise ValueError(f"{x!r} holds a bool, so it is not an integer array")
+    return a
+
+
+def _holds_bool(x):
+    if isinstance(x, (list, tuple)):
+        return any(map(_holds_bool, x))
+    return isinstance(x, (bool, np.bool_)) or (isinstance(x, np.ndarray) and x.dtype == bool)
 
 
 def validate_modulus(m):
@@ -189,8 +201,8 @@ def polymul_stack(a, b, mod):
     Each coefficient sums at most min(k, l) residue products before it is
     reduced, so check_int64_products(min(k, l), mod) keeps it exact.
     """
-    a = np.mod(np.asarray(a, dtype=np.int64), mod)
-    b = np.mod(np.asarray(b, dtype=np.int64), mod)
+    a = np.mod(as_index_array(a), mod)
+    b = np.mod(as_index_array(b), mod)
     k, l = a.shape[1], b.shape[1]
     out = np.zeros((a.shape[0], k + l - 1), dtype=np.int64)
     for j in range(l):
@@ -208,7 +220,7 @@ def charpoly_stack(a, mod):
     over the whole stack.  Each sums at most n residue products before it is
     reduced mod m, so check_int64_products(n, mod) keeps it exact.
     """
-    a = np.mod(np.asarray(a, dtype=np.int64), mod)
+    a = np.mod(as_index_array(a), mod)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("characteristic polynomials of a stack of square matrices")
     n = a.shape[1]
@@ -253,7 +265,7 @@ def exterior_square(a, mod):
     within +-(m-1)^2, which fits int64 for every valid modulus.
     """
     validate_modulus(mod)
-    a = np.asarray(a, dtype=np.int64)
+    a = as_index_array(a)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("exterior square of a non-square matrix")
     d = a.shape[1]
@@ -283,8 +295,8 @@ def echelon_mod(a, mod, rhs=None):
     operations.
     """
     q, n = factor_prime_power(mod)
-    A = np.mod(np.asarray(a, dtype=np.int64), mod)
-    B = None if rhs is None else np.mod(np.asarray(rhs, dtype=np.int64), mod)
+    A = np.mod(as_index_array(a), mod)
+    B = None if rhs is None else np.mod(as_index_array(rhs), mod)
     r, c = A.shape
     used = [False] * c
     pivots = []
@@ -380,7 +392,7 @@ def solve_mod(a, rhs, mod):
     rhs may be a vector or a matrix (each column solved simultaneously).
     Kernels come from `kernel_gens` or `kernel_mod`.
     """
-    b = np.asarray(rhs, dtype=np.int64)
+    b = as_index_array(rhs)
     vec = b.ndim == 1
     B = b.reshape(-1, 1) if vec else b
     if np.shape(a)[0] != B.shape[0]:
@@ -418,7 +430,7 @@ def extend_basis(inner, vectors, p):
     """Indices of `vectors` rows extending row-space `inner` to inner+vectors:
     the pivot columns past `inner` of one rref of [inner; vectors]^T."""
     k = len(inner)
-    stacked = np.vstack([np.reshape(inner, (k, vectors.shape[1])), vectors])
+    stacked = np.vstack([as_index_array(inner).reshape(k, vectors.shape[1]), vectors])
     return [j - k for j in rref_mod(stacked.T, p)[1] if j >= k]
 
 

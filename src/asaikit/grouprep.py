@@ -85,7 +85,9 @@ class FiniteGroup:
         self.elements = list(elements)
         self.n = len(self.elements)
         if closed_form is None:
-            table = _read_only(as_index_array(mul))
+            table = as_index_array(mul)
+            # the caller's own int64 array comes back as is: freeze a copy
+            table = _read_only(table.copy() if table is mul else table)
             if table.shape != (self.n, self.n):
                 raise ValueError("multiplication table has the wrong shape")
             if table.size and (table.min() < 0 or table.max() >= self.n):

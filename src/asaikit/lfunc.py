@@ -4,6 +4,11 @@ and similitude representations; their Euler factors; the wedge-square and
 standard factorization identities; and Dirichlet series assembly for the
 diagonal coefficient table.
 
+Every series is linear in N: a `CoeffTable` reads its diagonal into one
+dict once, `asai_dirichlet` sieves over the squares d^2 <= N, and the
+multiplicative assembly marks each n <= N with its least listed prime in
+one sieve, so no n is factored by trial division.
+
 All arithmetic is exact: integer matrices, integer Euler factors and
 integer Dirichlet coefficients.  `euler_factor` returns each factor in
 closed form from the trace and determinant of each 2x2 block, with no
@@ -24,11 +29,13 @@ tensor-induced one.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
-from operator import index, mul
+from operator import add, index, mul
 from pathlib import Path
+from types import MappingProxyType
 
 from .exactalg import PolyX, as_index, charpoly, det, split_prime_power, wedge_square
 
@@ -393,44 +400,51 @@ def std_in_so5(m):
 
 class CoeffTable:
     """Hecke coefficients indexed by (ideal norm, label); the diagonal
-    entries c(m O_K) live at label "(m)" with norm m^2 (class number 1)."""
+    entries c(m O_K) live at label "(m)" with norm m^2 (class number 1).
+
+    A row is diagonal when its label is exactly f"({m})" and its norm m^2
+    for some m >= 0 ("(02)" or "(\u00b2)" at norm 4 is an ordinary row).
+    The diagonal is read once, at construction, into one dict {m: c(m O_K)}
+    with c(O_K) = 1, which `diagonal`, `has_diagonal`, the multiplicativity
+    check and `asai_dirichlet` all read; `rows` is a read-only view, so the
+    two cannot drift apart."""
 
     def __init__(self, rows):
-        self.rows = {}
+        table = {}
+        self._diagonal = {1: 1}
         for norm, label, coeff in rows:
             key = (as_index(norm), str(label))
-            if key in self.rows:
+            if key in table:
                 raise ValueError(f"duplicate coefficient row {key}")
-            self.rows[key] = as_index(coeff)
+            table[key] = c = as_index(coeff)
+            m = math.isqrt(max(key[0], 0))
+            if m * m == key[0] and key[1] == f"({m})" and m != 1:
+                self._diagonal[m] = c
+        self.rows = MappingProxyType(table)
         self._check_diagonal_multiplicativity()
 
     def diagonal(self, m) -> int:
-        if m == 1:
-            return 1
-        key = (m * m, f"({m})")
-        if key not in self.rows:
+        if m not in self._diagonal:
             raise KeyError(f"missing diagonal coefficient c({m} O_K)")
-        return self.rows[key]
+        return self._diagonal[m]
 
     def has_diagonal(self, m):
-        return m == 1 or (m * m, f"({m})") in self.rows
+        return m in self._diagonal
 
     def _check_diagonal_multiplicativity(self):
-        ms = sorted(
-            int(label[1:-1])
-            for (norm, label) in self.rows
-            if label.startswith("(") and label[1:-1].isdigit()
-            and norm == int(label[1:-1]) ** 2
-        )
-        mset = set(ms)
-        top = max(ms, default=0)
-        for m in ms:
-            for n in ms:  # sorted: past top, no product is in the table
-                if m * n > top:
-                    break
-                if m < 2 or n < m or math.gcd(m, n) != 1 or m * n not in mset:
-                    continue
-                if self.diagonal(m) * self.diagonal(n) != self.diagonal(m * n):
+        """c(m) c(n) = c(mn) for coprime 2 <= m < n with m, n, mn all
+        diagonal; a failure names the least such (m, n), m first."""
+        c = self._diagonal
+        ms = sorted(c)
+        top = ms[-1]
+        for i, m in enumerate(ms):
+            if m * m >= top:  # n > m: no product mn is in the table
+                break
+            if m < 2:
+                continue
+            cm = c[m]
+            for n in ms[i + 1:bisect.bisect_right(ms, top // m)]:
+                if math.gcd(m, n) == 1 and m * n in c and cm * c[n] != c[m * n]:
                     raise ValueError(
                         f"multiplicativity fails: c({m})c({n}) != c({m*n})"
                     )
@@ -471,22 +485,20 @@ def _is_int(s):
 
 
 def asai_dirichlet(tbl: CoeffTable, N: int) -> list[int]:
-    """Coefficients (index 1..N) of zeta(2s) * sum_m c(m O_K) m^{-s}."""
+    """Coefficients (index 1..N) of zeta(2s) * sum_m c(m O_K) m^{-s}: c(m)
+    added at m d^2 for every d^2 <= N, a sieve of about 1.64 N steps."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    diag = tbl._diagonal
     for m in range(1, N + 1):
-        if not tbl.has_diagonal(m):
+        if m not in diag:
             raise KeyError(f"missing diagonal coefficient c({m} O_K) below N={N}")
-    out = [0] * (N + 1)
-    for n in range(1, N + 1):
-        total = 0
-        d = 1
-        while d * d <= n:
-            if n % (d * d) == 0:
-                total += tbl.diagonal(n // (d * d))
-            d += 1
-        out[n] = total
-    return out[1:]
+    c = [diag[m] for m in range(1, N + 1)]
+    out = c[:]
+    for d in range(2, math.isqrt(N) + 1):
+        dd = d * d
+        out[dd - 1::dd] = map(add, out[dd - 1::dd], c[:N // dd])
+    return out
 
 
 def synthetic_table(params: dict[int, SatakeParam], N: int) -> CoeffTable:
@@ -519,7 +531,12 @@ def euler_product_coefficients(params: dict[int, SatakeParam], N: int) -> list[i
 def _multiplicative(params, N, local):
     """Coefficients (index 1..N) of the multiplicative series whose p^k-th
     coefficient is local(sp, kmax)[k], kmax the largest k with p^k <= N;
-    every prime <= N must have a parameter in `params`."""
+    every prime <= N must have a parameter in `params`.
+
+    One sieve marks each n <= N with its least listed prime p, so that
+    n = p^k m with p not dividing m and out[n] = c(p^k) out[m]; an n <= N
+    left unmarked has no listed prime factor, and the least one is the
+    least missing prime."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     _check_keys(params)
@@ -531,11 +548,18 @@ def _multiplicative(params, N, local):
             pk *= p
         if kmax:
             series[p] = local(sp, kmax)
+    least = [0] * (N + 1)
+    for p in sorted(series, reverse=True):  # a smaller prime overwrites
+        least[p::p] = [p] * (N // p)
+    if 0 in least[2:]:
+        raise KeyError(f"no Satake parameter for prime {least.index(0, 2)} <= {N}")
     out = [0, 1] + [0] * (N - 1)
     for n in range(2, N + 1):
-        p, k, m = split_prime_power(n)
-        if p not in series:
-            raise KeyError(f"no Satake parameter for prime {p} <= {N}")
+        p = least[n]
+        m, k = n // p, 1
+        while m % p == 0:
+            m //= p
+            k += 1
         out[n] = series[p][k] * out[m]
     return out[1:]
 

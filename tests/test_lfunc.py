@@ -787,6 +787,32 @@ def test_multiplicativity_violation_at_a_large_index_is_rejected():
         CoeffTable(bad)
 
 
+@pytest.mark.parametrize("label", ["(02)", "(²)"], ids=["leading-zero", "superscript"])
+def test_a_label_that_is_not_exactly_m_is_not_a_diagonal_row(label, tmp_path):
+    # c(2 O_K) lives at label "(2)" and norm 4 only; any other label at norm
+    # 4 is an ordinary row, kept, and the diagonal entry stays missing
+    rows = [(4, label, 1), (9, "(3)", 1), (36, "(6)", 1)]
+    tbl = CoeffTable(rows)
+    assert tbl.to_rows() == sorted(rows)
+    assert not tbl.has_diagonal(2) and tbl.diagonal(6) == 1
+    with pytest.raises(KeyError, match=r"missing diagonal coefficient c\(2 O_K\)"):
+        tbl.diagonal(2)
+    csv = tmp_path / "c.csv"
+    csv.write_text("norm,label,coefficient\n" + "".join(f"{n},{l},{c}\n" for n, l, c in rows))
+    report = tmp_path / "l.json"
+    assert cli.main(["lfunc", "--coeffs", str(csv), "--report", str(report)]) == 1
+    assert json.loads(report.read_text()) == {
+        "command": "lfunc", "ok": False,
+        "error": "missing diagonal coefficient c(2 O_K) below N=50"}
+
+
+def test_rows_are_read_only_so_the_diagonal_cannot_drift():
+    tbl = CoeffTable([(4, "(2)", 3)])
+    with pytest.raises(TypeError):
+        tbl.rows[(4, "(2)")] = 5
+    assert tbl.diagonal(2) == 3 and tbl.to_rows() == [(4, "(2)", 3)]
+
+
 def test_ingest_requires_header():
     with pytest.raises(ValueError, match="header"):
         ingest_coeffs(io.StringIO("a,b,c\n1,x,1\n"))

@@ -14,7 +14,20 @@ import pytest
 import asaikit
 from asaikit.batteries import euler_battery
 from asaikit.cohomology import Cocycle, coboundary, h1, hom_module
-from asaikit.exactalg import Mat, as_index, as_index_array, kernel_mod, wedge_square
+from asaikit.exactalg import (
+    Mat,
+    as_index,
+    as_index_array,
+    charpoly_stack,
+    echelon_mod,
+    exterior_square,
+    extend_basis,
+    kernel_mod,
+    polymul_stack,
+    rref_mod,
+    solve_mod,
+    wedge_square,
+)
 from asaikit.fixtures import m40_fixture, ribet_fixture, s3_fixture
 from asaikit.grouprep import (
     FiniteGroup,
@@ -224,5 +237,50 @@ def test_cocycle_scale_refuses_a_non_integer_and_reduces_k_first(rib):
 
 def test_only_exactalg_converts_a_callers_array_to_int64():
     pattern = re.compile(r"np\.asarray\([^\n]*dtype=np\.int64")
-    for name in ("grouprep.py", "cohomology.py"):
+    for name in ("grouprep.py", "cohomology.py", "exactalg.py"):
         assert not pattern.search((SRC / name).read_text()), name
+
+
+EYE2 = np.eye(2, dtype=np.int64)
+FLOAT_MODULAR_READERS = {
+    "rref_mod": lambda: rref_mod([[1.9, 0], [0, 1]], 7),
+    "kernel_mod": lambda: kernel_mod([[1.9, 1.0]], 7),
+    "echelon_mod-rhs": lambda: echelon_mod(EYE2, 7, [[0.5], [1]]),
+    "solve_mod-rhs": lambda: solve_mod(EYE2, [1.5, 2.0], 7),
+    "extend_basis": lambda: extend_basis(EYE2[:1], np.array([[0.0, 1.9]]), 7),
+    "polymul_stack": lambda: polymul_stack([[1.9, 1]], [[1, 1]], 7),
+    "charpoly_stack": lambda: charpoly_stack(np.full((1, 2, 2), 1.9), 7),
+    "exterior_square": lambda: exterior_square(np.full((1, 2, 2), 1.9), 7),
+}
+
+
+@pytest.mark.parametrize("reader", FLOAT_MODULAR_READERS)
+def test_the_modular_readers_refuse_a_float_array(reader):
+    with pytest.raises(ValueError, match="dtype float64 is not an integer array"):
+        FLOAT_MODULAR_READERS[reader]()
+
+
+def test_the_modular_readers_still_take_python_integers():
+    R, piv = rref_mod([[2, 0], [0, 1]], 7)
+    assert np.array_equal(R, EYE2) and piv == [0, 1]
+    assert np.array_equal(solve_mod(EYE2, [3, 9], 7), [3, 2])
+    assert extend_basis([], EYE2, 7) == [0, 1]
+
+
+@pytest.mark.parametrize("bad", [[True, 2], [[1, 2], [3, False]], (2, np.True_),
+                                 [np.array([1]), np.array([True])]],
+                         ids=["flat", "nested", "numpy-bool", "bool-array-in-list"])
+def test_as_index_array_refuses_a_bool_inside_a_sequence(bad):
+    with pytest.raises(ValueError, match="holds a bool, so it is not an integer array"):
+        as_index_array(bad)
+    with pytest.raises(ValueError):
+        Mat(bad if np.ndim(bad) == 2 else [bad], 7)
+
+
+def test_finite_group_leaves_the_callers_table_writeable():
+    g = s3_fixture().group
+    table = np.array(g.mul, dtype=np.int64)
+    h = FiniteGroup(g.elements, table, g.H, g.ctilde)
+    assert table.flags.writeable and not h.mul.flags.writeable
+    table[0, 0] = 5  # the group holds its own copy
+    assert np.array_equal(h.mul, g.mul)
