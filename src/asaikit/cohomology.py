@@ -38,6 +38,7 @@ from .exactalg import (
     as_index_array,
     extend_basis,
     kernel_mod,
+    read_only,
     row_space_mod,
     rref_mod,
     solve_mod,
@@ -51,10 +52,9 @@ class Cocycle:
 
     def __init__(self, module: Rep, values, validate=True):
         self.module = module
-        self.values = np.mod(as_index_array(values), module.mod)
+        self.values = read_only(np.mod(as_index_array(values), module.mod))
         if self.values.shape != (len(module.elements), module.dim):
             raise ValueError("cocycle values have the wrong shape")
-        self.values.flags.writeable = False
         if validate:
             self.validate()
 
@@ -185,16 +185,18 @@ class H1Data:
             # phi(a t) = phi(a) + a.phi(t), at positions in the domain
             expand[new] = (expand[a] + m.images[a] @ jval[t] % q) % q
         self.depth = len(layers)
-        self.expand = expand
-        self.z1 = self._solve_z1()  # gen-coordinate rows
+        self.expand = read_only(expand)
+        self.z1 = read_only(self._solve_z1())  # gen-coordinate rows
         # row j: the coboundary of e_j in generator coordinates, s.e_j - e_j
         eye = np.eye(d, dtype=np.int64)
-        self.coboundaries = (m.arr(gens) - eye).transpose(2, 0, 1).reshape(d, D) % q
-        self.b1 = row_space_mod(self.coboundaries, q)
+        self.coboundaries = read_only(
+            (m.arr(gens) - eye).transpose(2, 0, 1).reshape(d, D) % q)
+        self.b1 = read_only(row_space_mod(self.coboundaries, q))
         keep = extend_basis(self.b1, self.z1, q)
-        self.h1_reps = self.z1[keep] if keep else np.zeros((0, D), dtype=np.int64)
+        self.h1_reps = read_only(self.z1[keep] if keep
+                                  else np.zeros((0, D), dtype=np.int64))
         self.dim = len(self.h1_reps)
-        self._coord_stack = np.vstack([self.b1, self.h1_reps])
+        self._coord_stack = read_only(np.vstack([self.b1, self.h1_reps]))
 
     def _rows(self, at=slice(None)):
         """The consistency rows at the element positions `at` (all by
@@ -287,8 +289,15 @@ class H1Data:
 
 
 def h1(module: Rep) -> H1Data:
-    """Z^1 basis, B^1 basis and H^1 representatives for a module over F_q."""
-    return H1Data(module)
+    """Z^1 basis, B^1 basis and H^1 representatives for a module over F_q.
+
+    Solved once per module: the `H1Data` is kept in the memo of the
+    module's `grouprep.Domain` under its exact content key
+    (`Rep.content_key`: modulus, image shape and image bytes), so every
+    later call with an equal module, built anywhere, reads the same
+    read-only answer back.  The memo lives as long as the group.
+    `H1Data(module)` is the uncached constructor."""
+    return module.dom.solved(("h1",) + module.content_key, lambda: H1Data(module))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,13 @@ def as_index(x) -> int:
     raise ValueError(f"{x!r} is not an integer")
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, marked read-only in place: an answer that is shared cannot be
+    written into by one of its readers."""
+    a.flags.writeable = False
+    return a
+
+
 def as_index_array(x) -> np.ndarray:
     """x as an int64 array; ValueError unless its dtype is a signed or
     unsigned integer that casts to int64 safely, so a float, bool, object
@@ -123,9 +130,7 @@ class Mat:
         if a.ndim != 2:
             raise ValueError("matrix entries must be 2-dimensional")
         check_int64_products(a.shape[1], mod)
-        a = np.mod(a, mod)
-        a.flags.writeable = False
-        self.a = a
+        self.a = read_only(np.mod(a, mod))
         self.mod = int(mod)
 
     def __eq__(self, other):

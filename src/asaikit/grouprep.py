@@ -30,7 +30,9 @@ the sign of the action on the nontrivial coset.
 Every Hom space -- intertwiners, End (Schur), isotypic lines, invariant
 pairings, and in `polarization` the polarization witnesses -- is the kernel
 of one system, ``hom_system(r1, r2)``, with ``symmetry_rows`` appended when
-a transpose symmetry is imposed.
+a transpose symmetry is imposed.  The plain kernel of that system is
+`hom_kernel(r1, r2)`, solved once per pair of modules by content and read
+back from the domain's memo (`Domain.solved`) on every later call.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .exactalg import (
     check_int64_products,
     kernel_gens,
     kernel_mod,
+    read_only,
     row_space_mod,
     validate_modulus,
 )
@@ -56,11 +59,6 @@ from .exactalg import (
 
 # rows per block of Light's test on a dense table
 _LIGHT_BLOCK = 64
-
-
-def _read_only(a) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class FiniteGroup:
@@ -87,7 +85,7 @@ class FiniteGroup:
         if closed_form is None:
             table = as_index_array(mul)
             # the caller's own int64 array comes back as is: freeze a copy
-            table = _read_only(table.copy() if table is mul else table)
+            table = read_only(table.copy() if table is mul else table)
             if table.shape != (self.n, self.n):
                 raise ValueError("multiplication table has the wrong shape")
             if table.size and (table.min() < 0 or table.max() >= self.n):
@@ -100,7 +98,7 @@ class FiniteGroup:
             one, inv, self._law = closed_form
             self._table = None
             self.one = int(one)
-            self.inv = _read_only(np.array(inv, dtype=np.int64))
+            self.inv = read_only(np.array(inv, dtype=np.int64))
         self.H = tuple(sorted({as_index(h) for h in H}))
         self.H_set = frozenset(self.H)
         self.ctilde = as_index(ctilde)
@@ -128,7 +126,7 @@ class FiniteGroup:
         if not ok.all():
             g = int(np.argmin(ok))
             raise ValueError(f"element {g} has no two-sided inverse")
-        return _read_only(inv)
+        return read_only(inv)
 
     def _light_test(self):
         """(x y) s = x (y s) for all x, y and each generator s, in blocks of
@@ -187,7 +185,7 @@ class FiniteGroup:
 
     def _dense_table(self) -> np.ndarray:
         xs = np.arange(self.n)
-        return _read_only(self.prod(xs[:, None], xs))
+        return read_only(self.prod(xs[:, None], xs))
 
     def op(self, g, h):
         return int(self.prod(g, h))
@@ -207,8 +205,8 @@ class FiniteGroup:
         xs = np.arange(self.n)
         c_inv = self.inv[self.ctilde]
         left = self.prod(self.ctilde, xs)
-        return (_read_only(self.prod(xs, c_inv)), _read_only(left),
-                _read_only(self.prod(left, c_inv)))
+        return (read_only(self.prod(xs, c_inv)), read_only(left),
+                read_only(self.prod(left, c_inv)))
 
     def conj_ctilde(self, g):
         """ctilde g ctilde^{-1}, elementwise on an index array g."""
@@ -221,7 +219,7 @@ class FiniteGroup:
         so `validate` has range-checked H by then)."""
         mask = np.zeros(self.n, dtype=bool)
         mask[list(self.H)] = True
-        return _read_only(mask)
+        return read_only(mask)
 
     def _search(self, frontier, steps, seen):
         """The one breadth-first search: from `frontier` by right products
@@ -261,7 +259,7 @@ class FiniteGroup:
         closure of the prefix one shorter."""
         if gens not in self._closures:
             seen = self._prefix_closure(gens[:-1]) if gens else None
-            self._closures[gens] = _read_only(self.closure(gens, seen))
+            self._closures[gens] = read_only(self.closure(gens, seen))
         return self._closures[gens]
 
     def _greedy_generators(self, inside) -> tuple[int, ...]:
@@ -316,7 +314,17 @@ class Domain:
     element tuple -- with the index work on it that depends on the group
     alone, done once per group: element positions, greedy generators, the
     positions of the products x s with them, and the jump walk of H^1.
-    Every `Rep` on the subset shares it."""
+    Every `Rep` on the subset shares it.
+
+    It also holds the memo of answers that depend only on the content of
+    modules on the subset (`solved`): H^1 (`cohomology.h1`) and the Hom
+    kernel (`hom_kernel`).  A key is the exact content, `Rep.content_key`
+    -- the modulus, the image stack's shape and its bytes -- tagged by the
+    answer, plus r1's domain key and content for a Hom pair.  Looking up
+    the full bytes is equality of content, so a hit is never another
+    module's answer.  The memo lives as long as the group does and needs
+    no eviction; the answers in it are read-only.
+    """
 
     def __init__(self, group: FiniteGroup, key):
         self.group = group
@@ -327,10 +335,18 @@ class Domain:
         else:
             self.elements = group.H if key == "H" else key
             self.array = np.array(self.elements, dtype=np.int64)
-        _read_only(self.array)
+        read_only(self.array)
         pos = np.full(n, -1, dtype=np.int64)
         pos[self.array] = np.arange(self.array.size)
-        self.pos = _read_only(pos)
+        self.pos = read_only(pos)
+        self._solved: dict = {}
+
+    def solved(self, key, solve):
+        """The answer for an exact content key: `solve()` on the first call
+        with the key, read back on every later one."""
+        if key not in self._solved:
+            self._solved[key] = solve()
+        return self._solved[key]
 
     @functools.cached_property
     def gens(self) -> tuple[int, ...]:
@@ -351,7 +367,7 @@ class Domain:
         """(N, k): the position of x s in the subgroup, for each element x
         and generator s."""
         prods = self.group.prod(self.array[:, None], np.array(self.gens))
-        return _read_only(self.pos[prods])
+        return read_only(self.pos[prods])
 
     @functools.cached_property
     def walk(self):
@@ -381,7 +397,7 @@ class Domain:
                        for a, new, t in g._search(np.array([g.one]), jumps, seen))
         if not np.array_equal(np.flatnonzero(seen), self.array):
             raise AssertionError("the jump walk does not reach every element of the domain")
-        return _read_only(jump), _read_only(keep), layers
+        return read_only(jump), read_only(keep), layers
 
 
 class Rep:
@@ -407,8 +423,7 @@ class Rep:
         if (arr.ndim != 3 or arr.shape[0] != len(self.elements)
                 or arr.shape[1] != arr.shape[2]):
             raise ValueError("images must be one square matrix per domain element")
-        self.images = np.mod(arr, self.mod)
-        self.images.flags.writeable = False
+        self.images = read_only(np.mod(arr, self.mod))
         self.dim = int(self.images.shape[1])
         check_int64_products(self.dim, self.mod)
         if validate:
@@ -461,6 +476,12 @@ class Rep:
 
     def __repr__(self):
         return f"Rep(dim={self.dim}, mod={self.mod}, domain={self.domain})"
+
+    @property
+    def content_key(self) -> tuple:
+        """(modulus, image stack shape, image bytes): two reps on one
+        `Domain` are equal exactly when these are."""
+        return self.mod, self.images.shape, self.images.tobytes()
 
     # -- derived reps -----------------------------------------------------------
 
@@ -673,12 +694,31 @@ def symmetry_rows(d, mod, antisymmetric) -> np.ndarray:
     return rows
 
 
+def hom_kernel(r1: Rep, r2: Rep) -> tuple[tuple[np.ndarray, int], ...]:
+    """`kernel_gens(hom_system(r1, r2), mod)`: generators (vec, annihilator)
+    of Hom(r1, r2), the package's one route to that plain kernel.
+
+    It is solved once per pair of modules and kept in the memo of r2's
+    `Domain` (whose generators the system is written on), under r1's
+    domain key and the content keys of both; every later call with equal
+    modules, built anywhere, reads it back.  The vectors are read-only."""
+    if r1.group is not r2.group or r1.mod != r2.mod:
+        raise ValueError("Hom needs the same group and modulus")
+
+    def solve():
+        kernel = kernel_gens(hom_system(r1, r2), r2.mod)
+        return tuple((read_only(v), ann) for v, ann in kernel)
+
+    return r2.dom.solved(("hom", r1.domain) + r1.content_key + r2.content_key, solve)
+
+
 def intertwiner_space(r1: Rep, r2: Rep) -> list[Mat]:
-    """Basis of {M : M r1(g) = r2(g) M for all g} (maps V1 -> V2)."""
+    """Basis of {M : M r1(g) = r2(g) M for all g} (maps V1 -> V2), read off
+    `hom_kernel`: solved once per pair of modules by content, the memo
+    living as long as the group."""
     if r1.group is not r2.group or r1.domain != r2.domain or r1.mod != r2.mod:
         raise ValueError("intertwiners need the same group, domain and modulus")
-    kernel = kernel_gens(hom_system(r1, r2), r1.mod)
-    return [Mat(v.reshape(r2.dim, r1.dim), r1.mod) for v, _ in kernel]
+    return [Mat(v.reshape(r2.dim, r1.dim), r1.mod) for v, _ in hom_kernel(r1, r2)]
 
 
 _RANDOM_TRIES = 200
@@ -733,8 +773,7 @@ def isotypic_lines(rho: Rep, chi: Rep) -> list[np.ndarray]:
     Hom(chi, rho)."""
     if chi.dim != 1:
         raise ValueError("chi must be a character")
-    kernel = kernel_gens(hom_system(chi, rho), rho.mod)
-    return [v for v, ann in kernel if ann == rho.mod]
+    return [v for v, ann in hom_kernel(chi, rho) if ann == rho.mod]
 
 
 class PairingClassification:
@@ -770,12 +809,13 @@ def classify_pairing(rho: Rep, mu: Rep) -> PairingClassification:
     if rho.precision > 1:
         raise NotImplementedError("pairing classification is over F_q")
     d = rho.dim
-    sys = hom_system(rho, dual_twist(rho, mu))
+    dual = dual_twist(rho, mu)
+    sys = hom_system(rho, dual)
     basis = []
     for label, anti in (("symmetric", False), ("antisymmetric", True)):
         part = kernel_mod(np.vstack([sys, symmetry_rows(d, q, anti)]), q)
         basis += [(Mat(v.reshape(d, d), q), label) for v in row_space_mod(part, q)]
-    if len(basis) != len(kernel_mod(sys, q)):
+    if len(basis) != len(hom_kernel(rho, dual)):
         # mixed-symmetry leftovers cannot occur over an odd modulus
         raise AssertionError("pairing space failed to split by symmetry")
     mu_ct = mu.value(rho.group.ctilde) if mu.domain == "G" else None

@@ -403,11 +403,12 @@ class CoeffTable:
     entries c(m O_K) live at label "(m)" with norm m^2 (class number 1).
 
     A row is diagonal when its label is exactly f"({m})" and its norm m^2
-    for some m >= 0 ("(02)" or "(\u00b2)" at norm 4 is an ordinary row).
+    for some m >= 1 ("(02)" or "(\u00b2)" at norm 4 is an ordinary row).
     The diagonal is read once, at construction, into one dict {m: c(m O_K)}
     with c(O_K) = 1, which `diagonal`, `has_diagonal`, the multiplicativity
     check and `asai_dirichlet` all read; `rows` is a read-only view, so the
-    two cannot drift apart."""
+    two cannot drift apart.  A norm below 1, or a "(1)" row at norm 1 whose
+    coefficient is not 1, is a ValueError naming the row."""
 
     def __init__(self, rows):
         table = {}
@@ -417,8 +418,12 @@ class CoeffTable:
             if key in table:
                 raise ValueError(f"duplicate coefficient row {key}")
             table[key] = c = as_index(coeff)
-            m = math.isqrt(max(key[0], 0))
-            if m * m == key[0] and key[1] == f"({m})" and m != 1:
+            if key[0] < 1:
+                raise ValueError(f"coefficient row {(*key, c)} has norm below 1")
+            m = math.isqrt(key[0])
+            if m * m == key[0] and key[1] == f"({m})":
+                if m == 1 and c != 1:
+                    raise ValueError(f"coefficient row {(*key, c)} sets c(O_K) = {c}, not 1")
                 self._diagonal[m] = c
         self.rows = MappingProxyType(table)
         self._check_diagonal_multiplicativity()

@@ -42,6 +42,7 @@ from .grouprep import (
     conjugate_rep,
     contains_invertible,
     dual_twist,
+    hom_kernel,
     hom_system,
     intertwiner_space,
     is_isomorphic,
@@ -71,9 +72,9 @@ def _witness_system(rep: Rep, psi: Rep, conjugate: bool) -> np.ndarray:
 
 
 def endomorphism_free_rank(rep: Rep) -> int:
-    """Number of full-order generators of End(rep) (1 = Schur at precision)."""
-    kernel = kernel_gens(hom_system(rep, rep), rep.mod)
-    return sum(1 for _, ann in kernel if ann == rep.mod)
+    """Number of full-order generators of End(rep) (1 = Schur at precision),
+    read off the memoized `hom_kernel(rep, rep)`."""
+    return sum(1 for _, ann in hom_kernel(rep, rep) if ann == rep.mod)
 
 
 @dataclass

@@ -135,15 +135,20 @@ def shapiro_modules():
 @functools.lru_cache(maxsize=None)
 def built_modules():
     """Every coefficient module whose H^1 the explicit, selmerres and
-    shapiro batteries and the pipelines build."""
+    shapiro batteries and the pipelines ask `h1` for, whether the memo
+    already holds it or not: `h1` is replaced under every name an asaikit
+    module binds it to."""
     modules = []
-    init = H1Data.__init__
 
-    def recording(self, module):
+    def recording(module):
         modules.append(module)
-        init(self, module)
+        return h1(module)
 
-    H1Data.__init__ = recording
+    bound = [(mod, name) for key, mod in sys.modules.items()
+             if key == "asaikit" or key.startswith("asaikit.")
+             for name, val in vars(mod).items() if val is h1]
+    for mod, name in bound:
+        setattr(mod, name, recording)
     try:
         explicit_battery()
         selmerres_battery()
@@ -151,7 +156,8 @@ def built_modules():
         for _, latt, psi, sel, odd in pipeline_inputs():
             theorem_main_pipeline(latt, psi, selmer=sel, require_odd_psi=odd)
     finally:
-        H1Data.__init__ = init
+        for mod, name in bound:
+            setattr(mod, name, h1)
     distinct = []
     for m in modules:
         if not any(m == d for d in distinct):

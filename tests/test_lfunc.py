@@ -806,6 +806,30 @@ def test_a_label_that_is_not_exactly_m_is_not_a_diagonal_row(label, tmp_path):
         "error": "missing diagonal coefficient c(2 O_K) below N=50"}
 
 
+@pytest.mark.parametrize("row, error", [
+    ("0,(0),5", "coefficient row (0, '(0)', 5) has norm below 1"),
+    ("-4,(2),3", "coefficient row (-4, '(2)', 3) has norm below 1"),
+    ("1,(1),5", "coefficient row (1, '(1)', 5) sets c(O_K) = 5, not 1"),
+], ids=["norm-0", "negative-norm", "c(O_K)-not-1"])
+def test_a_row_below_norm_1_or_off_c_of_O_K_is_refused(row, error, tmp_path):
+    # once read as c(0 O_K) = 5, a kept row, and c(O_K) = 1 in silence
+    with pytest.raises(ValueError) as exc:
+        ingest_coeffs(io.StringIO("norm,label,coefficient\n" + row + "\n"))
+    assert str(exc.value) == error
+    csv = tmp_path / "c.csv"
+    csv.write_text("norm,label,coefficient\n4,(2),1\n" + row + "\n")
+    report = tmp_path / "l.json"
+    assert cli.main(["lfunc", "--coeffs", str(csv), "--N", "4",
+                     "--report", str(report)]) == 1
+    assert json.loads(report.read_text()) == {"command": "lfunc", "ok": False,
+                                              "error": error}
+
+
+def test_the_unit_row_with_coefficient_1_is_accepted():
+    tbl = CoeffTable([(1, "(1)", 1), (4, "(2)", 3)])
+    assert tbl.diagonal(1) == 1 and tbl.to_rows() == [(1, "(1)", 1), (4, "(2)", 3)]
+
+
 def test_rows_are_read_only_so_the_diagonal_cannot_drift():
     tbl = CoeffTable([(4, "(2)", 3)])
     with pytest.raises(TypeError):

@@ -128,7 +128,7 @@ def test_complete_tables_match_the_walk_and_the_divisor_sum(N, seed):
 def sparse_csv(seed, N):
     """A table with a random third of its diagonal rows dropped (all below
     some gap kept), decoys at norm m^2 under labels that are not "(m)", and
-    rows off the diagonal."""
+    rows off the diagonal.  A norm below 1 is refused, not a decoy."""
     rng = np.random.default_rng(seed)
     params = seeded_params(N, seed)
     rows = synthetic_table(params, N).to_rows()
@@ -136,7 +136,7 @@ def sparse_csv(seed, N):
     kept = [r for r in rows if math.isqrt(r[0]) < gap or rng.random() < 2 / 3]
     m = int(rng.integers(2, N))
     decoys = [(m * m, f"(0{m})", 7), (m * m, f"( {m})", 7), (m * m + 1, f"({m})", 7),
-              (5, "(2+i)", -3), (25, "(2+i)^2", 4), (-4, "(-2)", 1)]
+              (5, "(2+i)", -3), (25, "(2+i)^2", 4), (4, "(-2)", 1)]
     text = "norm,label,coefficient\n" + "".join(
         f"{n},{label},{c}\n" for n, label, c in kept + decoys)
     return text, kept, decoys, gap
@@ -148,6 +148,8 @@ def test_sparse_csv_tables_match_the_direct_definitions(seed):
     text, kept, decoys, gap = sparse_csv(seed, N)
     tbl = ingest_coeffs(io.StringIO(text))
     assert tbl.to_rows() == sorted(kept + decoys)
+    with pytest.raises(ValueError, match=r"row \(-4, '\(-2\)', 1\) has norm below 1"):
+        ingest_coeffs(io.StringIO(text + "-4,(-2),1\n"))
     diagonal = {1: 1, **diagonal_of(kept + decoys)}
     assert diagonal_of(decoys) == {}
     for m in range(1, N + 2):

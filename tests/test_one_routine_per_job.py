@@ -177,3 +177,52 @@ def test_witness_check_is_exact_near_the_int64_bound():
     PolarizedRep(r, psi, Mat(a * (m - 2) % m, m), 1)
     with pytest.raises(ValueError, match="witness identity fails"):
         PolarizedRep(r, psi, Mat(np.array([[m - 1, 1], [1, 0]]), m), 1)
+
+
+def plain_hom_kernel_calls(path):
+    """(top-level function or Class.method, line) of each call of
+    `kernel_gens` or `kernel_mod` directly on a `hom_system(...)` call, or
+    on a name that the same function binds to one."""
+    def called(node, names):
+        f = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and (
+            isinstance(f, ast.Name) and f.id in names
+            or isinstance(f, ast.Attribute) and f.attr in names)
+
+    def scopes(body, prefix=""):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from scopes(node.body, f"{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + node.name, node
+
+    hits = []
+    for name, func in scopes(ast.parse(path.read_text()).body):
+        nodes = list(ast.walk(func))
+        systems = {t.id for n in nodes if isinstance(n, ast.Assign)
+                   and called(n.value, {"hom_system"})
+                   for t in n.targets if isinstance(t, ast.Name)}
+        for n in nodes:
+            if called(n, {"kernel_gens", "kernel_mod"}) and n.args and (
+                    called(n.args[0], {"hom_system"})
+                    or isinstance(n.args[0], ast.Name) and n.args[0].id in systems):
+                hits.append((name, n.lineno))
+    return hits
+
+
+def test_the_plain_hom_kernel_has_one_route():
+    hits = {p.name: plain_hom_kernel_calls(p) for p in sorted(SRC.glob("*.py"))}
+    hits = {name: h for name, h in hits.items() if h}
+    assert [(name, f) for name, h in hits.items() for f, _ in h] == [
+        ("grouprep.py", "hom_kernel")]
+
+
+def test_the_hom_kernel_guard_sees_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def a(r):\n    return kernel_gens(hom_system(r, r), r.mod)\n"
+        "class B:\n    def c(self, r):\n        sys = hom_system(r, r)\n"
+        "        return exactalg.kernel_mod(sys, 7)\n"
+        "def d(r):\n    sys = hom_system(r, r)\n"
+        "    return kernel_mod(np.vstack([sys, rows]), 7), kernel_gens(other, 7)\n")
+    assert plain_hom_kernel_calls(path) == [("a", 2), ("B.c", 6)]

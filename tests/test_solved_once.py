@@ -1,0 +1,211 @@
+"""Each module is solved once: `cohomology.h1` and `grouprep.hom_kernel`
+keep their answers in the memo of the module's `Domain`, keyed by the
+exact content (modulus, image shape, image bytes).  These tests check the
+memoized answers against fresh builds on every module the identity
+batteries and the ribet-ladder pipelines ask for, that an equal module
+built elsewhere is a hit and a module differing in one entry, its modulus
+or its domain a miss, and that a shared answer cannot be written into."""
+
+import json
+import sys
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from asaikit import cli, grouprep
+from asaikit.cohomology import H1Data, SelmerStructure, h1, hom_module
+from asaikit.exactalg import Mat, kernel_gens
+from asaikit.fixtures import DATA_DIR, ribet_fixture
+from asaikit.grouprep import (
+    Rep,
+    coset_sign_character,
+    hom_kernel,
+    hom_system,
+    intertwiner_space,
+    make_character,
+    trivial_character,
+)
+from asaikit.polarization import LatticeRep, ribet_lattice, theorem_main_pipeline
+
+# the ribet-ladder rungs: (q, chi(delta)) with chi(delta)^2 = -1 mod q, d = 4
+RUNGS = [(13, 5), (37, 6), (101, 10)]
+PRECISION = 3
+
+
+@contextmanager
+def recording(func):
+    """The argument tuples of every call to `func` inside the block, made
+    under any name an asaikit module binds it to, memo hit or not."""
+    calls = []
+
+    def recorder(*args):
+        calls.append(args)
+        return func(*args)
+
+    bound = [(mod, name) for key, mod in sys.modules.items()
+             if key == "asaikit" or key.startswith("asaikit.")
+             for name, val in vars(mod).items() if val is func]
+    for mod, name in bound:
+        setattr(mod, name, recorder)
+    try:
+        yield calls
+    finally:
+        for mod, name in bound:
+            setattr(mod, name, func)
+
+
+def distinct(items, same):
+    out = []
+    for x in items:
+        if not any(same(x, y) for y in out):
+            out.append(x)
+    return out
+
+
+@pytest.fixture(scope="module")
+def asked(tmp_path_factory):
+    """(modules h1 was asked for, (r1, r2) pairs hom_kernel was asked for)
+    by `verify-identities` and the ribet-ladder pipelines and descents, each
+    distinct by content."""
+    report = tmp_path_factory.mktemp("solved") / "identities.json"
+    sel = SelmerStructure.from_json(
+        json.loads((DATA_DIR / "ribet_q7_d6.selmer.json").read_text()))
+    rng = np.random.default_rng(5)
+    with recording(h1) as modules, recording(hom_kernel) as pairs:
+        assert cli.main(["verify-identities", "--seed", "5", "--report", str(report)]) == 0
+        rib = ribet_fixture()
+        latt = LatticeRep(rib.rep("lattice"), rib.rep("chi"), rib.rep("chi_inv"))
+        theorem_main_pipeline(latt, coset_sign_character(rib.group, latt.rep.mod),
+                              selmer=sel)
+        for q, c in RUNGS:
+            fix = ribet_fixture(q, d=4, alpha=q - 1, chi_val=c, precision=PRECISION)
+            rep, chi, chi_inv = fix.rep("lattice"), fix.rep("chi"), fix.rep("chi_inv")
+            mod = rep.mod
+            theorem_main_pipeline(LatticeRep(rep, chi, chi_inv),
+                                  coset_sign_character(fix.group, mod))
+            u = Mat(rng.integers(0, mod, size=(2, 2)), mod)
+            while not u.is_invertible():
+                u = Mat(rng.integers(0, mod, size=(2, 2)), mod)
+            conj = u.inverse().a @ rep.images % mod @ u.a % mod
+            ribet_lattice(LatticeRep(Rep(fix.group, "G", conj, mod), chi, chi_inv))
+    modules = distinct((m for (m,) in modules), lambda a, b: a == b)
+    pairs = distinct(pairs, lambda a, b: a[0] == b[0] and a[1] == b[1])
+    return modules, pairs
+
+
+def test_the_runs_cover_many_modules(asked):
+    modules, pairs = asked
+    assert len(modules) >= 10 and len(pairs) >= 20
+    # ribet_q7_d6's H, every ladder rung's H and coh294
+    assert {len(m.elements) for m in modules} >= {42, 52, 148, 294, 404}
+
+
+def test_memoized_h1_equals_a_fresh_build(asked):
+    for m in asked[0]:
+        memo, fresh = h1(m), H1Data(m)
+        assert h1(m) is memo and memo is not fresh
+        for field in ("z1", "b1", "h1_reps", "expand", "coboundaries"):
+            assert np.array_equal(getattr(memo, field), getattr(fresh, field)), (m, field)
+        assert memo.dim == fresh.dim and memo.gens == fresh.gens
+        for z in fresh.representatives() + memo.representatives():
+            assert np.array_equal(memo.class_coords(z), fresh.class_coords(z)), m
+
+
+def test_memoized_hom_kernel_equals_kernel_gens(asked):
+    for r1, r2 in asked[1]:
+        memo = hom_kernel(r1, r2)
+        fresh = kernel_gens(hom_system(r1, r2), r2.mod)
+        assert hom_kernel(r1, r2) is memo
+        assert len(memo) == len(fresh), (r1, r2)
+        for (v, ann), (w, bnn) in zip(memo, fresh):
+            assert ann == bnn and np.array_equal(v, w), (r1, r2)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of H1Data builds and of Hom kernels solved."""
+    counts = {"h1": 0, "hom": 0}
+    init, solve = H1Data.__init__, grouprep.kernel_gens
+
+    def counted_init(self, module):
+        counts["h1"] += 1
+        init(self, module)
+
+    def counted_solve(a, mod):
+        counts["hom"] += 1
+        return solve(a, mod)
+
+    monkeypatch.setattr(H1Data, "__init__", counted_init)
+    monkeypatch.setattr(grouprep, "kernel_gens", counted_solve)
+    return counts
+
+
+def test_an_equal_module_built_elsewhere_is_a_hit(builds):
+    rib = ribet_fixture()  # a fresh group, so an empty memo
+    m = hom_module(rib.rep("chi"), rib.rep("chi_inv"))
+    twin = Rep(rib.group, list(rib.group.H), m.images.copy(), m.mod)
+    assert twin is not m and twin == m
+    assert h1(twin) is h1(m) and builds["h1"] == 1
+    rho = rib.rep("lattice")
+    twin = Rep(rib.group, "G", rho.images.copy(), rho.mod)
+    assert hom_kernel(rho, rho) is hom_kernel(twin, twin)
+    assert intertwiner_space(twin, rho) == intertwiner_space(rho, twin)
+    assert builds["hom"] == 1
+
+
+def _cyclic_subgroups(g):
+    """{order: [element list, ...]}: the distinct cyclic subgroups of g."""
+    out = {}
+    for x in range(g.n):
+        els = np.flatnonzero(g.closure([x])).tolist()
+        if els not in out.setdefault(len(els), []):
+            out[len(els)].append(els)
+    return out
+
+
+def test_a_module_that_differs_in_content_or_domain_is_a_miss(builds):
+    g = ribet_fixture().group  # a fresh group, so an empty memo
+    cyclic = _cyclic_subgroups(g)
+    # one entry: the trivial and the sign character of a subgroup of order 2
+    two = cyclic[2][0]
+    triv = trivial_character(g, two, 7)
+    sgn = make_character(g, two, [1 if x == g.one else 6 for x in two], 7)
+    assert (triv.images != sgn.images).sum() == 1
+    assert h1(triv) is not h1(sgn) and builds["h1"] == 2
+    assert len(hom_kernel(triv, triv)) == 1 and hom_kernel(sgn, triv) == ()
+    assert builds["hom"] == 2
+    # only the modulus: the same image bytes mod 7 and mod 13
+    t7, t13 = trivial_character(g, "H", 7), trivial_character(g, "H", 13)
+    assert t7.images.tobytes() == t13.images.tobytes()
+    assert h1(t7).q == 7 and h1(t13).q == 13 and builds["h1"] == 4
+    assert hom_kernel(t7, t7)[0][1] == 7 and hom_kernel(t13, t13)[0][1] == 13
+    assert builds["hom"] == 4
+    # only the domain: the trivial character on two subgroups of one order,
+    # and as r1 of a Hom pair into the trivial subgroup's trivial character
+    a, b = next(subs for subs in cyclic.values() if len(subs) > 1)[:2]
+    ta, tb = trivial_character(g, a, 7), trivial_character(g, b, 7)
+    assert ta.content_key == tb.content_key and ta.domain != tb.domain
+    assert h1(ta).module == ta and h1(tb).module == tb and builds["h1"] == 6
+    one = trivial_character(g, [g.one], 7)
+    assert hom_kernel(ta, one) is not hom_kernel(tb, one) and builds["hom"] == 6
+
+
+def test_shared_answers_are_read_only():
+    rib = ribet_fixture()
+    data = h1(hom_module(rib.rep("chi"), rib.rep("chi_inv")))
+    assert data.dim == 1
+    for field in ("expand", "z1", "b1", "h1_reps", "coboundaries", "_coord_stack"):
+        arr = getattr(data, field)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(arr, 1, out=arr)
+    rho = rib.rep("lattice")
+    kernel = hom_kernel(rho, rho)
+    assert [ann for _, ann in kernel] == [7, 49]
+    for v, _ in kernel:
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 5
+    assert hom_kernel(rho, rho) is kernel and kernel[1][0].tolist() == [43, 0, 0, 1]
+    assert data.class_coords(data.representative(0)).tolist() == [1]
