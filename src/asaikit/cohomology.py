@@ -20,12 +20,12 @@ expanded from the generator values along each generator's repeated squares
 s^(2^j), with phi(t^2) = phi(t) + t.phi(t), as in binary powering; the walk
 takes about sum log2(ord s) batched layers instead of one per step of the
 Cayley graph.
-That all-pairs system defines Z^1 but is built whole only when it is
-small.  Otherwise its rows at a few probe elements are solved, every
-candidate is put through Light's test on every element and generator in
-one batched pass, and elements where one fails join the probe.  The
-probe's kernel is then Z^1, so over F_q its reduced echelon form, and the
-kernel basis read off it, are the full system's.
+That all-pairs system defines Z^1 but is never built whole: its rows at a
+few probe elements are solved, every candidate is put through Light's test
+on every element and generator in one batched pass, and elements where one
+fails join the probe.  The probe's kernel is then Z^1, so over F_q its
+reduced echelon form, and the kernel basis read off it, are the full
+system's.
 """
 
 from __future__ import annotations
@@ -123,9 +123,6 @@ def coboundary(module: Rep, x) -> Cocycle:
     return Cocycle(module, vals, validate=False)
 
 
-# H1Data solves a consistency system of at most this many entries whole
-# (below it the probe's check costs more than it saves)
-SMALL_SYSTEM = 4096
 # the number of elements whose consistency rows H1Data solves first
 PROBES = 4
 
@@ -150,14 +147,14 @@ class H1Data:
     does not depend on the tree, B^1 the image of the coboundary map, and
     the H^1 representatives extend B^1 to Z^1.
 
-    A system of at most `SMALL_SYSTEM` entries, N (k d)^2, is solved whole.
-    A larger one is solved at `PROBES` elements spread over the domain, so
-    on PROBES k d rows; the kernel's rows are expanded to every element,
-    per generator block (k d residue products would overflow int64 where d
-    do not), and Light's test, `_defect` again, runs on every (element,
-    generator) pair.  A few elements where some candidate fails join the
-    probe, which cuts the kernel, so at most k d + 1 rounds run.  A kernel
-    that passes is the full system's: `z1` is the same basis either way.
+    The system is never built whole: it is solved at `PROBES` elements
+    spread over the domain, so on PROBES k d rows; the kernel's rows are
+    expanded to every element, per generator block (k d residue products
+    would overflow int64 where d do not), and Light's test, `_defect`
+    again, runs on every (element, generator) pair.  A few elements where
+    some candidate fails join the probe, which cuts the kernel, so at most
+    k d + 1 rounds run.  A kernel that passes is the full system's, so
+    `z1` is the reduced echelon kernel basis of the whole system.
     """
 
     def __init__(self, module: Rep):
@@ -192,17 +189,15 @@ class H1Data:
         self.coboundaries = read_only(
             (m.arr(gens) - eye).transpose(2, 0, 1).reshape(d, D) % q)
         self.b1 = read_only(row_space_mod(self.coboundaries, q))
-        keep = extend_basis(self.b1, self.z1, q)
-        self.h1_reps = read_only(self.z1[keep] if keep
-                                  else np.zeros((0, D), dtype=np.int64))
+        self.h1_reps = read_only(self.z1[extend_basis(self.b1, self.z1, q)])
         self.dim = len(self.h1_reps)
         self._coord_stack = read_only(np.vstack([self.b1, self.h1_reps]))
 
-    def _rows(self, at=slice(None)):
-        """The consistency rows at the element positions `at` (all by
-        default), for every generator: the `_defect` of `expand`, whose
-        generator blocks are the unit vectors (given here, since on the
-        trivial subgroup `expand` is 0 at its generator 1).
+    def _rows(self, at):
+        """The consistency rows at the element positions `at`, for every
+        generator: the `_defect` of `expand`, whose generator blocks are the
+        unit vectors (given here, since on the trivial subgroup `expand` is
+        0 at its generator 1).
         (P * k * d, k * d) for P positions."""
         m, k = self.module, len(self.gens)
         D = k * m.dim
@@ -215,8 +210,6 @@ class H1Data:
         rows at the probe elements, grown until Light's test passes."""
         m, q = self.module, self.q
         N, k, d = len(m.elements), len(self.gens), m.dim
-        if N * (k * d) ** 2 <= SMALL_SYSTEM:
-            return kernel_mod(self._rows(), q)
         # a few positions spread over the domain, off its two ends
         probe = (2 * np.arange(PROBES) + 1) * N // (2 * PROBES)
         r = k * d + 1
@@ -516,19 +509,13 @@ def selmer_subgroup(h1d: H1Data, structure: SelmerStructure) -> np.ndarray:
     """Kernel of the restrictions-to-local-quotient maps, as rows in the
     H^1 coordinate space."""
     q = h1d.q
-    rows = []
+    rows = [np.zeros((0, h1d.dim), dtype=np.int64)]
     for sub, cond in structure.conditions:
         submod = h1d.module.restrict(sub)
         if cond == "full":
             continue
         h1_loc = h1(submod)
-        local = _local_subspace(cond, h1_loc.dim, q)
-        if h1_loc.dim == 0:
-            continue
-        ann = kernel_mod(local, q) if local.size else np.eye(h1_loc.dim, dtype=np.int64)
-        if ann.size:
+        ann = kernel_mod(_local_subspace(cond, h1_loc.dim, q), q)
+        if ann.size:  # a condition that cuts nothing needs no restriction
             rows.append(ann @ restriction_matrix(h1d, h1_loc) % q)
-    if not rows:
-        return np.eye(h1d.dim, dtype=np.int64)
-    sys = np.vstack(rows)
-    return kernel_mod(sys, q)
+    return kernel_mod(np.vstack(rows), q)

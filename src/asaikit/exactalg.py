@@ -297,12 +297,14 @@ def echelon_mod(a, mod, rhs=None):
     (column, v), is zero in the columns of the earlier pivots, and has every
     entry divisible by q^v; the rows past the last pivot are zero.  B is
     `rhs` (a matrix with the rows of `a`, or None) under the same row
-    operations.
+    operations: it rides along as extra columns of one matrix, which the
+    pivot search never enters.
     """
     q, n = factor_prime_power(mod)
     A = np.mod(as_index_array(a), mod)
-    B = None if rhs is None else np.mod(as_index_array(rhs), mod)
     r, c = A.shape
+    if rhs is not None:
+        A = np.hstack([A, np.mod(as_index_array(rhs), mod)])
     used = [False] * c
     pivots = []
     row = 0
@@ -310,7 +312,7 @@ def echelon_mod(a, mod, rhs=None):
         d = q**v
         for col in range(c):
             if row == r:
-                return A, pivots, B
+                break
             if used[col]:
                 continue
             # rows not yet pivoted hold entries of valuation >= v here
@@ -323,26 +325,19 @@ def echelon_mod(a, mod, rhs=None):
             i = row + int(hit[0])
             if i != row:
                 A[[row, i]] = A[[i, row]]
-                if B is not None:
-                    B[[row, i]] = B[[i, row]]
             unit = int(A[row, col]) // d
             if unit != 1:
-                uinv = inverse_mod(unit, mod)
-                A[row] = A[row] * uinv % mod
-                if B is not None:
-                    B[row] = B[row] * uinv % mod
+                A[row] = A[row] * inverse_mod(unit, mod) % mod
             column = A[:, col]
             other = np.nonzero((column % d == 0) & (column != 0) if v else column)[0]
             other = other[other != row]
             if other.size:
                 f = column[other] // d if v else column[other]
                 A[other] = (A[other] - np.outer(f, A[row])) % mod
-                if B is not None:
-                    B[other] = (B[other] - np.outer(f, B[row])) % mod
             used[col] = True
             pivots.append((col, v))
             row += 1
-    return A, pivots, B
+    return A[:, :c], pivots, None if rhs is None else A[:, c:]
 
 
 def _solve_echelon(a, rhs, mod):

@@ -29,10 +29,11 @@ the sign of the action on the nontrivial coset.
 
 Every Hom space -- intertwiners, End (Schur), isotypic lines, invariant
 pairings, and in `polarization` the polarization witnesses -- is the kernel
-of one system, ``hom_system(r1, r2)``, with ``symmetry_rows`` appended when
-a transpose symmetry is imposed.  The plain kernel of that system is
-`hom_kernel(r1, r2)`, solved once per pair of modules by content and read
-back from the domain's memo (`Domain.solved`) on every later call.
+of one system, ``hom_system(r1, r2)``, solved by one routine,
+`hom_kernel(r1, r2, symmetry)`, which appends ``symmetry_rows`` when a
+transpose symmetry is imposed.  Each kernel is solved once per pair of
+modules and symmetry, by content, and read back from the domain's memo
+(`Domain.solved`) on every later call.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .exactalg import (
     charpoly_stack,
     check_int64_products,
     kernel_gens,
-    kernel_mod,
     read_only,
     row_space_mod,
     validate_modulus,
@@ -448,10 +448,17 @@ class Rep:
     # -- access ---------------------------------------------------------------
 
     def index(self, g):
-        """Positions in `elements` of g (an element or an index array);
-        KeyError for anything outside the domain."""
-        p = self.pos[g]
-        if (p < 0).any():
+        """Positions in `elements` of g (an element or an index array):
+        ValueError unless g is an integer or an integer array
+        (`as_index_array`, so a bool or a float is refused), KeyError for
+        anything outside the domain, a negative index included."""
+        g = as_index_array(g)
+        try:
+            p = self.pos[g]
+        except IndexError:  # past either end of the group
+            p = -1
+        # pos counts a negative g from its end: test g's sign with p's
+        if ((g | p) < 0).any():
             raise KeyError(f"element {g} not in domain")
         return p
 
@@ -667,8 +674,8 @@ def hom_system(r1: Rep, r2: Rep) -> np.ndarray:
     kron(I, r1(s)^T) - kron(r2(s), I) for each generator s of r2's domain,
     in `r2.gens` order, reduced mod m.  Every Hom space of the package --
     intertwiners, End for Schur, invariant lines, invariant pairings and
-    polarization witnesses -- is the kernel of this one system, with
-    `symmetry_rows` appended where a transpose symmetry is imposed.
+    polarization witnesses -- is the kernel of this one system, solved by
+    `hom_kernel`.
     """
     if r1.group is not r2.group or r1.mod != r2.mod:
         raise ValueError("Hom needs the same group and modulus")
@@ -694,22 +701,30 @@ def symmetry_rows(d, mod, antisymmetric) -> np.ndarray:
     return rows
 
 
-def hom_kernel(r1: Rep, r2: Rep) -> tuple[tuple[np.ndarray, int], ...]:
-    """`kernel_gens(hom_system(r1, r2), mod)`: generators (vec, annihilator)
-    of Hom(r1, r2), the package's one route to that plain kernel.
+def hom_kernel(r1: Rep, r2: Rep, symmetry=None) -> tuple[tuple[np.ndarray, int], ...]:
+    """Generators (vec, annihilator) of Hom(r1, r2), the kernel of
+    `hom_system(r1, r2)`, or for `symmetry` +1 or -1 of its symmetric or
+    antisymmetric part, with `symmetry_rows` appended: the package's one
+    route to a Hom kernel.
 
-    It is solved once per pair of modules and kept in the memo of r2's
-    `Domain` (whose generators the system is written on), under r1's
-    domain key and the content keys of both; every later call with equal
-    modules, built anywhere, reads it back.  The vectors are read-only."""
+    It is solved once per pair of modules and symmetry and kept in the memo
+    of r2's `Domain` (whose generators the system is written on), under the
+    symmetry, r1's domain key and the content keys of both; every later call
+    with equal modules, built anywhere, reads it back.  The vectors are
+    read-only."""
     if r1.group is not r2.group or r1.mod != r2.mod:
         raise ValueError("Hom needs the same group and modulus")
+    if symmetry is not None and (as_index(symmetry) not in (1, -1) or r1.dim != r2.dim):
+        raise ValueError(f"symmetry {symmetry!r} is not +1 or -1 on square maps")
 
     def solve():
-        kernel = kernel_gens(hom_system(r1, r2), r2.mod)
-        return tuple((read_only(v), ann) for v, ann in kernel)
+        sys = hom_system(r1, r2)
+        if symmetry is not None:
+            sys = np.vstack([sys, symmetry_rows(r2.dim, r2.mod, symmetry == -1)])
+        return tuple((read_only(v), ann) for v, ann in kernel_gens(sys, r2.mod))
 
-    return r2.dom.solved(("hom", r1.domain) + r1.content_key + r2.content_key, solve)
+    key = ("hom", symmetry, r1.domain) + r1.content_key + r2.content_key
+    return r2.dom.solved(key, solve)
 
 
 def intertwiner_space(r1: Rep, r2: Rep) -> list[Mat]:
@@ -801,7 +816,8 @@ def classify_pairing(rho: Rep, mu: Rep) -> PairingClassification:
 
     The space is Hom(rho, rho^vee mu).  It is transpose-stable, so over an
     odd prime field it is the direct sum of its symmetric and antisymmetric
-    parts; the basis is the reduced row echelon basis of each part.
+    parts, `hom_kernel(rho, rho^vee mu, +-1)`; the basis is the reduced row
+    echelon basis of each part.
     """
     if mu.dim != 1:
         raise ValueError("mu must be a character")
@@ -810,10 +826,10 @@ def classify_pairing(rho: Rep, mu: Rep) -> PairingClassification:
         raise NotImplementedError("pairing classification is over F_q")
     d = rho.dim
     dual = dual_twist(rho, mu)
-    sys = hom_system(rho, dual)
     basis = []
-    for label, anti in (("symmetric", False), ("antisymmetric", True)):
-        part = kernel_mod(np.vstack([sys, symmetry_rows(d, q, anti)]), q)
+    for label, sign in (("symmetric", 1), ("antisymmetric", -1)):
+        part = np.array([v for v, _ in hom_kernel(rho, dual, sign)],
+                        dtype=np.int64).reshape(-1, d * d)
         basis += [(Mat(v.reshape(d, d), q), label) for v in row_space_mod(part, q)]
     if len(basis) != len(hom_kernel(rho, dual)):
         # mixed-symmetry leftovers cannot occur over an odd modulus

@@ -4,11 +4,11 @@ dimension count.
 
 Sign conventions.  A conjugate-polarized representation is R on H with
 R^vee = A R^c A^{-1} psi|_H for a character psi of G; a plain-polarized one
-satisfies R^vee = B R B^{-1} psi.  The witnesses are the kernel of
-``grouprep.hom_system(psi R^c, R^vee)`` (``psi R`` for the plain case), and
-``PolarizedRep`` checks a given witness against the same system.  In both
-cases the definite-symmetry invertible witnesses all share one transpose
-symmetry, which is the sign.
+satisfies R^vee = B R B^{-1} psi.  The witnesses of each transpose symmetry
+are ``grouprep.hom_kernel(psi R^c, R^vee, +-1)`` (``psi R`` for the plain
+case), and ``PolarizedRep`` checks a given witness against
+``hom_system(psi R^c, R^vee)``.  In both cases the definite-symmetry
+invertible witnesses all share one transpose symmetry, which is the sign.
 The witness can be +- definite only when R(ctilde^2) acts as a scalar, so
 sign fixtures use involutive coset representatives.
 """
@@ -32,7 +32,6 @@ from .exactalg import (
     Mat,
     charpoly_stack,
     extend_basis,
-    kernel_gens,
     polymul_stack,
     rref_mod,
     solve_mod,
@@ -47,7 +46,6 @@ from .grouprep import (
     intertwiner_space,
     is_isomorphic,
     power_character,
-    symmetry_rows,
 )
 
 
@@ -60,15 +58,15 @@ class PipelineError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _witness_system(rep: Rep, psi: Rep, conjugate: bool) -> np.ndarray:
-    """hom_system(psi R^c, R^vee), or hom_system(psi R, R^vee) for a plain
-    polarization: its kernel is the A with R^vee(g) A = psi(g) A R^?(g)."""
+def _witness_pair(rep: Rep, psi: Rep, conjugate: bool) -> tuple[Rep, Rep]:
+    """(psi R^c, R^vee), or (psi R, R^vee) for a plain polarization: the
+    witnesses are Hom(psi R^?, R^vee), the A with R^vee(g) A = psi(g) A R^?(g)."""
     g = rep.group
     src = rep
     if conjugate:  # R^c by its gather: conjugate_rep warns on a rep of all of G
         imgs = rep.arr(g.conj_ctilde(rep.dom.array))
         src = Rep(g, rep.domain, imgs, rep.mod, validate=False)
-    return hom_system(src.twist(psi), rep.dual())
+    return src.twist(psi), rep.dual()
 
 
 def endomorphism_free_rank(rep: Rep) -> int:
@@ -103,7 +101,7 @@ class PolarizedRep:
         # are, so agreement on the domain's generators is agreement on it.
         self.rep.validate()
         self.psi.validate()
-        sys = _witness_system(self.rep, self.psi, self.conjugate)
+        sys = hom_system(*_witness_pair(self.rep, self.psi, self.conjugate))
         # products reduced before the row sum: int64 holds d^2 residues
         if np.any((sys * a.reshape(-1) % w.mod).sum(axis=1) % w.mod):
             raise ValueError("polarization witness identity fails")
@@ -112,20 +110,19 @@ class PolarizedRep:
 def polarize(rep: Rep, psi: Rep, conjugate: bool = True) -> PolarizedRep:
     """Solve for a definite-symmetry invertible witness and package it.
 
-    For each symmetry the witness is `contains_invertible` over the kernel
-    of the witness system with `symmetry_rows` appended, its tries drawn at
-    the default seed.  Raises if End(rep) has free rank != 1 (Schur fails,
-    sign undefined) or if no invertible witness of definite transpose
-    symmetry is found.
+    For each symmetry the witness is `contains_invertible` over the
+    memoized `hom_kernel` of the witness pair with that symmetry, its tries
+    drawn at the default seed.  Raises if End(rep) has free rank != 1
+    (Schur fails, sign undefined) or if no invertible witness of definite
+    transpose symmetry is found.
     """
     if endomorphism_free_rank(rep) != 1:
         raise ValueError("intertwiner space dimension != 1: sign undefined")
-    rows = _witness_system(rep, psi, conjugate)
+    pair = _witness_pair(rep, psi, conjugate)
     d = rep.dim
     found = {}
     for sign in (1, -1):
-        aug = np.vstack([rows, symmetry_rows(d, rep.mod, sign == -1)])
-        cands = [Mat(v.reshape(d, d), rep.mod) for v, _ in kernel_gens(aug, rep.mod)]
+        cands = [Mat(v.reshape(d, d), rep.mod) for v, _ in hom_kernel(*pair, sign)]
         w = contains_invertible(cands)
         if w is not None:
             found[sign] = w

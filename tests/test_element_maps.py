@@ -31,6 +31,7 @@ from asaikit.grouprep import (
     conjugate_rep,
     coset_sign_character,
     dual_twist,
+    hom_kernel,
     hom_system,
     induce,
     intertwiner_space,
@@ -43,7 +44,7 @@ from asaikit.grouprep import (
     transfer_character,
     trivial_character,
 )
-from asaikit.polarization import _witness_system, endomorphism_free_rank
+from asaikit.polarization import _witness_pair, endomorphism_free_rank
 
 
 @pytest.fixture(scope="module")
@@ -321,7 +322,6 @@ def test_h1_expand_and_consistency_system_match_the_dict_bfs(shipped):
     modules.append(("coh294 decomposition", induce(rho).restrict([g.one, g.ctilde])))
     modules.append(("zero", Rep(g, g.H, np.zeros((len(g.H), 0, 0), dtype=np.int64),
                                 7, validate=False)))
-    # probed: N (k d)^2 is past the small-system cut-off, k d = 32 and 4
     modules.append(("coh294 induced hom", induce(conjugate_hom_module(rho))))
     rib = shipped["ribet_q7_d6"]
     modules.append(("ribet-q7 tensor module", as_twisted_module(
@@ -357,7 +357,7 @@ def kernel_shapes(monkeypatch):
     return shapes
 
 
-def test_h1_probe_check_is_exact_at_the_largest_prime(monkeypatch, kernel_shapes):
+def test_h1_probe_check_is_exact_at_the_largest_prime(kernel_shapes):
     q = 3037000493  # prime, (q-1)^2 < 2^63 <= 2 (q-1)^2: one product per sum
     j = q - pow(2, (q - 1) // 4, q)  # 2 is not a square mod q = 5 mod 8
     assert j * j % q == q - 1
@@ -365,7 +365,6 @@ def test_h1_probe_check_is_exact_at_the_largest_prime(monkeypatch, kernel_shapes
     g = semidirect_group(4, 1, (4, 4), (1, 1))
     chi = make_character(g, "G", [pow(j, x % 4 + x // 4 % 4, q) * (-1) ** (x // 16) % q
                                   for x in range(g.n)], q)
-    monkeypatch.setattr(cohomology, "SMALL_SYSTEM", 0)  # probe this small system too
     data = h1(chi)
     _, sys = expand_oracle(chi, data.gens)
     assert len(data.gens) * chi.dim == 3
@@ -383,7 +382,6 @@ def test_h1_probe_miss_takes_another_round(kernel_shapes):
     # last element, which the first probe skips
     g = semidirect_group(80, 1, (2,), (1,))
     m = Rep(g, "H", np.broadcast_to(np.eye(8, dtype=np.int64), (80, 8, 8)), 7)
-    assert 80 * 8**2 > cohomology.SMALL_SYSTEM
     data = h1(m)
     assert len(kernel_shapes) == 2 and kernel_shapes[0][0] < kernel_shapes[1][0]
     _, sys = expand_oracle(m, data.gens)
@@ -592,12 +590,17 @@ def test_witness_systems_match_the_witness_rows(shipped, hom_reps):
     for rep, conjugate in cases:
         g = rep.group
         for psi in (coset_sign_character(g, rep.mod), trivial_character(g, "G", rep.mod)):
-            rows, old_rows = _witness_system(rep, psi, conjugate), witness_rows_oracle(
-                rep, psi, conjugate)
-            for anti in (False, True):
-                new = kernel_gens(np.vstack([rows, symmetry_rows(rep.dim, rep.mod, anti)]),
-                                  rep.mod)
+            pair = _witness_pair(rep, psi, conjugate)
+            old_rows = witness_rows_oracle(rep, psi, conjugate)
+            # the oracle writes R^vee(s) A - psi(s) A R^?(s): the same rows, negated
+            assert np.array_equal(hom_system(*pair), -old_rows % rep.mod), repr(rep)
+            for sign, anti in ((1, False), (-1, True)):
+                label = (repr(rep), conjugate, anti)
                 old = kernel_gens(
                     np.vstack([old_rows, symmetry_rows_oracle(rep.dim, rep.mod, anti)]),
                     rep.mod)
-                assert_same_kernel(new, old, (repr(rep), conjugate, anti))
+                new = kernel_gens(
+                    np.vstack([hom_system(*pair), symmetry_rows(rep.dim, rep.mod, anti)]),
+                    rep.mod)
+                assert_same_kernel(new, old, label)
+                assert_same_kernel(hom_kernel(*pair, sign), old, label)

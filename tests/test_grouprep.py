@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from asaikit.cohomology import coboundary
 from asaikit.exactalg import Mat, exterior_square
 from asaikit.grouprep import (
     _LIGHT_BLOCK,
@@ -428,6 +429,39 @@ def test_rep_rejects_images_that_do_not_match_the_domain(s3):
     with pytest.raises(ValueError, match="per domain element"):
         Rep(g, [g.one, g.ctilde], np.ones((len(g.H), 1, 1), dtype=np.int64), 7,
             validate=False)
+
+
+def test_index_refuses_wrong_element_indices():
+    # arr(-1) read element 83's image, index(-84) read 0, arr(84) raised
+    # numpy's IndexError and arr(True) returned the whole stack
+    fx = ribet_fixture()
+    g, lattice = fx.group, fx.rep("lattice")
+    assert g.n == 84
+    chi = fx.rep("chi")  # a character of H
+    outside = next(x for x in range(g.n) if x not in g.H)
+    for rep, bad in ((lattice, -1), (lattice, -84), (lattice, -85), (lattice, 84),
+                     (lattice, 10**6), (chi, outside), (chi, -1)):
+        for arg in (bad, np.int32(bad), np.array([0, bad]), [bad]):
+            with pytest.raises(KeyError, match="not in domain"):
+                rep.index(arg)
+        with pytest.raises(KeyError):
+            rep.arr(bad)
+    for bad in (True, np.True_, 1.5, 3.0, np.array([0.0]), np.ones(g.n, dtype=bool),
+                [True, 1], "3"):
+        with pytest.raises(ValueError, match="integer"):
+            lattice.index(bad)
+        with pytest.raises(ValueError, match="integer"):
+            lattice.arr(bad)
+    phi = coboundary(chi, [1])  # Cocycle.value reads its module's index too
+    for reader in (chi.value, phi.value):
+        with pytest.raises(KeyError):
+            reader(-1)
+        with pytest.raises(ValueError, match="integer"):
+            reader(True)
+    assert lattice.index(5) == 5 and lattice.index(np.uint8(5)) == 5
+    assert lattice.index(np.array([3, 1], dtype=np.int32)).tolist() == [3, 1]
+    assert lattice.index([]).shape == (0,)
+    assert chi.value(g.H[-1]) == int(chi.images[-1, 0, 0])
 
 
 def test_twist_refuses_a_character_over_another_modulus():

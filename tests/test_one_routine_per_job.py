@@ -226,3 +226,46 @@ def test_the_hom_kernel_guard_sees_each_form(tmp_path):
         "def d(r):\n    sys = hom_system(r, r)\n"
         "    return kernel_mod(np.vstack([sys, rows]), 7), kernel_gens(other, 7)\n")
     assert plain_hom_kernel_calls(path) == [("a", 2), ("B.c", 6)]
+
+
+def symmetry_rows_uses(path):
+    """(top-level function, Class.method, class or <module>, line) of each
+    use of `symmetry_rows`: a call by name or attribute, nested or not, or
+    a reference that binds it to be called later."""
+    def uses(node):
+        return [n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Name) and n.id == "symmetry_rows"
+                or isinstance(n, ast.Attribute) and n.attr == "symmetry_rows"]
+
+    def scopes(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from scopes(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name if owner == "<module>" else f"{owner}.{node.name}"
+                yield from ((name, line) for line in uses(node))
+            else:
+                yield from ((owner, line) for line in uses(node))
+
+    return sorted(scopes(ast.parse(path.read_text()).body, "<module>"),
+                  key=lambda hit: hit[1])
+
+
+def test_symmetry_rows_are_appended_only_by_hom_kernel():
+    hits = [(p.name, f) for p in sorted(SRC.glob("*.py")) for f, _ in symmetry_rows_uses(p)]
+    assert hits == [("grouprep.py", "hom_kernel")]
+
+
+def test_the_symmetry_rows_guard_sees_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from grouprep import symmetry_rows\n"
+        "ROWS = symmetry_rows(2, 7, False)\n"
+        "def a(d):\n    return grouprep.symmetry_rows(d, 7, True)\n"
+        "class B:\n    EXTRA = symmetry_rows(3, 7, True)\n"
+        "    def c(self, d):\n        def inner():\n"
+        "            return symmetry_rows(d, 7, False)\n        return inner()\n"
+        "def e(d):\n    f = symmetry_rows\n    return f(d, 7, True)\n"
+        "def symmetry_rows_free(sys):\n    return kernel_gens(sys, 7)\n")
+    assert symmetry_rows_uses(path) == [
+        ("<module>", 2), ("a", 4), ("B", 6), ("B.c", 9), ("e", 12)]

@@ -1,10 +1,12 @@
 """Each module is solved once: `cohomology.h1` and `grouprep.hom_kernel`
 keep their answers in the memo of the module's `Domain`, keyed by the
-exact content (modulus, image shape, image bytes).  These tests check the
-memoized answers against fresh builds on every module the identity
-batteries and the ribet-ladder pipelines ask for, that an equal module
-built elsewhere is a hit and a module differing in one entry, its modulus
-or its domain a miss, and that a shared answer cannot be written into."""
+exact content (modulus, image shape, image bytes), and for a Hom kernel
+its transpose symmetry.  These tests check the memoized answers against
+fresh builds and against the full consistency system on every module the
+identity batteries and the ribet-ladder pipelines ask for, that an equal
+module built elsewhere is a hit and a module differing in one entry, its
+modulus, its domain or the symmetry asked for a miss, and that a shared
+answer cannot be written into."""
 
 import json
 import sys
@@ -15,7 +17,7 @@ import pytest
 
 from asaikit import cli, grouprep
 from asaikit.cohomology import H1Data, SelmerStructure, h1, hom_module
-from asaikit.exactalg import Mat, kernel_gens
+from asaikit.exactalg import Mat, kernel_gens, kernel_mod
 from asaikit.fixtures import DATA_DIR, ribet_fixture
 from asaikit.grouprep import (
     Rep,
@@ -24,9 +26,17 @@ from asaikit.grouprep import (
     hom_system,
     intertwiner_space,
     make_character,
+    symmetry_rows,
     trivial_character,
 )
-from asaikit.polarization import LatticeRep, ribet_lattice, theorem_main_pipeline
+from asaikit.polarization import (
+    LatticeRep,
+    _witness_pair,
+    polarize,
+    ribet_lattice,
+    theorem_main_pipeline,
+)
+from test_element_maps import expand_oracle
 
 # the ribet-ladder rungs: (q, chi(delta)) with chi(delta)^2 = -1 mod q, d = 4
 RUNGS = [(13, 5), (37, 6), (101, 10)]
@@ -65,9 +75,9 @@ def distinct(items, same):
 
 @pytest.fixture(scope="module")
 def asked(tmp_path_factory):
-    """(modules h1 was asked for, (r1, r2) pairs hom_kernel was asked for)
-    by `verify-identities` and the ribet-ladder pipelines and descents, each
-    distinct by content."""
+    """(modules h1 was asked for, (r1, r2, symmetry) triples hom_kernel was
+    asked for) by `verify-identities` and the ribet-ladder pipelines and
+    descents, each distinct by content; symmetry None is the plain kernel."""
     report = tmp_path_factory.mktemp("solved") / "identities.json"
     sel = SelmerStructure.from_json(
         json.loads((DATA_DIR / "ribet_q7_d6.selmer.json").read_text()))
@@ -90,13 +100,16 @@ def asked(tmp_path_factory):
             conj = u.inverse().a @ rep.images % mod @ u.a % mod
             ribet_lattice(LatticeRep(Rep(fix.group, "G", conj, mod), chi, chi_inv))
     modules = distinct((m for (m,) in modules), lambda a, b: a == b)
-    pairs = distinct(pairs, lambda a, b: a[0] == b[0] and a[1] == b[1])
+    pairs = [(r1, r2, sym[0] if sym else None) for r1, r2, *sym in pairs]
+    pairs = distinct(pairs, lambda a, b: a[0] == b[0] and a[1] == b[1] and a[2] == b[2])
     return modules, pairs
 
 
 def test_the_runs_cover_many_modules(asked):
     modules, pairs = asked
     assert len(modules) >= 10 and len(pairs) >= 20
+    # polarize's witness kernels of both signs, and classify_pairing's
+    assert {sym for _, _, sym in pairs} == {None, 1, -1}
     # ribet_q7_d6's H, every ladder rung's H and coh294
     assert {len(m.elements) for m in modules} >= {42, 52, 148, 294, 404}
 
@@ -112,14 +125,25 @@ def test_memoized_h1_equals_a_fresh_build(asked):
             assert np.array_equal(memo.class_coords(z), fresh.class_coords(z)), m
 
 
+def test_h1_z1_is_the_kernel_of_the_full_consistency_system(asked):
+    # the probe never builds the full system: the test-local oracle does
+    for m in asked[0]:
+        data = h1(m)
+        _, sys = expand_oracle(m, data.gens)
+        assert np.array_equal(data.z1, kernel_mod(sys, m.mod)), m
+
+
 def test_memoized_hom_kernel_equals_kernel_gens(asked):
-    for r1, r2 in asked[1]:
-        memo = hom_kernel(r1, r2)
-        fresh = kernel_gens(hom_system(r1, r2), r2.mod)
-        assert hom_kernel(r1, r2) is memo
-        assert len(memo) == len(fresh), (r1, r2)
+    for r1, r2, sym in asked[1]:
+        memo = hom_kernel(r1, r2, sym)
+        sys = hom_system(r1, r2)
+        if sym is not None:
+            sys = np.vstack([sys, symmetry_rows(r2.dim, r2.mod, sym == -1)])
+        fresh = kernel_gens(sys, r2.mod)
+        assert hom_kernel(r1, r2, sym) is memo
+        assert len(memo) == len(fresh), (r1, r2, sym)
         for (v, ann), (w, bnn) in zip(memo, fresh):
-            assert ann == bnn and np.array_equal(v, w), (r1, r2)
+            assert ann == bnn and np.array_equal(v, w), (r1, r2, sym)
 
 
 @pytest.fixture
@@ -152,6 +176,32 @@ def test_an_equal_module_built_elsewhere_is_a_hit(builds):
     assert hom_kernel(rho, rho) is hom_kernel(twin, twin)
     assert intertwiner_space(twin, rho) == intertwiner_space(rho, twin)
     assert builds["hom"] == 1
+
+
+def test_each_symmetry_is_its_own_entry_and_polarize_solves_once(builds):
+    rib = ribet_fixture()  # a fresh group, so an empty memo
+    r = rib.rep("lattice").restrict_to_H()
+    psi = coset_sign_character(rib.group, r.mod)
+    pair = _witness_pair(r, psi, True)
+    kernels = [hom_kernel(*pair, sym) for sym in (None, 1, -1)]
+    assert builds["hom"] == 3 and len({id(k) for k in kernels}) == 3
+    assert all(hom_kernel(*pair, sym) is k for sym, k in zip((None, 1, -1), kernels))
+    assert builds["hom"] == 3
+    # over Z/49 the symmetric part is free, the antisymmetric part torsion
+    assert [[ann for _, ann in k] for k in kernels] == [[7, 49], [49], [7]]
+    for bad, why in ((True, "not an integer"), (1.0, "not an integer"), (2, "symmetry")):
+        with pytest.raises(ValueError, match=why):
+            hom_kernel(*pair, bad)
+    with pytest.raises(ValueError, match="square"):
+        hom_kernel(coset_sign_character(rib.group, r.mod), rib.rep("lattice"), 1)
+    first = polarize(r, psi)
+    solved = builds["hom"]  # End(r) for Schur, and the +-1 kernels are hits
+    assert solved == 4
+    twin = Rep(rib.group, "H", r.images.copy(), r.mod)
+    twin_psi = Rep(rib.group, "G", psi.images.copy(), psi.mod)
+    again = polarize(twin, twin_psi)
+    assert builds["hom"] == solved
+    assert again.symmetry == first.symmetry and again.witness == first.witness
 
 
 def _cyclic_subgroups(g):
