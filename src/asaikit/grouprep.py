@@ -174,7 +174,10 @@ class FiniteGroup:
     # -- basic operations ------------------------------------------------------
 
     def prod(self, a, b):
-        """a b, elementwise on index arrays (or ints) broadcast together."""
+        """a b, elementwise on index arrays (or ints) broadcast together.
+        The unchecked law, for index arrays the group's own code has built
+        (every search and validation calls it): `op`, `inverse`, `conj` and
+        `conj_ctilde` check a caller's elements first."""
         return self._law(a, b)
 
     @property
@@ -187,15 +190,26 @@ class FiniteGroup:
         xs = np.arange(self.n)
         return read_only(self.prod(xs[:, None], xs))
 
+    def _elements(self, g):
+        """g (an element or an index array) as int64: ValueError unless g is
+        an integer or an integer array (`as_index_array`, so a bool or a
+        float is refused), KeyError for anything outside 0..n-1."""
+        g = as_index_array(g)
+        # read as unsigned, a negative index lies past n as well
+        if (g.view(np.uint64) >= self.n).any():
+            raise KeyError(f"element {g} not in the group")
+        return g
+
     def op(self, g, h):
-        return int(self.prod(g, h))
+        return int(self.prod(self._elements(g), self._elements(h)))
 
     def inverse(self, g):
-        return int(self.inv[g])
+        return int(self.inv[self._elements(g)])
 
     def conj(self, c, g):
         """c g c^{-1}, elementwise on an index array g."""
-        x = self.prod(self.prod(c, g), self.inv[c])
+        c = self._elements(c)
+        x = self.prod(self.prod(c, self._elements(g)), self.inv[c])
         return int(x) if np.ndim(x) == 0 else x
 
     @functools.cached_property
@@ -210,7 +224,7 @@ class FiniteGroup:
 
     def conj_ctilde(self, g):
         """ctilde g ctilde^{-1}, elementwise on an index array g."""
-        x = self.ctilde_maps[2][g]
+        x = self.ctilde_maps[2][self._elements(g)]
         return int(x) if np.ndim(x) == 0 else x
 
     @functools.cached_property

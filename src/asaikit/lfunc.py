@@ -37,6 +37,8 @@ from operator import add, index, mul
 from pathlib import Path
 from types import MappingProxyType
 
+import numpy as np
+
 from .exactalg import PolyX, as_index, charpoly, det, split_prime_power, wedge_square
 
 REP_TAGS = ("ind", "asai+", "asai-", "lambda2", "std", "sim", "zeta", "quadratic-char")
@@ -585,20 +587,29 @@ def _series_inverse(coeffs, kmax):
 # ---------------------------------------------------------------------------
 
 
+# the bounds of one SL2 draw, interleaved: per factor, r in [-3, 3], then the coin
+_SL2_LOW = np.array([-3, 0] * 6, dtype=np.int64)
+_SL2_HIGH = np.array([4, 2] * 6, dtype=np.int64)
+_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
 def random_sl2(rng):
     """A random element of SL2(Z): the product, left to right, of six
     elementary factors [[1, r], [0, 1]] (upper) or [[1, 0], [r, 1]] (lower).
 
     The draw contract: per factor, first r = rng.integers(-3, 4) (uniform on
     [-3, 3]), then the coin rng.integers(2), 1 for upper and 0 for lower;
-    12 scalar calls in this fixed order.  Every seeded battery and
-    `lfunc --primes` depends on that order.  The product is kept as four
-    ints: an upper factor is a column operation on the second column, a
-    lower one on the first."""
+    12 draws in this fixed order, taken in one call `rng.integers(_SL2_LOW,
+    _SL2_HIGH)`.  That call leaves the stream of 12 scalar calls unchanged:
+    numpy draws each bounded int64 of a range below 2^32 from one 32-bit
+    word by Lemire's method, for scalar and array bounds alike.  Every
+    seeded battery and `lfunc --primes` depends on that order.  The product
+    is kept as four ints: an upper factor is a column operation on the
+    second column, a lower one on the first."""
     a, b, c, d = 1, 0, 0, 1
-    for _ in range(6):
-        r = int(rng.integers(-3, 4))
-        if int(rng.integers(2)):
+    draws = rng.integers(_SL2_LOW, _SL2_HIGH).tolist()
+    for r, upper in zip(draws[::2], draws[1::2]):
+        if upper:
             b, d = b + a * r, d + c * r
         else:
             a, c = a + b * r, c + d * r
@@ -608,11 +619,15 @@ def random_sl2(rng):
 def random_satake(rng, p=None, split=None, twist=1):
     """A random parameter with the central-character normalization: split
     parameters have det a = det b = twist (+-1, anything else is refused);
-    inert ones det a = 1, and a twist of -1 leaves them as they are."""
+    inert ones det a = 1, and a twist of -1 leaves them as they are.
+
+    The draw contract: p (when not given) as `_PRIMES[rng.integers(8)]`,
+    the stream of `rng.choice(_PRIMES)`; then the coin split (when not
+    given); then one `random_sl2` per matrix."""
     if twist not in (1, -1):
         raise ValueError(f"twist must be +1 or -1, got {twist!r}")
     if p is None:
-        p = int(rng.choice([3, 5, 7, 11, 13, 17, 19, 23]))
+        p = _PRIMES[int(rng.integers(len(_PRIMES)))]
     if split is None:
         split = bool(rng.integers(2))
     if not split:

@@ -464,6 +464,36 @@ def test_index_refuses_wrong_element_indices():
     assert chi.value(g.H[-1]) == int(chi.images[-1, 0, 0])
 
 
+def test_element_maps_refuse_wrong_element_indices():
+    # inverse(-1) returned 54, conj_ctilde(-1) 78 and op(-1, 1) 79;
+    # inverse(84) and inverse(1.5) raised numpy's IndexError, op(True, 1) a TypeError
+    g = ribet_fixture().group
+    assert g.n == 84
+    maps = (g.inverse, g.conj_ctilde, lambda x: g.op(x, 1), lambda x: g.op(1, x),
+            lambda x: g.conj(x, 1), lambda x: g.conj(1, x))
+    for f in maps:
+        for bad in (-1, -84, 84, 10**6, np.int32(-1)):
+            with pytest.raises(KeyError, match="not in the group"):
+                f(bad)
+        for bad in (True, np.True_, 1.5, 3.0, np.float64(2.0), "3"):
+            with pytest.raises(ValueError, match="integer"):
+                f(bad)
+    for f in (g.conj_ctilde, lambda x: g.conj(g.ctilde, x)):
+        for bad in (np.array([0, 84]), [3, -1], np.array([[1], [-2]])):
+            with pytest.raises(KeyError, match="not in the group"):
+                f(bad)
+        for bad in (np.array([0.0, 1.0]), np.ones(3, dtype=bool), [True, 1]):
+            with pytest.raises(ValueError, match="integer"):
+                f(bad)
+    xs = np.arange(g.n)
+    # in range, every map still reads the law and the inverse table
+    assert [g.inverse(x) for x in range(g.n)] == g.inv.tolist()
+    assert g.conj_ctilde(xs).tolist() == g.ctilde_maps[2].tolist()
+    assert g.conj(g.ctilde, xs).tolist() == g.ctilde_maps[2].tolist()
+    assert g.op(np.uint8(3), np.int32(5)) == int(g.prod(3, 5))
+    assert g.conj_ctilde(np.array([], dtype=np.int64)).shape == (0,)
+
+
 def test_twist_refuses_a_character_over_another_modulus():
     # the mod-49 lattice twisted by the coset sign over F_7 read the sign's
     # residue 6 as 6 mod 49

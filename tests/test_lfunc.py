@@ -523,6 +523,34 @@ def test_euler_battery_draws_the_oracle_sequence(monkeypatch, seed):
     assert drawn == want
 
 
+class IntegersOnly:
+    """A Generator that exposes only `integers`, counting its calls."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.integers(*args, **kwargs)
+
+
+def test_each_draw_is_one_generator_call_per_matrix():
+    # 12 scalar calls per SL2 matrix and a `choice` for p were the cost of
+    # the Euler battery's draws; each matrix is one array-bounded call now
+    rng = IntegersOnly(0)
+    random_sl2(rng)
+    assert rng.calls == 1
+    rng = IntegersOnly(0)
+    random_satake(rng, split=True)
+    assert rng.calls == 3  # p, a, b
+    rng = IntegersOnly(0)
+    random_satake(rng, p=7, split=False)
+    assert rng.calls == 1
+    with pytest.raises(AttributeError):
+        rng.choice([3, 5])
+
+
 @pytest.mark.parametrize("twist", [0, 2, -2, None])
 def test_random_satake_refuses_a_twist_other_than_plus_minus_one(twist):
     for split in (True, False, None):
