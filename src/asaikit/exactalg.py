@@ -256,10 +256,11 @@ def wedge_square(m):
     """Lambda^2 of a square matrix of exact entries, as a tuple of rows,
     on e_i ^ e_j (i < j, lex order)."""
     pairs = wedge_pairs(len(m))
-    return tuple(
-        tuple(m[i][k] * m[j][l] - m[i][l] * m[j][k] for (k, l) in pairs)
-        for (i, j) in pairs
-    )
+    out = []
+    for i, j in pairs:
+        mi, mj = m[i], m[j]
+        out.append(tuple([mi[k] * mj[l] - mi[l] * mj[k] for k, l in pairs]))
+    return tuple(out)
 
 
 def exterior_square(a, mod):
@@ -437,15 +438,26 @@ def extend_basis(inner, vectors, p):
 class PolyX:
     """Univariate polynomial in X with integer coefficients, constant term
     first: the Euler factors of `lfunc`.  The package's one modular
-    polynomial product is `polymul_stack`."""
+    polynomial product is `polymul_stack`.
+
+    Coefficients are checked once, where they enter: `PolyX(coeffs)` runs
+    `operator.index` on each, so a float or a Fraction is a TypeError.  The
+    package's own integer results (products, `lfunc`'s twists, charpolys
+    and closed forms) are built by `PolyX._of_ints`, which only strips the
+    trailing zeros."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [operator.index(x) for x in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = _stripped(list(map(operator.index, coeffs)))
+
+    @classmethod
+    def _of_ints(cls, cs):
+        """The polynomial of a list cs of Python ints, taken unchecked and
+        consumed: only `exactalg` and `lfunc` call it, on their own results."""
+        poly = object.__new__(cls)
+        poly.coeffs = _stripped(cs)
+        return poly
 
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs != (0,) else -1
@@ -457,12 +469,13 @@ class PolyX:
         return hash(self.coeffs)
 
     def __mul__(self, other):
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        b = other.coeffs
+        out = [0] * (len(self.coeffs) + len(b) - 1)
         for i, x in enumerate(self.coeffs):
             if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] += x * y
-        return PolyX(out)
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return PolyX._of_ints(out)
 
     def __repr__(self):
         terms = []
@@ -476,3 +489,10 @@ class PolyX:
             else:
                 terms.append(f"{c}*X^{i}" if c != 1 else f"X^{i}")
         return " + ".join(terms) if terms else "0"
+
+
+def _stripped(cs):
+    """The list cs without its trailing zeros (one 0 is kept), as a tuple."""
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)

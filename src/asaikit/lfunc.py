@@ -74,31 +74,39 @@ def kron(a, b):
     )
 
 
-def blockdiag(a, b):
-    na, ma = len(a), len(a[0])
-    nb, mb = len(b), len(b[0])
-    out = [[0] * (ma + mb) for _ in range(na + nb)]
-    for i in range(na):
-        for j in range(ma):
-            out[i][j] = a[i][j]
-    for i in range(nb):
-        for j in range(mb):
-            out[na + i][ma + j] = b[i][j]
-    return mat(out)
-
-
 def charpoly_reciprocal(m) -> PolyX:
-    """det(I - m X) of an integer matrix."""
-    return PolyX(charpoly(m))
+    """det(I - m X) of a matrix of ints, such as a Frobenius matrix: the
+    Berkowitz output is taken as it is, not checked again."""
+    return PolyX._of_ints(charpoly(m))
 
 
 def _twist(poly, num, den):
-    """det(I - (num/den) M X) from poly = det(I - M X): the X^k coefficient
-    times (num/den)^k, which must stay integral."""
-    out = [divmod(c * num**k, den**k) for k, c in enumerate(poly.coeffs)]
-    if any(r for _, r in out):
-        raise ValueError("non-integral Euler factor coefficient")
-    return PolyX([q for q, _ in out])
+    """det(I - (num/den) M X) from poly = det(I - M X), for ints num and
+    den: the X^k coefficient times (num/den)^k, which must stay integral,
+    with num^k and den^k kept as running powers.  num = den = 1 returns
+    poly itself."""
+    if num == den == 1:
+        return poly
+    out = []
+    nk = dk = 1
+    for c in poly.coeffs:
+        q, r = divmod(c * nk, dk)
+        if r:
+            raise ValueError("non-integral Euler factor coefficient")
+        out.append(q)
+        nk *= num
+        dk *= den
+    return PolyX._of_ints(out)
+
+
+def _sign(x):
+    """x as the int +1 or -1, or None for anything else: a bool, a float or
+    another integer."""
+    try:
+        x = as_index(x)
+    except ValueError:
+        return None
+    return x if x in (1, -1) else None
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +139,11 @@ def _int_2x2(m, name):
 class SatakeParam:
     """A Frobenius conjugacy-class datum at a rational prime p.
 
-    p must be a prime (checked by trial division).  split: a and b are the
-    two 2x2 components; inert: only a is used.  Matrices must be invertible
-    2x2 with integer entries (anything `operator.index` accepts, stored as
-    int)."""
+    p must be a prime (checked by trial division).  split must be a bool
+    (Python or numpy, stored as a Python bool): a and b are the two 2x2
+    components when it is true; inert: only a is used.  Matrices must be
+    invertible 2x2 with integer entries (anything `operator.index` accepts,
+    stored as int)."""
 
     p: int
     split: bool
@@ -149,6 +158,9 @@ class SatakeParam:
         if not is_prime(p):
             raise ValueError(f"p must be a prime, got {self.p!r}")
         object.__setattr__(self, "p", p)
+        if not isinstance(self.split, (bool, np.bool_)):
+            raise ValueError(f"split must be a bool, got {self.split!r}")
+        object.__setattr__(self, "split", bool(self.split))
         a = _int_2x2(self.a, "a")
         object.__setattr__(self, "a", a)
         if _trace_det(a)[1] == 0:
@@ -197,7 +209,8 @@ def frobenius_matrix(sp: SatakeParam, tag: str):
         return std_map(frobenius_matrix(sp, "ind"))
     if sp.split:
         if tag == "ind":
-            return blockdiag(a, sp.b)
+            b = sp.b
+            return ((*a[0], 0, 0), (*a[1], 0, 0), (0, 0, *b[0]), (0, 0, *b[1]))
         return kron(a, sp.b)  # asai+ and asai-
     if tag == "ind":
         return ((0, 0, *a[0]), (0, 0, *a[1]), (1, 0, 0, 0), (0, 1, 0, 0))
@@ -248,42 +261,47 @@ def euler_factor(sp: SatakeParam, tag: str) -> EulerFactor:
     """
     if tag not in REP_TAGS:
         raise ValueError(f"unknown representation tag {tag!r}")
+    poly = PolyX._of_ints  # every coefficient below is an int of sp
     if tag == "zeta":
-        return EulerFactor(PolyX([1, -1]), tag)
+        return EulerFactor(poly([1, -1]), tag)
     if tag == "quadratic-char":
-        return EulerFactor(PolyX([1, -sp.chi_quadratic]), tag)
+        return EulerFactor(poly([1, -sp.chi_quadratic]), tag)
     if tag == "sim":
-        return EulerFactor(PolyX([1, -sp.similitude()]), tag)
+        return EulerFactor(poly([1, -sp.similitude()]), tag)
     t, d = _trace_det(sp.a)
     if sp.split:
         t2, d2 = _trace_det(sp.b)
         if tag == "ind":
-            return EulerFactor(PolyX([1, -t, d]) * PolyX([1, -t2, d2]), tag)
-        rs = PolyX([1, -t * t2, t * t * d2 + t2 * t2 * d - 2 * d * d2,
-                    -t * t2 * d * d2, d * d * d2 * d2])
+            return EulerFactor(poly([1, -t, d]) * poly([1, -t2, d2]), tag)
+        rs = poly([1, -t * t2, t * t * d2 + t2 * t2 * d - 2 * d * d2,
+                   -t * t2 * d * d2, d * d * d2 * d2])
         if tag in ("asai+", "asai-"):
             return EulerFactor(rs, tag)
         if tag == "lambda2":
-            return EulerFactor(PolyX([1, -d]) * PolyX([1, -d2]) * rs, tag)
+            return EulerFactor(poly([1, -d]) * poly([1, -d2]) * rs, tag)
         if d != d2:
             raise ValueError(_NOT_GSP4)
-        return EulerFactor(PolyX([1, -1]) * _twist(rs, 1, d), tag)
+        return EulerFactor(poly([1, -1]) * _twist(rs, 1, d), tag)
     if tag == "ind":
-        return EulerFactor(PolyX([1, 0, -t, 0, d]), tag)
-    line = PolyX([1, 0, -d])
+        return EulerFactor(poly([1, 0, -t, 0, d]), tag)
+    line = poly([1, 0, -d])
     if tag in ("asai+", "asai-"):
         sign = 1 if tag == "asai+" else -1
-        return EulerFactor(PolyX([1, -sign * t, d]) * line, tag)
+        return EulerFactor(poly([1, -sign * t, d]) * line, tag)
     if tag == "lambda2":
-        return EulerFactor(PolyX([1, t, d]) * line * line, tag)
+        return EulerFactor(poly([1, t, d]) * line * line, tag)
     if d != 1:
         raise ValueError(_NOT_GSP4)
-    return EulerFactor(PolyX([1, 1]) * PolyX([1, 0, -1]) * PolyX([1, t, 1]), tag)
+    return EulerFactor(poly([1, 1]) * poly([1, 0, -1]) * poly([1, t, 1]), tag)
 
 
 # ---------------------------------------------------------------------------
 # the wedge-square identity and the standard-representation map
 # ---------------------------------------------------------------------------
+
+
+# (1 - X)(1 - chi_K(p) X), by chi_K(p)
+_ZETA_QUADRATIC = {1: PolyX([1, -2, 1]), -1: PolyX([1, 0, -1])}
 
 
 def verify_lambda2(sp: SatakeParam, chi: int = 1):
@@ -304,10 +322,11 @@ def verify_lambda2(sp: SatakeParam, chi: int = 1):
 def lambda2_identity(sp: SatakeParam, lam: PolyX, asai_minus: PolyX, chi: int = 1):
     """`verify_lambda2` on the untwisted factors lam = det(I - Lambda^2(ind) X)
     and asai_minus = det(I - asai^- X) of sp, each twisted by chi^{-1}."""
-    if chi not in (1, -1):
+    chi = _sign(chi)
+    if chi is None:
         raise ValueError("chi must be a local value +1 or -1")
     lhs = _twist(lam, 1, chi)
-    rhs = PolyX([1, -1]) * PolyX([1, -sp.chi_quadratic]) * _twist(asai_minus, 1, chi)
+    rhs = _ZETA_QUADRATIC[sp.chi_quadratic] * _twist(asai_minus, 1, chi)
     ok = lhs == rhs
     report = {
         "p": sp.p,
@@ -381,7 +400,7 @@ def verify_std_decomposition(sp: SatakeParam):
     lhs = _twist(charpoly_reciprocal(block), 1, mu)  # mu = sp.similitude()
     cq = sp.chi_quadratic
     asai = euler_factor(sp, "asai+").poly
-    rhs = PolyX([1, -cq]) * _twist(asai, cq, mu)
+    rhs = PolyX._of_ints([1, -cq]) * _twist(asai, cq, mu)
     ok = lhs == rhs
     return ok, {"p": sp.p, "split": sp.split, "lhs": list(lhs.coeffs),
                 "rhs": list(rhs.coeffs), "ok": ok}
@@ -618,23 +637,25 @@ def random_sl2(rng):
 
 def random_satake(rng, p=None, split=None, twist=1):
     """A random parameter with the central-character normalization: split
-    parameters have det a = det b = twist (+-1, anything else is refused);
+    parameters have det a = det b = twist (the int +1 or -1; anything else,
+    a bool or a float included, is refused);
     inert ones det a = 1, and a twist of -1 leaves them as they are.
 
     The draw contract: p (when not given) as `_PRIMES[rng.integers(8)]`,
     the stream of `rng.choice(_PRIMES)`; then the coin split (when not
     given); then one `random_sl2` per matrix."""
-    if twist not in (1, -1):
+    if _sign(twist) is None:
         raise ValueError(f"twist must be +1 or -1, got {twist!r}")
     if p is None:
         p = _PRIMES[int(rng.integers(len(_PRIMES)))]
     if split is None:
         split = bool(rng.integers(2))
+    # a given split reaches SatakeParam as it is, which refuses a non-bool
     if not split:
-        return SatakeParam(p, False, random_sl2(rng))
+        return SatakeParam(p, split, random_sl2(rng))
     a = random_sl2(rng)
     b = random_sl2(rng)
     if twist == -1:
         # times diag(1, -1): the second column negated
         a, b = (((w, -x), (y, -z)) for (w, x), (y, z) in (a, b))
-    return SatakeParam(p, True, a, b)
+    return SatakeParam(p, split, a, b)

@@ -39,7 +39,7 @@ from asaikit.grouprep import (
     swap_matrix,
     trivial_character,
 )
-from asaikit.lfunc import CoeffTable, blockdiag, frobenius_matrix, random_satake, std_map
+from asaikit.lfunc import CoeffTable, frobenius_matrix, random_satake, std_map
 from asaikit.polarization import PolarizedRep, criticality_dimensions, polarize
 
 SRC = Path(asaikit.__file__).parent
@@ -62,6 +62,11 @@ def test_criticality_count_is_the_plus_eigenspace_of_the_signed_swap(n, p):
 
 
 # -- Lambda^2 and std at split primes: the former blockdiag route ------------
+
+
+def blockdiag(a, b):
+    """Oracle: diag(a, b) of two 2x2 blocks, as a tuple of rows."""
+    return tuple((*r, 0, 0) for r in a) + tuple((0, 0, *r) for r in b)
 
 
 def test_split_lambda2_and_std_match_the_blockdiag_route():

@@ -1,7 +1,8 @@
 """Each job has one routine: the breadth-first search under `closure` and
 `Domain.walk`, the integer test of element indices and Selmer structures
-(made where a structure is made), the CLI's refusal report, and int64
-residue arithmetic with no object-dtype array."""
+(made where a structure is made), the CLI's refusal report, int64
+residue arithmetic with no object-dtype array, and the unchecked `PolyX`
+constructor, kept to the package's own integer results."""
 
 import ast
 import json
@@ -232,18 +233,24 @@ def symmetry_rows_uses(path):
     """(top-level function, Class.method, class or <module>, line) of each
     use of `symmetry_rows`: a call by name or attribute, nested or not, or
     a reference that binds it to be called later."""
+    return name_uses(path, "symmetry_rows")
+
+
+def name_uses(path, name):
+    """(top-level function, Class.method, class or <module>, line) of each
+    use of `name` in one source file: a Name or an attribute `.name`."""
     def uses(node):
         return [n.lineno for n in ast.walk(node)
-                if isinstance(n, ast.Name) and n.id == "symmetry_rows"
-                or isinstance(n, ast.Attribute) and n.attr == "symmetry_rows"]
+                if isinstance(n, ast.Name) and n.id == name
+                or isinstance(n, ast.Attribute) and n.attr == name]
 
     def scopes(body, owner):
         for node in body:
             if isinstance(node, ast.ClassDef):
                 yield from scopes(node.body, node.name)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = node.name if owner == "<module>" else f"{owner}.{node.name}"
-                yield from ((name, line) for line in uses(node))
+                qual = node.name if owner == "<module>" else f"{owner}.{node.name}"
+                yield from ((qual, line) for line in uses(node))
             else:
                 yield from ((owner, line) for line in uses(node))
 
@@ -268,4 +275,39 @@ def test_the_symmetry_rows_guard_sees_each_form(tmp_path):
         "def e(d):\n    f = symmetry_rows\n    return f(d, 7, True)\n"
         "def symmetry_rows_free(sys):\n    return kernel_gens(sys, 7)\n")
     assert symmetry_rows_uses(path) == [
+        ("<module>", 2), ("a", 4), ("B", 6), ("B.c", 9), ("e", 12)]
+
+
+def unchecked_polyx_uses(path):
+    """Each use of the unchecked constructor `PolyX._of_ints`: a call by
+    name or attribute, nested or not, or a reference that binds it to be
+    called later."""
+    return name_uses(path, "_of_ints")
+
+
+def test_only_exactalg_and_lfunc_build_unchecked_polynomials():
+    # each use builds from ints the package computed itself: a product, a
+    # charpoly of a Frobenius block, a twist or a closed form of a checked
+    # SatakeParam, never a caller's coefficient (cli and batteries reach
+    # PolyX only through these)
+    hits = [(p.name, f) for p in sorted(SRC.glob("*.py")) for f, _ in unchecked_polyx_uses(p)]
+    assert hits == [("exactalg.py", "PolyX.__mul__"),
+                    ("lfunc.py", "charpoly_reciprocal"),
+                    ("lfunc.py", "_twist"),
+                    ("lfunc.py", "euler_factor"),
+                    ("lfunc.py", "verify_std_decomposition")]
+
+
+def test_the_unchecked_polyx_guard_sees_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from exactalg import PolyX\n"
+        "ONE = PolyX._of_ints([1])\n"
+        "def a(cs):\n    return exactalg.PolyX._of_ints(cs)\n"
+        "class B:\n    LINE = PolyX._of_ints([1, -1])\n"
+        "    def c(self, cs):\n        def inner():\n"
+        "            return PolyX._of_ints(cs)\n        return inner()\n"
+        "def e(cs):\n    f = PolyX._of_ints\n    return f(cs)\n"
+        "def g(cs):\n    return PolyX(cs)\n")
+    assert unchecked_polyx_uses(path) == [
         ("<module>", 2), ("a", 4), ("B", 6), ("B.c", 9), ("e", 12)]
