@@ -23,13 +23,7 @@ from .cohomology import (
     shapiro,
 )
 from .exactalg import Mat, exterior_square, row_space_mod
-from .fixtures import (
-    coh294_fixture,
-    f20_fixture,
-    m40_fixture,
-    random_battery_case,
-    ribet_fixture,
-)
+from .fixtures import load_shipped, random_battery_case
 from .grouprep import (
     Rep,
     classify_pairing,
@@ -45,16 +39,9 @@ from .grouprep import (
 from .lfunc import random_satake, verify_lambda2, verify_std_decomposition
 
 
-# explicit, selmerres and shapiro share these two fixtures, which no battery
-# mutates: each is built once per process
-@functools.lru_cache(maxsize=None)
-def _coh294():
-    return coh294_fixture()
-
-
-@functools.lru_cache(maxsize=None)
-def _ribet():
-    return ribet_fixture()
+# every shipped fixture a battery reads, by name; no battery mutates one,
+# so each is built once per process and keeps its memoized Hom kernels
+_shipped = functools.cache(load_shipped)
 
 
 def _record(name, case, passed, **details):
@@ -115,7 +102,7 @@ def lambda_battery():
     do not exist, which is asserted as such.
     """
     out = []
-    m40 = m40_fixture()
+    m40 = _shipped("m40_q11")
     g = m40.group
     rho = m40.rep("rho")
     ind = induce(rho)
@@ -140,7 +127,7 @@ def lambda_battery():
             and even.mu_at_ctilde == 1 and odd.mu_at_ctilde == 10,
         )
     )
-    f41 = f20_fixture(41)
+    f41 = _shipped("f20_d5_rho_q41")
     rho41 = f41.rep("rho")
     ind41 = induce(rho41)
     wedge41 = _wedge_rep(ind41)
@@ -160,7 +147,7 @@ def lambda_battery():
             [s for _, s in pair41.basis] == ["antisymmetric"],
         )
     )
-    f11 = f20_fixture(11)
+    f11 = _shipped("f20_d5_rho_q11")
     ind11 = induce(f11.rep("rho"))
     wedge11 = _wedge_rep(ind11)
     one11 = trivial_character(f11.group, "G", 11)
@@ -179,7 +166,7 @@ def explicit_battery():
     the exact matrix identity conj = (-1)^(k-1) * perp, plus the
     convention-free consequence conj = (-1)^k on the fixture classes."""
     out = []
-    fx = _coh294()
+    fx = _shipped("coh294_q7")
     rho = fx.rep("rho")
     eps = fx.rep("eps")
     q = rho.mod
@@ -221,11 +208,11 @@ def selmerres_battery():
     landing isomorphically on the two eigenspaces."""
     out = []
     cases = []
-    rib = _ribet()
+    rib = _shipped("ribet_q7_d6")
     psi = coset_sign_character(rib.group, 7)
     amb1 = as_twisted_module(rib.rep("chi"), psi)
     cases.append(("ribet-q7 tensor module", amb1))
-    fx = _coh294()
+    fx = _shipped("coh294_q7")
     eps = fx.rep("eps")
     amb2 = as_twisted_module(fx.rep("rho"), power_character(eps, -1))
     cases.append(("coh294 tensor module", amb2))
@@ -254,9 +241,9 @@ def selmerres_battery():
 
 def shapiro_battery():
     out = []
-    rib = _ribet()
+    rib = _shipped("ribet_q7_d6")
     m1 = hom_module(rib.rep("chi"), rib.rep("chi_inv"))
-    fx = _coh294()
+    fx = _shipped("coh294_q7")
     m2 = conjugate_hom_module(fx.rep("rho"))
     for label, module in (("ribet-q7 hom module", m1), ("coh294 hom module", m2)):
         res = shapiro(module)
@@ -275,7 +262,7 @@ def euler_battery(seed=0, count=200):
     seeded random Satake parameters, split and inert."""
     rng = np.random.default_rng(seed)
     out = []
-    for name, check, draws in (("lambda2", lambda sp: verify_lambda2(sp, 1), count),
+    for name, check, draws in (("lambda2", verify_lambda2, count),
                                ("std", verify_std_decomposition, count // 2)):
         fails = 0
         for i in range(draws):

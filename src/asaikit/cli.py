@@ -140,13 +140,11 @@ def cmd_pipeline(args) -> int:
 def cmd_lfunc(args) -> int:
     from .lfunc import (
         asai_dirichlet,
-        charpoly_reciprocal,
         euler_factor,
-        frobenius_matrix,
         ingest_coeffs,
         is_prime,
-        lambda2_identity,
         random_satake,
+        verify_lambda2,
     )
 
     report = {"command": "lfunc", "seed": args.seed}
@@ -172,15 +170,14 @@ def cmd_lfunc(args) -> int:
     for p in primes:
         rng = np.random.default_rng((args.seed, p))
         sp = random_satake(rng, p=p)
-        factors = {tag: euler_factor(sp, tag).poly
-                   for tag in ("ind", "asai+", "asai-", "lambda2", "std", "sim")}
         row = {"p": p, "split": sp.split,
-               "factors": {tag: list(f.coeffs) for tag, f in factors.items()}}
+               "factors": {tag: list(euler_factor(sp, tag).poly.coeffs)
+                           for tag in ("ind", "asai+", "asai-", "lambda2", "std", "sim")}}
         if args.verify_lambda2:
-            # the identity's Lambda^2 side is the matrix factor, which the
-            # reported closed form must equal
-            lam = charpoly_reciprocal(frobenius_matrix(sp, "lambda2"))
-            ok = lam == factors["lambda2"] and lambda2_identity(sp, lam, factors["asai-"])[0]
+            # at chi = 1 the identity's Lambda^2 side is the matrix factor,
+            # which the reported closed form must equal
+            ok, check = verify_lambda2(sp)
+            ok = ok and check["lhs"] == row["factors"]["lambda2"]
             row["lambda2_ok"] = ok
             all_ok = all_ok and ok
         entries.append(row)

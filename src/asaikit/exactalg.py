@@ -61,6 +61,17 @@ def as_index(x) -> int:
     raise ValueError(f"{x!r} is not an integer")
 
 
+def as_sign(x):
+    """x as the int +1 or -1, or None for anything else: a bool, a float or
+    another integer.  The package's one +-1 test; each caller writes its
+    own refusal."""
+    try:
+        x = as_index(x)
+    except ValueError:
+        return None
+    return x if x in (1, -1) else None
+
+
 def read_only(a: np.ndarray) -> np.ndarray:
     """`a`, marked read-only in place: an answer that is shared cannot be
     written into by one of its readers."""

@@ -48,6 +48,7 @@ from .exactalg import (
     Mat,
     as_index,
     as_index_array,
+    as_sign,
     charpoly_stack,
     check_int64_products,
     kernel_gens,
@@ -655,8 +656,9 @@ def tensor_induce(rho: Rep, sign: int) -> Rep:
     """
     if rho.domain != "H":
         raise ValueError("tensor induction expects a representation of H")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    unit = as_sign(sign)
+    if unit is None:
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     g = rho.group
     d = rho.dim
     on_h = g.h_mask
@@ -664,7 +666,7 @@ def tensor_induce(rho: Rep, sign: int) -> Rep:
     imgs = kron_stack(rho.arr(np.where(on_h, np.arange(g.n), right_inv)),
                       rho.arr(np.where(on_h, conj, left)), rho.mod)
     # M @ swap_matrix(d) permutes the columns of M
-    imgs[~on_h] = sign * imgs[~on_h][:, :, _swap_perm(d)] % rho.mod
+    imgs[~on_h] = unit * imgs[~on_h][:, :, _swap_perm(d)] % rho.mod
     return Rep(g, "G", imgs, rho.mod, validate=False)
 
 

@@ -39,7 +39,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .exactalg import PolyX, as_index, charpoly, det, split_prime_power, wedge_square
+from .exactalg import PolyX, as_index, as_sign, charpoly, det, split_prime_power, wedge_square
 
 REP_TAGS = ("ind", "asai+", "asai-", "lambda2", "std", "sim", "zeta", "quadratic-char")
 
@@ -97,16 +97,6 @@ def _twist(poly, num, den):
         nk *= num
         dk *= den
     return PolyX._of_ints(out)
-
-
-def _sign(x):
-    """x as the int +1 or -1, or None for anything else: a bool, a float or
-    another integer."""
-    try:
-        x = as_index(x)
-    except ValueError:
-        return None
-    return x if x in (1, -1) else None
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +305,11 @@ def verify_lambda2(sp: SatakeParam, chi: int = 1):
     `euler_factor`'s closed form.  Returns (ok, report); never raises on
     mismatch.
     """
-    return lambda2_identity(sp, charpoly_reciprocal(frobenius_matrix(sp, "lambda2")),
-                            euler_factor(sp, "asai-").poly, chi)
-
-
-def lambda2_identity(sp: SatakeParam, lam: PolyX, asai_minus: PolyX, chi: int = 1):
-    """`verify_lambda2` on the untwisted factors lam = det(I - Lambda^2(ind) X)
-    and asai_minus = det(I - asai^- X) of sp, each twisted by chi^{-1}."""
-    chi = _sign(chi)
+    chi = as_sign(chi)
     if chi is None:
         raise ValueError("chi must be a local value +1 or -1")
-    lhs = _twist(lam, 1, chi)
-    rhs = _ZETA_QUADRATIC[sp.chi_quadratic] * _twist(asai_minus, 1, chi)
+    lhs = _twist(charpoly_reciprocal(frobenius_matrix(sp, "lambda2")), 1, chi)
+    rhs = _ZETA_QUADRATIC[sp.chi_quadratic] * _twist(euler_factor(sp, "asai-").poly, 1, chi)
     ok = lhs == rhs
     report = {
         "p": sp.p,
@@ -644,7 +627,7 @@ def random_satake(rng, p=None, split=None, twist=1):
     The draw contract: p (when not given) as `_PRIMES[rng.integers(8)]`,
     the stream of `rng.choice(_PRIMES)`; then the coin split (when not
     given); then one `random_sl2` per matrix."""
-    if _sign(twist) is None:
+    if as_sign(twist) is None:
         raise ValueError(f"twist must be +1 or -1, got {twist!r}")
     if p is None:
         p = _PRIMES[int(rng.integers(len(_PRIMES)))]

@@ -30,6 +30,7 @@ from .cohomology import (
 )
 from .exactalg import (
     Mat,
+    as_sign,
     charpoly_stack,
     extend_basis,
     polymul_stack,
@@ -86,8 +87,10 @@ class PolarizedRep:
     conjugate: bool = True
 
     def __post_init__(self):
-        if type(self.symmetry) is not int or self.symmetry not in (1, -1):
+        symmetry = as_sign(self.symmetry)
+        if symmetry is None:
             raise ValueError(f"symmetry must be +1 or -1, got {self.symmetry!r}")
+        self.symmetry = symmetry
         w = self.witness
         if w.mod != self.rep.mod:
             raise ValueError("witness modulus does not match the representation's")

@@ -3,6 +3,7 @@ map.  `is_isomorphic` (a Hom-space kernel plus a witness search) is the
 oracle here; the battery itself never searches.  The batteries share their
 fixtures, built once per process."""
 
+import hashlib
 import sys
 from collections import Counter
 
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 import asaikit.batteries as batteries
-from asaikit import cli, grouprep
+from asaikit import cli, fixtures, grouprep
 from asaikit.batteries import prasad_battery, prasad_identities
-from asaikit.fixtures import coh294_fixture, f20_fixture, random_battery_case, ribet_fixture
+from asaikit.fixtures import f20_fixture, random_battery_case
 from asaikit.grouprep import coset_sign_character, is_isomorphic, tensor_induce
 
 ORACLE_SEEDS = (0, 1, 2, 3, 7)
@@ -100,22 +101,46 @@ def test_transposed_pair_permutation_fails_multiplicative(monkeypatch):
     assert bad and all(" dim2 " in c and c.endswith(" multiplicative") for c in bad)
 
 
+# the shipped fixtures the batteries read, by name and builder call
+SHIPPED_BUILDS = {
+    "coh294_q7": ("coh294_fixture", ()),
+    "ribet_q7_d6": ("ribet_fixture", ()),
+    "m40_q11": ("m40_fixture", ()),
+    "f20_d5_rho_q41": ("f20_fixture", (41,)),
+    "f20_d5_rho_q11": ("f20_fixture", (11,)),
+}
+
+
 def test_verify_identities_builds_each_fixture_once(monkeypatch, tmp_path):
     builds = Counter()
-    for name in ("coh294_fixture", "ribet_fixture", "m40_fixture", "f20_fixture"):
-        real = getattr(batteries, name)
-        monkeypatch.setattr(batteries, name, lambda *args, name=name, real=real:
+    for name in {name for name, _ in SHIPPED_BUILDS.values()}:
+        real = getattr(fixtures, name)
+        monkeypatch.setattr(fixtures, name, lambda *args, name=name, real=real:
                             builds.update([(name, args)]) or real(*args))
-    batteries._coh294.cache_clear()
-    batteries._ribet.cache_clear()
+    batteries._shipped.cache_clear()
     report = tmp_path / "r.json"
-    assert cli.main(["verify-identities", "--seed", "0", "--report", str(report)]) == 0
-    assert builds == {("coh294_fixture", ()): 1, ("ribet_fixture", ()): 1,
-                      ("m40_fixture", ()): 1, ("f20_fixture", (41,)): 1,
-                      ("f20_fixture", (11,)): 1}
+    for seed in ("0", "7"):
+        assert cli.main(["verify-identities", "--seed", seed, "--report", str(report)]) == 0
+    assert builds == Counter(SHIPPED_BUILDS.values())
 
 
 def test_shared_fixtures_survive_a_full_run():
     batteries.run_batteries(seed=0)
-    assert batteries._coh294().to_json() == coh294_fixture().to_json()
-    assert batteries._ribet().to_json() == ribet_fixture().to_json()
+    for name, (builder, args) in SHIPPED_BUILDS.items():
+        fresh = getattr(fixtures, builder)(*args)
+        assert batteries._shipped(name).to_json() == fresh.to_json(), name
+
+
+def test_repeated_runs_write_the_pinned_report(tmp_path):
+    # the sha256 that tests/test_cli.py pins for `verify-identities --seed 0`:
+    # the second run reads every fixture from the cache the first one filled,
+    # so a battery that mutates a shared fixture changes its bytes
+    digest = "3de466c22dafb24091ba2f14ad879f884269f207ac7e8e0edcc66b99dee699fb"
+    batteries._shipped.cache_clear()
+    reports = []
+    for i in range(2):
+        report = tmp_path / f"r{i}.json"
+        assert cli.main(["verify-identities", "--seed", "0", "--report", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    assert hashlib.sha256(reports[0]).hexdigest() == digest

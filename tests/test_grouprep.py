@@ -149,6 +149,12 @@ def test_tensor_induce_minus_is_plus_twist_sgn(f20):
     assert ok and w is not None
 
 
+@pytest.mark.parametrize("sign", [True, np.True_, 1.0, -1.0, 0, 2, "1", None])
+def test_tensor_induce_refuses_a_sign_other_than_plus_or_minus_one(m40, sign):
+    with pytest.raises(ValueError, match=f"sign must be \\+1 or -1, got {sign!r}"):
+        tensor_induce(m40.rep("rho"), sign)
+
+
 def test_tensor_induce_ctilde_choices_isomorphic(f20, m40):
     """Every choice of coset representative yields an isomorphic tensor
     induction, for both signs."""

@@ -26,7 +26,6 @@ from asaikit.lfunc import (
     eye,
     frobenius_matrix,
     ingest_coeffs,
-    lambda2_identity,
     mat,
     mmul,
     random_satake,
@@ -197,13 +196,9 @@ def test_lambda2_reports_mismatch():
 
 def test_lambda2_refuses_a_non_unit_chi():
     sp = trivial_split()
-    lam = charpoly_reciprocal(frobenius_matrix(sp, "lambda2"))
-    am = charpoly_reciprocal(frobenius_matrix(sp, "asai-"))
     for chi in (0, 2, -3):
         with pytest.raises(ValueError, match="chi must be a local value"):
             verify_lambda2(sp, chi)
-        with pytest.raises(ValueError, match="chi must be a local value"):
-            lambda2_identity(sp, lam, am, chi)
 
 
 def test_std_identity_and_scalar():

@@ -1,8 +1,9 @@
 """Each job has one routine: the breadth-first search under `closure` and
 `Domain.walk`, the integer test of element indices and Selmer structures
 (made where a structure is made), the CLI's refusal report, int64
-residue arithmetic with no object-dtype array, and the unchecked `PolyX`
-constructor, kept to the package's own integer results."""
+residue arithmetic with no object-dtype array, the unchecked `PolyX`
+constructor, kept to the package's own integer results, and the batteries'
+shipped fixtures, read through one cache."""
 
 import ast
 import json
@@ -239,10 +240,15 @@ def symmetry_rows_uses(path):
 def name_uses(path, name):
     """(top-level function, Class.method, class or <module>, line) of each
     use of `name` in one source file: a Name or an attribute `.name`."""
+    return node_uses(path, lambda n: isinstance(n, ast.Name) and n.id == name
+                     or isinstance(n, ast.Attribute) and n.attr == name)
+
+
+def node_uses(path, match):
+    """(top-level function, Class.method, class or <module>, line) of each
+    node of one source file that `match` accepts."""
     def uses(node):
-        return [n.lineno for n in ast.walk(node)
-                if isinstance(n, ast.Name) and n.id == name
-                or isinstance(n, ast.Attribute) and n.attr == name]
+        return [n.lineno for n in ast.walk(node) if match(n)]
 
     def scopes(body, owner):
         for node in body:
@@ -311,3 +317,36 @@ def test_the_unchecked_polyx_guard_sees_each_form(tmp_path):
         "def g(cs):\n    return PolyX(cs)\n")
     assert unchecked_polyx_uses(path) == [
         ("<module>", 2), ("a", 4), ("B", 6), ("B.c", 9), ("e", 12)]
+
+
+def fixture_builder_uses(path):
+    """(top-level function, Class.method, class or <module>, line) of each
+    import, call or reference of a `*_fixture` builder in one source file."""
+    def builder(name):
+        return name.endswith("_fixture")
+
+    return node_uses(path, lambda n: isinstance(n, ast.Name) and builder(n.id)
+                     or isinstance(n, ast.Attribute) and builder(n.attr)
+                     or isinstance(n, ast.ImportFrom) and any(builder(a.name) for a in n.names))
+
+
+def test_the_batteries_read_shipped_fixtures_only_through_their_cache():
+    # each shipped fixture comes through `batteries._shipped`, built once
+    assert fixture_builder_uses(SRC / "batteries.py") == []
+
+
+def test_the_fixture_builder_guard_sees_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from fixtures import load_shipped, m40_fixture\n"
+        "FX = ribet_fixture()\n"
+        "def a():\n    return fixtures.f20_fixture(41)\n"
+        "class B:\n    FX = coh294_fixture()\n"
+        "    def c(self):\n        def inner():\n"
+        "            return m40_fixture()\n        return inner()\n"
+        "def e():\n    f = fixtures.c15_fixture\n    return f()\n"
+        "def g():\n    from fixtures import s3_fixture as build\n    return build()\n"
+        "def h():\n    return load_shipped('m40_q11'), shipped_fixture_builders()\n")
+    assert fixture_builder_uses(path) == [
+        ("<module>", 1), ("<module>", 2), ("a", 4), ("B", 6), ("B.c", 9), ("e", 12),
+        ("g", 15)]

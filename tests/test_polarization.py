@@ -612,3 +612,11 @@ def test_polarized_rep_refuses_a_symmetry_other_than_plus_or_minus_one(rib, symm
     w = polarize(r, psi).witness  # a valid symmetric witness
     with pytest.raises(ValueError, match=f"symmetry must be \\+1 or -1, got {symmetry!r}"):
         PolarizedRep(r, psi, w, symmetry)
+
+
+def test_polarized_rep_stores_a_numpy_symmetry_as_an_int(rib):
+    psi = coset_sign_character(rib.group, 49)
+    r = rib.rep("lattice").restrict_to_H()
+    w = polarize(r, psi).witness  # a valid symmetric witness
+    pol = PolarizedRep(r, psi, w, np.int64(1))
+    assert type(pol.symmetry) is int and pol.symmetry == 1
