@@ -89,7 +89,7 @@ class Cocycle:
         m = self.module
         if submodule.group is not m.group or submodule.mod != m.mod:
             raise ValueError("restriction needs the same group and modulus")
-        idx = m.pos[submodule.dom.array]
+        idx = m.pos[submodule.elements]
         if idx.min() < 0:
             raise ValueError("restriction target is not inside the cocycle's domain")
         if not np.array_equal(submodule.images, m.images[idx]):
@@ -310,7 +310,7 @@ def conj_action(cocycle: Cocycle, ambient: Rep) -> Cocycle:
     g = m.group
     if ambient.domain != "G":
         raise ValueError("ambient module must be defined over the whole group")
-    els = m.dom.array
+    els = m.elements
     if (ambient.group is not g or ambient.mod != m.mod
             or not np.array_equal(ambient.arr(els), m.images)):
         raise ValueError("ambient action does not restrict to the cocycle's module")
@@ -392,7 +392,7 @@ def polarization_involution(cocycle: Cocycle, rho: Rep) -> Cocycle:
     perp = dual_twist(rc, eps).images
     if not np.array_equal(P @ perp % mod @ P_inv % mod, rc.images):
         raise ValueError("P rho_perp P^{-1} = rho^c fails: invalid fixture")
-    phi_cgc = cocycle.value(g.conj_ctilde(m.dom.array)).reshape(-1, 2, 2)
+    phi_cgc = cocycle.value(g.conj_ctilde(m.elements)).reshape(-1, 2, 2)
     vals = P @ (-phi_cgc % mod).transpose(0, 2, 1) % mod @ P_inv % mod
     return Cocycle(m, vals.reshape(len(vals), 4), validate=False)
 
@@ -435,7 +435,7 @@ def shapiro(module: Rep) -> ShapiroResult:
     d = module.dim
 
     def down(z: Cocycle) -> Cocycle:
-        return Cocycle(module, z.value(module.dom.array)[:, :d], validate=False)
+        return Cocycle(module, z.value(module.elements)[:, :d], validate=False)
 
     mat = h1_G.map_matrix(down, h1_H)
     if h1_G.dim != h1_H.dim:

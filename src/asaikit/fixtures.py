@@ -116,7 +116,7 @@ class Fixture:
             "name": self.name,
             "elements": [str(e) for e in g.elements],
             "mul": [[int(x) for x in row] for row in g.mul],
-            "H": list(g.H),
+            "H": g.H.tolist(),
             "ctilde": g.ctilde,
             "reps": reps,
             "meta": self.meta,
@@ -245,7 +245,7 @@ def _powers(z, exponents, mod):
 
 def _cyclic_character(group, m, q, k=1):
     """(b, 0) -> z^(k b) on H = C_m of C_m x| C_2, z of order m in F_q."""
-    _, b = np.unravel_index(np.array(group.H), (2, m))
+    _, b = np.unravel_index(group.H, (2, m))
     return make_character(group, "H", _powers(element_of_order(m, q), k * b, q), q)
 
 
@@ -271,7 +271,7 @@ def _metacyclic_2dim_rep(group, p, q, j_char=1, antisym_u=False, mod=None):
     one = np.eye(2, dtype=np.int64)
     u = np.array([[0, 1], [low, 0]], dtype=np.int64)
     u_pows = np.array([one, u, low * one % mod, low * u % mod])  # u^2 = low I, low^2 = 1
-    a, b = np.divmod(np.array(group.H), p)
+    a, b = np.divmod(group.H, p)
     # diag(x, y) M scales M's rows by x and y
     rows = np.stack([_powers(z, e * j_char * b, mod) for e in (1, -1)], axis=1)
     return Rep(group, "H", rows[:, :, None] * u_pows[a // 2 % 4] % mod, mod)

@@ -77,7 +77,8 @@ class FiniteGroup:
     in O(n |S|) products, S a generating set, and the group holds no n x n
     array.  `mul` reads as the dense table of every group; for a
     closed-form one it is built from the law on each access, for
-    serialization and tests.
+    serialization and tests.  `H` is the sorted read-only index array of the
+    subgroup and `h_mask` its mask, built and range-checked on construction.
     """
 
     def __init__(self, elements, mul, H, ctilde, validate=True, closed_form=None):
@@ -100,8 +101,8 @@ class FiniteGroup:
             self._table = None
             self.one = int(one)
             self.inv = read_only(np.array(inv, dtype=np.int64))
-        self.H = tuple(sorted({as_index(h) for h in H}))
-        self.H_set = frozenset(self.H)
+        self.h_mask = read_only(self._mask(H, "H has elements outside the group"))
+        self.H = read_only(np.flatnonzero(self.h_mask))
         self.ctilde = as_index(ctilde)
         self._domains: dict = {}
         # closures of greedy generator prefixes, shared by every subgroup's run
@@ -159,9 +160,7 @@ class FiniteGroup:
         self.generators()
         if 2 * len(self.H) != n:
             raise ValueError("H does not have index 2")
-        if self.H[0] < 0 or self.H[-1] >= n:
-            raise ValueError("H has elements outside the group")
-        if self.one not in self.H_set:
+        if not self.h_mask[self.one]:
             raise ValueError("H does not contain the identity")
         # in a finite group a subset is a subgroup iff the closure of its
         # greedy generators stays inside it
@@ -169,7 +168,10 @@ class FiniteGroup:
             self.generators("H")
         except ValueError:
             raise ValueError("H is not closed under multiplication") from None
-        if self.ctilde in self.H_set or not (0 <= self.ctilde < n):
+        # before the mask: h_mask[-1] reads the last element
+        if not 0 <= self.ctilde < n:
+            raise ValueError("ctilde lies outside the group")
+        if self.h_mask[self.ctilde]:
             raise ValueError("ctilde must lie outside H")
 
     # -- basic operations ------------------------------------------------------
@@ -229,12 +231,22 @@ class FiniteGroup:
         return int(x) if np.ndim(x) == 0 else x
 
     @functools.cached_property
-    def h_mask(self) -> np.ndarray:
-        """Boolean mask of H over the element indices (built on first use,
-        so `validate` has range-checked H by then)."""
+    def H_set(self) -> frozenset:
+        """H as a frozenset of ints, derived from `H` on first use."""
+        return frozenset(self.H.tolist())
+
+    def _mask(self, subset, outside) -> np.ndarray:
+        """The boolean mask of a subset of G given by any iterable of integer
+        indices (`as_index_array`: a float, str or bool is refused, not
+        truncated); ValueError `outside` for an index outside 0..n-1."""
+        idx = as_index_array(subset if isinstance(subset, np.ndarray) else list(subset))
+        if idx.ndim != 1:
+            raise ValueError(f"{subset!r} is not a list of integers")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            raise ValueError(outside)
         mask = np.zeros(self.n, dtype=bool)
-        mask[list(self.H)] = True
-        return read_only(mask)
+        mask[idx] = True
+        return mask
 
     def _search(self, frontier, steps, seen):
         """The one breadth-first search: from `frontier` by right products
@@ -301,11 +313,13 @@ class FiniteGroup:
                 raise ValueError("domain must be 'G', 'H' or a list of elements")
             return subset
         if isinstance(subset, tuple) and subset in self._domains:
-            return self._domains[subset].elements  # a key, or equal to one
-        els = tuple(sorted({as_index(e) for e in subset}))
-        if els and not (0 <= els[0] and els[-1] < self.n):
-            raise ValueError("domain has elements outside the group")
-        return "G" if len(els) == self.n else "H" if els == self.H else els
+            return self._domains[subset].key  # the key, or equal to it
+        mask = self._mask(subset, "domain has elements outside the group")
+        if mask.all():
+            return "G"
+        if np.array_equal(mask, self.h_mask):
+            return "H"
+        return tuple(np.flatnonzero(mask).tolist())
 
     def domain(self, key) -> "Domain":
         """The memoized `Domain` of a key from `domain_key`."""
@@ -325,11 +339,12 @@ class FiniteGroup:
 
 
 class Domain:
-    """A subset of G that representations live on -- G, H or a sorted
-    element tuple -- with the index work on it that depends on the group
-    alone, done once per group: element positions, greedy generators, the
-    positions of the products x s with them, and the jump walk of H^1.
-    Every `Rep` on the subset shares it.
+    """A subset of G that representations live on -- its `key` is "G", "H"
+    or a sorted element tuple, its `elements` a sorted read-only int64 index
+    array (H's is `FiniteGroup.H`) -- with the index work on it that depends
+    on the group alone, done once per group: element positions, greedy
+    generators, the positions of the products x s with them, and the jump
+    walk of H^1.  Every `Rep` on the subset shares it.
 
     It also holds the memo of answers that depend only on the content of
     modules on the subset (`solved`): H^1 (`cohomology.h1`) and the Hom
@@ -343,16 +358,12 @@ class Domain:
 
     def __init__(self, group: FiniteGroup, key):
         self.group = group
+        self.key = key
         n = group.n
-        if key == "G":
-            self.elements = tuple(range(n))
-            self.array = np.arange(n)
-        else:
-            self.elements = group.H if key == "H" else key
-            self.array = np.array(self.elements, dtype=np.int64)
-        read_only(self.array)
+        self.elements = (read_only(np.arange(n)) if key == "G" else group.H if key == "H"
+                         else read_only(np.array(key, dtype=np.int64)))
         pos = np.full(n, -1, dtype=np.int64)
-        pos[self.array] = np.arange(self.array.size)
+        pos[self.elements] = np.arange(self.elements.size)
         self.pos = read_only(pos)
         self._solved: dict = {}
 
@@ -381,7 +392,7 @@ class Domain:
     def gen_pos(self) -> np.ndarray:
         """(N, k): the position of x s in the subgroup, for each element x
         and generator s."""
-        prods = self.group.prod(self.array[:, None], np.array(self.gens))
+        prods = self.group.prod(self.elements[:, None], np.array(self.gens))
         return read_only(self.pos[prods])
 
     @functools.cached_property
@@ -410,7 +421,7 @@ class Domain:
         seen = np.arange(g.n) == g.one
         layers = tuple((self.pos[a], self.pos[new], t)
                        for a, new, t in g._search(np.array([g.one]), jumps, seen))
-        if not np.array_equal(np.flatnonzero(seen), self.array):
+        if not np.array_equal(np.flatnonzero(seen), self.elements):
             raise AssertionError("the jump walk does not reach every element of the domain")
         return read_only(jump), read_only(keep), layers
 
@@ -514,7 +525,7 @@ class Rep:
         try:
             key = self.group.domain_key(elements)
             dom = self.group.domain(key)
-            at = self.index(dom.array)
+            at = self.index(dom.elements)
         except (ValueError, KeyError):
             raise ValueError("restriction target is not inside the domain") from None
         dom.subgroup_gens()
@@ -535,13 +546,13 @@ class Rep:
         if chi.dim != 1:
             raise ValueError("twist by a character only")
         _check_same_group_and_modulus(self, chi)
-        vals = chi.value(self.dom.array)
+        vals = chi.value(self.elements)
         imgs = (self.images * vals[:, None, None]) % self.mod
         return Rep(self.group, self.domain, imgs, self.mod, validate=False)
 
     def dual(self) -> "Rep":
         """g -> (rho(g)^{-1})^T = rho(g^{-1})^T."""
-        imgs = self.arr(self.group.inv[self.dom.array]).transpose(0, 2, 1)
+        imgs = self.arr(self.group.inv[self.elements]).transpose(0, 2, 1)
         return Rep(self.group, self.domain, imgs, self.mod, validate=False)
 
     def tensor(self, other: "Rep") -> "Rep":
@@ -605,7 +616,7 @@ def conjugate_rep(rho: Rep) -> Rep:
     if rho.domain == "G":
         warnings.warn("conjugating a representation of the whole group: "
                       "the result is isomorphic to the input", stacklevel=2)
-    imgs = rho.arr(g.conj_ctilde(rho.dom.array))
+    imgs = rho.arr(g.conj_ctilde(rho.elements))
     return Rep(g, rho.domain, imgs, rho.mod, validate=False)
 
 

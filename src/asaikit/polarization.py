@@ -65,7 +65,7 @@ def _witness_pair(rep: Rep, psi: Rep, conjugate: bool) -> tuple[Rep, Rep]:
     g = rep.group
     src = rep
     if conjugate:  # R^c by its gather: conjugate_rep warns on a rep of all of G
-        imgs = rep.arr(g.conj_ctilde(rep.dom.array))
+        imgs = rep.arr(g.conj_ctilde(rep.elements))
         src = Rep(g, rep.domain, imgs, rep.mod, validate=False)
     return src.twist(psi), rep.dual()
 
@@ -157,7 +157,7 @@ def sign_congruence(p1: PolarizedRep, p2: PolarizedRep) -> dict:
         raise ValueError("mismatched representations")
     q = r1.q
     report = {"q": q, "modulus": r1.mod}
-    els = r1.dom.array
+    els = r1.elements
     if np.any((p1.psi.value(els) - p2.psi.value(els)) % q):
         raise ValueError("polarization characters disagree mod q")
     red1, red2 = r1.reduce(q), r2.reduce(q)
@@ -220,7 +220,7 @@ class LatticeRep:
             raise ValueError("residual summands must be non-isomorphic")
         # Brauer-Nesbitt style check of the semisimplification on H
         self.rep_H = self.rep.restrict_to_H()
-        els = self.rhobar1.dom.array
+        els = self.rhobar1.elements
         p1, p2, lhs = (charpoly_stack(r.arr(els), q)
                        for r in (self.rhobar1, self.rhobar2, self.rep_H))
         if not np.array_equal(lhs, polymul_stack(p1, p2, q)):
@@ -286,7 +286,7 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
     d1, d2 = rb1.dim, rb2.dim
     v = _mod_q_triangularization(latt)
     imgs = v.inverse().a @ rep.images % mod @ v.a % mod
-    rb2_inv = rb2.arr(rep.group.inv[rep.dom.array])
+    rb2_inv = rb2.arr(rep.group.inv[rep.elements])
     hmod = hom_module(rb1, rb2)  # Hom(rb2, rb1), action rb1 . X . rb2^{-1}
     data = h1(hmod)
     level = 0

@@ -100,7 +100,7 @@ def test_selmer_file_beside_the_fixtures_and_its_override(tmp_path, monkeypatch)
 def _zero_selmer_condition(path):
     """A Selmer file with a zero local condition on V for ribet_q7_d6."""
     g = ribet_fixture().group
-    v_sub = sorted(h for h in g.H if g.elements[h][1] == 0)
+    v_sub = sorted(h for h in g.H.tolist() if g.elements[h][1] == 0)
     path.write_text(json.dumps([{"subgroup": v_sub, "local_condition": "zero"}]))
 
 
@@ -174,7 +174,7 @@ def test_pipeline_custom_selmer(tmp_path):
 
     fix = ribet_fixture()
     g = fix.group
-    v_sub = sorted(h for h in g.H if g.elements[h][1] == 0)
+    v_sub = sorted(h for h in g.H.tolist() if g.elements[h][1] == 0)
     struct = [{"subgroup": v_sub, "local_condition": "zero"}]
     sfile = tmp_path / "s.json"
     sfile.write_text(json.dumps(struct))

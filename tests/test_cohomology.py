@@ -177,7 +177,7 @@ def test_cocycle_restrict_refuses_a_module_that_is_not_the_restriction(rib):
     # the same elements with other matrices: phi's values are no cocycle there
     twisted = on_h.twist(power_character(chi, 2))
     with pytest.raises(ValueError, match="cocycle identity fails"):
-        Cocycle(twisted, z.value(twisted.dom.array))
+        Cocycle(twisted, z.value(twisted.elements))
     with pytest.raises(ValueError, match="not the restriction of the cocycle's module"):
         z.restrict(twisted)
     for foreign in (ribet_fixture().rep("chi"), coset_sign_character(rib.group, 49)):

@@ -124,7 +124,7 @@ def test_semidirect_group_matches_the_label_closure(family, args, m, k, orders, 
     # repr also tells a Python int label from a numpy one
     assert [repr(e) for e in got.elements] == [repr(e) for e in want.elements]
     assert np.array_equal(got.mul, want.mul)
-    assert got.H == want.H and got.ctilde == want.ctilde
+    assert np.array_equal(got.H, want.H) and got.ctilde == want.ctilde
     # the closed-form identity and inverses are the dense table's scans
     assert got.one == want.one == 0
     assert np.array_equal(got.inv, want.inv)
@@ -192,7 +192,7 @@ def label_metacyclic_images(group, p, d, q, j_char, antisym_u, mod):
         k = b * j_char % p
         r = np.diag([pow(z, k, mod), pow(zi, k, mod)])
         for a in range(0, d, 2):
-            imgs[group.H.index(index[(b, a)])] = r
+            imgs[group.H.tolist().index(index[(b, a)])] = r
             r = r @ u % mod
     return imgs
 

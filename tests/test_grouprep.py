@@ -397,7 +397,7 @@ def test_tensor_induce_plain_swap_at_involution_2dim():
             m = np.diag([pow(z5, b, q), pow(zi, b, q)]).astype(np.int64)
             if e:
                 m = m @ np.array([[0, 1], [1, 0]], dtype=np.int64) % q
-            imgs[group.H.index(index[((b, e), 0)])] = m
+            imgs[group.H.tolist().index(index[((b, e), 0)])] = m
     rho = Rep(group, "H", imgs, q)
     asp = tensor_induce(rho, +1)
     swap = swap_matrix(2, q)
@@ -409,7 +409,7 @@ def test_tensor_induce_plain_swap_at_involution_2dim():
 def test_rep_on_explicit_H_list_is_the_H_rep(s3):
     chi = s3.rep("chi3")
     again = Rep(s3.group, list(s3.group.H), chi.images, chi.mod)
-    assert again.domain == "H" and again.elements == s3.group.H
+    assert again.domain == "H" and np.array_equal(again.elements, s3.group.H)
     assert again == chi
 
 
@@ -425,7 +425,7 @@ def test_restrict_rejects_non_subgroups_and_foreign_elements(s3):
     with pytest.raises(ValueError, match="inside the domain"):
         chi.restrict([g.one, g.ctilde])  # an element of G outside H
     dec = ind.restrict([g.one, g.ctilde])  # the order-2 subgroup of ctilde
-    assert dec.domain == (g.one, g.ctilde) and dec.elements == dec.domain
+    assert dec.domain == (g.one, g.ctilde) and dec.elements.tolist() == list(dec.domain)
     with pytest.raises(ValueError, match="inside the domain"):
         dec.restrict_to_H()  # H is not inside the decomposition subgroup
 
@@ -658,6 +658,21 @@ def test_closed_form_group_rejects_a_wrong_identity_or_inverse():
         inv[x] = g.n
         with pytest.raises(ValueError, match="^inverses lie outside the group$"):
             rebuild(g.one, inv)
+
+
+def test_h_and_ctilde_outside_the_group_are_refused_as_such():
+    # -1 would read the last element of the H mask, n would read past it;
+    # H is range-checked on construction, even unvalidated
+    g = ribet_fixture().group
+    for bad in (-1, g.n):
+        with pytest.raises(ValueError, match="^ctilde lies outside the group$"):
+            FiniteGroup(g.elements, g.mul, g.H, bad)
+        for validate in (False, True):
+            with pytest.raises(ValueError, match="^H has elements outside the group$"):
+                FiniteGroup(g.elements, g.mul, [*g.H.tolist()[1:], bad], g.ctilde,
+                            validate=validate)
+    with pytest.raises(ValueError, match="is not a list of integers"):
+        FiniteGroup(g.elements, g.mul, [g.H.tolist()], g.ctilde)
 
 
 def test_light_test_rejects_a_wrong_entry_past_its_first_block():

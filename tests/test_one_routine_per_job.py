@@ -2,11 +2,15 @@
 `Domain.walk`, the integer test of element indices and Selmer structures
 (made where a structure is made), the CLI's refusal report, int64
 residue arithmetic with no object-dtype array, the unchecked `PolyX`
-constructor, kept to the package's own integer results, and the batteries'
-shipped fixtures, read through one cache."""
+constructor, kept to the package's own integer results, the batteries'
+shipped fixtures, read through one cache, and one read-only index array
+per subset of G."""
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +22,7 @@ from asaikit.cohomology import SelmerStructure, h1, hom_module, selmer_subgroup
 from asaikit.exactalg import Mat
 from asaikit.fixtures import m40_fixture, ribet_fixture, s3_fixture
 from asaikit.grouprep import coset_sign_character, trivial_character
-from asaikit.polarization import PolarizedRep, polarize
+from asaikit.polarization import LatticeRep, PolarizedRep, polarize, theorem_main_pipeline
 
 SRC = Path(asaikit.__file__).parent
 
@@ -82,7 +86,7 @@ def test_element_indices_are_refused_not_truncated(rib):
     with pytest.raises(ValueError, match="not an integer"):
         g.domain_key((0, 7.0, 14, 21, 28, 35))
     # numpy integers are integers
-    assert lattice.restrict(np.array(delta)).elements == tuple(delta)
+    assert lattice.restrict(np.array(delta)).elements.tolist() == delta
     assert g.generators(np.array(delta)) == g.generators(delta)
 
 
@@ -91,9 +95,80 @@ def test_trivial_character_on_a_named_subgroup(rib):
     delta = _delta(g)
     one = trivial_character(g, delta, 7)
     one.validate()
-    assert one.elements == tuple(delta)
+    assert one.elements.tolist() == delta
     assert one.value(np.array(delta)).tolist() == [1] * len(delta)
     assert trivial_character(g, "H", 7) == trivial_character(g, list(g.H), 7)
+
+
+@pytest.mark.parametrize("form", [list, tuple, set, lambda a: (x for x in a),
+                                  lambda a: a.astype(np.int32), lambda a: a],
+                         ids=["list", "tuple", "set", "generator", "int32", "int64"])
+def test_every_form_of_a_subset_gives_one_domain_key(form):
+    g = s3_fixture().group  # fresh: no stored tuple key is read back
+    assert g.domain_key(form(g.H)) == "H"
+    assert g.domain_key(form(np.arange(g.n))) == "G"
+    key = g.domain_key(form(np.array([g.ctilde, g.one])))
+    assert key == (g.one, g.ctilde) and all(type(e) is int for e in key)
+
+
+def test_subsets_of_the_group_are_read_only_index_arrays():
+    fix = ribet_fixture(101, d=4, alpha=100, chi_val=10, precision=3)
+    g = fix.group
+    lattice = fix.rep("lattice")
+    delta = [h for h in g.H.tolist() if g.elements[h][0] == 0]
+    theorem_main_pipeline(LatticeRep(lattice, fix.rep("chi"), fix.rep("chi_inv")),
+                          coset_sign_character(g, lattice.mod),
+                          selmer=SelmerStructure([(delta, "zero")]))
+    assert g.n == 808 and list(g._domains) == ["G", "H", tuple(delta)]
+
+    def long_containers(obj):
+        return [name for name, v in vars(obj).items()
+                if isinstance(v, (tuple, list, set, frozenset)) and len(v) >= len(g.H)]
+
+    # the labels are the one per-element Python container
+    assert long_containers(g) == ["elements"]
+    assert [long_containers(dom) for dom in g._domains.values()] == [[], [], []]
+    for a in [g.H, g.h_mask] + [dom.elements for dom in g._domains.values()]:
+        assert isinstance(a, np.ndarray) and not a.flags.writeable
+    assert "H_set" not in vars(g)
+
+
+def subset_copy_reads(path):
+    """(top-level function, Class.method, class or <module>, line) of each
+    read of `.H_set` or of an `.array` other than `np.array` in one source
+    file: a subset of G is read as its one index array or the H mask."""
+    def copy(n):
+        return isinstance(n, ast.Attribute) and (n.attr == "H_set" or n.attr == "array" and not (
+            isinstance(n.value, ast.Name) and n.value.id == "np"))
+
+    return node_uses(path, copy)
+
+
+def test_the_package_reads_no_copy_of_a_subset():
+    assert {p.name: subset_copy_reads(p) for p in sorted(SRC.glob("*.py"))
+            if subset_copy_reads(p)} == {}
+
+
+def test_the_subset_copy_guard_sees_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def a(g):\n    return g.one in g.H_set\n"
+        "def b(rep):\n    return rep.dom.array, np.array(rep.elements)\n"
+        "class C:\n    def d(self):\n        return self.group.h_mask[self.array]\n")
+    assert subset_copy_reads(path) == [("a", 2), ("b", 4), ("C.d", 7)]
+
+
+def test_the_cli_never_imports_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma, about 1 MB of resident memory
+    reports = [str(tmp_path / name) for name in ("v.json", "p.json")]
+    code = ("import sys\nfrom asaikit import cli\n"
+            f"codes = [cli.main(['verify-identities', '--seed', '0', '--report', {reports[0]!r}]),\n"
+            f"         cli.main(['pipeline', '--report', {reports[1]!r}])]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 @pytest.mark.parametrize("conditions", [
