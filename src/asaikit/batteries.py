@@ -36,7 +36,7 @@ from .grouprep import (
     transfer_character,
     trivial_character,
 )
-from .lfunc import random_satake, verify_lambda2, verify_std_decomposition
+from .lfunc import random_satakes, verify_lambda2_batch, verify_std_decomposition_batch
 
 
 # every shipped fixture a battery reads, by name; no battery mutates one,
@@ -259,14 +259,16 @@ def shapiro_battery():
 
 def euler_battery(seed=0, count=200):
     """The wedge-square factorization and the standard-map decomposition on
-    seeded random Satake parameters, split and inert."""
+    seeded random Satake parameters, alternately split and inert: `count`
+    for the first and count // 2 for the second, each list drawn in one
+    call and checked in one batch."""
     rng = np.random.default_rng(seed)
     out = []
-    for name, check, draws in (("lambda2", verify_lambda2, count),
-                               ("std", verify_std_decomposition, count // 2)):
+    for name, check, draws in (("lambda2", verify_lambda2_batch, count),
+                               ("std", verify_std_decomposition_batch, count // 2)):
         fails = 0
-        for i in range(draws):
-            ok, rep = check(random_satake(rng, split=i % 2 == 0))
+        params = random_satakes(rng, [i % 2 == 0 for i in range(draws)])
+        for i, (ok, rep) in enumerate(check(params)):
             if not ok:
                 fails += 1
                 out.append(_record("euler", f"{name} #{i}", False, **rep))

@@ -15,7 +15,11 @@ their cyclic spans form a direct sum.
 One division-free Berkowitz recurrence over Z gives the characteristic
 polynomial `charpoly` of a nested sequence of integers and, read off its
 constant term, the determinant `det`; `charpoly_stack` runs the same
-recurrence over a stack of matrices mod m at once.
+recurrence over a stack of matrices mod m at once, and `charpoly_int_stack`
+lifts it to a stack over Z by the small-primes modular method: a coefficient
+bound picks how many primes of `_CRT_PRIMES` to run, and the Chinese
+remainder theorem combines their residues, so the result is certified, not
+probabilistic.
 
 Conventions fixed once for the whole package:
   * Kronecker products order pairs row-major: (i, j) -> i*cols(b) + j.
@@ -257,6 +261,78 @@ def charpoly_stack(a, mod):
     return poly
 
 
+# primes just below 2^29, largest first: n (p - 1)^2 < 2^63 for every n <= 32,
+# so `charpoly_stack` stays exact mod each of them up to dimension 32; their
+# product (696 bits) caps the coefficient bound `charpoly_int_stack` accepts
+_CRT_PRIMES = (
+    536870909, 536870879, 536870869, 536870849, 536870839, 536870837,
+    536870819, 536870813, 536870791, 536870779, 536870767, 536870743,
+    536870729, 536870723, 536870717, 536870701, 536870683, 536870657,
+    536870641, 536870627, 536870611, 536870603, 536870599, 536870573,
+)
+
+
+def charpoly_int_stack(a):
+    """Coefficients [1, c_1, ..., c_n] of det(I - a X) for each matrix of an
+    (N, n, n) integer stack, as N lists of Python ints: row i is
+    `charpoly(a[i])`, exactly.
+
+    Every eigenvalue has modulus at most B, the largest absolute row sum of
+    the stack, so |c_k| <= C(n, k) B^k.  `charpoly_stack` runs mod the
+    primes of `_CRT_PRIMES` in turn until their product P exceeds twice
+    that bound; Garner's mixed-radix form of the Chinese remainder theorem
+    (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5) combines
+    the residues, and the residue in (-P/2, P/2] is the coefficient.
+
+    A ValueError, never a wrap, refuses entries that `as_index_array`
+    refuses, a bound beyond the product of all the primes, and a dimension
+    n at which `check_int64_products(n, p)` refuses a prime it needs."""
+    a = as_index_array(a)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("characteristic polynomials of a stack of square matrices")
+    n = a.shape[2]
+    mags = np.abs(a).view(np.uint64)  # |x| exactly, -2^63 included
+    if n * int(mags.max(initial=0)) < 2**64:
+        B = int(mags.sum(axis=2).max(initial=0))
+    else:
+        B = max(sum(map(abs, row)) for row in a.reshape(-1, n).tolist())
+    bound = 2 * max(math.comb(n, k) * B**k for k in range(n + 1))
+    primes, P = [], 1
+    for p in _CRT_PRIMES:
+        if P > bound:
+            break
+        check_int64_products(n, p)
+        primes.append(p)
+        P *= p
+    if P <= bound:
+        raise ValueError(f"charpoly coefficients bounded by {bound.bit_length() - 1} "
+                         f"bits need more than the {len(_CRT_PRIMES)} primes "
+                         f"({P.bit_length()} bits)")
+    # Garner: x = v_0 + p_0 (v_1 + p_1 (v_2 + ...)), each digit v_i in [0, p_i)
+    digits = []
+    for p in primes:
+        v = charpoly_stack(a, p).reshape(-1)
+        for q, d in zip(primes, digits):
+            v = (v - d) * pow(q, -1, p) % p
+        digits.append(v)
+    # the top digits in int64 while their partial product fits, then Python ints
+    acc, span = digits[-1], primes[-1]
+    j = len(primes) - 2
+    while j >= 0 and span * primes[j] < 2**63:
+        acc = acc * primes[j] + digits[j]
+        span *= primes[j]
+        j -= 1
+    if j < 0:
+        coeffs = (acc - P * (acc > P // 2)).tolist()
+    else:
+        acc = acc.tolist()
+        for p, d in zip(primes[j::-1], digits[j::-1]):
+            acc = [x * p + y for x, y in zip(acc, d.tolist())]
+        half = P // 2
+        coeffs = [x - P if x > half else x for x in acc]
+    return [coeffs[i:i + n + 1] for i in range(0, len(coeffs), n + 1)]
+
+
 @functools.lru_cache(maxsize=None)
 def wedge_pairs(d):
     """Lexicographic tuple of index pairs (i, j), i < j, for dimension d."""
@@ -274,6 +350,26 @@ def wedge_square(m):
     return tuple(out)
 
 
+def wedge_square_stack(a):
+    """`wedge_square` of each matrix of an (N, d, d) integer stack, as the
+    (N, D, D) int64 stack, D = d(d-1)/2, in one gather per factor.
+
+    Its entries xy - zw must fit int64: with M the largest absolute entry,
+    M^2 < 2^63 for a stack of entries >= 0 and 2 M^2 < 2^63 otherwise, or
+    it is a ValueError, never a wrap."""
+    a = as_index_array(a)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("exterior square of a non-square matrix")
+    top = int(np.abs(a).view(np.uint64).max(initial=0))
+    if (1 if a.min(initial=0) >= 0 else 2) * top * top >= 2**63:
+        raise ValueError(f"exterior square of entries up to {top} in absolute "
+                         "value would overflow int64")
+    i, j = (np.array(ix, dtype=np.intp).reshape(-1, 1)
+            for ix in zip(*wedge_pairs(a.shape[1])))
+    # row pair (i, j), column pair (k, l) = (i.T, j.T): a_ik a_jl - a_il a_jk
+    return a[:, i, i.T] * a[:, j, j.T] - a[:, i, j.T] * a[:, j, i.T]
+
+
 def exterior_square(a, mod):
     """Exterior squares mod m of an (N, d, d) stack, as the (N, D, D) stack
     of their actions on e_i ^ e_j (i < j, lex order), D = d(d-1)/2.
@@ -285,12 +381,9 @@ def exterior_square(a, mod):
     a = as_index_array(a)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("exterior square of a non-square matrix")
-    d = a.shape[1]
-    if d < 2:
+    if a.shape[1] < 2:
         raise ValueError("exterior square needs dimension >= 2")
-    D = d * (d - 1) // 2
-    wedges = [wedge_square(m) for m in np.mod(a, mod).tolist()]
-    return np.array(wedges, dtype=np.int64).reshape(len(a), D, D) % mod
+    return wedge_square_stack(np.mod(a, mod)) % mod
 
 
 def echelon_mod(a, mod, rhs=None):

@@ -78,7 +78,8 @@ class FiniteGroup:
     array.  `mul` reads as the dense table of every group; for a
     closed-form one it is built from the law on each access, for
     serialization and tests.  `H` is the sorted read-only index array of the
-    subgroup and `h_mask` its mask, built and range-checked on construction.
+    subgroup and `h_mask` its mask, built and range-checked on construction,
+    where ctilde is range-checked too.
     """
 
     def __init__(self, elements, mul, H, ctilde, validate=True, closed_form=None):
@@ -104,6 +105,9 @@ class FiniteGroup:
         self.h_mask = read_only(self._mask(H, "H has elements outside the group"))
         self.H = read_only(np.flatnonzero(self.h_mask))
         self.ctilde = as_index(ctilde)
+        # ctilde_maps and induce index by ctilde, where -1 would read element n - 1
+        if not 0 <= self.ctilde < self.n:
+            raise ValueError("ctilde lies outside the group")
         self._domains: dict = {}
         # closures of greedy generator prefixes, shared by every subgroup's run
         self._closures: dict[tuple[int, ...], np.ndarray] = {}
@@ -168,9 +172,6 @@ class FiniteGroup:
             self.generators("H")
         except ValueError:
             raise ValueError("H is not closed under multiplication") from None
-        # before the mask: h_mask[-1] reads the last element
-        if not 0 <= self.ctilde < n:
-            raise ValueError("ctilde lies outside the group")
         if self.h_mask[self.ctilde]:
             raise ValueError("ctilde must lie outside H")
 
@@ -312,7 +313,10 @@ class FiniteGroup:
             if subset not in ("G", "H"):
                 raise ValueError("domain must be 'G', 'H' or a list of elements")
             return subset
-        if isinstance(subset, tuple) and subset in self._domains:
+        # a stored key is a tuple of ints; 7.0 == 7 and hashes alike, so a
+        # tuple holding anything else goes through `_mask`, which refuses it
+        if (isinstance(subset, tuple) and subset in self._domains
+                and all(type(x) is int for x in subset)):
             return self._domains[subset].key  # the key, or equal to it
         mask = self._mask(subset, "domain has elements outside the group")
         if mask.all():

@@ -18,8 +18,14 @@ Frobenius matrices, each identity taking one side from
 factors themselves: twisting a matrix by a scalar c multiplies the X^k
 coefficient of det(I - M X) by c^k, so no scaled matrix is built: the std
 identity takes the charpoly of the integer block mu std and twists it by
-1/mu, and `std_map` refuses a matrix that is not integral.  One
-division-free Berkowitz over Z gives every charpoly and det.
+1/mu, and `std_map` refuses a matrix that is not integral.  Each identity
+writes its comparison and report once, for one parameter and for a batch:
+`verify_lambda2` and `verify_std_decomposition` take the left side from
+the division-free Berkowitz `charpoly` of one matrix, the fastest route for
+a single matrix, and `verify_lambda2_batch` and
+`verify_std_decomposition_batch` build one Lambda^2(ind) stack and take
+every charpoly from the certified multi-modular `charpoly_int_stack`.
+`random_satakes` draws a list of parameters in one generator call.
 
 Conventions: a split prime carries a pair (a, b) of 2x2 matrices; an inert
 prime carries only a, the Frobenius acting through the nontrivial coset as
@@ -39,7 +45,17 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .exactalg import PolyX, as_index, as_sign, charpoly, det, split_prime_power, wedge_square
+from .exactalg import (
+    PolyX,
+    as_index,
+    as_sign,
+    charpoly,
+    charpoly_int_stack,
+    det,
+    split_prime_power,
+    wedge_square,
+    wedge_square_stack,
+)
 
 REP_TAGS = ("ind", "asai+", "asai-", "lambda2", "std", "sim", "zeta", "quadratic-char")
 
@@ -290,7 +306,8 @@ def euler_factor(sp: SatakeParam, tag: str) -> EulerFactor:
 # ---------------------------------------------------------------------------
 
 
-# (1 - X)(1 - chi_K(p) X), by chi_K(p)
+# (1 - chi_K(p) X) and (1 - X)(1 - chi_K(p) X), by chi_K(p)
+_CHI_LINE = {1: PolyX([1, -1]), -1: PolyX([1, 1])}
 _ZETA_QUADRATIC = {1: PolyX([1, -2, 1]), -1: PolyX([1, 0, -1])}
 
 
@@ -305,10 +322,30 @@ def verify_lambda2(sp: SatakeParam, chi: int = 1):
     `euler_factor`'s closed form.  Returns (ok, report); never raises on
     mismatch.
     """
+    chi = _local_chi(chi)
+    return _lambda2_outcome(sp, chi, charpoly_reciprocal(frobenius_matrix(sp, "lambda2")))
+
+
+def verify_lambda2_batch(params, chi: int = 1):
+    """[verify_lambda2(sp, chi) for sp in params], with the Lambda^2(ind)
+    matrices built as one stack and their charpolys from one
+    `charpoly_int_stack`."""
+    chi = _local_chi(chi)
+    polys = charpoly_int_stack(_wedge_ind_stack(params))
+    return [_lambda2_outcome(sp, chi, PolyX._of_ints(c)) for sp, c in zip(params, polys)]
+
+
+def _local_chi(chi):
     chi = as_sign(chi)
     if chi is None:
         raise ValueError("chi must be a local value +1 or -1")
-    lhs = _twist(charpoly_reciprocal(frobenius_matrix(sp, "lambda2")), 1, chi)
+    return chi
+
+
+def _lambda2_outcome(sp, chi, wedge_poly):
+    """(ok, report) of the wedge-square identity at sp, given wedge_poly =
+    det(I - Lambda^2(ind) X)."""
+    lhs = _twist(wedge_poly, 1, chi)
     rhs = _ZETA_QUADRATIC[sp.chi_quadratic] * _twist(euler_factor(sp, "asai-").poly, 1, chi)
     ok = lhs == rhs
     report = {
@@ -322,6 +359,34 @@ def verify_lambda2(sp: SatakeParam, chi: int = 1):
     return ok, report
 
 
+# the Frobenius entries the stacks take: |x| <= 2^30 keeps each Lambda^2
+# entry within 2^61 and each entry of the std block, a sum of two, in int64
+_STACK_ENTRY_MAX = 2**30
+
+
+def _wedge_ind_stack(params):
+    """Lambda^2(ind) of each parameter, the (N, 6, 6) int64 stack of
+    `frobenius_matrix(sp, "lambda2")`; a ValueError refuses a parameter
+    with an entry beyond `_STACK_ENTRY_MAX`."""
+    split = np.array([sp.split for sp in params], dtype=bool)
+    try:
+        a = np.array([sp.a for sp in params], dtype=np.int64).reshape(-1, 2, 2)
+        b = np.array([sp.b for sp in params if sp.split], dtype=np.int64).reshape(-1, 2, 2)
+        small = not any(np.any((x < -_STACK_ENTRY_MAX) | (x > _STACK_ENTRY_MAX)) for x in (a, b))
+    except OverflowError:  # an entry beyond int64
+        small = False
+    if not small:
+        raise ValueError("a batched identity takes Frobenius entries up to 2^30 in "
+                         "absolute value; check larger ones one parameter at a time")
+    ind = np.zeros((len(params), 4, 4), dtype=np.int64)
+    ind[split, :2, :2] = a[split]
+    ind[split, 2:, 2:] = b
+    inert = ~split
+    ind[inert, :2, 2:] = a[inert]
+    ind[inert, 2, 0] = ind[inert, 3, 1] = 1
+    return wedge_square_stack(ind)
+
+
 J4 = mat([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
 
 # Lambda^2 positions in lex pair order (01, 02, 03, 12, 13, 23).  The
@@ -333,6 +398,8 @@ _COMPLEMENT = (1, 2, 3, 4)
 # e03 ^ e12 = vol, (e01 - e23) ^ (e01 - e23) = -2 vol; other pairs share an index
 _STD_GRAM = ((0, 0, 0, -1, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (-1, 0, 0, 0, 0),
              (0, 0, 0, 0, -2))
+# the rows of `_std_block` in Lambda^2(m): the complement, then e01
+_BLOCK_ROWS = np.array((*_COMPLEMENT, _E01))
 
 
 def similitude_of(m):
@@ -380,10 +447,38 @@ def verify_std_decomposition(sp: SatakeParam):
     the charpoly of the integer block mu std twisted by 1/mu, and the asai^+
     factor from `euler_factor`."""
     block, mu = _std_block(frobenius_matrix(sp, "ind"))
-    lhs = _twist(charpoly_reciprocal(block), 1, mu)  # mu = sp.similitude()
+    return _std_outcome(sp, charpoly_reciprocal(block), mu)
+
+
+def verify_std_decomposition_batch(params):
+    """[verify_std_decomposition(sp) for sp in params], refusing the first
+    parameter that one refuses: the mu std blocks are cut from one
+    Lambda^2(ind) stack and their charpolys come from one
+    `charpoly_int_stack`."""
+    w = _wedge_ind_stack(params)
+    # `_similitude` and `_std_block` over the stack
+    r = w[:, _E01] + w[:, _E23]
+    mu = r[:, _E01]
+    gsp4 = (mu != 0) & (r[:, _E23] == mu) & ~r[:, _COMPLEMENT].any(axis=1)
+    block = np.empty((len(params), 5, 5), dtype=np.int64)
+    block[:, :, :4] = w[:, _BLOCK_ROWS[:, None], _BLOCK_ROWS[:4]]
+    block[:, :, 4] = w[:, _BLOCK_ROWS, _E01] - w[:, _BLOCK_ROWS, _E23]
+    polys = charpoly_int_stack(block[gsp4])
+    out = []
+    for sp, ok, m in zip(params, gsp4.tolist(), mu.tolist()):
+        if not ok:
+            raise ValueError(_NOT_GSP4)
+        out.append(_std_outcome(sp, PolyX._of_ints(polys[len(out)]), m))
+    return out
+
+
+def _std_outcome(sp, block_poly, mu):
+    """(ok, report) of the standard factorization at sp of similitude mu,
+    given block_poly = det(I - mu std(ind) X)."""
+    lhs = _twist(block_poly, 1, mu)  # mu = sp.similitude()
     cq = sp.chi_quadratic
     asai = euler_factor(sp, "asai+").poly
-    rhs = PolyX._of_ints([1, -cq]) * _twist(asai, cq, mu)
+    rhs = _CHI_LINE[cq] * _twist(asai, cq, mu)
     ok = lhs == rhs
     return ok, {"p": sp.p, "split": sp.split, "lhs": list(lhs.coeffs),
                 "rhs": list(rhs.coeffs), "ok": ok}
@@ -593,6 +688,24 @@ def _series_inverse(coeffs, kmax):
 _SL2_LOW = np.array([-3, 0] * 6, dtype=np.int64)
 _SL2_HIGH = np.array([4, 2] * 6, dtype=np.int64)
 _PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+# the bounds of one parameter's draws, by (prime drawn, split): the index
+# into _PRIMES when the prime is drawn, then one SL2 draw per matrix
+_SATAKE_BOUNDS = {
+    (drawn, split): tuple(np.array([bound] * drawn + sl2.tolist() * (1 + split), dtype=np.int64)
+                          for bound, sl2 in ((0, _SL2_LOW), (len(_PRIMES), _SL2_HIGH)))
+    for drawn in (False, True) for split in (False, True)
+}
+
+
+def _sl2_of(draws):
+    """The SL2 element of 12 draws, in `random_sl2`'s order."""
+    a, b, c, d = 1, 0, 0, 1
+    for r, upper in zip(draws[::2], draws[1::2]):
+        if upper:
+            b, d = b + a * r, d + c * r
+        else:
+            a, c = a + b * r, c + d * r
+    return (a, b), (c, d)
 
 
 def random_sl2(rng):
@@ -608,14 +721,7 @@ def random_sl2(rng):
     seeded battery and `lfunc --primes` depends on that order.  The product
     is kept as four ints: an upper factor is a column operation on the
     second column, a lower one on the first."""
-    a, b, c, d = 1, 0, 0, 1
-    draws = rng.integers(_SL2_LOW, _SL2_HIGH).tolist()
-    for r, upper in zip(draws[::2], draws[1::2]):
-        if upper:
-            b, d = b + a * r, d + c * r
-        else:
-            a, c = a + b * r, c + d * r
-    return (a, b), (c, d)
+    return _sl2_of(rng.integers(_SL2_LOW, _SL2_HIGH).tolist())
 
 
 def random_satake(rng, p=None, split=None, twist=1):
@@ -626,19 +732,50 @@ def random_satake(rng, p=None, split=None, twist=1):
 
     The draw contract: p (when not given) as `_PRIMES[rng.integers(8)]`,
     the stream of `rng.choice(_PRIMES)`; then the coin split (when not
-    given); then one `random_sl2` per matrix."""
+    given); then one `random_sl2` per matrix.  With split given, that is
+    `random_satakes(rng, [split], p, twist)[0]`."""
+    if split is None:
+        _check_twist(twist)
+        if p is None:
+            p = _PRIMES[int(rng.integers(len(_PRIMES)))]
+        split = bool(rng.integers(2))
+    return random_satakes(rng, [split], p, twist)[0]
+
+
+def random_satakes(rng, splits, p=None, twist=1):
+    """[random_satake(rng, p, split, twist) for split in splits], from one
+    `rng.integers` call whose interleaved bounds take each parameter's
+    draws in `random_satake`'s order (its prime, when p is None, then 12
+    draws per matrix), so the stream is that of the scalar calls.  A split
+    reaches `SatakeParam` as it is, which refuses a non-bool."""
+    _check_twist(twist)
+    splits = list(splits)
+    drawn = p is None
+    bounds = [_SATAKE_BOUNDS[drawn, bool(split)] for split in splits]
+    if not bounds:
+        return []
+    low, high = map(np.concatenate, zip(*bounds))
+    draws = rng.integers(low, high).tolist()
+    out = []
+    at = 0
+    for split in splits:
+        if drawn:
+            p = _PRIMES[draws[at]]
+            at += 1
+        a = _sl2_of(draws[at:at + 12])
+        at += 12
+        if not split:
+            out.append(SatakeParam(p, split, a))
+            continue
+        b = _sl2_of(draws[at:at + 12])
+        at += 12
+        if twist == -1:
+            # times diag(1, -1): the second column negated
+            a, b = (((w, -x), (y, -z)) for (w, x), (y, z) in (a, b))
+        out.append(SatakeParam(p, split, a, b))
+    return out
+
+
+def _check_twist(twist):
     if as_sign(twist) is None:
         raise ValueError(f"twist must be +1 or -1, got {twist!r}")
-    if p is None:
-        p = _PRIMES[int(rng.integers(len(_PRIMES)))]
-    if split is None:
-        split = bool(rng.integers(2))
-    # a given split reaches SatakeParam as it is, which refuses a non-bool
-    if not split:
-        return SatakeParam(p, split, random_sl2(rng))
-    a = random_sl2(rng)
-    b = random_sl2(rng)
-    if twist == -1:
-        # times diag(1, -1): the second column negated
-        a, b = (((w, -x), (y, -z)) for (w, x), (y, z) in (a, b))
-    return SatakeParam(p, split, a, b)

@@ -1,22 +1,28 @@
 """Independent oracles for the exact linear-algebra layer: sympy for the
 determinant, the characteristic polynomial and elimination over F_p, brute-force enumeration for kernels over the chain
 rings Z/q^n, and the per-matrix Berkowitz `charpoly` for the batched
-`charpoly_stack`."""
+`charpoly_stack` and its certified lift to Z, `charpoly_int_stack`."""
 
+import ast
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asaikit import exactalg
 from asaikit.exactalg import (
     Mat,
     PolyX,
+    _CRT_PRIMES,
     charpoly,
+    charpoly_int_stack,
     charpoly_stack,
+    check_int64_products,
     det,
     extend_basis,
     kernel_gens,
@@ -320,6 +326,98 @@ def test_charpoly_stack_property(system):
     got = charpoly_stack(stack, mod)
     assert got.shape == (stack.shape[0], stack.shape[1] + 1)
     assert got.tolist() == _charpoly_oracle(stack, mod)
+
+
+_INT64 = (-2**63, 2**63 - 1)
+
+
+def _int_stacks(rng, n):
+    """Seeded (N, n, n) stacks: small entries of both signs, entries at the
+    ends of int64, and a product through a narrower middle dimension."""
+    small = rng.integers(-40, 41, size=(5, n, n))
+    ends = rng.choice(np.array([*_INT64, 2**62, -2**62 + 7, 0], dtype=np.int64), size=(3, n, n))
+    k = int(rng.integers(0, n))
+    low = rng.integers(-9, 10, size=(2, n, k)) @ rng.integers(-9, 10, size=(2, k, n))
+    return np.concatenate([small, ends, low])
+
+
+def test_charpoly_int_stack_matches_charpoly_and_sympy(sympy):
+    rng = np.random.default_rng(17)
+    x = sympy.Symbol("x")
+    for n in range(1, 9):
+        stack = _int_stacks(rng, n)
+        got = charpoly_int_stack(stack)
+        assert got == [charpoly(m) for m in stack.tolist()], n
+        assert all(type(c) is int for row in got for c in row)
+        for m, row in zip(stack.tolist()[::3], got[::3]):
+            assert [int(c) for c in sympy.Matrix(m).charpoly(x).all_coeffs()] == row
+    assert charpoly_int_stack(np.zeros((0, 4, 4), dtype=np.int64)) == []
+    assert charpoly_int_stack(np.zeros((3, 0, 0), dtype=np.int64)) == [[1]] * 3
+    assert charpoly_int_stack([[[2**63 - 1]], [[-2**63]]]) == [[1, 1 - 2**63], [1, 2**63]]
+
+
+def _iroot_ceil(x, n):
+    """The least c >= 1 with c^n >= x."""
+    lo, hi = 1, 1
+    while hi**n < x:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid**n < x else (lo, mid)
+    return lo
+
+
+def test_scalar_matrices_attain_the_bound_at_every_prime_count():
+    # c I has row sum c and coefficients C(n, k) (-c)^k, so for c >= n its
+    # largest coefficient is the bound c^n: at the least c needing k primes
+    # it is at least half the product of k - 1 of them, and a lift that
+    # stopped one prime short would reduce it wrongly
+    for n in (1, 2, 3, 6, 8, 12):
+        product = 1
+        for k, p in enumerate(_CRT_PRIMES, 1):
+            c = max(_iroot_ceil((product + 1) // 2, n), n)
+            product *= p
+            if c >= 2**63:
+                break
+            want = [[math.comb(n, j) * (-s * c) ** j for j in range(n + 1)] for s in (1, -1)]
+            stack = np.array([np.eye(n, dtype=np.int64) * c, -np.eye(n, dtype=np.int64) * c])
+            assert charpoly_int_stack(stack) == want, (n, k, c)
+
+
+def test_charpoly_int_stack_refuses_what_it_cannot_certify():
+    product = math.prod(_CRT_PRIMES)
+    # 2 c^12 < product for the largest c accepted, and the next is refused
+    c = _iroot_ceil((product + 1) // 2, 12) - 1
+    for ok, entry in ((True, c), (False, c + 1)):
+        stack = np.eye(12, dtype=np.int64)[None] * entry
+        if ok:
+            assert charpoly_int_stack(stack)[0][12] == c**12
+        else:
+            with pytest.raises(ValueError, match="more than the 24 primes"):
+                charpoly_int_stack(stack)
+    with pytest.raises(ValueError, match="more than the 24 primes"):
+        charpoly_int_stack(np.full((1, 20, 20), 2**40))
+    # a dimension at which the primes' residue products leave int64
+    with pytest.raises(ValueError, match="overflow int64"):
+        charpoly_int_stack(np.zeros((1, 33, 33), dtype=np.int64))
+    for bad in (np.full((1, 2, 2), 1.5), [[[2**70]]], [[[True, 0], [0, 1]]]):
+        with pytest.raises(ValueError, match="not an integer array"):
+            charpoly_int_stack(bad)
+    with pytest.raises(ValueError, match="square"):
+        charpoly_int_stack(np.zeros((2, 2, 3), dtype=np.int64))
+
+
+def test_the_crt_primes_are_a_literal_of_checked_primes(sympy):
+    # a literal tuple: no prime search runs when exactalg is imported
+    tree = ast.parse(Path(exactalg.__file__).read_text())
+    (node,) = [n.value for n in tree.body if isinstance(n, ast.Assign)
+               and [t.id for t in n.targets if isinstance(t, ast.Name)] == ["_CRT_PRIMES"]]
+    assert isinstance(node, ast.Tuple)
+    assert tuple(e.value for e in node.elts if isinstance(e, ast.Constant)) == _CRT_PRIMES
+    assert len(set(_CRT_PRIMES)) == len(_CRT_PRIMES) == 24
+    for p in _CRT_PRIMES:
+        assert sympy.isprime(p)
+        check_int64_products(32, p)  # every dimension up to 32
 
 
 @settings(max_examples=80, deadline=None)

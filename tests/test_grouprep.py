@@ -675,6 +675,16 @@ def test_h_and_ctilde_outside_the_group_are_refused_as_such():
         FiniteGroup(g.elements, g.mul, [g.H.tolist()], g.ctilde)
 
 
+def test_ctilde_outside_the_group_is_refused_unvalidated():
+    # ctilde_maps and induce read ctilde as an index: -1 would be element
+    # n - 1, so the range check runs on construction, next to H's
+    g = ribet_fixture().group
+    for bad in (-1, g.n):
+        with pytest.raises(ValueError, match="^ctilde lies outside the group$"):
+            FiniteGroup(g.elements, g.mul, g.H, bad, validate=False)
+    assert FiniteGroup(g.elements, g.mul, g.H, g.ctilde, validate=False).ctilde == g.ctilde
+
+
 def test_light_test_rejects_a_wrong_entry_past_its_first_block():
     # ribet_q7_d6's table taken as a dense table, wrong at one entry (x, y)
     # of its last row.  y is no generator, so the generators stay the same

@@ -29,6 +29,7 @@ from asaikit.lfunc import (
     mat,
     mmul,
     random_satake,
+    random_satakes,
     random_sl2,
     similitude_of,
     std_in_so5,
@@ -506,16 +507,34 @@ def test_random_satake_keeps_the_draw_stream(split, twist, p):
         assert new.bit_generator.state == old.bit_generator.state
 
 
+@pytest.mark.parametrize("split_seed", range(3))
+@pytest.mark.parametrize("twist", [1, -1])
+@pytest.mark.parametrize("p", [7, None])
+def test_random_satakes_is_the_sequence_of_scalar_draws(split_seed, twist, p):
+    splits = np.random.default_rng([split_seed, 99]).integers(2, size=12).astype(bool).tolist()
+    for seed in range(50):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert random_satakes(new, splits, p=p, twist=twist) == [
+            oracle_satake(old, p=p, split=split, twist=twist) for split in splits]
+        assert new.bit_generator.state == old.bit_generator.state
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert random_satakes(rng, [], p=p, twist=twist) == []
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_euler_battery_draws_the_oracle_sequence(monkeypatch, seed):
-    drawn = []
+    drawn, sizes = [], []
 
     def recording(*args, **kwargs):
-        drawn.append(random_satake(*args, **kwargs))
-        return drawn[-1]
+        sizes.append(len(args[1]))
+        drawn.extend(random_satakes(*args, **kwargs))
+        return drawn[-sizes[-1]:]
 
-    monkeypatch.setattr(batteries, "random_satake", recording)
+    monkeypatch.setattr(batteries, "random_satakes", recording)
     assert all(r["passed"] for r in batteries.euler_battery(seed))
+    assert sizes == [200, 100]
     rng = np.random.default_rng(seed)
     want = [oracle_satake(rng, split=i % 2 == 0) for i in range(200)]
     want += [oracle_satake(rng, split=i % 2 == 0) for i in range(100)]
@@ -536,16 +555,23 @@ class IntegersOnly:
 
 def test_each_draw_is_one_generator_call_per_matrix():
     # 12 scalar calls per SL2 matrix and a `choice` for p were the cost of
-    # the Euler battery's draws; each matrix is one array-bounded call now
+    # the Euler battery's draws; a whole list of parameters with given
+    # splits is one array-bounded call now
     rng = IntegersOnly(0)
     random_sl2(rng)
     assert rng.calls == 1
     rng = IntegersOnly(0)
     random_satake(rng, split=True)
-    assert rng.calls == 3  # p, a, b
+    assert rng.calls == 1  # p, a and b together
     rng = IntegersOnly(0)
     random_satake(rng, p=7, split=False)
     assert rng.calls == 1
+    rng = IntegersOnly(0)
+    random_satakes(rng, [i % 2 == 0 for i in range(200)])
+    assert rng.calls == 1
+    rng = IntegersOnly(0)
+    random_satake(rng)
+    assert rng.calls == 3  # p, the coin, then the matrices
     with pytest.raises(AttributeError):
         rng.choice([3, 5])
 

@@ -100,6 +100,18 @@ def test_trivial_character_on_a_named_subgroup(rib):
     assert trivial_character(g, "H", 7) == trivial_character(g, list(g.H), 7)
 
 
+def test_a_stored_domain_key_is_not_read_back_for_a_float_tuple():
+    g = ribet_fixture().group  # fresh, then the Domain on delta is made
+    delta = tuple(_delta(g))
+    key = g.domain_key(delta)
+    g.domain(key)
+    assert key in g._domains and g.domain_key(delta) == key
+    for bad in ((0, 7.0, 14, 21, 28, 35), (0, True, 14, 21, 28, 35)):
+        with pytest.raises(ValueError, match="not an integer"):
+            g.domain_key(bad)
+    assert g.domain_key(tuple(np.array(delta))) == key  # numpy ints are ints
+
+
 @pytest.mark.parametrize("form", [list, tuple, set, lambda a: (x for x in a),
                                   lambda a: a.astype(np.int32), lambda a: a],
                          ids=["list", "tuple", "set", "generator", "int32", "int64"])
@@ -376,7 +388,8 @@ def test_only_exactalg_and_lfunc_build_unchecked_polynomials():
                     ("lfunc.py", "charpoly_reciprocal"),
                     ("lfunc.py", "_twist"),
                     ("lfunc.py", "euler_factor"),
-                    ("lfunc.py", "verify_std_decomposition")]
+                    ("lfunc.py", "verify_lambda2_batch"),
+                    ("lfunc.py", "verify_std_decomposition_batch")]
 
 
 def test_the_unchecked_polyx_guard_sees_each_form(tmp_path):
