@@ -30,6 +30,8 @@ system's.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .exactalg import (
@@ -41,7 +43,7 @@ from .exactalg import (
     read_only,
     row_space_mod,
     rref_mod,
-    solve_mod,
+    solver_mod,
     validate_modulus,
 )
 from .grouprep import Rep, conjugate_rep, dual_twist, induce, tensor_induce
@@ -155,6 +157,14 @@ class H1Data:
     some candidate fails join the probe, which cuts the kernel, so at most
     k d + 1 rounds run.  A kernel that passes is the full system's, so
     `z1` is the reduced echelon kernel basis of the whole system.
+
+    Two systems are asked of one module again and again, so each is
+    eliminated once, on first use, by `exactalg.solver_mod`, and every
+    later question replays that elimination: `_coord_solver` on
+    `_coord_stack.T` (B^1 then the H^1 representatives) answers
+    `class_coords`, `is_coboundary`, `classes_equal` and `map_matrix`, and
+    `_coboundary_solver` on `coboundaries.T` answers
+    `coboundary_preimage`.  Like the arrays, they never change once built.
     """
 
     def __init__(self, module: Rep):
@@ -254,15 +264,32 @@ class H1Data:
     def representatives(self):
         return [self.representative(i) for i in range(self.dim)]
 
+    @functools.cached_property
+    def _coord_solver(self):
+        return solver_mod(self._coord_stack.T, self.q)
+
+    @functools.cached_property
+    def _coboundary_solver(self):
+        return solver_mod(self.coboundaries.T, self.q)
+
+    def _class_coords(self, x) -> np.ndarray:
+        """H^1 coordinates of the generator-coordinate vector x, or of each
+        column of a matrix x; ValueError unless all lie in Z^1."""
+        sol = self._coord_solver(x)
+        if sol is None:
+            raise ValueError("cocycle is not in the computed Z^1")
+        return sol[len(self.b1):] % self.q
+
     def class_coords(self, cocycle: Cocycle) -> np.ndarray:
         """Coordinates of [cocycle] in the H^1 representative basis;
         ValueError for a cocycle on another module."""
         _same_module(self.module, cocycle)
-        x = self.gen_vector(cocycle)
-        sol = solve_mod(self._coord_stack.T, x, self.q)
-        if sol is None:
-            raise ValueError("cocycle is not in the computed Z^1")
-        return sol[len(self.b1):] % self.q
+        return self._class_coords(self.gen_vector(cocycle))
+
+    def coboundary_preimage(self, x):
+        """One y with dy = the cocycle of generator values x, in generator
+        coordinates (`coboundaries.T` y = x), or None if there is none."""
+        return self._coboundary_solver(x)
 
     def is_coboundary(self, cocycle: Cocycle) -> bool:
         return not np.any(self.class_coords(cocycle))
@@ -271,14 +298,16 @@ class H1Data:
         return np.array_equal(self.class_coords(a), self.class_coords(b))
 
     def map_matrix(self, func, target: "H1Data") -> np.ndarray:
-        """Matrix (target-coords x self-coords) of a map on representatives."""
+        """Matrix (target-coords x self-coords) of a map on representatives,
+        their images' coordinates read in one `_coord_solver` call."""
         cols = []
         for i in range(self.dim):
             img = func(self.representative(i))
-            cols.append(target.class_coords(img))
+            _same_module(target.module, img)
+            cols.append(target.gen_vector(img))
         if not cols:
             return np.zeros((target.dim, 0), dtype=np.int64)
-        return np.stack(cols, axis=1) % self.q
+        return target._class_coords(np.stack(cols, axis=1))
 
 
 def h1(module: Rep) -> H1Data:

@@ -8,7 +8,8 @@ Z/q^n by row operations only: it takes the q-valuations v = 0, 1, ..., n-1
 in turn and pivots on the leftmost column holding an entry of valuation v,
 topmost row first.  Over a prime field that is
 Gauss-Jordan elimination.  `rref_mod`, `row_space_mod`, `kernel_mod`,
-`extend_basis`, `solve_mod` and `kernel_gens` all read its output; kernel
+`extend_basis`, `solve_mod` and `kernel_gens` all read its output, and
+`solver_mod` replays one elimination for many right-hand sides; kernel
 generators come with their annihilators (one of annihilator q^n per
 non-pivot column, one of annihilator q^v per pivot of valuation v > 0) and
 their cyclic spans form a direct sum.
@@ -445,72 +446,128 @@ def echelon_mod(a, mod, rhs=None):
     return A[:, :c], pivots, None if rhs is None else A[:, c:]
 
 
-def _solve_echelon(a, rhs, mod):
-    """Solve A X = rhs for a matrix rhs, or find the kernel when rhs is None.
+def _pivot_scales(pivots, mod):
+    """(the pivot columns, their scales q^v as a (k, 1) array, the indices
+    of the torsion pivots, those with v > 0)."""
+    q, _ = factor_prime_power(mod)
+    cols = np.array([j for j, _ in pivots], dtype=np.intp)
+    scale = np.array([q**v for _, v in pivots], dtype=np.int64).reshape(len(pivots), 1)
+    return cols, scale, [i for i, (_, v) in enumerate(pivots) if v]
 
-    Returns (X, anns).  For a right-hand side X is one solution, or None
-    when the system is inconsistent, and anns is empty.  For the kernel the
-    rows of X generate it, row t with additive order anns[t], and their
-    cyclic spans form a direct sum: a pivot (column, v) with v > 0 gives a
-    generator of order q^v, seeded with q^(n-v) in its column, and each
-    non-pivot column gives one of order mod, seeded with 1.  Entries in the
-    other pivot columns come from one back-substitution for all columns.
-    """
-    q, n = factor_prime_power(mod)
-    E, pivots, B = echelon_mod(a, mod, rhs)
-    c = E.shape[1]
-    k = len(pivots)
-    cols = [j for j, _ in pivots]
-    scale = np.array([q**v for _, v in pivots], dtype=np.int64).reshape(k, 1)
-    free = np.ones(c, dtype=bool)
-    free[cols] = False
-    torsion = [i for i, (_, v) in enumerate(pivots) if v]
-    if B is not None:
-        if B[k:].any() or (B[:k] % scale).any():
-            return None, []
-        anns = []
-        X = np.zeros((c, B.shape[1]), dtype=np.int64)
-        X[cols] = B[:k] // scale  # free variables are 0
-    else:
-        anns = [q ** pivots[i][1] for i in torsion] + [mod] * int(free.sum())
-        X = np.zeros((c, len(anns)), dtype=np.int64)
-        for t, i in enumerate(torsion):
-            X[cols[i], t] = q ** (n - pivots[i][1])
-        X[free, len(torsion):] = np.eye(len(anns) - len(torsion), dtype=np.int64)
-        if not torsion:
-            # unit pivots: E is reduced, so each pivot variable reads off directly
-            X[cols] = -E[:k][:, free] % mod
-    if torsion:
+
+def _back_substitute(E, cols, scale, X, mod):
+    """Fill the pivot rows of X from its other rows, in place, for an
+    echelon form E with torsion pivots: one pass for all columns of X."""
+    for i in range(len(cols) - 1, -1, -1):
         # row i of E / q^v pins column j given the free and later pivot columns
-        for i in range(k - 1, -1, -1):
-            j = cols[i]
-            row = E[i] // scale[i]
-            row[j] = 0
-            X[j] = (X[j] - row @ X) % mod
-    return (X, anns) if B is not None else (np.ascontiguousarray(X.T), anns)
+        j = cols[i]
+        row = E[i] // scale[i]
+        row[j] = 0
+        X[j] = (X[j] - row @ X) % mod
+
+
+def _solution_reader(E, pivots, mod):
+    """`B -> X`, one solution of A X = B with its free variables 0, or None
+    when the system is inconsistent, from the echelon form E of A, its
+    pivots and B under the same row operations.  What depends on E alone is
+    read once, here: `solve_mod` reads one B, a `solver_mod` many."""
+    cols, scale, torsion = _pivot_scales(pivots, mod)
+    k, c = len(cols), E.shape[1]
+
+    def read(B):
+        if B[k:].any() or torsion and (B[:k] % scale).any():
+            return None
+        X = np.zeros((c, B.shape[1]), dtype=np.int64)
+        if torsion:
+            X[cols] = B[:k] // scale
+            _back_substitute(E, cols, scale, X, mod)
+        else:
+            X[cols] = B[:k]
+        return X
+
+    return read
+
+
+def _kernel_echelon(E, pivots, mod):
+    """Generators of the right kernel of A, as rows, and their additive
+    orders, from the echelon form E of A and its pivots.  Their cyclic spans
+    form a direct sum: a pivot (column, v) with v > 0 gives a generator of
+    order q^v, seeded with q^(n-v) in its column, and each non-pivot column
+    gives one of order mod, seeded with 1.  Entries in the other pivot
+    columns come from one back-substitution for all generators."""
+    q, n = factor_prime_power(mod)
+    cols, scale, torsion = _pivot_scales(pivots, mod)
+    free = np.ones(E.shape[1], dtype=bool)
+    free[cols] = False
+    anns = [q ** pivots[i][1] for i in torsion] + [mod] * int(free.sum())
+    X = np.zeros((E.shape[1], len(anns)), dtype=np.int64)
+    for t, i in enumerate(torsion):
+        X[cols[i], t] = q ** (n - pivots[i][1])
+    X[free, len(torsion):] = np.eye(len(anns) - len(torsion), dtype=np.int64)
+    if torsion:
+        _back_substitute(E, cols, scale, X, mod)
+    else:
+        # unit pivots: E is reduced, so each pivot variable reads off directly
+        X[cols] = -E[:len(cols)][:, free] % mod
+    return np.ascontiguousarray(X.T), anns
 
 
 def solve_mod(a, rhs, mod):
     """One solution x of A x = rhs over Z/mod, mod any prime power, shaped
     like rhs, or None when the system is inconsistent (never an exception).
 
-    rhs may be a vector or a matrix (each column solved simultaneously).
-    Kernels come from `kernel_gens` or `kernel_mod`.
+    rhs may be a vector or a matrix (each column solved simultaneously); it
+    rides through `echelon_mod` as extra columns.  Kernels come from
+    `kernel_gens` or `kernel_mod`.  For many right-hand sides against one
+    A, `solver_mod` eliminates once.
     """
+    B, vec = _as_rhs(rhs, np.shape(a)[0])
+    E, pivots, B = echelon_mod(a, mod, B)
+    x = _solution_reader(E, pivots, mod)(B)
+    return x.reshape(-1) if x is not None and vec else x
+
+
+def solver_mod(a, mod):
+    """`rhs -> solve_mod(a, rhs, mod)`, with one elimination of `a` for
+    every call.
+
+    `echelon_mod` runs once, carrying the identity, so it also yields P,
+    the product of its row operations.  A call replays them as P rhs, each
+    product of two residues (below mod^2 < 2^63) reduced before the row
+    sum (below rows * mod), and reads the answer with `solve_mod`'s
+    `_solution_reader`, built once.  The row operations are linear mod m
+    and the pivot search never enters the carried columns, so P rhs is the
+    rhs that `solve_mod` carries, entry for entry: the answer is the same,
+    None for an inconsistent system included.
+    """
+    rows = np.shape(a)[0]
+    E, pivots, P = echelon_mod(a, mod, np.eye(rows, dtype=np.int64))
+    read = _solution_reader(read_only(E), pivots, mod)
+    P = read_only(P)
+
+    def solve(rhs):
+        B, vec = _as_rhs(rhs, rows)
+        x = read((P[:, :, None] * (B % mod) % mod).sum(axis=1) % mod)
+        return x.reshape(-1) if x is not None and vec else x
+
+    return solve
+
+
+def _as_rhs(rhs, rows):
+    """(rhs as an int64 matrix of `rows` rows, whether rhs was a vector)."""
     b = as_index_array(rhs)
     vec = b.ndim == 1
     B = b.reshape(-1, 1) if vec else b
-    if np.shape(a)[0] != B.shape[0]:
+    if rows != B.shape[0]:
         raise ValueError("rhs has wrong number of rows")
-    x = _solve_echelon(a, B, mod)[0]
-    return x.reshape(-1) if x is not None and vec else x
+    return B, vec
 
 
 def kernel_gens(a, mod):
     """Generators (vector, annihilator) of the right kernel of `a` over
     Z/mod whose cyclic spans form a direct sum (the generators of
     annihilator mod span the free part)."""
-    gens, anns = _solve_echelon(a, None, mod)
+    gens, anns = _kernel_echelon(*echelon_mod(a, mod)[:2], mod)
     return list(zip(gens, anns))
 
 
@@ -522,7 +579,7 @@ def rref_mod(a, p):
 
 def kernel_mod(a, p):
     """Basis (rows) of the right kernel of `a` mod prime p."""
-    return _solve_echelon(a, None, p)[0]
+    return _kernel_echelon(*echelon_mod(a, p)[:2], p)[0]
 
 
 def row_space_mod(a, p):

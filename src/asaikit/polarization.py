@@ -35,7 +35,6 @@ from .exactalg import (
     extend_basis,
     polymul_stack,
     rref_mod,
-    solve_mod,
 )
 from .grouprep import (
     Rep,
@@ -305,7 +304,7 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
         if level == n - 1:
             break
         # absorb the coboundary level and move one lattice step deeper
-        x = solve_mod(data.coboundaries.T, data.gen_vector(phi), q)
+        x = data.coboundary_preimage(data.gen_vector(phi))
         if x is None:
             raise AssertionError("coboundary did not solve")
         corr = x.reshape(d1, d2)

@@ -41,21 +41,28 @@ PRECISION = 3
 
 @contextmanager
 def class_arguments():
-    """The (caller, cocycle) pairs handed to `H1Data.class_coords` inside
-    the block: the images of the maps whose matrices are taken, and the
-    classes the pipeline places."""
+    """The (caller, cocycle) pairs whose classes `H1Data` is asked for
+    inside the block: the cocycles handed to `class_coords`, such as the
+    classes the pipeline places, and, as ("map_matrix", image), the images
+    of the maps whose matrices `map_matrix` takes in one solve."""
     seen = []
-    coords = H1Data.class_coords
+    coords, matrix = H1Data.class_coords, H1Data.map_matrix
 
     def recording(self, cocycle):
         seen.append((sys._getframe(1).f_code.co_name, cocycle))
         return coords(self, cocycle)
 
-    H1Data.class_coords = recording
+    def recording_images(self, func, target):
+        def image(z):
+            seen.append(("map_matrix", func(z)))
+            return seen[-1][1]
+        return matrix(self, image, target)
+
+    H1Data.class_coords, H1Data.map_matrix = recording, recording_images
     try:
         yield seen
     finally:
-        H1Data.class_coords = coords
+        H1Data.class_coords, H1Data.map_matrix = coords, matrix
 
 
 @functools.lru_cache(maxsize=None)

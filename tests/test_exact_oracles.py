@@ -1,7 +1,9 @@
 """Independent oracles for the exact linear-algebra layer: sympy for the
 determinant, the characteristic polynomial and elimination over F_p, brute-force enumeration for kernels over the chain
-rings Z/q^n, and the per-matrix Berkowitz `charpoly` for the batched
-`charpoly_stack` and its certified lift to Z, `charpoly_int_stack`."""
+rings Z/q^n, the per-matrix Berkowitz `charpoly` for the batched
+`charpoly_stack` and its certified lift to Z, `charpoly_int_stack`, and a
+fresh `solve_mod`, or Gauss-Jordan on Python ints at 2^31 - 1, for the
+replayed elimination of `solver_mod`."""
 
 import ast
 import itertools
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from asaikit import exactalg
 from asaikit.exactalg import (
@@ -28,6 +30,8 @@ from asaikit.exactalg import (
     kernel_gens,
     polymul_stack,
     rref_mod,
+    solve_mod,
+    solver_mod,
     wedge_square,
 )
 
@@ -241,6 +245,124 @@ def test_kernel_gens_span_the_brute_force_kernel(system):
         _, keep = np.unique(_encode(span, mod), return_index=True)
         span = span[keep]
     assert len(span) == kernel_size
+
+
+# ---------------------------------------------------------------------------
+# one elimination replayed against a fresh solve
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def replayed_systems(draw):
+    """(a, rhs list, mod): an r x c system over Z/7, Z/9, Z/25, Z/27 or
+    Z/49, r and c from 0 to 4, rank-deficient when drawn as a product
+    through a narrower middle dimension, with vector and matrix right-hand
+    sides in its image or drawn at random (often inconsistent, and not
+    reduced)."""
+    mod = draw(st.sampled_from([7, 9, 25, 27, 49]))
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+    def block(rows, cols, lo=0, hi=mod - 1):
+        entries = draw(st.lists(st.integers(lo, hi), min_size=rows * cols,
+                                max_size=rows * cols))
+        return np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+    if draw(st.booleans()):
+        k = draw(st.integers(0, max(min(r, c) - 1, 0)))
+        a = block(r, k) @ block(k, c) % mod
+    else:
+        a = block(r, c)
+    rhss = []
+    for _ in range(draw(st.integers(1, 3))):
+        width = draw(st.sampled_from([None, 0, 1, 2]))  # None: a vector
+        w = 1 if width is None else width
+        b = a @ block(c, w) % mod if draw(st.booleans()) else block(r, w, -mod, 2 * mod)
+        rhss.append(b.reshape(-1) if width is None else b)
+    return a, rhss, mod
+
+
+def _same_answer(got, want):
+    if want is None:
+        return got is None
+    return (got is not None and got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got, want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(replayed_systems())
+@example((np.zeros((0, 3), dtype=np.int64),
+          [np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64)], 9))
+@example((np.zeros((3, 0), dtype=np.int64),
+          [np.zeros(3, dtype=np.int64), np.array([0, 1, 0]), np.zeros((3, 2), dtype=np.int64)], 25))
+@example((np.array([[3]]), [np.array([1]), np.array([6]), np.array([[6, 4]])], 9))
+@example((np.array([[3, 6], [1, 2]]), [np.array([[3], [1]]), np.array([[1], [3]])], 27))
+@example((np.array([[7, 14], [0, 49], [7, 0]]), [np.array([14, 0, 7]), np.array([1, 0, 0])], 49))
+def test_solver_mod_answers_as_solve_mod(system):
+    a, rhss, mod = system
+    solve = solver_mod(a, mod)
+    for rhs in rhss:
+        assert _same_answer(solve(rhs), solve_mod(a, rhs, mod)), (a, rhs, mod)
+
+
+def test_solver_mod_examples_cover_each_kind_of_answer():
+    # the inconsistent, torsion and empty systems of the examples above
+    assert solver_mod(np.array([[3]]), 9)([1]) is None
+    assert solver_mod(np.array([[3]]), 9)([6]).tolist() == [2]
+    assert solver_mod(np.zeros((3, 0), dtype=np.int64), 25)([0, 1, 0]) is None
+    assert solver_mod(np.zeros((3, 0), dtype=np.int64), 25)([0, 0, 0]).shape == (0,)
+    assert solver_mod(np.zeros((0, 3), dtype=np.int64), 9)(np.zeros((0, 2))).shape == (3, 2)
+    with pytest.raises(ValueError, match="wrong number of rows"):
+        solver_mod(np.eye(2, dtype=np.int64), 7)([1, 2, 3])
+    with pytest.raises(ValueError, match="dtype float64 is not an integer array"):
+        solver_mod(np.eye(2, dtype=np.int64), 7)([1.5, 2.0])
+
+
+M31 = 2**31 - 1  # a prime: (M31 - 1)^2 < 2^63, but four such products are not
+
+
+def _prime_field_solution(a, b, p):
+    """The x with a x = b mod the prime p for an invertible square a, by
+    Gauss-Jordan on Python ints."""
+    n = len(a)
+    rows = [[int(x) % p for x in row] + [int(v) % p] for row, v in zip(a, b)]
+    for j in range(n):
+        i = next(i for i in range(j, n) if rows[i][j])
+        rows[j], rows[i] = rows[i], rows[j]
+        inv = pow(rows[j][j], -1, p)
+        rows[j] = [x * inv % p for x in rows[j]]
+        for i in range(n):
+            if i != j and rows[i][j]:
+                f = rows[i][j]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[j])]
+    return [row[n] for row in rows]
+
+
+def test_solver_mod_is_exact_where_an_unreduced_replay_leaves_int64():
+    rng = np.random.default_rng(31)
+    n = 6
+    a = rng.integers(0, M31, size=(n, n))
+    rhs = np.column_stack([np.full(n, M31 - 1), rng.integers(0, M31, size=n),
+                           rng.integers(M31 - 8, M31, size=n)])
+    want = [_prime_field_solution(a, col, M31) for col in rhs.T]
+    # the replay's matrix is a^-1 here: its unreduced row sums against rhs
+    # pass 2^63, so only a replay that reduces each product stays exact
+    inv = [_prime_field_solution(a, col, M31) for col in np.eye(n, dtype=np.int64)]
+    assert max(sum(inv[j][i] * int(col[j]) for j in range(n))
+               for i in range(n) for col in rhs.T) >= 2**63
+    solve = solver_mod(a, M31)
+    got = solve(rhs)
+    assert got.T.tolist() == want
+    assert np.array_equal(got, solve_mod(a, rhs, M31))
+    assert solve(rhs[:, 0]).tolist() == want[0]
+    # rank 3: rows 3..5 are twice rows 0..2
+    low = np.vstack([a[:3], 2 * a[:3] % M31])
+    consistent = np.concatenate([rhs[:3, 1], 2 * rhs[:3, 1] % M31])
+    solve = solver_mod(low, M31)
+    x = solve(consistent)
+    assert np.array_equal(x, solve_mod(low, consistent, M31))
+    assert [sum(int(c) * int(v) for c, v in zip(row, x)) % M31 for row in low] == \
+        consistent.tolist()
+    assert solve(rhs[:, 1]) is None and solve_mod(low, rhs[:, 1], M31) is None
 
 
 # ---------------------------------------------------------------------------

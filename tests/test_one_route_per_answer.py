@@ -41,6 +41,7 @@ from asaikit.grouprep import (
 )
 from asaikit.lfunc import CoeffTable, frobenius_matrix, random_satake, std_map
 from asaikit.polarization import PolarizedRep, criticality_dimensions, polarize
+from test_one_routine_per_job import name_uses
 
 SRC = Path(asaikit.__file__).parent
 
@@ -289,3 +290,10 @@ def test_finite_group_leaves_the_callers_table_writeable():
     assert table.flags.writeable and not h.mul.flags.writeable
     table[0, 0] = 5  # the group holds its own copy
     assert np.array_equal(h.mul, g.mul)
+
+
+def test_only_mat_inverse_calls_solve_mod():
+    # a system asked again and again is eliminated once, by `solver_mod`
+    # (H1Data's readers): cohomology and polarization do not call solve_mod
+    hits = [(p.name, f) for p in sorted(SRC.glob("*.py")) for f, _ in name_uses(p, "solve_mod")]
+    assert hits == [("exactalg.py", "Mat.inverse")]

@@ -5,8 +5,10 @@ its transpose symmetry.  These tests check the memoized answers against
 fresh builds and against the full consistency system on every module the
 identity batteries and the ribet-ladder pipelines ask for, that an equal
 module built elsewhere is a hit and a module differing in one entry, its
-modulus, its domain or the symmetry asked for a miss, and that a shared
-answer cannot be written into."""
+modulus, its domain or the symmetry asked for a miss, that a shared
+answer cannot be written into, and that an `H1Data`'s class coordinates
+and coboundary preimages replay one elimination per system, answering as
+a fresh `solve_mod` would."""
 
 import json
 import sys
@@ -15,9 +17,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from asaikit import cli, grouprep
-from asaikit.cohomology import H1Data, SelmerStructure, h1, hom_module
-from asaikit.exactalg import Mat, kernel_gens, kernel_mod
+from asaikit import cli, exactalg, grouprep
+from asaikit.cohomology import Cocycle, H1Data, SelmerStructure, coboundary, h1, hom_module
+from asaikit.exactalg import Mat, kernel_gens, kernel_mod, solve_mod
 from asaikit.fixtures import DATA_DIR, ribet_fixture
 from asaikit.grouprep import (
     Rep,
@@ -37,6 +39,7 @@ from asaikit.polarization import (
     theorem_main_pipeline,
 )
 from test_element_maps import expand_oracle
+from test_exact_oracles import _same_answer
 
 # the ribet-ladder rungs: (q, chi(delta)) with chi(delta)^2 = -1 mod q, d = 4
 RUNGS = [(13, 5), (37, 6), (101, 10)]
@@ -259,3 +262,64 @@ def test_shared_answers_are_read_only():
             v[0] = 5
     assert hom_kernel(rho, rho) is kernel and kernel[1][0].tolist() == [43, 0, 0, 1]
     assert data.class_coords(data.representative(0)).tolist() == [1]
+
+
+def test_the_readers_answer_as_a_fresh_solve(asked):
+    rng = np.random.default_rng(11)
+    refused = 0
+    for m in asked[0]:
+        data, q = h1(m), m.q
+        stack, cob, nb = data._coord_stack.T, data.coboundaries.T, len(data.b1)
+        z = data.cocycle_from_gen_vector(rng.integers(0, q, len(data.z1)) @ data.z1 % q)
+        b = coboundary(m, rng.integers(0, q, m.dim))
+        cocycles = data.representatives() + [z, b, z + b]
+        for c in cocycles:
+            x = data.gen_vector(c)
+            want = solve_mod(stack, x, q)
+            assert want is not None, m
+            assert np.array_equal(data.class_coords(c), want[nb:]), m
+            assert data.is_coboundary(c) == (not want[nb:].any()), m
+            assert _same_answer(data.coboundary_preimage(x), solve_mod(cob, x, q)), m
+        assert data.is_coboundary(b) and data.coboundary_preimage(data.gen_vector(b)) is not None
+        # a vector off Z^1, read through an unchecked cocycle
+        off = Cocycle(m, data._values(rng.integers(0, q, (1, stack.shape[0])))[:, :, 0],
+                      validate=False)
+        x = data.gen_vector(off)
+        assert _same_answer(data.coboundary_preimage(x), solve_mod(cob, x, q)), m
+        if solve_mod(stack, x, q) is None:
+            refused += 1
+            for ask in (data.class_coords, data.is_coboundary):
+                with pytest.raises(ValueError, match="not in the computed Z"):
+                    ask(off)
+        else:
+            assert np.array_equal(data.class_coords(off), solve_mod(stack, x, q)[nb:])
+        # every vector at once, as a matrix right-hand side
+        xs = np.column_stack([data.gen_vector(c) for c in cocycles + [off]])
+        assert _same_answer(data._coord_solver(xs), solve_mod(stack, xs, q)), m
+        assert _same_answer(data._coboundary_solver(xs), solve_mod(cob, xs, q)), m
+    assert refused >= len(asked[0]) // 2
+
+
+def test_repeated_class_coords_eliminate_once(monkeypatch):
+    rib = ribet_fixture()  # a fresh group, so an empty memo
+    m = hom_module(rib.rep("chi"), rib.rep("chi_inv"))
+    data = h1(m)
+    zs = data.representatives() + [coboundary(m, [3])]
+    calls = []
+    echelon = exactalg.echelon_mod
+
+    def counted(*args):
+        calls.append(args)
+        return echelon(*args)
+
+    monkeypatch.setattr(exactalg, "echelon_mod", counted)
+    twin = Rep(rib.group, list(rib.group.H), m.images.copy(), m.mod)
+    for _ in range(3):
+        for z in zs:
+            data.class_coords(z)
+            assert h1(twin).is_coboundary(z) == (z is zs[-1])
+            assert h1(twin).classes_equal(z, z)
+    assert len(calls) == 1
+    for z in zs:
+        data.coboundary_preimage(data.gen_vector(z))
+    assert len(calls) == 2
