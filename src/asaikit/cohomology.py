@@ -26,6 +26,11 @@ on every element and generator in one batched pass, and elements where one
 fails join the probe.  The probe's kernel is then Z^1, so over F_q its
 reduced echelon form, and the kernel basis read off it, are the full
 system's.
+Every question about a class is then one solve of one system per module,
+[coboundaries; H^1 representatives]^T: `H1Data.decompose` splits a cocycle
+into a coboundary dy and a combination of representatives, which gives its
+class coordinates, tells whether it is a coboundary and, for the Ribet
+descent, names the y to absorb.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from .exactalg import (
     extend_basis,
     kernel_mod,
     read_only,
-    row_space_mod,
     rref_mod,
     solver_mod,
     validate_modulus,
@@ -158,13 +162,12 @@ class H1Data:
     k d + 1 rounds run.  A kernel that passes is the full system's, so
     `z1` is the reduced echelon kernel basis of the whole system.
 
-    Two systems are asked of one module again and again, so each is
-    eliminated once, on first use, by `exactalg.solver_mod`, and every
-    later question replays that elimination: `_coord_solver` on
-    `_coord_stack.T` (B^1 then the H^1 representatives) answers
-    `class_coords`, `is_coboundary`, `classes_equal` and `map_matrix`, and
-    `_coboundary_solver` on `coboundaries.T` answers
-    `coboundary_preimage`.  Like the arrays, they never change once built.
+    Every question about a class is one linear system, [coboundaries;
+    h1_reps]^T, eliminated once, on first use, by `exactalg.solver_mod`;
+    each later question replays that elimination.  `decompose` reads the
+    split x = coboundaries^T y + h1_reps^T c off it, and `class_coords`,
+    `is_coboundary`, `classes_equal`, `map_matrix` and the Ribet descent
+    all ask it.  Like the arrays, the solver never changes once built.
     """
 
     def __init__(self, module: Rep):
@@ -198,10 +201,9 @@ class H1Data:
         eye = np.eye(d, dtype=np.int64)
         self.coboundaries = read_only(
             (m.arr(gens) - eye).transpose(2, 0, 1).reshape(d, D) % q)
-        self.b1 = read_only(row_space_mod(self.coboundaries, q))
-        self.h1_reps = read_only(self.z1[extend_basis(self.b1, self.z1, q)])
+        self.h1_reps = read_only(self.z1[extend_basis(self.coboundaries, self.z1, q)])
         self.dim = len(self.h1_reps)
-        self._coord_stack = read_only(np.vstack([self.b1, self.h1_reps]))
+        self._gen_pos = read_only(m.pos[gens])
 
     def _rows(self, at):
         """The consistency rows at the element positions `at`, for every
@@ -249,7 +251,10 @@ class H1Data:
         return ((blocks @ at_gens % q).sum(axis=0) % q).reshape(N, d, len(x))
 
     def gen_vector(self, cocycle: Cocycle) -> np.ndarray:
-        return cocycle.value(np.array(self.gens)).reshape(-1) % self.q
+        """The cocycle's values on `gens`, concatenated; ValueError for a
+        cocycle on another module."""
+        _same_module(self.module, cocycle)
+        return cocycle.values[self._gen_pos].reshape(-1)
 
     def cocycle_from_gen_vector(self, x) -> Cocycle:
         """The cocycle with generator values x, checked: x may lie off Z^1."""
@@ -265,31 +270,24 @@ class H1Data:
         return [self.representative(i) for i in range(self.dim)]
 
     @functools.cached_property
-    def _coord_solver(self):
-        return solver_mod(self._coord_stack.T, self.q)
+    def _solve(self):
+        return solver_mod(np.vstack([self.coboundaries, self.h1_reps]).T, self.q)
 
-    @functools.cached_property
-    def _coboundary_solver(self):
-        return solver_mod(self.coboundaries.T, self.q)
-
-    def _class_coords(self, x) -> np.ndarray:
-        """H^1 coordinates of the generator-coordinate vector x, or of each
-        column of a matrix x; ValueError unless all lie in Z^1."""
-        sol = self._coord_solver(x)
+    def decompose(self, x):
+        """(y, c) with x = coboundaries^T y + h1_reps^T c, for the
+        generator-coordinate vector x or each column of a matrix x: c, the
+        class's coordinates, is unique, and y is the solution whose free
+        variables are 0.  ValueError unless x lies in Z^1."""
+        sol = self._solve(x)
         if sol is None:
             raise ValueError("cocycle is not in the computed Z^1")
-        return sol[len(self.b1):] % self.q
+        d = len(self.coboundaries)
+        return sol[:d], sol[d:]
 
     def class_coords(self, cocycle: Cocycle) -> np.ndarray:
         """Coordinates of [cocycle] in the H^1 representative basis;
         ValueError for a cocycle on another module."""
-        _same_module(self.module, cocycle)
-        return self._class_coords(self.gen_vector(cocycle))
-
-    def coboundary_preimage(self, x):
-        """One y with dy = the cocycle of generator values x, in generator
-        coordinates (`coboundaries.T` y = x), or None if there is none."""
-        return self._coboundary_solver(x)
+        return self.decompose(self.gen_vector(cocycle))[1]
 
     def is_coboundary(self, cocycle: Cocycle) -> bool:
         return not np.any(self.class_coords(cocycle))
@@ -299,19 +297,16 @@ class H1Data:
 
     def map_matrix(self, func, target: "H1Data") -> np.ndarray:
         """Matrix (target-coords x self-coords) of a map on representatives,
-        their images' coordinates read in one `_coord_solver` call."""
-        cols = []
-        for i in range(self.dim):
-            img = func(self.representative(i))
-            _same_module(target.module, img)
-            cols.append(target.gen_vector(img))
+        their images' coordinates read in one `decompose` call."""
+        cols = [target.gen_vector(func(self.representative(i))) for i in range(self.dim)]
         if not cols:
             return np.zeros((target.dim, 0), dtype=np.int64)
-        return target._class_coords(np.stack(cols, axis=1))
+        return target.decompose(np.stack(cols, axis=1))[1]
 
 
 def h1(module: Rep) -> H1Data:
-    """Z^1 basis, B^1 basis and H^1 representatives for a module over F_q.
+    """Z^1 basis, the coboundaries spanning B^1 and H^1 representatives for
+    a module over F_q.
 
     Solved once per module: the `H1Data` is kept in the memo of the
     module's `grouprep.Domain` under its exact content key

@@ -298,16 +298,15 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
         # phi(g) = b(g) rb2(g)^{-1}, a cocycle as (AB)_12 = A11 B12 + A12 B22
         phi = Cocycle(hmod, (bvals @ rb2_inv % q).reshape(len(imgs), d1 * d2),
                       validate=False)
-        if not data.is_coboundary(phi):
+        # phi = dy + (its class): a class found, or the coboundary dy to absorb
+        y, c = data.decompose(data.gen_vector(phi))
+        if c.any():
             conj = Rep(rep.group, "H", imgs, mod, validate=False)
             return RibetResult(conj, phi, False, level, data)
         if level == n - 1:
             break
         # absorb the coboundary level and move one lattice step deeper
-        x = data.coboundary_preimage(data.gen_vector(phi))
-        if x is None:
-            raise AssertionError("coboundary did not solve")
-        corr = x.reshape(d1, d2)
+        corr = y.reshape(d1, d2)
         u = np.eye(d1 + d2, dtype=np.int64)
         u[:d1, d1:] = (-scale * corr) % mod
         uinv = np.eye(d1 + d2, dtype=np.int64)

@@ -43,10 +43,13 @@ PRECISION = 3
 def class_arguments():
     """The (caller, cocycle) pairs whose classes `H1Data` is asked for
     inside the block: the cocycles handed to `class_coords`, such as the
-    classes the pipeline places, and, as ("map_matrix", image), the images
-    of the maps whose matrices `map_matrix` takes in one solve."""
+    classes the pipeline places; as ("map_matrix", image), the images of
+    the maps whose matrices `map_matrix` takes in one solve; and the
+    cocycles whose generator values a caller outside `cohomology` reads to
+    `decompose` them itself, such as the Ribet descent's phi at each
+    level."""
     seen = []
-    coords, matrix = H1Data.class_coords, H1Data.map_matrix
+    coords, matrix, gen_vector = H1Data.class_coords, H1Data.map_matrix, H1Data.gen_vector
 
     def recording(self, cocycle):
         seen.append((sys._getframe(1).f_code.co_name, cocycle))
@@ -58,11 +61,19 @@ def class_arguments():
             return seen[-1][1]
         return matrix(self, image, target)
 
+    def recording_gen_vector(self, cocycle):
+        caller = sys._getframe(1)
+        if caller.f_globals["__name__"] != "asaikit.cohomology":
+            seen.append((caller.f_code.co_name, cocycle))
+        return gen_vector(self, cocycle)
+
     H1Data.class_coords, H1Data.map_matrix = recording, recording_images
+    H1Data.gen_vector = recording_gen_vector
     try:
         yield seen
     finally:
         H1Data.class_coords, H1Data.map_matrix = coords, matrix
+        H1Data.gen_vector = gen_vector
 
 
 @functools.lru_cache(maxsize=None)

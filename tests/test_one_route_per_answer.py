@@ -5,6 +5,7 @@ transpose comparison, and one integer test, `exactalg.as_index`, for
 moduli, element indices, coefficient tables and group arguments, with its
 array twin `as_index_array` for a caller's arrays."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from asaikit.grouprep import (
 )
 from asaikit.lfunc import CoeffTable, frobenius_matrix, random_satake, std_map
 from asaikit.polarization import PolarizedRep, criticality_dimensions, polarize
-from test_one_routine_per_job import name_uses
+from test_one_routine_per_job import name_uses, node_uses
 
 SRC = Path(asaikit.__file__).parent
 
@@ -294,6 +295,45 @@ def test_finite_group_leaves_the_callers_table_writeable():
 
 def test_only_mat_inverse_calls_solve_mod():
     # a system asked again and again is eliminated once, by `solver_mod`
-    # (H1Data's readers): cohomology and polarization do not call solve_mod
+    # (H1Data's one reader): cohomology and polarization do not call solve_mod
     hits = [(p.name, f) for p in sorted(SRC.glob("*.py")) for f, _ in name_uses(p, "solve_mod")]
     assert hits == [("exactalg.py", "Mat.inverse")]
+
+
+def solver_mod_uses(path):
+    """(top-level function, Class.method, class or <module>, line) of each
+    use of `solver_mod` in one source file: a call by name or attribute,
+    nested or not, or a reference that binds it to be called later."""
+    return name_uses(path, "solver_mod")
+
+
+def row_space_mod_uses(path):
+    """Each import of `row_space_mod`, renamed or not, and each use of it by
+    name or attribute, in one source file."""
+    return node_uses(path, lambda n: isinstance(n, ast.ImportFrom)
+                     and any(a.name == "row_space_mod" for a in n.names)
+                     or isinstance(n, ast.Name) and n.id == "row_space_mod"
+                     or isinstance(n, ast.Attribute) and n.attr == "row_space_mod")
+
+
+def test_each_h1_module_has_one_system():
+    # H1Data eliminates [coboundaries; h1_reps]^T once and every class
+    # question replays it; no basis of B^1 is built beside it
+    hits = [(p.name, f) for p in sorted(SRC.glob("*.py")) for f, _ in solver_mod_uses(p)]
+    assert hits == [("cohomology.py", "H1Data._solve")]
+    assert row_space_mod_uses(SRC / "cohomology.py") == []
+
+
+def test_the_one_system_guards_see_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from exactalg import row_space_mod, solver_mod\n"
+        "SOLVE = solver_mod(A, 7)\n"
+        "def a(x):\n    return exactalg.solver_mod(x, 7)(x)\n"
+        "class B:\n    def c(self, x):\n        def inner():\n"
+        "            return solver_mod(x, 7)\n        return inner()\n"
+        "def e(x):\n    f = solver_mod\n    return f(x, 7), solve_mod(x, x, 7)\n"
+        "def g(x):\n    from exactalg import row_space_mod as rs\n    return rs(x, 7)\n"
+        "def h(x):\n    return exactalg.row_space_mod(x, 7), row_space_mod(x, 7)\n")
+    assert solver_mod_uses(path) == [("<module>", 2), ("a", 4), ("B.c", 8), ("e", 11)]
+    assert row_space_mod_uses(path) == [("<module>", 1), ("g", 14), ("h", 17), ("h", 17)]

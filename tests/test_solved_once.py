@@ -6,9 +6,10 @@ fresh builds and against the full consistency system on every module the
 identity batteries and the ribet-ladder pipelines ask for, that an equal
 module built elsewhere is a hit and a module differing in one entry, its
 modulus, its domain or the symmetry asked for a miss, that a shared
-answer cannot be written into, and that an `H1Data`'s class coordinates
-and coboundary preimages replay one elimination per system, answering as
-a fresh `solve_mod` would."""
+answer cannot be written into, and that an `H1Data`'s one system,
+[coboundaries; h1_reps]^T, is eliminated once and replayed for every
+question, answering as fresh `solve_mod`s of the two systems it replaced
+would."""
 
 import json
 import sys
@@ -19,7 +20,7 @@ import pytest
 
 from asaikit import cli, exactalg, grouprep
 from asaikit.cohomology import Cocycle, H1Data, SelmerStructure, coboundary, h1, hom_module
-from asaikit.exactalg import Mat, kernel_gens, kernel_mod, solve_mod
+from asaikit.exactalg import Mat, kernel_gens, kernel_mod, row_space_mod, solve_mod
 from asaikit.fixtures import DATA_DIR, ribet_fixture
 from asaikit.grouprep import (
     Rep,
@@ -121,7 +122,7 @@ def test_memoized_h1_equals_a_fresh_build(asked):
     for m in asked[0]:
         memo, fresh = h1(m), H1Data(m)
         assert h1(m) is memo and memo is not fresh
-        for field in ("z1", "b1", "h1_reps", "expand", "coboundaries"):
+        for field in ("z1", "h1_reps", "expand", "coboundaries", "_gen_pos"):
             assert np.array_equal(getattr(memo, field), getattr(fresh, field)), (m, field)
         assert memo.dim == fresh.dim and memo.gens == fresh.gens
         for z in fresh.representatives() + memo.representatives():
@@ -248,7 +249,7 @@ def test_shared_answers_are_read_only():
     rib = ribet_fixture()
     data = h1(hom_module(rib.rep("chi"), rib.rep("chi_inv")))
     assert data.dim == 1
-    for field in ("expand", "z1", "b1", "h1_reps", "coboundaries", "_coord_stack"):
+    for field in ("expand", "z1", "h1_reps", "coboundaries", "_gen_pos"):
         arr = getattr(data, field)
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
@@ -264,40 +265,75 @@ def test_shared_answers_are_read_only():
     assert data.class_coords(data.representative(0)).tolist() == [1]
 
 
+def former_systems(data):
+    """The two systems `H1Data` once solved, as test-local oracles: the
+    coordinate stack [B^1 basis; h1_reps]^T, whose solution's tail was the
+    class coordinates, and coboundaries^T, whose solution was the Ribet
+    descent's coboundary preimage.  Returns (stack, cob, dim B^1)."""
+    b1 = row_space_mod(data.coboundaries, data.q)
+    return np.vstack([b1, data.h1_reps]).T, data.coboundaries.T, len(b1)
+
+
+def sample_cocycles(data, rng):
+    """(the representatives, a random cocycle z, a coboundary b and z + b;
+    an unchecked cocycle of random generator values, mostly off Z^1)."""
+    m, q = data.module, data.q
+    z = data.cocycle_from_gen_vector(rng.integers(0, q, len(data.z1)) @ data.z1 % q)
+    b = coboundary(m, rng.integers(0, q, m.dim))
+    off = Cocycle(m, data._values(rng.integers(0, q, (1, data.z1.shape[1])))[:, :, 0],
+                  validate=False)
+    return data.representatives() + [z, b, z + b], off
+
+
 def test_the_readers_answer_as_a_fresh_solve(asked):
     rng = np.random.default_rng(11)
     refused = 0
     for m in asked[0]:
         data, q = h1(m), m.q
-        stack, cob, nb = data._coord_stack.T, data.coboundaries.T, len(data.b1)
-        z = data.cocycle_from_gen_vector(rng.integers(0, q, len(data.z1)) @ data.z1 % q)
-        b = coboundary(m, rng.integers(0, q, m.dim))
-        cocycles = data.representatives() + [z, b, z + b]
+        stack, _, nb = former_systems(data)
+        cocycles, off = sample_cocycles(data, rng)
         for c in cocycles:
-            x = data.gen_vector(c)
-            want = solve_mod(stack, x, q)
+            want = solve_mod(stack, data.gen_vector(c), q)
             assert want is not None, m
             assert np.array_equal(data.class_coords(c), want[nb:]), m
             assert data.is_coboundary(c) == (not want[nb:].any()), m
-            assert _same_answer(data.coboundary_preimage(x), solve_mod(cob, x, q)), m
-        assert data.is_coboundary(b) and data.coboundary_preimage(data.gen_vector(b)) is not None
-        # a vector off Z^1, read through an unchecked cocycle
-        off = Cocycle(m, data._values(rng.integers(0, q, (1, stack.shape[0])))[:, :, 0],
-                      validate=False)
-        x = data.gen_vector(off)
-        assert _same_answer(data.coboundary_preimage(x), solve_mod(cob, x, q)), m
-        if solve_mod(stack, x, q) is None:
+        assert data.is_coboundary(cocycles[-2])
+        want = solve_mod(stack, data.gen_vector(off), q)
+        if want is None:
             refused += 1
             for ask in (data.class_coords, data.is_coboundary):
                 with pytest.raises(ValueError, match="not in the computed Z"):
                     ask(off)
         else:
-            assert np.array_equal(data.class_coords(off), solve_mod(stack, x, q)[nb:])
-        # every vector at once, as a matrix right-hand side
-        xs = np.column_stack([data.gen_vector(c) for c in cocycles + [off]])
-        assert _same_answer(data._coord_solver(xs), solve_mod(stack, xs, q)), m
-        assert _same_answer(data._coboundary_solver(xs), solve_mod(cob, xs, q)), m
+            assert np.array_equal(data.class_coords(off), want[nb:])
     assert refused >= len(asked[0]) // 2
+
+
+def test_decompose_splits_x_into_a_coboundary_and_a_class(asked):
+    rng = np.random.default_rng(11)
+    refused = vanished = 0
+    for m in asked[0]:
+        data, q = h1(m), m.q
+        stack, cob, nb = former_systems(data)
+        cocycles, off = sample_cocycles(data, rng)
+        xs = np.column_stack([data.gen_vector(c) for c in cocycles])
+        for x in list(xs.T) + [xs]:
+            y, c = data.decompose(x)
+            assert np.array_equal(x, (data.coboundaries.T @ y + data.h1_reps.T @ c) % q), m
+            # c is unique: the tail of the coordinate stack's solution
+            assert _same_answer(c, solve_mod(stack, x, q)[nb:]), m
+            if x.ndim == 1 and not c.any():
+                # free variables 0: the coboundary solve, entry for entry
+                assert _same_answer(y, solve_mod(cob, x, q)), m
+                vanished += 1
+        x = data.gen_vector(off)
+        if solve_mod(stack, x, q) is None:
+            refused += 1
+            assert solve_mod(cob, x, q) is None
+            for rhs in (x, np.column_stack([xs, x])):
+                with pytest.raises(ValueError, match="not in the computed Z"):
+                    data.decompose(rhs)
+    assert refused >= len(asked[0]) // 2 and vanished >= len(asked[0])
 
 
 def test_repeated_class_coords_eliminate_once(monkeypatch):
@@ -319,7 +355,6 @@ def test_repeated_class_coords_eliminate_once(monkeypatch):
             data.class_coords(z)
             assert h1(twin).is_coboundary(z) == (z is zs[-1])
             assert h1(twin).classes_equal(z, z)
+            assert data.decompose(data.gen_vector(z))[1].any() == (z is not zs[-1])
+        assert data.map_matrix(lambda z: z, data).tolist() == [[1]]
     assert len(calls) == 1
-    for z in zs:
-        data.coboundary_preimage(data.gen_vector(z))
-    assert len(calls) == 2
