@@ -26,16 +26,14 @@ on every element and generator in one batched pass, and elements where one
 fails join the probe.  The probe's kernel is then Z^1, so over F_q its
 reduced echelon form, and the kernel basis read off it, are the full
 system's.
-Every question about a class is then one solve of one system per module,
-[coboundaries; H^1 representatives]^T: `H1Data.decompose` splits a cocycle
-into a coboundary dy and a combination of representatives, which gives its
-class coordinates, tells whether it is a coboundary and, for the Ribet
-descent, names the y to absorb.
+After Z^1 a module runs one elimination, of [coboundaries; Z^1 basis]^T:
+its pivots pick the H^1 representatives, and every question about a class
+replays it.  `H1Data.decompose` splits a cocycle into a coboundary dy and a
+combination of representatives, which gives its class coordinates, tells
+whether it is a coboundary and, for the Ribet descent, names the y to absorb.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -43,7 +41,6 @@ from .exactalg import (
     Mat,
     as_index,
     as_index_array,
-    extend_basis,
     kernel_mod,
     read_only,
     rref_mod,
@@ -151,7 +148,7 @@ class H1Data:
     it is the cocycle itself.  Z^1 is the kernel of the consistency system
     over all (element, generator) pairs, the `_defect` of `expand`, which
     does not depend on the tree, B^1 the image of the coboundary map, and
-    the H^1 representatives extend B^1 to Z^1.
+    the H^1 representatives are rows of `z1` that extend B^1 to Z^1.
 
     The system is never built whole: it is solved at `PROBES` elements
     spread over the domain, so on PROBES k d rows; the kernel's rows are
@@ -162,12 +159,13 @@ class H1Data:
     k d + 1 rounds run.  A kernel that passes is the full system's, so
     `z1` is the reduced echelon kernel basis of the whole system.
 
-    Every question about a class is one linear system, [coboundaries;
-    h1_reps]^T, eliminated once, on first use, by `exactalg.solver_mod`;
-    each later question replays that elimination.  `decompose` reads the
-    split x = coboundaries^T y + h1_reps^T c off it, and `class_coords`,
+    After Z^1 one system, [coboundaries; z1]^T, is eliminated once, at
+    construction, by `exactalg.solver_mod`.  Its pivot columns past the
+    coboundaries pick `h1_reps`, and every class question replays it: a
+    solution is 0 off the pivots, so `decompose` reads the split x =
+    coboundaries^T y + h1_reps^T c off it.  `class_coords`,
     `is_coboundary`, `classes_equal`, `map_matrix` and the Ribet descent
-    all ask it.  Like the arrays, the solver never changes once built.
+    all ask it.  An `H1Data` never changes once built.
     """
 
     def __init__(self, module: Rep):
@@ -198,10 +196,12 @@ class H1Data:
         self.expand = read_only(expand)
         self.z1 = read_only(self._solve_z1())  # gen-coordinate rows
         # row j: the coboundary of e_j in generator coordinates, s.e_j - e_j
-        eye = np.eye(d, dtype=np.int64)
-        self.coboundaries = read_only(
-            (m.arr(gens) - eye).transpose(2, 0, 1).reshape(d, D) % q)
-        self.h1_reps = read_only(self.z1[extend_basis(self.coboundaries, self.z1, q)])
+        self.coboundaries = read_only((m.arr(gens) - np.eye(d, dtype=np.int64))
+                                      .transpose(2, 0, 1).reshape(d, D) % q)
+        # the one system: its pivots past the coboundaries pick the representatives
+        self._solve, piv = solver_mod(np.vstack([self.coboundaries, self.z1]).T, q)
+        self._rep_cols = read_only(np.array([j for j in piv if j >= d], dtype=np.intp))
+        self.h1_reps = read_only(self.z1[self._rep_cols - d])
         self.dim = len(self.h1_reps)
         self._gen_pos = read_only(m.pos[gens])
 
@@ -269,10 +269,6 @@ class H1Data:
     def representatives(self):
         return [self.representative(i) for i in range(self.dim)]
 
-    @functools.cached_property
-    def _solve(self):
-        return solver_mod(np.vstack([self.coboundaries, self.h1_reps]).T, self.q)
-
     def decompose(self, x):
         """(y, c) with x = coboundaries^T y + h1_reps^T c, for the
         generator-coordinate vector x or each column of a matrix x: c, the
@@ -281,8 +277,7 @@ class H1Data:
         sol = self._solve(x)
         if sol is None:
             raise ValueError("cocycle is not in the computed Z^1")
-        d = len(self.coboundaries)
-        return sol[:d], sol[d:]
+        return sol[:len(self.coboundaries)], sol[self._rep_cols]
 
     def class_coords(self, cocycle: Cocycle) -> np.ndarray:
         """Coordinates of [cocycle] in the H^1 representative basis;

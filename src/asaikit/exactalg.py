@@ -164,6 +164,8 @@ class Mat:
         return det(self.a.tolist()) % self.q != 0
 
     def inverse(self):
+        if self.a.shape[0] != self.a.shape[1]:
+            raise ValueError("inverse of a non-square matrix")
         eye = np.eye(self.a.shape[0], dtype=np.int64)
         inv = solve_mod(self.a, eye, self.mod)
         if inv is None or not np.array_equal(inv @ self.a % self.mod, eye):
@@ -528,8 +530,8 @@ def solve_mod(a, rhs, mod):
 
 
 def solver_mod(a, mod):
-    """`rhs -> solve_mod(a, rhs, mod)`, with one elimination of `a` for
-    every call.
+    """(`rhs -> solve_mod(a, rhs, mod)`, the pivot columns of `a`), with one
+    elimination of `a` for every call.
 
     `echelon_mod` runs once, carrying the identity, so it also yields P,
     the product of its row operations.  A call replays them as P rhs, each
@@ -538,7 +540,8 @@ def solver_mod(a, mod):
     `_solution_reader`, built once.  The row operations are linear mod m
     and the pivot search never enters the carried columns, so P rhs is the
     rhs that `solve_mod` carries, entry for entry: the answer is the same,
-    None for an inconsistent system included.
+    None for an inconsistent system included.  Every solution is 0 off the
+    pivot columns, which are `rref_mod`'s over a prime field.
     """
     rows = np.shape(a)[0]
     E, pivots, P = echelon_mod(a, mod, np.eye(rows, dtype=np.int64))
@@ -550,7 +553,7 @@ def solver_mod(a, mod):
         x = read((P[:, :, None] * (B % mod) % mod).sum(axis=1) % mod)
         return x.reshape(-1) if x is not None and vec else x
 
-    return solve
+    return solve, [j for j, _ in pivots]
 
 
 def _as_rhs(rhs, rows):

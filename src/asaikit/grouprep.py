@@ -608,6 +608,7 @@ def coset_sign_character(group: FiniteGroup, mod) -> Rep:
 
 
 def power_character(chi: Rep, k: int) -> Rep:
+    k = as_index(k)
     vals, where = np.unique(chi.images[:, 0, 0], return_inverse=True)
     powers = np.array([pow(int(x), k, chi.mod) for x in vals], dtype=np.int64)
     return Rep(chi.group, chi.domain, powers[where].reshape(-1, 1, 1), chi.mod,

@@ -30,6 +30,7 @@ from .cohomology import (
 )
 from .exactalg import (
     Mat,
+    as_index,
     as_sign,
     charpoly_stack,
     extend_basis,
@@ -238,8 +239,7 @@ class RibetResult:
 def _mod_q_triangularization(latt: LatticeRep):
     """Basis V over Z/q^n whose conjugate reduces to [[rb1, *], [0, rb2]]."""
     rep = latt.rep_H
-    q = latt.rep.q
-    mod = rep.mod
+    q, mod = rep.q, rep.mod
     red = rep.reduce(q)
     rb1, rb2 = latt.rhobar1, latt.rhobar2
     d1, d2 = rb1.dim, rb2.dim
@@ -252,14 +252,13 @@ def _mod_q_triangularization(latt: LatticeRep):
     m1 = hom1[0].a  # (d1+d2) x d1, columns span the rhobar1-subspace
     sub, piv = rref_mod(m1.T, q)
     sub = sub[: len(piv)]
-    # complement via pivot-free coordinates
+    # complement via pivot-free coordinates, and the projection onto them
+    # along the subspace: sub is reduced, so x = sub^T a + lift b has
+    # a = x[piv] and b = x[free] - sub[:, free]^T a
+    eye = np.eye(d1 + d2, dtype=np.int64)
     free = [j for j in range(d1 + d2) if j not in piv]
-    lift = np.zeros((d1 + d2, d2), dtype=np.int64)
-    for i, j in enumerate(free):
-        lift[j, i] = 1
-    # projection along the subspace: solve [sub^T | lift] coords
-    basis = np.hstack([sub.T, lift]) % q
-    proj = Mat(basis, q).inverse().a[d1:, :]  # complement coordinates
+    lift = eye[:, free]
+    proj = (eye[free] - sub[:, free].T @ eye[piv]) % q
     # quotient action on the complement coordinates
     quo = Rep(red.group, "H", proj @ red.images % q @ lift % q, q, validate=False)
     iso, tw = is_isomorphic(rb2, quo)
@@ -435,6 +434,7 @@ def criticality_dimensions(n: int, w: int = 1, i: int = 0) -> dict:
     dimension (n^2 + trace)/2 = n(n-1)/2, is the antisymmetric part; that
     must match the de Rham quotient count for criticality.
     """
+    n, w, i = map(as_index, (n, w, i))
     if n < 1:
         raise ValueError("rank must be >= 1")
     trace = -n  # e_a x e_a -> -e_a x e_a; e_a x e_b, a != b, leaves its line

@@ -299,22 +299,27 @@ def _same_answer(got, want):
 @example((np.array([[7, 14], [0, 49], [7, 0]]), [np.array([14, 0, 7]), np.array([1, 0, 0])], 49))
 def test_solver_mod_answers_as_solve_mod(system):
     a, rhss, mod = system
-    solve = solver_mod(a, mod)
+    solve, pivots = solver_mod(a, mod)
+    assert pivots == [j for j, _ in exactalg.echelon_mod(a, mod)[1]]
+    off = np.ones(np.shape(a)[1], dtype=bool)
+    off[pivots] = False
     for rhs in rhss:
-        assert _same_answer(solve(rhs), solve_mod(a, rhs, mod)), (a, rhs, mod)
+        x = solve(rhs)
+        assert _same_answer(x, solve_mod(a, rhs, mod)), (a, rhs, mod)
+        assert x is None or not x[off].any(), (a, rhs, mod)
 
 
 def test_solver_mod_examples_cover_each_kind_of_answer():
     # the inconsistent, torsion and empty systems of the examples above
-    assert solver_mod(np.array([[3]]), 9)([1]) is None
-    assert solver_mod(np.array([[3]]), 9)([6]).tolist() == [2]
-    assert solver_mod(np.zeros((3, 0), dtype=np.int64), 25)([0, 1, 0]) is None
-    assert solver_mod(np.zeros((3, 0), dtype=np.int64), 25)([0, 0, 0]).shape == (0,)
-    assert solver_mod(np.zeros((0, 3), dtype=np.int64), 9)(np.zeros((0, 2))).shape == (3, 2)
+    assert solver_mod(np.array([[3]]), 9)[0]([1]) is None
+    assert solver_mod(np.array([[3]]), 9)[0]([6]).tolist() == [2]
+    assert solver_mod(np.zeros((3, 0), dtype=np.int64), 25)[0]([0, 1, 0]) is None
+    assert solver_mod(np.zeros((3, 0), dtype=np.int64), 25)[0]([0, 0, 0]).shape == (0,)
+    assert solver_mod(np.zeros((0, 3), dtype=np.int64), 9)[0](np.zeros((0, 2))).shape == (3, 2)
     with pytest.raises(ValueError, match="wrong number of rows"):
-        solver_mod(np.eye(2, dtype=np.int64), 7)([1, 2, 3])
+        solver_mod(np.eye(2, dtype=np.int64), 7)[0]([1, 2, 3])
     with pytest.raises(ValueError, match="dtype float64 is not an integer array"):
-        solver_mod(np.eye(2, dtype=np.int64), 7)([1.5, 2.0])
+        solver_mod(np.eye(2, dtype=np.int64), 7)[0]([1.5, 2.0])
 
 
 M31 = 2**31 - 1  # a prime: (M31 - 1)^2 < 2^63, but four such products are not
@@ -349,7 +354,7 @@ def test_solver_mod_is_exact_where_an_unreduced_replay_leaves_int64():
     inv = [_prime_field_solution(a, col, M31) for col in np.eye(n, dtype=np.int64)]
     assert max(sum(inv[j][i] * int(col[j]) for j in range(n))
                for i in range(n) for col in rhs.T) >= 2**63
-    solve = solver_mod(a, M31)
+    solve, _ = solver_mod(a, M31)
     got = solve(rhs)
     assert got.T.tolist() == want
     assert np.array_equal(got, solve_mod(a, rhs, M31))
@@ -357,7 +362,7 @@ def test_solver_mod_is_exact_where_an_unreduced_replay_leaves_int64():
     # rank 3: rows 3..5 are twice rows 0..2
     low = np.vstack([a[:3], 2 * a[:3] % M31])
     consistent = np.concatenate([rhs[:3, 1], 2 * rhs[:3, 1] % M31])
-    solve = solver_mod(low, M31)
+    solve, _ = solver_mod(low, M31)
     x = solve(consistent)
     assert np.array_equal(x, solve_mod(low, consistent, M31))
     assert [sum(int(c) * int(v) for c, v in zip(row, x)) % M31 for row in low] == \

@@ -253,6 +253,18 @@ def test_inverse_roundtrip():
         assert np.array_equal(inv.a @ a.a % mod, eye)
 
 
+def test_inverse_refuses_a_non_square_and_a_singular_matrix():
+    for entries in ([[1, 2, 3], [0, 1, 4]], [[1], [2]]):
+        for ask in (Mat.det, Mat.inverse):
+            with pytest.raises(ValueError, match="non-square matrix"):
+                ask(Mat(entries, 7))
+    with pytest.raises(ValueError, match="non-square matrix"):
+        Mat(np.zeros((0, 2), dtype=np.int64), 7).inverse()
+    for entries, mod in (([[1, 2], [2, 4]], 7), ([[7, 0], [0, 1]], 49), ([[0]], 5)):
+        with pytest.raises(ZeroDivisionError, match="not invertible"):
+            Mat(entries, mod).inverse()
+
+
 def test_kernel_mod_field():
     a = np.array([[1, 2, 3], [2, 4, 6]])
     k = kernel_mod(a, 7)

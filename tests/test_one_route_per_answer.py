@@ -6,6 +6,7 @@ moduli, element indices, coefficient tables and group arguments, with its
 array twin `as_index_array` for a caller's arrays."""
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from asaikit.grouprep import (
     dual_twist,
     induce,
     make_character,
+    power_character,
     swap_matrix,
     trivial_character,
 )
@@ -242,6 +244,33 @@ def test_cocycle_scale_refuses_a_non_integer_and_reduces_k_first(rib):
     assert np.array_equal(z.scale(np.int64(big)).values, z.scale(2).values)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, 1.5, "2"], ids=repr)
+def test_power_character_refuses_a_non_integer_exponent(rib, bad):
+    with pytest.raises(ValueError, match="is not an integer"):
+        power_character(rib.rep("chi"), bad)
+
+
+def test_power_character_takes_a_numpy_integer_exponent(rib):
+    chi = rib.rep("chi")
+    for k in (np.int64(2), np.int32(-1), np.uint8(5)):
+        assert np.array_equal(power_character(chi, k).images,
+                              power_character(chi, int(k)).images)
+
+
+@pytest.mark.parametrize("args", [(2.5,), (True,), (3, 1.0), (3, 1, False), ("4",)],
+                         ids=repr)
+def test_criticality_dimensions_refuses_a_non_integer(args):
+    with pytest.raises(ValueError, match="is not an integer"):
+        criticality_dimensions(*args)
+
+
+def test_criticality_dimensions_of_numpy_integers_is_json():
+    out = criticality_dimensions(np.int64(4), np.int32(3), np.uint8(1))
+    assert out == criticality_dimensions(4, 3, 1)
+    assert all(type(v) in (int, bool) for v in out.values())
+    assert json.loads(json.dumps(out)) == out
+
+
 def test_only_exactalg_converts_a_callers_array_to_int64():
     pattern = re.compile(r"np\.asarray\([^\n]*dtype=np\.int64")
     for name in ("grouprep.py", "cohomology.py", "exactalg.py"):
@@ -300,6 +329,13 @@ def test_only_mat_inverse_calls_solve_mod():
     assert hits == [("exactalg.py", "Mat.inverse")]
 
 
+def test_the_triangularization_inverts_no_basis():
+    # the complement coordinates are read off the reduced rref of m1^T
+    hits = [f for f, _ in name_uses(SRC / "polarization.py", "inverse")]
+    assert "_mod_q_triangularization" not in hits
+    assert "ribet_lattice" in hits  # the guard sees the descent's `v.inverse()`
+
+
 def solver_mod_uses(path):
     """(top-level function, Class.method, class or <module>, line) of each
     use of `solver_mod` in one source file: a call by name or attribute,
@@ -307,21 +343,23 @@ def solver_mod_uses(path):
     return name_uses(path, "solver_mod")
 
 
-def row_space_mod_uses(path):
-    """Each import of `row_space_mod`, renamed or not, and each use of it by
-    name or attribute, in one source file."""
+def imports_and_uses(path, name):
+    """Each import of `name`, renamed or not, and each use of it by name or
+    attribute, in one source file."""
     return node_uses(path, lambda n: isinstance(n, ast.ImportFrom)
-                     and any(a.name == "row_space_mod" for a in n.names)
-                     or isinstance(n, ast.Name) and n.id == "row_space_mod"
-                     or isinstance(n, ast.Attribute) and n.attr == "row_space_mod")
+                     and any(a.name == name for a in n.names)
+                     or isinstance(n, ast.Name) and n.id == name
+                     or isinstance(n, ast.Attribute) and n.attr == name)
 
 
 def test_each_h1_module_has_one_system():
-    # H1Data eliminates [coboundaries; h1_reps]^T once and every class
-    # question replays it; no basis of B^1 is built beside it
+    # H1Data eliminates [coboundaries; z1]^T once, at construction, and
+    # every class question replays it; neither a basis of B^1 nor a second
+    # elimination for the representatives is built beside it
     hits = [(p.name, f) for p in sorted(SRC.glob("*.py")) for f, _ in solver_mod_uses(p)]
-    assert hits == [("cohomology.py", "H1Data._solve")]
-    assert row_space_mod_uses(SRC / "cohomology.py") == []
+    assert hits == [("cohomology.py", "H1Data.__init__")]
+    for name in ("row_space_mod", "extend_basis"):
+        assert imports_and_uses(SRC / "cohomology.py", name) == [], name
 
 
 def test_the_one_system_guards_see_each_form(tmp_path):
@@ -336,4 +374,5 @@ def test_the_one_system_guards_see_each_form(tmp_path):
         "def g(x):\n    from exactalg import row_space_mod as rs\n    return rs(x, 7)\n"
         "def h(x):\n    return exactalg.row_space_mod(x, 7), row_space_mod(x, 7)\n")
     assert solver_mod_uses(path) == [("<module>", 2), ("a", 4), ("B.c", 8), ("e", 11)]
-    assert row_space_mod_uses(path) == [("<module>", 1), ("g", 14), ("h", 17), ("h", 17)]
+    assert imports_and_uses(path, "row_space_mod") == [("<module>", 1), ("g", 14), ("h", 17),
+                                                       ("h", 17)]

@@ -348,15 +348,21 @@ def test_ribet_roundtrip_planted_classes():
 
 
 def test_ribet_conjugated_rep_is_triangular(rib):
-    rng = np.random.default_rng(59)
-    latt = conjugated_lattice(rib, rng)
-    rr = ribet_lattice(latt)
-    q = 7
-    for x in latt.rep.restrict_to_H().elements:
-        m = rr.conjugated.arr(int(x)) % q
-        assert not np.any(m[1:, :1])  # lower-left block vanishes mod q
-        assert m[0, 0] % q == rib.rep("chi").value(int(x))
-        assert m[1, 1] % q == rib.rep("chi_inv").value(int(x))
+    # ribet_q7_d6 and the ribet-ladder rungs (d = 4, precision 3), each
+    # conjugated by several random bases
+    ladder = [ribet_fixture(q, d=4, alpha=q - 1, chi_val=c, precision=3)
+              for q, c in ((13, 5), (37, 6), (101, 10))]
+    for fix in [rib] + ladder:
+        chi, chi_inv = fix.rep("chi"), fix.rep("chi_inv")
+        q = chi.mod
+        for seed in (59, 3, 17, 71):
+            latt = conjugated_lattice(fix, np.random.default_rng(seed))
+            rr = ribet_lattice(latt)
+            els = latt.rep.restrict_to_H().elements
+            m = rr.conjugated.arr(els) % q
+            assert not np.any(m[:, 1:, :1]), (q, seed)  # lower-left block vanishes mod q
+            assert np.array_equal(m[:, 0, 0], chi.value(els)), (q, seed)
+            assert np.array_equal(m[:, 1, 1], chi_inv.value(els)), (q, seed)
 
 
 def test_ribet_split_input(rib_split):

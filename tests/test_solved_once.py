@@ -7,9 +7,10 @@ identity batteries and the ribet-ladder pipelines ask for, that an equal
 module built elsewhere is a hit and a module differing in one entry, its
 modulus, its domain or the symmetry asked for a miss, that a shared
 answer cannot be written into, and that an `H1Data`'s one system,
-[coboundaries; h1_reps]^T, is eliminated once and replayed for every
-question, answering as fresh `solve_mod`s of the two systems it replaced
-would."""
+[coboundaries; z1]^T, is eliminated once, at construction, picks the
+representatives the greedy extension of B^1 picks and is replayed for
+every question, answering as fresh `solve_mod`s of the two systems it
+replaced would."""
 
 import json
 import sys
@@ -18,10 +19,17 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from asaikit import cli, exactalg, grouprep
+from asaikit import cli, cohomology, exactalg, grouprep
 from asaikit.cohomology import Cocycle, H1Data, SelmerStructure, coboundary, h1, hom_module
-from asaikit.exactalg import Mat, kernel_gens, kernel_mod, row_space_mod, solve_mod
-from asaikit.fixtures import DATA_DIR, ribet_fixture
+from asaikit.exactalg import (
+    Mat,
+    extend_basis,
+    kernel_gens,
+    kernel_mod,
+    row_space_mod,
+    solve_mod,
+)
+from asaikit.fixtures import DATA_DIR, ribet_fixture, semidirect_group
 from asaikit.grouprep import (
     Rep,
     coset_sign_character,
@@ -122,7 +130,7 @@ def test_memoized_h1_equals_a_fresh_build(asked):
     for m in asked[0]:
         memo, fresh = h1(m), H1Data(m)
         assert h1(m) is memo and memo is not fresh
-        for field in ("z1", "h1_reps", "expand", "coboundaries", "_gen_pos"):
+        for field in ("z1", "h1_reps", "expand", "coboundaries", "_gen_pos", "_rep_cols"):
             assert np.array_equal(getattr(memo, field), getattr(fresh, field)), (m, field)
         assert memo.dim == fresh.dim and memo.gens == fresh.gens
         for z in fresh.representatives() + memo.representatives():
@@ -249,7 +257,7 @@ def test_shared_answers_are_read_only():
     rib = ribet_fixture()
     data = h1(hom_module(rib.rep("chi"), rib.rep("chi_inv")))
     assert data.dim == 1
-    for field in ("expand", "z1", "h1_reps", "coboundaries", "_gen_pos"):
+    for field in ("expand", "z1", "h1_reps", "coboundaries", "_gen_pos", "_rep_cols"):
         arr = getattr(data, field)
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
@@ -339,16 +347,24 @@ def test_decompose_splits_x_into_a_coboundary_and_a_class(asked):
 def test_repeated_class_coords_eliminate_once(monkeypatch):
     rib = ribet_fixture()  # a fresh group, so an empty memo
     m = hom_module(rib.rep("chi"), rib.rep("chi_inv"))
-    data = h1(m)
-    zs = data.representatives() + [coboundary(m, [3])]
-    calls = []
-    echelon = exactalg.echelon_mod
+    calls, rounds = [], []
+    echelon, kernel = exactalg.echelon_mod, cohomology.kernel_mod
 
     def counted(*args):
         calls.append(args)
         return echelon(*args)
 
+    def counted_round(*args):
+        rounds.append(args)
+        return kernel(*args)
+
     monkeypatch.setattr(exactalg, "echelon_mod", counted)
+    monkeypatch.setattr(cohomology, "kernel_mod", counted_round)
+    # the build: Z^1's kernel rounds, then the one system
+    data = h1(m)
+    assert rounds and len(calls) == len(rounds) + 1
+    calls.clear()
+    zs = data.representatives() + [coboundary(m, [3])]
     twin = Rep(rib.group, list(rib.group.H), m.images.copy(), m.mod)
     for _ in range(3):
         for z in zs:
@@ -357,4 +373,48 @@ def test_repeated_class_coords_eliminate_once(monkeypatch):
             assert h1(twin).classes_equal(z, z)
             assert data.decompose(data.gen_vector(z))[1].any() == (z is not zs[-1])
         assert data.map_matrix(lambda z: z, data).tolist() == [[1]]
-    assert len(calls) == 1
+    assert calls == []
+
+
+def past_a_coboundary_row():
+    """chi + 1 on C_2 x C_7 x C_2 over F_7, chi the sign of the first
+    factor: the first row of Z^1 is a coboundary, so the one representative
+    is the second row, not the first."""
+    g = semidirect_group(2, 1, (7, 2), (1, 1))
+    sign = [6 if g.elements[x][0] else 1 for x in range(g.n)]
+    images = np.zeros((g.n, 2, 2), dtype=np.int64)
+    images[:, 0, 0], images[:, 1, 1] = sign, 1
+    return Rep(g, "G", images, 7)
+
+
+def test_the_representatives_are_the_greedy_extension_of_b1(asked):
+    # the route of extend_basis: a second elimination, of [coboundaries; z1]^T
+    skipping = past_a_coboundary_row()
+    for m in asked[0] + [skipping]:
+        data = h1(m)
+        want = data.z1[extend_basis(data.coboundaries, data.z1, data.q)]
+        assert data.h1_reps.shape == want.shape and np.array_equal(data.h1_reps, want), m
+        # each representative's class coordinates are a unit vector
+        eye = np.eye(data.dim, dtype=np.int64)
+        assert np.array_equal(data.decompose(data.h1_reps.T)[1], eye), m
+        b = coboundary(m, np.arange(1, m.dim + 1))
+        for i, z in enumerate(data.representatives()):
+            assert np.array_equal(data.class_coords(z + b), eye[i]), m
+    data = h1(skipping)
+    assert data.dim == 1 and np.array_equal(data.h1_reps, data.z1[1:2])
+
+
+def test_class_questions_leave_an_h1data_as_built(asked):
+    rng = np.random.default_rng(17)
+    for m in asked[0]:
+        data = H1Data(m)
+        built = dict(vars(data))
+        cocycles, _ = sample_cocycles(data, rng)
+        for c in cocycles:
+            data.class_coords(c)
+            data.is_coboundary(c)
+            data.classes_equal(c, cocycles[0])
+        data.decompose(np.column_stack([data.gen_vector(c) for c in cocycles]))
+        data.map_matrix(lambda z: z, data)
+        assert vars(data).keys() == built.keys(), m
+        assert all(vars(data)[k] is v for k, v in built.items()), m
