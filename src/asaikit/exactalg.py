@@ -157,11 +157,13 @@ class Mat:
         return f"Mat(mod={self.mod},\n{self.a})"
 
     def det(self):
-        """Determinant, computed division-free over Z then reduced."""
-        return det(self.a.tolist()) % self.mod
+        """Determinant, computed division-free over Z then reduced.  The
+        rows handed to `det` are the transpose's: they keep the column count
+        a 0 x c matrix's empty list loses, so any non-square one is refused."""
+        return det(self.a.T.tolist()) % self.mod
 
     def is_invertible(self):
-        return det(self.a.tolist()) % self.q != 0
+        return det(self.a.T.tolist()) % self.q != 0
 
     def inverse(self):
         if self.a.shape[0] != self.a.shape[1]:

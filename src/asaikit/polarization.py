@@ -32,9 +32,7 @@ from .exactalg import (
     Mat,
     as_index,
     as_sign,
-    charpoly_stack,
     extend_basis,
-    polymul_stack,
     rref_mod,
 )
 from .grouprep import (
@@ -190,58 +188,57 @@ def sign_congruence(p1: PolarizedRep, p2: PolarizedRep) -> dict:
 
 @dataclass
 class LatticeRep:
-    """A representation over Z/q^n (n >= 2) whose mod-q semisimplification
-    is rhobar1 + rhobar2 with distinct absolutely irreducible summands.
-
-    The semisimplification is checked on H by Brauer-Nesbitt: at every
-    element, the charpoly of the reduction mod q equals the product of the
-    residual charpolys.  All three charpolys come from one batched
-    `charpoly_stack` each over the H image stack, and the products from one
-    `polymul_stack`.
+    """A representation over Z/q^n (n >= 2) whose reduction mod q on the
+    blocks' domain is [[rhobar1, *], [0, rhobar2]] in the basis `basis`, for
+    distinct absolutely irreducible blocks over F_q: by Jordan-Holder, the
+    one certificate of the semisimplification rhobar1 + rhobar2.  Blocks
+    that triangularize only in the other order raise the block-order
+    `PipelineError`; blocks that do in neither, a ValueError.
     """
 
-    rep: Rep          # over Z/q^n, on G (carries the coset structure)
-    rhobar1: Rep      # over F_q, on H
-    rhobar2: Rep      # over F_q, on H
-    rep_H: Rep = field(init=False, repr=False, compare=False)  # rep on H
+    rep: Rep          # over Z/q^n, on the blocks' domain or one containing it
+    rhobar1: Rep      # over F_q
+    rhobar2: Rep      # over F_q, on rhobar1's domain
+    restricted: Rep = field(init=False, repr=False, compare=False)  # rep on the blocks' domain
+    basis: Mat = field(init=False, repr=False, compare=False)  # of the triangularization
 
     def __post_init__(self):
-        q = self.rep.q
-        if self.rep.precision < 2:
+        rep, rb1, rb2 = self.rep, self.rhobar1, self.rhobar2
+        if rep.precision < 2:
             raise ValueError("lattice representations need modulus q^n, n >= 2")
-        if self.rhobar1.mod != q or self.rhobar2.mod != q:
+        if rb1.mod != rep.q or rb2.mod != rep.q:
             raise ValueError("residual data must live over F_q")
-        if self.rhobar1.dim + self.rhobar2.dim != self.rep.dim:
+        if rb1.dim + rb2.dim != rep.dim:
             raise ValueError("residual dimensions do not add up")
-        for rb in (self.rhobar1, self.rhobar2):
+        for rb in (rb1, rb2):
             if endomorphism_free_rank(rb) != 1:
                 raise ValueError("residual summand is not absolutely irreducible")
-        if intertwiner_space(self.rhobar1, self.rhobar2):
+        if intertwiner_space(rb1, rb2):
             raise ValueError("residual summands must be non-isomorphic")
-        # Brauer-Nesbitt style check of the semisimplification on H
-        self.rep_H = self.rep.restrict_to_H()
-        els = self.rhobar1.elements
-        p1, p2, lhs = (charpoly_stack(r.arr(els), q)
-                       for r in (self.rhobar1, self.rhobar2, self.rep_H))
-        if not np.array_equal(lhs, polymul_stack(p1, p2, q)):
-            raise ValueError("mod-q semisimplification does not match")
+        self.restricted = rep if rep.domain == rb1.domain else rep.restrict(rb1.domain)
+        try:
+            self.basis = _mod_q_triangularization(self.restricted, rb1, rb2)
+        except PipelineError as exc:
+            try:  # the refusal path only: tell block order from a mismatch
+                _mod_q_triangularization(self.restricted, rb2, rb1)
+            except PipelineError:
+                raise ValueError("mod-q semisimplification does not match") from None
+            raise exc
 
 
 @dataclass
 class RibetResult:
-    conjugated: Rep             # the conjugated lattice rep on H
-    cocycle: Cocycle | None     # class in Z^1(H, Hom(rhobar2, rhobar1))
+    conjugated: Rep             # the conjugated lattice rep, on the blocks' domain
+    cocycle: Cocycle | None     # class in Z^1(domain, Hom(rhobar2, rhobar1))
     split: bool
     level: int                  # q-valuation at which the class appeared
     h1data: object = None
 
 
-def _mod_q_triangularization(latt: LatticeRep):
-    """Basis V over Z/q^n whose conjugate reduces to [[rb1, *], [0, rb2]]."""
-    rep = latt.rep_H
+def _mod_q_triangularization(rep: Rep, rb1: Rep, rb2: Rep) -> Mat:
+    """Basis V over Z/q^n with V^-1 rep V = [[rb1, *], [0, rb2]] mod q."""
     q, mod = rep.q, rep.mod
     red = rep.reduce(q)
-    rb1, rb2 = latt.rhobar1, latt.rhobar2
     d1, d2 = rb1.dim, rb2.dim
     hom1 = intertwiner_space(rb1, red)  # maps V1 -> reduction
     if len(hom1) != 1:
@@ -260,7 +257,7 @@ def _mod_q_triangularization(latt: LatticeRep):
     lift = eye[:, free]
     proj = (eye[free] - sub[:, free].T @ eye[piv]) % q
     # quotient action on the complement coordinates
-    quo = Rep(red.group, "H", proj @ red.images % q @ lift % q, q, validate=False)
+    quo = Rep(red.group, red.domain, proj @ red.images % q @ lift % q, q, validate=False)
     iso, tw = is_isomorphic(rb2, quo)
     if not iso:
         raise PipelineError(
@@ -277,12 +274,12 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
     """Conjugate the lattice so its reduction is [[rb1, *], [0, rb2]] and
     extract the extension class, descending the lattice chain while the
     class vanishes; termination is bounded by the precision n."""
-    rep = latt.rep_H
+    rep = latt.restricted
     q, n = rep.q, rep.precision
     mod = rep.mod
     rb1, rb2 = latt.rhobar1, latt.rhobar2
     d1, d2 = rb1.dim, rb2.dim
-    v = _mod_q_triangularization(latt)
+    v = latt.basis
     imgs = v.inverse().a @ rep.images % mod @ v.a % mod
     rb2_inv = rb2.arr(rep.group.inv[rep.elements])
     hmod = hom_module(rb1, rb2)  # Hom(rb2, rb1), action rb1 . X . rb2^{-1}
@@ -300,7 +297,7 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
         # phi = dy + (its class): a class found, or the coboundary dy to absorb
         y, c = data.decompose(data.gen_vector(phi))
         if c.any():
-            conj = Rep(rep.group, "H", imgs, mod, validate=False)
+            conj = Rep(rep.group, rep.domain, imgs, mod, validate=False)
             return RibetResult(conj, phi, False, level, data)
         if level == n - 1:
             break
@@ -312,7 +309,7 @@ def ribet_lattice(latt: LatticeRep) -> RibetResult:
         uinv[:d1, d1:] = (scale * corr) % mod
         imgs = uinv @ imgs % mod @ u % mod
         level += 1
-    conj = Rep(rep.group, "H", imgs, mod, validate=False)
+    conj = Rep(rep.group, rep.domain, imgs, mod, validate=False)
     return RibetResult(conj, None, True, level, data)
 
 
@@ -383,7 +380,7 @@ def theorem_main_pipeline(
     if rr.split:
         raise PipelineError("split extension: the pipeline yields no class")
     # the polarization sign of R = rep|_H
-    pol = polarize(latt.rep_H, psi, conjugate=True)
+    pol = polarize(latt.restricted, psi, conjugate=True)
     sign = bc_sign(pol)
     # transport the class into the tensor-induced ambient module
     ambient = as_twisted_module(rb1, psi.reduce(q))

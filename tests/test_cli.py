@@ -206,6 +206,35 @@ def test_pipeline_on_a_conjugated_seventh_power_lattice(tmp_path):
     assert obj["lattice_level"] == 6 and obj["eigenvalue_law_holds"] is True
 
 
+@pytest.mark.parametrize("kind, error", [
+    ("swapped", "no conjugate achieves a triangular reduction with the prescribed "
+                "block order (rhobar1 does not embed)"),
+    ("mismatched", "mod-q semisimplification does not match"),
+])
+def test_pipeline_refuses_a_lattice_its_blocks_do_not_triangularize(
+        kind, error, tmp_path, capsys):
+    """ribet_v0's lattice with chi and chi_inv swapped (it triangularizes
+    only in the other order), and ribet_q7_d6's with chi^2 for chi (in
+    neither order): `LatticeRep` refuses each, and the report says why."""
+    from asaikit.fixtures import Fixture, ribet_v0_fixture
+
+    if kind == "swapped":
+        fix = ribet_v0_fixture()
+        chi, chi_inv = fix.rep("chi_inv"), fix.rep("chi")
+    else:
+        fix = ribet_fixture()
+        chi, chi_inv = fix.rep("chi").twist(fix.rep("chi")), fix.rep("chi_inv")
+    name = f"ribet_{kind}"
+    reps = {"lattice": fix.rep("lattice"), "chi": chi, "chi_inv": chi_inv}
+    Fixture(name, fix.group, reps, fix.meta).save(tmp_path / f"{name}.json")
+    report = tmp_path / "p.json"
+    assert run(["pipeline", name, "--fixtures", str(tmp_path),
+                "--report", str(report)]) == 1
+    assert json.loads(report.read_text()) == {
+        "command": "pipeline", "fixture": name, "class": None, "ok": False, "error": error}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_lfunc_primes(tmp_path):
     report = tmp_path / "l.json"
     assert run(["lfunc", "--primes", "3..20", "--verify-lambda2", "--seed", "2",

@@ -265,6 +265,17 @@ def test_inverse_refuses_a_non_square_and_a_singular_matrix():
             Mat(entries, mod).inverse()
 
 
+def test_det_is_invertible_and_inverse_agree_on_non_square_matrices():
+    # a 0 x 2 matrix lists as [], so only its shape tells it from the empty
+    # square matrix
+    for a in (np.zeros((0, 2), dtype=np.int64), np.array([[1, 2, 3], [0, 1, 4]])):
+        for ask in (Mat.det, Mat.is_invertible, Mat.inverse):
+            with pytest.raises(ValueError, match="non-square matrix"):
+                ask(Mat(a, 7))
+    empty = Mat(np.zeros((0, 0), dtype=np.int64), 7)
+    assert empty.det() == 1 and empty.is_invertible()
+
+
 def test_kernel_mod_field():
     a = np.array([[1, 2, 3], [2, 4, 6]])
     k = kernel_mod(a, 7)

@@ -3,8 +3,9 @@
 (made where a structure is made), the CLI's refusal report, int64
 residue arithmetic with no object-dtype array, the unchecked `PolyX`
 constructor, kept to the package's own integer results, the batteries'
-shipped fixtures, read through one cache, and one read-only index array
-per subset of G."""
+shipped fixtures, read through one cache, one read-only index array
+per subset of G, and one certificate per Ribet lattice, its
+triangularization."""
 
 import ast
 import json
@@ -438,3 +439,33 @@ def test_the_fixture_builder_guard_sees_each_form(tmp_path):
     assert fixture_builder_uses(path) == [
         ("<module>", 1), ("<module>", 2), ("a", 4), ("B", 6), ("B.c", 9), ("e", 12),
         ("g", 15)]
+
+
+def stack_routine_uses(path):
+    """(top-level function, Class.method, class or <module>, line) of each
+    import, call or reference of `charpoly_stack` or `polymul_stack`."""
+    names = ("charpoly_stack", "polymul_stack")
+    return node_uses(path, lambda n: isinstance(n, ast.Name) and n.id in names
+                     or isinstance(n, ast.Attribute) and n.attr in names
+                     or isinstance(n, ast.ImportFrom) and any(a.name in names for a in n.names))
+
+
+def test_a_lattice_is_certified_by_its_triangularization_alone():
+    # the triangularization certifies the semisimplification (Jordan-Holder),
+    # so polarization computes no charpoly beside it
+    assert stack_routine_uses(SRC / "polarization.py") == []
+
+
+def test_the_stack_routine_guard_sees_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from exactalg import Mat, charpoly_stack\n"
+        "P = polymul_stack([[1]], [[1]], 7)\n"
+        "def a(x):\n    return exactalg.charpoly_stack(x, 7)\n"
+        "class B:\n    def c(self, x):\n        def inner():\n"
+        "            return polymul_stack(x, x, 7)\n        return inner()\n"
+        "def e(x):\n    f = exactalg.polymul_stack\n    return f(x, x, 7)\n"
+        "def g(x):\n    from exactalg import charpoly_stack as cp\n    return cp(x, 7)\n"
+        "def h(x):\n    return charpoly(x), charpoly_int_stack(x)\n")
+    assert stack_routine_uses(path) == [
+        ("<module>", 1), ("<module>", 2), ("a", 4), ("B.c", 8), ("e", 11), ("g", 14)]

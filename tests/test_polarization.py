@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from asaikit import exactalg, grouprep, polarization
 from asaikit.cohomology import SelmerStructure
-from asaikit.exactalg import Mat, kernel_gens
+from asaikit.exactalg import Mat, charpoly, kernel_gens
 from asaikit.fixtures import (
     c15_fixture,
     element_of_order,
+    load_shipped,
     m40_fixture,
     ribet_fixture,
     ribet_v0_fixture,
@@ -101,9 +103,9 @@ def test_bc_sign_scalar_rescaling_invariant(rib):
 def test_polarized_rep_refuses_a_witness_over_another_modulus(rib):
     latt = make_lattice(rib)
     psi = coset_sign_character(rib.group, 49)
-    w = polarize(latt.rep_H, psi).witness
+    w = polarize(latt.restricted, psi).witness
     with pytest.raises(ValueError, match="witness modulus"):
-        PolarizedRep(latt.rep_H, psi, Mat(w.a % 7, 7), 1)
+        PolarizedRep(latt.restricted, psi, Mat(w.a % 7, 7), 1)
 
 
 def witness_identity_holds_everywhere(rep, psi, a, conjugate):
@@ -405,8 +407,8 @@ def test_lattice_rep_invariants(rib):
 def test_lattice_rep_rejects_a_mismatched_semisimplification(rib):
     """chi^2 and chi_inv are distinct, non-isomorphic and absolutely
     irreducible (chi has order 6), so every other check passes; but the
-    lattice reduces to chi + chi_inv on H, and the Brauer-Nesbitt check must
-    refuse the pair."""
+    lattice reduces to chi + chi_inv on H, so it triangularizes with these
+    blocks in neither order, and the constructor must refuse the pair."""
     chi, chi_inv = rib.rep("chi"), rib.rep("chi_inv")
     chi2 = chi.twist(chi)
     assert chi2 != chi_inv and endomorphism_free_rank(chi2) == 1
@@ -467,6 +469,109 @@ def test_ribet_descent_reduces_between_factors_past_int64():
     assert not rr.split and rr.level == 6
     report = theorem_main_pipeline(latt, coset_sign_character(fix.group, mod))
     assert report.level == 6 and report.eigenvalue_law_holds
+
+
+# ---------------------------------------------------------------------------
+# one certificate per lattice
+# ---------------------------------------------------------------------------
+
+LADDER = ((13, 5), (37, 6), (101, 10))  # the ribet-ladder rungs (q, chi value)
+
+
+def ladder_fixture(q, c):
+    return ribet_fixture(q, d=4, alpha=q - 1, chi_val=c, precision=3)
+
+
+def brauer_nesbitt(rep, rb1, rb2):
+    """Oracle, apart from `charpoly_stack`: at every element of the blocks'
+    domain the charpoly of rep mod q is the product of the blocks'
+    charpolys, each from the scalar `charpoly` over Z, then reduced."""
+    q = rb1.mod
+    els = rb1.elements
+    for m, m1, m2 in zip(rep.arr(els).tolist(), rb1.arr(els).tolist(),
+                         rb2.arr(els).tolist()):
+        prod = np.convolve(charpoly(m1), charpoly(m2)) % q
+        if not np.array_equal(np.array(charpoly(m)) % q, prod):
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def accepted_lattices(rib_v0):
+    """Every shipped ribet fixture, ribet_v0 and the ladder rungs at
+    precision 3, each as given and under two seeded conjugations."""
+    fixes = [load_shipped(n) for n in ("ribet_q7_d6", "ribet_q7_d6_split")]
+    fixes += [rib_v0] + [ladder_fixture(q, c) for q, c in LADDER]
+    out = []
+    for fix in fixes:
+        out.append(make_lattice(fix))
+        out += [conjugated_lattice(fix, np.random.default_rng(s)) for s in (7, 61)]
+    return out
+
+
+def test_every_accepted_lattice_passes_brauer_nesbitt(accepted_lattices):
+    assert len(accepted_lattices) == 18
+    for latt in accepted_lattices:
+        assert brauer_nesbitt(latt.rep, latt.rhobar1, latt.rhobar2)
+
+
+def test_brauer_nesbitt_refuses_the_mismatched_pairs(rib):
+    chi, chi_inv = rib.rep("chi"), rib.rep("chi_inv")
+    chi2 = chi.twist(chi)
+    lattice = rib.rep("lattice")
+    assert brauer_nesbitt(lattice, chi, chi_inv) and brauer_nesbitt(lattice, chi_inv, chi)
+    assert not brauer_nesbitt(lattice, chi2, chi_inv)
+    assert not brauer_nesbitt(lattice, chi_inv, chi2)
+
+
+def counting(monkeypatch, modules, names):
+    """Wrap each of `names` wherever one of `modules` binds it; the calls
+    land in the returned list."""
+    calls = []
+    for mod in modules:
+        for name in names:
+            if hasattr(mod, name):
+                real = getattr(mod, name)
+                monkeypatch.setattr(mod, name, lambda *a, _n=name, _f=real, **k:
+                                    calls.append(_n) or _f(*a, **k))
+    return calls
+
+
+def test_a_lattice_rep_computes_no_charpoly(rib, monkeypatch):
+    calls = counting(monkeypatch, (exactalg, grouprep, polarization),
+                     ("charpoly_stack", "polymul_stack"))
+    make_lattice(rib)
+    conjugated_lattice(ladder_fixture(13, 5), np.random.default_rng(3))
+    assert calls == []
+
+
+def test_ribet_lattice_does_not_triangularize_again(rib, rib_v0, monkeypatch):
+    lattices = [make_lattice(rib), make_lattice(rib_v0),
+                conjugated_lattice(ladder_fixture(37, 6), np.random.default_rng(5))]
+    calls = counting(monkeypatch, (grouprep, polarization),
+                     ("intertwiner_space", "is_isomorphic"))
+    for latt in lattices:
+        ribet_lattice(latt)
+    assert calls == []
+
+
+@pytest.mark.parametrize("build", [lambda: load_shipped("ribet_q7_d6"),
+                                   lambda: ladder_fixture(13, 5)], ids=["q7_d6", "q13"])
+def test_a_lattice_given_on_h_descends_as_the_lattice_on_g(build):
+    fix = build()
+    chi, chi_inv = fix.rep("chi"), fix.rep("chi_inv")
+    on_g = LatticeRep(fix.rep("lattice"), chi, chi_inv)
+    lattice_h = fix.rep("lattice").restrict_to_H()
+    on_h = LatticeRep(lattice_h, chi, chi_inv)
+    assert on_h.restricted is lattice_h and on_g.restricted.domain == "H"
+    rg, rh = ribet_lattice(on_g), ribet_lattice(on_h)
+    assert not rh.split and rh.level == rg.level
+    assert rh.conjugated.domain == "H"
+    assert np.array_equal(rh.h1data.class_coords(rh.cocycle),
+                          rg.h1data.class_coords(rg.cocycle))
+    psi = coset_sign_character(fix.group, fix.rep("lattice").mod)
+    assert (theorem_main_pipeline(on_h, psi).to_json()
+            == theorem_main_pipeline(on_g, psi).to_json())
 
 
 # ---------------------------------------------------------------------------
